@@ -16,15 +16,12 @@ and compares the execution paths on the same trace:
   :class:`~repro.simulation.shard_pool.ShardPool` workers over
   ``multiprocessing.shared_memory``: the trace and result columns are
   shared segments, requests never pickle array data.
-* **pickle pool** — the legacy ``ProcessPoolExecutor`` path
-  (``pool="pickle"``) that serializes every shard's slice and results;
-  measured up to N = 100k as the regression reference.
 
 Asserts the acceptance bars: the columnar path is at least 5× faster
 than the object-per-node path at the largest N the reference still
-runs; the shared-memory pool is bit-identical to columnar everywhere,
-never slower than the pickle pool at the largest common N, and — on a
-multi-core box — faster than single-process columnar at N = 1M.
+runs; the shared-memory pool is bit-identical to columnar everywhere
+and — on a multi-core box — faster than single-process columnar at
+N = 1M.
 
 Quick mode — ``REPRO_BENCH_QUICK=1`` — runs only the N = 1k case
 (including a shared-memory pool smoke), for CI.
@@ -47,7 +44,6 @@ FLEET_SIZES = (
     (1_000,) if QUICK else (1_000, 10_000, 100_000, 1_000_000)
 )
 OBJECT_LOOP_MAX_N = 10_000  # beyond this the reference path is minutes
-PICKLE_POOL_MAX_N = 100_000  # beyond this pickling the trace is minutes
 NUM_STEPS = 40
 SHARDS = 4
 WORKERS = min(SHARDS, os.cpu_count() or 1)
@@ -84,14 +80,12 @@ def test_bench_fleet_scale(record_result):
         f"{WORKERS} pool workers ({os.cpu_count()} cpu)",
         "",
         f"{'N':>8}  {'object/node s':>13}  {'columnar s':>10}  "
-        f"{'sharded s':>9}  {'shm pool s':>10}  {'pickle s':>9}  "
-        f"{'col speedup':>11}",
+        f"{'sharded s':>9}  {'shm pool s':>10}  {'col speedup':>11}",
         f"{'-' * 8}  {'-' * 13}  {'-' * 10}  {'-' * 9}  {'-' * 10}  "
-        f"{'-' * 9}  {'-' * 11}",
+        f"{'-' * 11}",
     ]
     speedups = {}
     rows = []
-    pool_times = {}
 
     for num_nodes in FLEET_SIZES:
         trace = _trace(num_nodes, rng)
@@ -114,27 +108,11 @@ def test_bench_fleet_scale(record_result):
         # Persistent shared-memory workers (pool startup included —
         # that's the real cost an Engine.run caller pays).
         shm_s, shm = _timeit(
-            lambda: engine._collect_sharded(data, SHARDS, WORKERS, "shared"),
+            lambda: engine._collect_sharded(data, SHARDS, WORKERS),
             repeats=repeats,
         )
         np.testing.assert_array_equal(columnar.decisions, shm[0].decisions)
         np.testing.assert_array_equal(columnar.stored, shm[0].stored)
-
-        if num_nodes <= PICKLE_POOL_MAX_N and not QUICK:
-            pickle_s, pickled = _timeit(
-                lambda: engine._collect_sharded(
-                    data, SHARDS, WORKERS, "pickle"
-                ),
-                repeats=repeats,
-            )
-            np.testing.assert_array_equal(
-                columnar.stored, pickled[0].stored
-            )
-            pool_times[num_nodes] = (shm_s, pickle_s)
-            pickle_part = f"{pickle_s:>9.4f}"
-        else:
-            pickle_s = None
-            pickle_part = f"{'—':>9}"
 
         if num_nodes <= OBJECT_LOOP_MAX_N:
 
@@ -162,8 +140,7 @@ def test_bench_fleet_scale(record_result):
 
         lines.append(
             f"{num_nodes:>8}  {object_part}  {columnar_s:>10.4f}  "
-            f"{sharded_s:>9.4f}  {shm_s:>10.4f}  {pickle_part}  "
-            f"{speedup_part}"
+            f"{sharded_s:>9.4f}  {shm_s:>10.4f}  {speedup_part}"
         )
         rows.append(
             {
@@ -172,21 +149,17 @@ def test_bench_fleet_scale(record_result):
                 "columnar_s": columnar_s,
                 "sharded_inprocess_s": sharded_s,
                 "shm_pool_s": shm_s,
-                "pickle_pool_s": pickle_s,
                 "columnar_speedup": speedups.get(num_nodes),
             }
         )
 
     lines += [
         "",
-        "sharded (K=4) and both worker pools are pinned bit-identical "
-        "to single-shard; beyond",
-        "N=10k the object-per-node path is skipped (it scales as N·T "
-        "Python calls — the very",
-        "bottleneck FleetState removes), and beyond N=100k the pickle "
-        "pool is skipped (it",
-        "serializes the full trace per run — the very bottleneck the "
-        "shared-memory pool removes).",
+        "sharded (K=4) and the shared-memory worker pool are pinned "
+        "bit-identical to single-shard;",
+        "beyond N=10k the object-per-node path is skipped (it scales as "
+        "N·T Python calls — the",
+        "very bottleneck FleetState removes).",
     ]
     record_result(
         "fleet_scale",
@@ -209,18 +182,7 @@ def test_bench_fleet_scale(record_result):
         f"{speedups[gate]:.1f}x"
     )
 
-    # Acceptance bar 2: the shared-memory pool never regresses against
-    # the legacy pickle pool at the largest N both ran (same workers,
-    # same shards — the only difference is how arrays cross processes).
-    if pool_times:
-        gate = max(pool_times)
-        shm_s, pickle_s = pool_times[gate]
-        assert shm_s <= pickle_s * 1.5, (
-            f"shared-memory pool regressed vs pickle pool at N={gate}: "
-            f"{shm_s:.3f}s vs {pickle_s:.3f}s"
-        )
-
-    # Acceptance bar 3: with real parallelism available, the
+    # Acceptance bar 2: with real parallelism available, the
     # shared-memory sharded path beats single-process columnar at the
     # top of the ladder.  On a single-core box the workers time-slice
     # one CPU, so the comparison is meaningless and skipped.

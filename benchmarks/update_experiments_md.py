@@ -280,15 +280,14 @@ ENTRIES = [
         "faster than the object-per-node loop (hundreds of times at "
         "N = 1k–10k, far above the 5x acceptance bar) and handles "
         "N = 1M in seconds where the object loop would take hours; "
-        "the 4-way sharded run, the persistent shared-memory worker "
-        "pool, and the legacy pickle pool are all asserted "
-        "bit-identical to single-shard at every N.  The shared-memory "
-        "pool never regresses against the pickle pool at their "
-        "largest common N (it stops serializing the trace per run); "
-        "its beat-columnar-at-1M bar only engages on multi-core "
-        "boxes — the recorded run's single CPU time-slices the "
-        "workers, so wall-clock parallel wins are not observable "
-        "there.",
+        "the 4-way sharded run and the persistent shared-memory "
+        "worker pool are both asserted bit-identical to single-shard "
+        "at every N.  The pool's beat-columnar-at-1M bar only engages "
+        "on multi-core boxes — the recorded run's single CPU "
+        "time-slices the workers, so wall-clock parallel wins are not "
+        "observable there.  (The recorded table predates the removal "
+        "of the pickle-per-shard pool; its pickle column is from that "
+        "run.)",
     ),
     (
         "model_bank",
@@ -308,27 +307,6 @@ ENTRIES = [
         "recorded run, far above the 5x acceptance bar), with "
         "forecasts asserted bit-identical at every swept "
         "configuration.",
-    ),
-    (
-        "stream_session",
-        "Serving — StreamSession vectorized slot vs per-node loop "
-        "(extension)",
-        "(Not in the paper; realizes its *online monitoring service* "
-        "premise as a serving API.) A long-lived streaming session — "
-        "the stateful surface behind Engine.step, with partial "
-        "ingestion, late-arrival handling and checkpoint/resume — "
-        "should advance one slot with whole-fleet array operations, "
-        "not one Python transmission decision per node.",
-        "Confirmed: the batched slot-kernel path processes full "
-        "serving slots (transmission + clustering + training + "
-        "forecasting) ~7x faster than the per-node object loop at "
-        "N = 10k (above the 5x acceptance bar; the transmission stage "
-        "alone is two orders of magnitude faster — the residual is "
-        "the shared clustering/forecasting work), with stored values, "
-        "forecasts and transport counters asserted bit-identical "
-        "between the paths. Resume-from-checkpoint is separately "
-        "pinned bit-identical to uninterrupted sessions for every "
-        "registered transmission policy and forecaster bank.",
     ),
     (
         "scenarios",

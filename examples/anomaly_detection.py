@@ -57,7 +57,7 @@ def main() -> None:
             retrain_interval=150,
         ),
     )
-    engine = Engine(config, num_nodes=NUM_NODES, num_resources=1)
+    session = Engine(config).session(NUM_NODES, 1)
 
     residuals = []  # rows: per-step |stored - forecast| per node
     violations = np.zeros(NUM_NODES, dtype=int)
@@ -67,7 +67,7 @@ def main() -> None:
     # anomaly before it can be noticed.
     forecast_queue = []
     for t in range(NUM_STEPS):
-        output = engine.step(cpu[t])
+        output = session.ingest(cpu[t])
         matured = None
         if len(forecast_queue) >= HORIZON:
             matured = forecast_queue.pop(0)

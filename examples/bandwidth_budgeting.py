@@ -42,7 +42,7 @@ def main() -> None:
     adaptive_builder = TRANSMISSION_POLICIES.get("adaptive")
     for budget in BUDGETS:
         for name, factory in (
-            # Registry-built adaptive policy (what Engine does per node).
+            # Registry-built adaptive policy, one object per node.
             ("adaptive", lambda i: adaptive_builder(
                 TransmissionConfig(budget=budget), i)),
             # Custom factory: stagger the uniform fleet's phases (the

@@ -54,10 +54,10 @@ def main() -> None:
             retrain_interval=150,
         ),
     )
-    # Streaming deployment: per-node adaptive policies, transport,
-    # central store and pipeline advanced one slot at a time.
-    engine = Engine(config, num_nodes=NUM_NODES, num_resources=1)
-    outputs = [engine.step(cpu[t]) for t in range(NUM_STEPS)]
+    # Streaming deployment: the fleet's adaptive transmissions, the
+    # central store and the pipeline advanced one slot at a time.
+    session = Engine(config).session(NUM_NODES, 1)
+    outputs = [session.ingest(cpu[t]) for t in range(NUM_STEPS)]
 
     forecast_scores = []
     stale_scores = []

@@ -43,7 +43,6 @@ from repro.core import (
     PipelineConfig,
     PipelineResult,
     TransmissionConfig,
-    run_pipeline,
 )
 from repro.exceptions import (
     CheckpointError,
@@ -67,7 +66,7 @@ from repro.registry import (
 from repro.session import StreamSession
 from repro.simulation.fleet import FleetState
 
-__version__ = "1.8.0"
+__version__ = "2.0.0"
 
 __all__ = [
     "Engine",
@@ -82,7 +81,6 @@ __all__ = [
     "PipelineConfig",
     "PipelineResult",
     "TransmissionConfig",
-    "run_pipeline",
     "ForecasterBank",
     "ObjectBank",
     "Registry",

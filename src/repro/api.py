@@ -4,29 +4,25 @@
 composes the registry-backed stages (collection backend, transmission
 policy, dynamic clustering, and the per-group forecaster banks that
 batch every cluster's model — see :mod:`repro.forecasting.bank`) and
-subsumes the two historical entry points:
+serves both execution modes:
 
 * **batch** — :meth:`Engine.run` drives a recorded trace through
   collection, clustering and forecasting and returns a
   :class:`RunResult` with the paper's RMSE metrics, transport stats and
-  per-stage wall-clock timings (what :func:`repro.core.pipeline.
-  run_pipeline` did).  ``run(trace, shards=K, workers=W)`` additionally
-  partitions the fleet into contiguous node shards for the collection
-  stage (across a persistent shared-memory
-  :class:`~repro.simulation.shard_pool.ShardPool` by default, or the
-  legacy pickle-per-shard pool with ``pool="pickle"``) and merges them
-  into one columnar :class:`~repro.simulation.fleet.FleetState` —
-  bit-identical to the single-shard run;
+  per-stage wall-clock timings.  ``run(trace, shards=K, workers=W)``
+  additionally partitions the fleet into contiguous node shards for
+  the collection stage (in-process, or across a persistent
+  shared-memory :class:`~repro.simulation.shard_pool.ShardPool` of
+  ``W`` workers) and merges them into one columnar
+  :class:`~repro.simulation.fleet.FleetState` — bit-identical to the
+  single-shard run;
 * **streaming** — :meth:`Engine.session` opens a long-lived, stateful
   :class:`~repro.session.StreamSession` with partial ingestion, a
   bounded late-arrival reorder window, on-demand forecasts and
   checkpoint/resume (:meth:`StreamSession.snapshot
   <repro.session.StreamSession.snapshot>` /
-  :meth:`Engine.resume`).  :meth:`Engine.step` remains as a thin
-  compatibility shim over a lazily created default session, advancing
-  it one full slot at a time (what ``MonitoringSystem.tick`` did) —
-  but the per-slot hot path now runs the batched slot kernels, not a
-  per-node object loop.
+  :meth:`Engine.resume`).  Each slot's transmissions are one batched
+  slot-kernel call over the fleet columns.
 
 Engines are constructible from plain data — a :class:`~repro.core.
 config.PipelineConfig`, its :meth:`~repro.core.config.PipelineConfig.
@@ -40,8 +36,7 @@ files all share one wiring path::
     result = engine.run(trace)                  # batch
     print(result.rmse_by_horizon, result.timings)
 
-    engine = Engine.from_config(config, num_nodes=50, num_resources=1)
-    session = engine.session()                  # streaming
+    session = engine.session(50, 1)             # streaming
     output = session.ingest(x_t)                # one (full) slot
     session.ingest(x_late, node_ids=[3, 9])    # a partial slot
     session.save("state.ckpt")                  # durable checkpoint
@@ -50,81 +45,36 @@ files all share one wiring path::
 
 from __future__ import annotations
 
-import inspect
 import json
 import operator
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Sequence, Tuple, Union
+from typing import Any, Dict, Mapping, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
 from repro.checkpoint import Checkpoint, as_checkpoint, config_mismatch
-from repro.core.config import PipelineConfig, TransmissionConfig
+from repro.core.config import PipelineConfig
 from repro.core.metrics import instantaneous_rmse_batch
 from repro.core.pipeline import (
     ForecasterFactory,
     OnlinePipeline,
     PipelineResult,
-    StepOutput,
 )
 from repro.forecasting.bank import resolved_bank_name
 from repro.core.types import validate_trace
-from repro.exceptions import CheckpointError, ConfigurationError, DataError
-from repro.registry import COLLECTION_BACKENDS, TRANSMISSION_POLICIES
-from repro.session import PolicyFactory, StreamSession
+from repro.exceptions import CheckpointError, ConfigurationError
+from repro.registry import COLLECTION_BACKENDS, SLOT_KERNELS
+from repro.session import StreamSession
 from repro.simulation.collection import CollectionResult
-from repro.simulation.controller import CentralStore
 from repro.simulation.fleet import (
     FleetState,
     merge_collection_shards,
     shard_slices,
 )
-from repro.simulation.node import LocalNode
-from repro.simulation.shard_pool import ShardPool
-from repro.simulation.transport import Channel, TransportStats
-
-
-def _shard_aware_kwargs(
-    backend: Any, node_offset: int, total_nodes: int
-) -> dict:
-    """Offset/fleet-size kwargs for backends that opt into them.
-
-    Backends whose decisions depend on fleet-global state (the uniform
-    backend draws stagger phases for the whole fleet) declare
-    ``node_offset``/``total_nodes`` keyword parameters; purely per-node
-    backends need nothing and get nothing.
-    """
-    try:
-        params = inspect.signature(backend).parameters
-    except (TypeError, ValueError):  # builtins / odd callables
-        return {}
-    if "node_offset" in params and "total_nodes" in params:
-        return {"node_offset": node_offset, "total_nodes": total_nodes}
-    return {}
-
-
-def _run_collection_shard(
-    backend_name: str,
-    trace: np.ndarray,
-    transmission: TransmissionConfig,
-    node_offset: int,
-    total_nodes: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Run one collection shard — a contiguous node slice of the trace.
-
-    Module-level (hence picklable) so it can run in a worker process;
-    returns plain arrays to keep the inter-process payload minimal.
-    """
-    backend = COLLECTION_BACKENDS.get(backend_name)
-    result = backend(
-        trace,
-        transmission,
-        **_shard_aware_kwargs(backend, node_offset, total_nodes),
-    )
-    return result.stored, result.decisions
+from repro.simulation.shard_pool import ShardPool, shard_aware_kwargs
+from repro.simulation.transport import TransportStats
 
 
 @dataclass
@@ -194,14 +144,9 @@ class Engine:
         config: Full pipeline configuration.
         collection: Collection backend for :meth:`run` — any name in
             :data:`repro.registry.COLLECTION_BACKENDS`.
-        num_nodes: Fleet size for streaming.  Optional: inferred from
-            the first :meth:`step` measurement when omitted.
-        num_resources: Resource dimensionality d for streaming.
-            Optional, inferred like ``num_nodes``.
-        policy: Per-node transmission policy for :meth:`step` — any name
-            in :data:`repro.registry.TRANSMISSION_POLICIES`.
-        policy_factory: Override ``policy`` with a custom per-node
-            factory (receives the node id).
+        policy: Transmission policy of :meth:`session` — any name in
+            :data:`repro.registry.SLOT_KERNELS` (a custom policy is a
+            :func:`~repro.registry.register_slot_kernel` registration).
         forecaster_factory: Override the forecasting model construction;
             receives ``(cluster_id, group_index)``.  A custom factory
             always runs through the :class:`~repro.forecasting.bank.
@@ -215,10 +160,7 @@ class Engine:
         config: PipelineConfig = PipelineConfig(),
         *,
         collection: str = "adaptive",
-        num_nodes: Optional[int] = None,
-        num_resources: Optional[int] = None,
         policy: str = "adaptive",
-        policy_factory: Optional[PolicyFactory] = None,
         forecaster_factory: Optional[ForecasterFactory] = None,
     ) -> None:
         if not isinstance(config, PipelineConfig):
@@ -230,23 +172,9 @@ class Engine:
         self.collection = collection
         # Fail fast, with close-match suggestions, on unknown names.
         COLLECTION_BACKENDS.get(collection)
-        self.policy: Optional[str] = None if policy_factory else policy
-        if policy_factory is None:
-            TRANSMISSION_POLICIES.get(policy)
-        self._policy_factory = policy_factory
+        SLOT_KERNELS.get(policy)
+        self.policy = policy
         self._forecaster_factory = forecaster_factory
-
-        # Streaming state: Engine.step drives one lazily created
-        # default StreamSession (Engine.session opens independent ones).
-        self._session: Optional[StreamSession] = None
-        self._stream_dims: Optional[Tuple[int, int]] = None
-        if (num_nodes is None) != (num_resources is None):
-            raise ConfigurationError(
-                "pass num_nodes and num_resources together (or neither)"
-            )
-        if num_nodes is not None and num_resources is not None:
-            self._stream_dims = (num_nodes, num_resources)
-            self._session = self.session(num_nodes, num_resources)
 
     @classmethod
     def from_config(
@@ -261,7 +189,7 @@ class Engine:
                 :meth:`PipelineConfig.to_dict` form, or a path to a JSON
                 file holding that mapping.
             **kwargs: Forwarded to :class:`Engine` (``collection``,
-                ``num_nodes``, ``policy``, …).
+                ``policy``, ``forecaster_factory``).
         """
         if isinstance(config, (str, Path)):
             path = config
@@ -283,52 +211,34 @@ class Engine:
 
     def session(
         self,
-        num_nodes: Optional[int] = None,
-        num_resources: Optional[int] = None,
+        num_nodes: int,
+        num_resources: int,
         *,
         reorder_window: int = 0,
-        vectorized: Optional[bool] = None,
         link: Optional[Any] = None,
     ) -> StreamSession:
         """Open a new long-lived :class:`~repro.session.StreamSession`.
 
         Every call creates an independent deployment (own fleet state,
         transport counters, clustering history and forecaster banks)
-        wired with this engine's config, policy and factories.
+        wired with this engine's config, policy and forecaster factory.
 
         Args:
-            num_nodes: Fleet size; defaults to the engine's streaming
-                dimensions when it was built with them.
-            num_resources: Resource dimensionality; same default rule.
+            num_nodes: Fleet size ``N``.
+            num_resources: Resource dimensionality ``d``.
             reorder_window: Late-arrival tolerance in slots (see
                 :meth:`StreamSession.ingest
                 <repro.session.StreamSession.ingest>`).
-            vectorized: Force the slot path (kernel vs object loop);
-                default picks the batched kernel when the policy has
-                one.
             link: Optional :class:`~repro.scenarios.links.LinkModel`
                 interposed between transmissions and the channel.
         """
-        if num_nodes is None and num_resources is None:
-            if self._stream_dims is None:
-                raise ConfigurationError(
-                    "pass num_nodes and num_resources (the engine was "
-                    "built without streaming dimensions)"
-                )
-            num_nodes, num_resources = self._stream_dims
-        if num_nodes is None or num_resources is None:
-            raise ConfigurationError(
-                "pass num_nodes and num_resources together"
-            )
         return StreamSession(
             self.config,
             num_nodes,
             num_resources,
-            policy=self.policy or "adaptive",
-            policy_factory=self._policy_factory,
+            policy=self.policy,
             forecaster_factory=self._forecaster_factory,
             reorder_window=reorder_window,
-            vectorized=vectorized,
             link=link,
         )
 
@@ -343,9 +253,7 @@ class Engine:
 
         The resumed session continues exactly as the snapshotted one
         would have — forecasts, cluster assignments and transport
-        counters match an uninterrupted run bit for bit.  It also
-        becomes this engine's default session, so :meth:`step` carries
-        on from the checkpoint.
+        counters match an uninterrupted run bit for bit.
 
         Args:
             source: A :class:`~repro.checkpoint.Checkpoint` or a path
@@ -365,8 +273,8 @@ class Engine:
         Raises:
             CheckpointError: On format-version mismatch (raised by
                 :meth:`Checkpoint.load <repro.checkpoint.Checkpoint.
-                load>`), configuration or dtype mismatch, or missing
-                custom factories.
+                load>`), configuration, dtype or policy mismatch, or a
+                missing custom forecaster factory.
         """
         checkpoint = as_checkpoint(source, mmap=mmap)
         # Normalize the stored config through PipelineConfig so older
@@ -399,17 +307,10 @@ class Engine:
             raise CheckpointError(
                 f"checkpoint configuration disagrees with the engine's "
                 f"({detail}); build the engine from the checkpoint's "
-                "config (Engine.from_checkpoint) or match the configs"
+                "config (Engine.from_config(checkpoint.config)) or match "
+                "the configs"
             )
         meta = checkpoint.session
-        if bool(meta["custom_policy_factory"]) != (
-            self._policy_factory is not None
-        ):
-            raise CheckpointError(
-                "checkpoint and engine disagree about a custom "
-                "policy_factory; resume with an engine carrying the "
-                "same factory the session was built with"
-            )
         if meta["custom_forecaster_factory"] and (
             self._forecaster_factory is None
         ):
@@ -417,7 +318,7 @@ class Engine:
                 "checkpoint was taken with a custom forecaster_factory; "
                 "resume with an engine carrying that factory"
             )
-        if not meta["custom_policy_factory"] and meta["policy"] != self.policy:
+        if meta["policy"] != self.policy:
             raise CheckpointError(
                 f"checkpoint used transmission policy {meta['policy']!r}, "
                 f"engine is configured for {self.policy!r}"
@@ -426,131 +327,10 @@ class Engine:
             int(meta["num_nodes"]),
             int(meta["num_resources"]),
             reorder_window=int(meta["reorder_window"]),
-            vectorized=bool(meta["vectorized"]),
             link=link,
         )
         session.restore(checkpoint)
-        self._session = session
-        self._stream_dims = (session.num_nodes, session.num_resources)
         return session
-
-    @classmethod
-    def from_checkpoint(
-        cls, source: Union[Checkpoint, str, Path], **kwargs: Any
-    ) -> "Engine":
-        """Build an engine *from* a checkpoint and resume its session.
-
-        The engine adopts the checkpoint's resolved config and policy;
-        ``kwargs`` are forwarded to the constructor (e.g.
-        ``collection``).  Checkpoints taken with custom factories
-        cannot be rebuilt this way — construct the engine with the
-        factories and call :meth:`resume`.
-        """
-        checkpoint = as_checkpoint(source, mmap=True)
-        meta = checkpoint.session
-        if meta["custom_policy_factory"] or meta["custom_forecaster_factory"]:
-            raise CheckpointError(
-                "checkpoint was taken with custom factories; build the "
-                "engine with them and call Engine.resume instead"
-            )
-        engine = cls.from_config(
-            checkpoint.config, policy=meta["policy"], **kwargs
-        )
-        engine.resume(checkpoint)
-        return engine
-
-    # -- default-session views (Engine.step compatibility) -------------
-
-    @property
-    def fleet(self) -> Optional[FleetState]:
-        """The default session's columnar fleet state (None before one
-        exists)."""
-        return None if self._session is None else self._session.fleet
-
-    @property
-    def nodes(self) -> List[LocalNode]:
-        """The default session's per-node views (empty before one
-        exists).
-
-        Under the vectorized slot path (the default for registered
-        policies) the views' *policy objects* are construction-time
-        artifacts: their per-object decision histories and counters do
-        not advance — the authoritative per-node policy state is the
-        fleet's ``policy_state`` column, and frequency accounting lives
-        in :attr:`transport_stats` / :attr:`empirical_frequency`.
-        """
-        return [] if self._session is None else self._session.nodes
-
-    @property
-    def channel(self) -> Optional[Channel]:
-        return None if self._session is None else self._session.channel
-
-    @property
-    def store(self) -> Optional[CentralStore]:
-        return None if self._session is None else self._session.store
-
-    @property
-    def pipeline(self) -> Optional[OnlinePipeline]:
-        return None if self._session is None else self._session.pipeline
-
-    @property
-    def time(self) -> int:
-        """Number of streaming slots processed."""
-        return 0 if self._session is None else self._session.time
-
-    @property
-    def transport_stats(self) -> TransportStats:
-        """Cumulative streaming message/byte counters."""
-        if self._session is None:
-            return TransportStats()
-        return self._session.transport_stats
-
-    @property
-    def empirical_frequency(self) -> float:
-        """Fleet-average streaming transmission frequency so far."""
-        if self._session is None:
-            return 0.0
-        return self._session.empirical_frequency
-
-    def step(self, measurements: np.ndarray) -> StepOutput:
-        """Advance the default streaming session by one full slot.
-
-        A thin compatibility shim over :meth:`session` /
-        :meth:`StreamSession.ingest
-        <repro.session.StreamSession.ingest>`: the first call creates
-        the default session (inferring ``N`` and ``d`` from the
-        measurement shape when the engine was built without them), and
-        each call ingests one full slot.  The slot itself runs the
-        batched transmission slot kernels — bit-identical to the
-        historical per-node object loop, at a fraction of the cost.
-        One behavioral difference from the historical loop: the
-        per-node *policy objects* reachable via :attr:`nodes` no longer
-        advance their own decision histories (see :attr:`nodes`); use
-        :attr:`transport_stats` / the fleet columns for per-node state.
-
-        Args:
-            measurements: Fresh true measurements ``x_t``, shape
-                ``(N, d)`` (or ``(N,)`` when d = 1).
-
-        Returns:
-            The slot's :class:`StepOutput` (with per-slot transport
-            delta and timings).
-        """
-        x = np.asarray(measurements, dtype=float)
-        if x.ndim == 1:
-            x = x[:, np.newaxis]
-        if x.ndim != 2:
-            raise DataError(f"measurements must be (N, d), got {x.shape}")
-        if self._session is None:
-            self._stream_dims = (x.shape[0], x.shape[1])
-            self._session = self.session(x.shape[0], x.shape[1])
-        session = self._session
-        if x.shape != (session.num_nodes, session.num_resources):
-            raise DataError(
-                f"measurements must be ({session.num_nodes}, "
-                f"{session.num_resources}), got {x.shape}"
-            )
-        return session.ingest(x)
 
     # ------------------------------------------------------------------
     # Batch mode
@@ -561,7 +341,6 @@ class Engine:
         data: np.ndarray,
         shards: int,
         workers: Optional[int],
-        pool: str = "shared",
     ) -> Tuple[CollectionResult, FleetState]:
         """Run the collection stage over ``shards`` contiguous node
         ranges and merge into global arrays plus a fleet snapshot.
@@ -589,7 +368,7 @@ class Engine:
             )
             return collected, fleet
         ranges = shard_slices(num_nodes, shards)
-        if workers is not None and pool == "shared":
+        if workers is not None:
             # Persistent shared-memory workers: the trace and both
             # result columns live in shared segments, so shard requests
             # and results never cross a pickle boundary.
@@ -598,24 +377,15 @@ class Engine:
                     self.collection, data, self.config.transmission, ranges
                 )
         else:
-            tasks = [
-                (self.collection, data[:, lo:hi], self.config.transmission,
-                 lo, num_nodes)
+            backend = COLLECTION_BACKENDS.get(self.collection)
+            stored, decisions = merge_collection_shards([
+                backend(
+                    data[:, lo:hi],
+                    self.config.transmission,
+                    **shard_aware_kwargs(backend, lo, num_nodes),
+                )
                 for lo, hi in ranges
-            ]
-            if workers is not None:
-                # Legacy pickle-per-shard pool (pool="pickle"): each
-                # shard's trace slice and results are serialized through
-                # a ProcessPoolExecutor task.
-                with ProcessPoolExecutor(
-                    max_workers=min(workers, shards)
-                ) as executor:
-                    parts = list(
-                        executor.map(_run_collection_shard, *zip(*tasks))
-                    )
-            else:
-                parts = [_run_collection_shard(*task) for task in tasks]
-            stored, decisions = merge_collection_shards(parts)
+            ])
         fleet = FleetState.from_run(stored, decisions)
         # Transport-stats reduction over the fleet's own counter column
         # (shared array, not a copy).
@@ -632,7 +402,6 @@ class Engine:
         horizons: Optional[Sequence[int]] = None,
         shards: int = 1,
         workers: Optional[int] = None,
-        pool: str = "shared",
     ) -> RunResult:
         """Run collection + clustering + forecasting over a full trace.
 
@@ -649,19 +418,15 @@ class Engine:
                 bit-identical to ``shards=1`` for every registered
                 backend (including :attr:`RunResult.transport`, merged
                 by the shard reduction).
-            workers: Run the shards in a process pool of this size —
-                any explicit value, including 1, creates a real pool
+            workers: Run the shards on a
+                :class:`~repro.simulation.shard_pool.ShardPool` of this
+                many persistent workers over shared-memory trace/result
+                segments — shard requests never pickle array data, and
+                the result is bit-identical to the in-process run.  Any
+                explicit value, including 1, creates a real pool
                 (default ``None``: in-process, one shard after another —
                 the right choice below roughly 100k nodes, where
                 process startup dominates).  Requires ``shards > 1``.
-            pool: Which multi-process pool ``workers`` selects:
-                ``"shared"`` (default) runs persistent
-                :class:`~repro.simulation.shard_pool.ShardPool` workers
-                over shared-memory trace/result segments — shard
-                requests never pickle array data; ``"pickle"`` is the
-                legacy ``ProcessPoolExecutor`` path that serializes
-                every shard's slice and results.  Both are bit-identical
-                to the in-process run.
 
         Returns:
             The :class:`RunResult` with RMSE per horizon, transport
@@ -698,13 +463,9 @@ class Engine:
             raise ConfigurationError(
                 "workers only applies to sharded runs; pass shards > 1"
             )
-        if pool not in ("shared", "pickle"):
-            raise ConfigurationError(
-                f"pool must be 'shared' or 'pickle', got {pool!r}"
-            )
 
         started = time.perf_counter()
-        collected, fleet = self._collect_sharded(data, shards, workers, pool)
+        collected, fleet = self._collect_sharded(data, shards, workers)
         collection_seconds = time.perf_counter() - started
 
         pipeline = OnlinePipeline(
@@ -808,4 +569,4 @@ class Engine:
         )
 
 
-__all__ = ["Engine", "PolicyFactory", "RunResult", "StreamSession"]
+__all__ = ["Engine", "RunResult", "StreamSession"]

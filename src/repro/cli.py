@@ -97,12 +97,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "workers (default: in-process)",
     )
     run_parser.add_argument(
-        "--pool", choices=("shared", "pickle"), default="shared",
-        help="which worker pool --workers selects: persistent "
-             "shared-memory shard workers (default) or the legacy "
-             "pickle-per-shard process pool",
-    )
-    run_parser.add_argument(
         "--dtype", choices=SUPPORTED_DTYPES, default=None,
         help="override the config's fleet dtype (float64 keeps the "
              "bit-identity pins; float32 halves column memory for "
@@ -265,7 +259,6 @@ def _command_run_config(args: argparse.Namespace) -> int:
             dataset.resource("cpu"),
             shards=args.shards,
             workers=args.workers,
-            pool=args.pool,
         )
     except ReproError as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)
@@ -312,8 +305,7 @@ def _command_run_stream(args: argparse.Namespace) -> int:
                 engine = Engine.from_config(args.config, policy=args.policy)
             else:
                 engine = Engine.from_config(
-                    checkpoint.config,
-                    policy=checkpoint.session["policy"] or "adaptive",
+                    checkpoint.config, policy=meta["policy"]
                 )
             session = engine.resume(checkpoint)
             if args.nodes is not None and args.nodes != session.num_nodes:
@@ -361,10 +353,8 @@ def _command_run_stream(args: argparse.Namespace) -> int:
         print(f"checkpoint written: {path} (format v"
               f"{CHECKPOINT_FORMAT_VERSION})")
     slots = num_steps - start
-    mode = "vectorized slot kernel" if session.vectorized else "object loop"
     print(
         f"stream session: {num_nodes} nodes, slots {start}..{num_steps - 1}"
-        f" ({mode})"
     )
     print(
         f"transmission frequency: {session.empirical_frequency:.3f} "

@@ -20,7 +20,6 @@ from repro.core.pipeline import (
     PipelineResult,
     StepOutput,
     default_forecaster_factory,
-    run_pipeline,
 )
 from repro.core.types import (
     ClusterAssignment,
@@ -47,7 +46,6 @@ __all__ = [
     "PipelineResult",
     "StepOutput",
     "default_forecaster_factory",
-    "run_pipeline",
     "ClusterAssignment",
     "Forecast",
     "Measurement",

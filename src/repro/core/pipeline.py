@@ -16,8 +16,9 @@ Per time slot the pipeline:
    emits per-node forecasts ``x̂_{i,t+h} = ĉ_{j,t+h} + ŝ_{i,t+h}``.
 
 The pipeline is strictly online: at slot ``t`` it has seen nothing beyond
-``t``.  Use :func:`run_pipeline` to drive it over a recorded trace and
-collect the paper's RMSE metrics.
+``t``.  :meth:`repro.api.Engine.run` drives it over a recorded trace and
+collects the paper's RMSE metrics; :class:`repro.session.StreamSession`
+drives it one live slot at a time.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ import numpy as np
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
     from repro.simulation.transport import TransportStats
 
-from repro._compat import warn_once
 from repro.core.config import PipelineConfig
 from repro.core.ring import SlotRing
 from repro.core.types import ClusterAssignment
@@ -56,8 +56,8 @@ class StepOutput:
     """What the pipeline emits after processing one slot.
 
     Aligned with :class:`repro.api.RunResult`: when the slot ran through
-    a streaming session (:meth:`repro.session.StreamSession.ingest` or
-    :meth:`repro.api.Engine.step`), it additionally carries the slot's
+    a streaming session (:meth:`repro.session.StreamSession.ingest`),
+    it additionally carries the slot's
     transport delta and per-stage wall-clock timings, so streaming and
     batch results are inspectable the same way.
 
@@ -103,8 +103,8 @@ class OnlinePipeline:
     """Streaming pipeline over the central store ``z_t``.
 
     The pipeline consumes *stored* measurements (the transmission stage
-    runs separately — see :func:`run_pipeline` — so that any collection
-    policy can feed it).
+    runs separately — see :meth:`repro.api.Engine.run` — so that any
+    collection policy can feed it).
 
     Args:
         num_nodes: Number of local nodes N.
@@ -465,45 +465,3 @@ class PipelineResult:
     rmse_by_horizon: Dict[int, float]
     intermediate_rmse: float
     forecast_start: int
-
-
-def run_pipeline(
-    trace: np.ndarray,
-    config: PipelineConfig = PipelineConfig(),
-    *,
-    collection: str = "adaptive",
-    forecaster_factory: Optional[ForecasterFactory] = None,
-    horizons: Optional[Sequence[int]] = None,
-) -> PipelineResult:
-    """Run collection + clustering + forecasting over a recorded trace.
-
-    .. deprecated::
-        ``run_pipeline`` is a thin wrapper kept for compatibility; use
-        :class:`repro.api.Engine` —
-        ``Engine(config, collection=...).run(trace)`` — which returns
-        the same numbers plus transport stats and per-stage timings.
-
-    Args:
-        trace: True measurements, shape ``(T, N)`` or ``(T, N, d)``.
-        config: Pipeline configuration.
-        collection: Any backend registered in
-            :data:`repro.registry.COLLECTION_BACKENDS` (``"adaptive"``
-            is the paper's policy; ``"perfect"`` has no staleness).
-        forecaster_factory: Optional model override.
-        horizons: Horizons to evaluate; default ``0..max_horizon``.
-
-    Returns:
-        The :class:`repro.api.RunResult` (a :class:`PipelineResult`)
-        with RMSE per horizon.
-    """
-    warn_once(
-        "run_pipeline",
-        "run_pipeline is deprecated; use "
-        "repro.api.Engine(config, collection=...).run(trace)",
-    )
-    from repro.api import Engine
-
-    engine = Engine(
-        config, collection=collection, forecaster_factory=forecaster_factory
-    )
-    return engine.run(trace, horizons=horizons)

@@ -232,42 +232,6 @@ def _check_banks() -> List[Finding]:
     return findings
 
 
-def _check_policies() -> List[Finding]:
-    import numpy as np
-
-    from repro.core.config import TransmissionConfig
-    from repro.registry import TRANSMISSION_POLICIES
-
-    findings: List[Finding] = []
-    inputs = [
-        (np.asarray([0.5, 0.2]), np.asarray([0.4, 0.2])),
-        (np.asarray([0.52, 0.21]), np.asarray([0.5, 0.2])),
-        (np.asarray([0.9, 0.8]), np.asarray([0.52, 0.21])),
-        (np.asarray([0.91, 0.79]), np.asarray([0.9, 0.8])),
-    ]
-    for name in TRANSMISSION_POLICIES.available():
-
-        def build(name: str = name) -> Any:
-            return TRANSMISSION_POLICIES.create(name, TransmissionConfig(), 0)
-
-        def warmup(policy: Any) -> None:
-            for current, stored in inputs:
-                policy.decide(current, stored)
-
-        def probe(policy: Any) -> Any:
-            return [
-                bool(policy.decide(current, stored))
-                for current, stored in inputs
-            ]
-
-        findings.extend(
-            _check_stateful(
-                f"transmission policy '{name}'", build, warmup, probe
-            )
-        )
-    return findings
-
-
 def _check_slot_kernels() -> List[Finding]:
     from repro.core.config import TransmissionConfig
     from repro.registry import SLOT_KERNELS
@@ -367,7 +331,6 @@ def run_runtime_checks(
     findings: List[Finding] = []
     findings.extend(_check_forecasters())
     findings.extend(_check_banks())
-    findings.extend(_check_policies())
     findings.extend(_check_slot_kernels())
     findings.extend(_check_collection_backends())
     findings.extend(_check_similarity_measures())

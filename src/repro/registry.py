@@ -17,8 +17,9 @@ them, so adding a backend never means editing the engine:
   node_id) -> TransmissionPolicy`` (``"adaptive"``, ``"uniform"``,
   ``"deadband"``, ``"perfect"``);
 * :data:`SLOT_KERNELS` — builders ``(transmission_config) -> kernel``
-  producing the vectorized one-slot form of a policy, used by streaming
-  sessions to decide a whole fleet's transmissions in one array call;
+  producing the vectorized one-slot form of a policy — the only way a
+  streaming session decides its fleet's transmissions, one array call
+  per slot;
 * :data:`COLLECTION_BACKENDS` — callables ``(trace,
   transmission_config) -> CollectionResult`` (``"adaptive"``,
   ``"uniform"``, ``"perfect"``, ``"deadband"``);
@@ -190,10 +191,13 @@ TRANSMISSION_POLICIES = Registry(
 #: ``kernel(x, stored, observed, state, times) -> transmit`` evaluates
 #: every active node's decision in one array operation (mutating the
 #: per-node scalar ``state`` column in place), bit-identical to looping
-#: the per-node policy objects.  Policies without an entry run sessions
-#: through the object loop (see :class:`repro.session.StreamSession`).
+#: the per-node policy objects.  It is the only transmission path of a
+#: :class:`repro.session.StreamSession`: the names here are the
+#: policies ``Engine(policy=...)`` accepts, and a custom policy is a
+#: :func:`register_slot_kernel` registration whose whole per-node state
+#: fits the ``state`` scalar and the ``times`` clock.
 SLOT_KERNELS = Registry(
-    "transmission slot kernel", modules=("repro.transmission",)
+    "transmission policy slot kernel", modules=("repro.transmission",)
 )
 
 #: Collection backend name → ``(trace, transmission_config) -> CollectionResult``.
@@ -263,8 +267,8 @@ def register_slot_kernel(
     ``state`` is the per-node scalar policy accumulator (mutated in
     place — the :attr:`FleetState.policy_state
     <repro.simulation.fleet.FleetState.policy_state>` column), and
-    ``times`` the per-node decision counts.  Register under the policy
-    name the kernel accelerates so streaming sessions pick it up.
+    ``times`` the per-node decision counts.  The name is the policy
+    name sessions select with ``Engine(policy=name)``.
     """
     return SLOT_KERNELS.register(name, override=override)
 

@@ -36,7 +36,7 @@ import numpy as np
 
 from repro.api import Engine
 from repro.checkpoint import Checkpoint, as_checkpoint
-from repro.core.metrics import instantaneous_rmse
+from repro.core.metrics import instantaneous_rmse, time_averaged_rmse
 from repro.exceptions import ConfigurationError, SimulationError
 from repro.registry import SCENARIOS
 from repro.scenarios.churn import MembershipTrack
@@ -128,7 +128,6 @@ def run_scenario(
             spec.initial_nodes,
             1,
             reorder_window=spec.effective_reorder_window,
-            vectorized=spec.vectorized,
             link=link,
         )
     end = spec.num_steps if until is None else min(int(until), spec.num_steps)
@@ -230,7 +229,7 @@ def run_scenario(
         transport_floats=int(session.transport_stats.payload_floats),
         empirical_frequency=float(session.empirical_frequency),
         rmse_by_horizon={
-            h: float(np.mean(errors))
+            h: time_averaged_rmse(errors)
             for h, errors in sorted(horizon_errors.items())
         },
         events=events_applied,

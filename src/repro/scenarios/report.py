@@ -33,7 +33,9 @@ class ScenarioReport:
         transport_messages: Cumulative messages the channel counted.
         transport_floats: Cumulative payload floats.
         empirical_frequency: Fleet-average transmission frequency.
-        rmse_by_horizon: Mean forecast RMSE per horizon, scored by
+        rmse_by_horizon: Time-averaged forecast RMSE per horizon
+            (Eq. 4: the root of the mean *squared* per-slot RMSE, as
+            in :attr:`repro.api.RunResult.rmse_by_horizon`), scored by
             trace-column identity (a forecast made for node ``i`` is
             compared against the trace column node ``i`` was bound to
             when the forecast was made, even if churn later renumbered

@@ -65,7 +65,6 @@ class ScenarioSpec:
         config: Pipeline configuration; None uses a tightened
             :meth:`PipelineConfig.small
             <repro.core.config.PipelineConfig.small>`.
-        vectorized: Forwarded to the session (slot path selection).
     """
 
     name: str
@@ -80,7 +79,6 @@ class ScenarioSpec:
     churn: Optional[ChurnSchedule] = None
     reorder_window: Optional[int] = None
     config: Optional[PipelineConfig] = None
-    vectorized: Optional[bool] = None
 
     def validate(self) -> None:
         if self.source not in TRACE_SOURCES:

@@ -21,14 +21,13 @@ the serving API:
   :meth:`repro.api.Engine.resume` reconstructs a session that continues
   **bit-identically** to one that never stopped.
 
-The per-slot hot path is vectorized: for every registered transmission
-policy the whole fleet's decisions are one batched slot-kernel call
+The per-slot hot path is vectorized: the whole fleet's transmission
+decisions are one batched slot-kernel call
 (:data:`repro.registry.SLOT_KERNELS`) over the fleet columns — the same
 kernels the batch collection backends iterate — so a session slot costs
-array operations, not ``N`` Python method calls.  Sessions built with a
-custom ``policy_factory`` fall back to the faithful per-node object
-loop, which is bit-identical by construction (the kernels are pinned to
-it by property tests).
+array operations, not ``N`` Python method calls.  A session's policy is
+a slot-kernel name; a custom policy is a
+:func:`~repro.registry.register_slot_kernel` registration.
 
 Partial-slot and late-arrival semantics (documented contract):
 
@@ -68,22 +67,15 @@ Two orthogonal extensions ride on that contract (the scenario engine,
   retired-message accounting, the pipeline's bounded node-aligned
   histories are remapped, cluster-level model state is untouched), and
   :meth:`StreamSession.restart_nodes` injects crash-restart failures
-  (policy state reset, forced retransmission, identity kept).
+  (policy state reset, forced retransmission, clock and identity
+  kept).
 """
 
 from __future__ import annotations
 
 import time as _time
 from pathlib import Path
-from typing import (
-    TYPE_CHECKING,
-    Callable,
-    Dict,
-    List,
-    Optional,
-    Sequence,
-    Union,
-)
+from typing import TYPE_CHECKING, Dict, Optional, Sequence, Union
 
 import numpy as np
 
@@ -100,18 +92,12 @@ from repro.exceptions import (
     DataError,
     NotFittedError,
 )
-from repro.registry import SLOT_KERNELS, TRANSMISSION_POLICIES
-from repro.simulation.controller import CentralStore
+from repro.registry import SLOT_KERNELS
 from repro.simulation.fleet import FleetState
-from repro.simulation.node import LocalNode
 from repro.simulation.transport import Channel, TransportStats
-from repro.transmission.base import TransmissionPolicy
 
 if TYPE_CHECKING:  # import cycle: scenarios builds on the session API
     from repro.scenarios.links import LinkModel
-
-#: A per-node policy factory receives the node id.
-PolicyFactory = Callable[[int], TransmissionPolicy]
 
 
 class StreamSession:
@@ -126,19 +112,12 @@ class StreamSession:
         num_nodes: Fleet size ``N``.
         num_resources: Resource dimensionality ``d``.
         policy: Transmission-policy name (any entry of
-            :data:`repro.registry.TRANSMISSION_POLICIES`).
-        policy_factory: Custom per-node policy factory; forces the
-            object-loop slot path (custom policies have no vectorized
-            kernel).
+            :data:`repro.registry.SLOT_KERNELS`).
         forecaster_factory: Optional forecasting-model override,
             forwarded to the pipeline's banks.
         reorder_window: How many already-closed slots a late arrival
             may lag behind the frontier and still be applied; 0 (the
             default) drops all late data.
-        vectorized: Force the slot path: True requires a registered
-            slot kernel for ``policy``, False forces the per-node
-            object loop, None (default) picks the kernel when one
-            exists.
         link: Optional link model (see :mod:`repro.scenarios.links`)
             interposed between transmission decisions and the channel;
             None (default) is the plain lossless path.
@@ -151,10 +130,8 @@ class StreamSession:
         num_resources: int,
         *,
         policy: str = "adaptive",
-        policy_factory: Optional[PolicyFactory] = None,
         forecaster_factory: Optional[ForecasterFactory] = None,
         reorder_window: int = 0,
-        vectorized: Optional[bool] = None,
         link: Optional["LinkModel"] = None,
     ) -> None:
         if num_nodes < 1 or num_resources < 1:
@@ -169,34 +146,9 @@ class StreamSession:
         self.num_nodes = int(num_nodes)
         self.num_resources = int(num_resources)
         self.reorder_window = int(reorder_window)
-        self._custom_policy_factory = policy_factory is not None
         self._custom_forecaster_factory = forecaster_factory is not None
-        if policy_factory is None:
-            self.policy = policy
-            builder = TRANSMISSION_POLICIES.get(policy)
-
-            def policy_factory(node_id: int) -> TransmissionPolicy:
-                return builder(config.transmission, node_id)
-
-            kernel = (
-                SLOT_KERNELS.create(policy, config.transmission)
-                if policy in SLOT_KERNELS else None
-            )
-        else:
-            self.policy = None
-            kernel = None
-        self._policy_factory: PolicyFactory = policy_factory
-        if vectorized is None:
-            vectorized = kernel is not None
-        if vectorized and kernel is None:
-            raise ConfigurationError(
-                "vectorized sessions need a registered slot kernel for "
-                f"the policy; {self.policy!r} has none (available: "
-                f"{', '.join(SLOT_KERNELS.available())}) — pass "
-                "vectorized=False for the object loop"
-            )
-        self.vectorized = bool(vectorized)
-        self._kernel = kernel if self.vectorized else None
+        self.policy = policy
+        self._kernel = SLOT_KERNELS.create(policy, config.transmission)
         if link is not None and link.num_nodes != int(num_nodes):
             raise ConfigurationError(
                 f"link models {link.num_nodes} nodes, session has "
@@ -204,23 +156,19 @@ class StreamSession:
             )
         self.link = link
 
-        # Live state: one columnar fleet, the channel's counters backed
-        # by its message_counts column, the store and pipeline as views
-        # over the same memory.
+        # Live state: one columnar fleet (the central store's z_t is its
+        # stored column) and the channel's counters backed by its
+        # message_counts column.
         self.fleet = FleetState(
             self.num_nodes, self.num_resources, dtype=config.np_dtype
         )
         self.channel = Channel(node_counts=self.fleet.message_counts)
-        self.store = CentralStore(fleet=self.fleet)
         self.pipeline = OnlinePipeline(
             self.num_nodes,
             self.num_resources,
             config,
             forecaster_factory=forecaster_factory,
         )
-        self._nodes: Optional[List[LocalNode]] = None
-        if not self.vectorized:
-            self._materialize_nodes()
         self._time = 0
         self.late_applied = 0
         self.late_dropped = 0
@@ -249,26 +197,6 @@ class StreamSession:
         if self._time == 0:
             return 0.0
         return self.channel.stats.messages / (self._time * self.num_nodes)
-
-    @property
-    def nodes(self) -> List[LocalNode]:
-        """Per-node :class:`LocalNode` views over the fleet columns.
-
-        In vectorized sessions these are materialized on first access
-        for compatibility; their *policy objects* are construction-time
-        artifacts whose internal counters do not advance (the
-        authoritative policy state is the fleet's ``policy_state``
-        column).  In object-loop sessions they are the live actors.
-        """
-        if self._nodes is None:
-            self._materialize_nodes()
-        return self._nodes
-
-    def _materialize_nodes(self) -> None:
-        self._nodes = [
-            self.fleet.node_view(i, self._policy_factory(i))
-            for i in range(self.num_nodes)
-        ]
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -348,10 +276,7 @@ class StreamSession:
         train/update, forecast."""
         slot = self._time
         stage_before = dict(self.pipeline.stage_seconds)
-        if self._kernel is not None:
-            counts = self._transmit_vectorized(x, ids, slot)
-        else:
-            counts = self._transmit_objects(x, ids, slot)
+        counts = self._transmit(x, ids, slot)
         collection_seconds = _time.perf_counter() - started
 
         output = self.pipeline.step(self.fleet.stored.copy())
@@ -370,7 +295,7 @@ class StreamSession:
         output.timings = timings
         return output
 
-    def _transmit_vectorized(
+    def _transmit(
         self, x: np.ndarray, ids: Optional[np.ndarray], slot: int
     ) -> np.ndarray:
         """One batched slot-kernel call over the active nodes' columns.
@@ -412,64 +337,6 @@ class StreamSession:
         return self.channel.record_deliveries(
             sender_ids, self.num_nodes, self.num_resources
         )
-
-    def _transmit_objects(
-        self, x: np.ndarray, ids: Optional[np.ndarray], slot: int
-    ) -> np.ndarray:
-        """Faithful per-node object loop (custom/heterogeneous policies).
-
-        Returns this slot's per-node delivered-message counts ``(N,)``.
-        """
-        nodes = self.nodes
-        fleet = self.fleet
-        id_list = (
-            range(self.num_nodes) if ids is None else ids.tolist()
-        )
-        counts = np.zeros(self.num_nodes, dtype=np.int64)
-        linked = self.link is not None
-        emitted = []  # (node id, pre-observe mirror state, message)
-        for row, i in enumerate(id_list):
-            before = None
-            if linked:
-                # observe() optimistically updates the node's mirror of
-                # the central store; a link loss rolls that back (the
-                # controller received nothing, and the node learns so
-                # from the missing link-layer ack).
-                before = (
-                    bool(fleet.observed[i]),
-                    int(fleet.last_update[i]),
-                    fleet.stored[i].copy() if fleet.dim else None,
-                )
-            message = nodes[i].observe(x[row])
-            if message is not None:
-                emitted.append((i, before, message))
-        if linked and emitted:
-            sender_ids = np.array([e[0] for e in emitted], dtype=np.int64)
-            payload = np.stack([e[2].value for e in emitted])
-            kept = set(
-                int(k)
-                for k in np.asarray(
-                    self.link.transfer(slot, sender_ids, payload)
-                ).ravel()
-            )
-            delivered = []
-            for pos, (i, before, message) in enumerate(emitted):
-                if pos in kept:
-                    delivered.append((i, None, message))
-                    continue
-                was_observed, was_last_update, was_stored = before
-                fleet.observed[i] = was_observed
-                fleet.last_update[i] = was_last_update
-                if was_stored is not None:
-                    fleet.stored[i] = was_stored
-                elif fleet.dim:
-                    fleet.stored[i] = 0.0
-            emitted = delivered
-        for i, _, message in emitted:
-            self.channel.send(message)
-            counts[i] = 1
-        self.store.apply(self.channel.drain(), now=slot)
-        return counts
 
     def _ingest_late(
         self, x: np.ndarray, ids: Optional[np.ndarray], slot: int
@@ -541,9 +408,9 @@ class StreamSession:
 
         Every column reallocates (:meth:`FleetState.grow
         <repro.simulation.fleet.FleetState.grow>`); the channel
-        re-adopts the counter column, the store refreshes its cached
-        geometry, the pipeline's node-aligned histories are remapped
-        (new nodes backfilled), and the link model (if any) widens.
+        re-adopts the counter column, the pipeline's node-aligned
+        histories are remapped (new nodes backfilled), and the link
+        model (if any) widens.
         New nodes start unobserved with their clocks at the session
         frontier, so their first report triggers the forced initial
         transmission exactly like a fresh fleet's.
@@ -555,7 +422,6 @@ class StreamSession:
         new_ids = self.fleet.grow(count, clock=self._time)
         self.num_nodes = self.fleet.num_nodes
         self.channel.stats.adopt_column(self.fleet.message_counts)
-        self.store.num_nodes = self.fleet.num_nodes
         index_map = np.concatenate([
             np.arange(old_n, dtype=np.int64),
             np.full(int(count), -1, dtype=np.int64),
@@ -563,13 +429,6 @@ class StreamSession:
         self.pipeline.reindex_nodes(index_map)
         if self.link is not None:
             self.link.grow(count)
-        if self.vectorized:
-            self._nodes = None
-        elif self._nodes is not None:
-            for i in new_ids.tolist():
-                self._nodes.append(
-                    self.fleet.node_view(i, self._policy_factory(i))
-                )
         return new_ids
 
     def compact(self, keep: Sequence[int]) -> None:
@@ -586,27 +445,21 @@ class StreamSession:
         self.fleet.compact(keep)
         self.num_nodes = self.fleet.num_nodes
         self.channel.stats.adopt_column(self.fleet.message_counts)
-        self.store.num_nodes = self.fleet.num_nodes
         self.pipeline.reindex_nodes(keep)
         if self.link is not None:
             self.link.compact(keep)
-        if self.vectorized:
-            self._nodes = None
-        elif self._nodes is not None:
-            survivors = [self._nodes[int(i)] for i in keep.tolist()]
-            for new_index, node in enumerate(survivors):
-                node.rebind(new_index)
-            self._nodes = survivors
 
     def restart_nodes(self, node_ids: Sequence[int]) -> None:
         """Crash-restart failure injection: nodes lose local state.
 
         The named nodes forget that they ever transmitted (``observed``
-        cleared, policy state zeroed — object-loop sessions rebuild the
-        policy objects), so their next report is a forced initial
-        transmission.  The central store keeps their last received
-        value (the controller does not know they crashed); the link
-        drops their queued/in-flight traffic as churn losses.
+        cleared, ``policy_state`` zeroed), so their next report is a
+        forced initial transmission.  Their clocks (``fleet.times``)
+        keep running: a restarted node resumes the fleet's time line,
+        it does not restart it at 0.  The central store keeps their
+        last received value (the controller does not know they
+        crashed); the link drops their queued/in-flight traffic as
+        churn losses.
         """
         ids = np.asarray(node_ids, dtype=np.int64).ravel()
         if ids.size == 0:
@@ -619,13 +472,6 @@ class StreamSession:
         self.fleet.policy_state[ids] = 0.0
         if self.link is not None:
             self.link.fail_nodes(ids)
-        if self.vectorized:
-            self._nodes = None
-        elif self._nodes is not None:
-            for i in ids.tolist():
-                self._nodes[i] = self.fleet.node_view(
-                    i, self._policy_factory(i)
-                )
 
     # ------------------------------------------------------------------
     # Checkpointing
@@ -640,19 +486,10 @@ class StreamSession:
         assignments, transport counters — is bit-identical to this one
         continuing uninterrupted.
         """
-        if self.channel.pending:
-            raise CheckpointError(
-                f"{self.channel.pending} undelivered messages in the "
-                "channel; snapshot between slots, not mid-slot"
-            )
         state: Dict[str, object] = {
             "fleet": self.fleet.get_state(),
             "transport": self.channel.stats.get_state(),
             "pipeline": self.pipeline.get_state(),
-            "policies": (
-                None if self.vectorized
-                else [node.policy.get_state() for node in self.nodes]
-            ),
             # The latest forecasts, so a resumed session serves
             # forecast() immediately (JSON keys must be strings, hence
             # the parallel horizon/value lists).
@@ -674,10 +511,8 @@ class StreamSession:
             "num_resources": self.num_resources,
             "time": self._time,
             "policy": self.policy,
-            "custom_policy_factory": self._custom_policy_factory,
             "custom_forecaster_factory": self._custom_forecaster_factory,
             "reorder_window": self.reorder_window,
-            "vectorized": self.vectorized,
             "late_applied": self.late_applied,
             "late_dropped": self.late_dropped,
             "linked": self.link is not None,
@@ -726,16 +561,10 @@ class StreamSession:
             self.fleet.set_state(state["fleet"])
         self.channel.stats.set_state(state["transport"])
         self.pipeline.set_state(state["pipeline"], adopt=adopt)
-        policy_states = state["policies"]
-        if not self.vectorized:
-            if policy_states is None:
-                raise CheckpointError(
-                    "checkpoint was taken from a vectorized session and "
-                    "carries no per-node policy objects; resume with "
-                    "vectorized=True"
-                )
-            for node, policy_state in zip(self.nodes, policy_states):
-                node.policy.set_state(policy_state)
+        # Archives written by 1.x sessions also carry per-node policy
+        # objects and slot-path flags.  Resume ignores them: the fleet's
+        # policy_state and times columns hold every registered policy's
+        # whole state.
         if bool(meta.get("linked", False)):
             if self.link is None:
                 raise CheckpointError(
@@ -761,4 +590,4 @@ class StreamSession:
         )
 
 
-__all__ = ["PolicyFactory", "StreamSession"]
+__all__ = ["StreamSession"]

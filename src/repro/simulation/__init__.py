@@ -12,16 +12,6 @@ from repro.simulation.fleet import FleetState, merge_collection_shards, shard_sl
 from repro.simulation.node import LocalNode
 from repro.simulation.transport import Channel, PerNodeMessages, TransportStats
 
-
-def __getattr__(name):
-    # MonitoringSystem pulls in repro.core.pipeline, which itself imports
-    # repro.simulation.collection; resolving it lazily breaks the cycle.
-    if name == "MonitoringSystem":
-        from repro.simulation.system import MonitoringSystem
-
-        return MonitoringSystem
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
 __all__ = [
     "CollectionResult",
     "CollectionSimulation",
@@ -31,7 +21,6 @@ __all__ = [
     "CentralStore",
     "FleetState",
     "LocalNode",
-    "MonitoringSystem",
     "Channel",
     "PerNodeMessages",
     "TransportStats",

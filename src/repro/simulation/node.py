@@ -138,22 +138,6 @@ class LocalNode:
         fleet.observed[i] = True
         fleet.policy_state[i] = self.policy.fleet_scalar_state
 
-    def rebind(self, node_id: NodeId) -> None:
-        """Point this view at a different fleet column (fleet churn).
-
-        :meth:`FleetState.compact
-        <repro.simulation.fleet.FleetState.compact>` renumbers the
-        surviving nodes; the session rebinds each surviving node object
-        to its new index so its policy state (the authoritative state in
-        object-loop sessions) rides along untouched.
-        """
-        if not 0 <= node_id < self.fleet.num_nodes:
-            raise SimulationError(
-                f"node id {node_id} outside fleet of {self.fleet.num_nodes}"
-            )
-        self.node_id = node_id
-        self._index = int(node_id)
-
     def reset(self) -> None:
         """Clear state (also resets the policy's history)."""
         self.fleet.reset_nodes(self._index)

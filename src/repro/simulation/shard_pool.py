@@ -1,11 +1,10 @@
 """Persistent shard workers over POSIX shared memory.
 
-The historical multi-process collection path
-(``Engine.run(..., workers=W)`` before this module) pickled every
-shard's trace slice into a fresh ``ProcessPoolExecutor`` task and
-pickled the results back — at N=1M that serializes gigabytes per run.
-:class:`ShardPool` replaces that with *persistent* worker processes and
-``multiprocessing.shared_memory``:
+A process pool that pickles every shard's trace slice into a task and
+the results back serializes gigabytes per run at N=1M.
+:class:`ShardPool` — the pool behind ``Engine.run(..., workers=W)`` —
+uses *persistent* worker processes and ``multiprocessing.shared_memory``
+instead:
 
 * the trace and both result columns (``stored``, ``decisions``) live in
   named shared-memory segments, written once and mapped zero-copy by

@@ -18,7 +18,7 @@ where the stored value has drifted most from the truth.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, List, Union
+from typing import Callable, List, Union
 
 import numpy as np
 
@@ -189,13 +189,6 @@ class AdaptiveTransmissionPolicy(TransmissionPolicy):
         )
         self._queue = float(final_queue)
         self._time += int(np.size(decisions))
-
-    def get_state(self) -> Dict[str, object]:
-        return {"queue": self._queue, "time": self._time}
-
-    def set_state(self, state: Dict[str, object]) -> None:
-        self._queue = float(state["queue"])
-        self._time = int(state["time"])
 
     def reset(self) -> None:
         super().reset()

@@ -81,24 +81,6 @@ class TransmissionPolicy(abc.ABC):
             return 0.0
         return float(np.mean(self._decisions))
 
-    def get_state(self) -> dict:
-        """Forward-relevant policy state for checkpoints.
-
-        The checkpoint protocol: :meth:`get_state` returns a dict of
-        JSON-able scalars / numpy arrays, and :meth:`set_state` restores
-        it so that every future :meth:`decide` is bit-identical to a
-        policy that never stopped.  Diagnostic histories
-        (:attr:`decisions`, queue samples) are deliberately *not*
-        captured — they grow with the stream and do not influence future
-        decisions; session-level frequency accounting survives through
-        the transport counters instead.  Stateless policies need not
-        override.
-        """
-        return {}
-
-    def set_state(self, state: dict) -> None:
-        """Restore the state captured by :meth:`get_state`."""
-
     def reset(self) -> None:
         """Clear decision history and any internal state."""
         self._decisions.clear()

@@ -8,7 +8,7 @@ long-run empirical frequency still converges to exactly ``B``.
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Union
+from typing import Callable, Union
 
 import numpy as np
 
@@ -106,12 +106,6 @@ class UniformTransmissionPolicy(TransmissionPolicy):
         self.record_batch(decisions)
         self._accumulator = float(final_accumulator)
 
-    def get_state(self) -> Dict[str, object]:
-        return {"accumulator": self._accumulator}
-
-    def set_state(self, state: Dict[str, object]) -> None:
-        self._accumulator = float(state["accumulator"])
-
     def reset(self) -> None:
         super().reset()
         self._accumulator = self.phase
@@ -119,6 +113,7 @@ class UniformTransmissionPolicy(TransmissionPolicy):
 
 @register_transmission_policy("uniform")
 def _build_uniform(config, node_id: int) -> UniformTransmissionPolicy:
-    # Phase 0 for determinism; pass a custom policy_factory to stagger
-    # a fleet (e.g. ``phase=node_id / num_nodes``).
+    # Phase 0 for determinism; the uniform collection backend staggers
+    # phases, and CollectionSimulation takes per-node policies (e.g.
+    # ``phase=i / num_nodes``).
     return UniformTransmissionPolicy(config.budget)

@@ -1,8 +1,4 @@
-"""Tests for the unified Engine API (repro.api) and config round-trips.
-
-The deprecated entry points (`run_pipeline`, `MonitoringSystem`) are
-pinned bit-identical to `Engine.run` / `Engine.step` here.
-"""
+"""Tests for the unified Engine API (repro.api) and config round-trips."""
 
 import json
 
@@ -16,9 +12,11 @@ from repro.core.config import (
     PipelineConfig,
     TransmissionConfig,
 )
-from repro.core.pipeline import PipelineResult, run_pipeline
+from repro.core.metrics import instantaneous_rmse, time_averaged_rmse
+from repro.core.pipeline import OnlinePipeline, PipelineResult
+from repro.core.types import validate_trace
 from repro.exceptions import ConfigurationError, DataError
-from repro.simulation.system import MonitoringSystem
+from repro.registry import COLLECTION_BACKENDS
 
 
 def config(budget=0.3, initial=20, horizon=2, clusters=2):
@@ -41,8 +39,46 @@ def walk_trace(steps=60, nodes=6, seed=0):
     )
 
 
+def run_pipeline(trace, cfg, collection):
+    """Reference batch run: the collection backend, then the pipeline
+    slot by slot, scored with the scalar metrics of Eq. 3 and Eq. 4."""
+    data = validate_trace(trace)
+    steps, nodes, dims = data.shape
+    collected = COLLECTION_BACKENDS.create(collection, data, cfg.transmission)
+    pipeline = OnlinePipeline(nodes, dims, cfg)
+    errors = {h: [] for h in range(cfg.forecasting.max_horizon + 1)}
+    intermediate_sq = []
+    forecast_start = -1
+    for t in range(steps):
+        stored = collected.stored[t]
+        output = pipeline.step(stored)
+        errors[0].append(instantaneous_rmse(stored, data[t]))
+        intermediate_sq.append(np.mean([
+            instantaneous_rmse(
+                a.centroids[a.labels], stored[:, list(group)]
+            ) ** 2
+            for a, group in zip(output.assignments, pipeline.groups)
+        ]))
+        if output.node_forecasts is None:
+            continue
+        if forecast_start < 0:
+            forecast_start = t
+        for h, forecast in output.node_forecasts.items():
+            if t + h < steps:
+                errors[h].append(instantaneous_rmse(forecast, data[t + h]))
+    return {
+        "stored": collected.stored,
+        "decisions": collected.decisions,
+        "rmse_by_horizon": {
+            h: time_averaged_rmse(e) for h, e in errors.items() if e
+        },
+        "intermediate_rmse": float(np.sqrt(np.mean(intermediate_sq))),
+        "forecast_start": forecast_start,
+    }
+
+
 class TestEngineBatchEquivalence:
-    """Engine.run reproduces the deprecated run_pipeline bit-identically."""
+    """Engine.run's batched scoring against the slot-by-slot reference."""
 
     @pytest.mark.parametrize(
         "collection", ["adaptive", "uniform", "perfect"]
@@ -50,19 +86,20 @@ class TestEngineBatchEquivalence:
     def test_run_matches_run_pipeline(self, collection):
         trace = walk_trace(seed=7)
         cfg = config()
-        with pytest.deprecated_call():
-            old = run_pipeline(trace, cfg, collection=collection)
+        old = run_pipeline(trace, cfg, collection)
         new = Engine(cfg, collection=collection).run(trace)
-        assert old.rmse_by_horizon == new.rmse_by_horizon
-        assert old.intermediate_rmse == new.intermediate_rmse
-        assert old.forecast_start == new.forecast_start
-        np.testing.assert_array_equal(old.stored, new.stored)
-        np.testing.assert_array_equal(old.decisions, new.decisions)
+        assert sorted(old["rmse_by_horizon"]) == sorted(new.rmse_by_horizon)
+        for h, rmse in old["rmse_by_horizon"].items():
+            assert new.rmse_by_horizon[h] == pytest.approx(rmse, rel=1e-12)
+        assert new.intermediate_rmse == pytest.approx(
+            old["intermediate_rmse"], rel=1e-12
+        )
+        assert new.forecast_start == old["forecast_start"]
+        np.testing.assert_array_equal(old["stored"], new.stored)
+        np.testing.assert_array_equal(old["decisions"], new.decisions)
 
     def test_run_pipeline_returns_runresult(self):
-        trace = walk_trace(steps=30)
-        with pytest.deprecated_call():
-            result = run_pipeline(trace, config())
+        result = Engine(config()).run(walk_trace(steps=30))
         assert isinstance(result, RunResult)
         assert isinstance(result, PipelineResult)
 
@@ -123,66 +160,28 @@ class TestRunResult:
 
 
 class TestEngineStreamingEquivalence:
-    """Engine.step reproduces the deprecated MonitoringSystem.tick."""
-
-    def test_step_matches_tick(self):
-        trace = walk_trace(seed=3)
-        cfg = config(initial=15)
-        with pytest.deprecated_call():
-            system = MonitoringSystem(6, 1, cfg)
-        engine = Engine(cfg, num_nodes=6, num_resources=1)
-        for t in range(60):
-            old = system.tick(trace[t])
-            new = engine.step(trace[t])
-            np.testing.assert_array_equal(old.stored, new.stored)
-            if old.node_forecasts is None:
-                assert new.node_forecasts is None
-            else:
-                for h in old.node_forecasts:
-                    np.testing.assert_array_equal(
-                        old.node_forecasts[h], new.node_forecasts[h]
-                    )
-        assert system.transport_stats.messages == (
-            engine.transport_stats.messages
-        )
-        assert system.empirical_frequency == engine.empirical_frequency
-
-    def test_monitoring_system_delegates_to_engine(self):
-        with pytest.deprecated_call():
-            system = MonitoringSystem(4, 1, config())
-        assert system.pipeline is system.engine.pipeline
-        assert system.store is system.engine.store
-        assert len(system.nodes) == 4
-
-    def test_dimensions_inferred_from_first_step(self):
-        engine = Engine(config())
-        assert engine.pipeline is None
-        engine.step(np.zeros(5))
-        assert len(engine.nodes) == 5
-        assert engine.store.dimension == 1
-        assert engine.time == 1
+    """Engine's streaming mode: sessions wired with its policy."""
 
     def test_wrong_shape_rejected(self):
-        engine = Engine(config(), num_nodes=4, num_resources=1)
+        session = Engine(config()).session(4, 1)
         with pytest.raises(DataError):
-            engine.step(np.zeros(3))
+            session.ingest(np.zeros(3))
 
     def test_invalid_dimensions_rejected(self):
         with pytest.raises(ConfigurationError):
-            Engine(config(), num_nodes=0, num_resources=1)
+            Engine(config()).session(0, 1)
         with pytest.raises(ConfigurationError):
-            Engine(config(), num_nodes=4)  # one of the pair missing
+            Engine(config()).session(4, 0)
 
     def test_streaming_policy_by_name(self):
-        from repro.transmission.uniform import UniformTransmissionPolicy
-
-        engine = Engine(
-            config(), policy="uniform", num_nodes=3, num_resources=1
-        )
-        assert all(
-            isinstance(node.policy, UniformTransmissionPolicy)
-            for node in engine.nodes
-        )
+        trace = walk_trace(steps=20, nodes=3)
+        session = Engine(config(budget=0.5), policy="uniform").session(3, 1)
+        assert session.policy == "uniform"
+        for t in range(20):
+            session.ingest(trace[t])
+        # A forced first slot, then every second one of the remaining
+        # 19 slots on the phase-0 rate accumulators.
+        assert session.transport_stats.messages == 3 * (1 + 9)
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ConfigurationError, match="transmission policy"):

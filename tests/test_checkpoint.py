@@ -130,20 +130,45 @@ class TestRoundTripBitIdentity:
         roundtrip_is_bit_identical(cfg, trace, cut, tmp_path)
 
     def test_object_loop_session_roundtrip(self, tmp_path):
-        """Non-vectorized sessions checkpoint their policy objects."""
+        """Archives written by 1.x sessions carry slot-path flags and,
+        from object-loop sessions, per-node policy states.  Resume
+        ignores them and continues bit-identically, for every policy
+        and both 1.x slot paths."""
         cfg = config()
         trace = walk_trace(seed=4)
-        baseline = Engine(cfg).session(6, 1, vectorized=False)
-        outputs = [baseline.ingest(trace[t]) for t in range(36)]
+        for policy in POLICIES:
+            baseline = Engine(cfg, policy=policy).session(6, 1)
+            outputs = [baseline.ingest(trace[t]) for t in range(36)]
+            for object_loop in (False, True):
+                interrupted = Engine(cfg, policy=policy).session(6, 1)
+                for t in range(17):
+                    interrupted.ingest(trace[t])
+                checkpoint = interrupted.snapshot()
+                fleet = interrupted.fleet
+                checkpoint.session["vectorized"] = not object_loop
+                checkpoint.session["custom_policy_factory"] = False
+                checkpoint.state["policies"] = [
+                    {"queue": float(queue), "time": int(clock)}
+                    for queue, clock in zip(fleet.policy_state, fleet.times)
+                ] if object_loop else None
+                path = checkpoint.save(
+                    tmp_path / f"{policy}-{int(object_loop)}.ckpt"
+                )
+                resumed = Engine(cfg, policy=policy).resume(path)
+                for t in range(17, 36):
+                    assert_outputs_equal(outputs[t], resumed.ingest(trace[t]))
+                np.testing.assert_array_equal(
+                    baseline.fleet.policy_state, resumed.fleet.policy_state
+                )
 
-        interrupted = Engine(cfg).session(6, 1, vectorized=False)
-        for t in range(17):
-            interrupted.ingest(trace[t])
-        path = interrupted.save(tmp_path / "obj.ckpt")
-        resumed = Engine(cfg).resume(path)
-        assert not resumed.vectorized
-        for t in range(17, 36):
-            assert_outputs_equal(outputs[t], resumed.ingest(trace[t]))
+    def test_snapshot_drops_1x_slot_path_fields(self):
+        session = Engine(config()).session(4, 1)
+        session.ingest(walk_trace(steps=1, nodes=4)[0])
+        checkpoint = session.snapshot()
+        assert checkpoint.version == CHECKPOINT_FORMAT_VERSION == 1
+        for key in ("vectorized", "custom_policy_factory"):
+            assert key not in checkpoint.session
+        assert "policies" not in checkpoint.state
 
     def test_roundtrip_preserves_late_counters(self, tmp_path):
         cfg = config()
@@ -415,14 +440,17 @@ class TestArtifactFormat:
 
     def test_from_checkpoint_builds_matching_engine(self, tmp_path):
         cfg, session, path = self.make_checkpoint(tmp_path)
-        engine = Engine.from_checkpoint(path, collection="uniform")
+        checkpoint = as_checkpoint(path)
+        engine = Engine.from_config(
+            checkpoint.config, policy=checkpoint.session["policy"]
+        )
         assert engine.config == cfg
-        assert engine.collection == "uniform"
-        assert engine.time == 10
+        resumed = engine.resume(checkpoint)
+        assert resumed.time == 10
         trace = walk_trace(steps=12, nodes=5, seed=5)
-        a = session.ingest(trace[10])
-        b = engine.step(trace[10])
-        np.testing.assert_array_equal(a.stored, b.stored)
+        assert_outputs_equal(
+            session.ingest(trace[10]), resumed.ingest(trace[10])
+        )
 
     def test_config_mismatch_helper(self):
         diffs = config_mismatch(

@@ -1,9 +1,10 @@
 """Cross-engine equivalence and determinism properties.
 
-The library has two ways to run everything (streaming MonitoringSystem
-vs batch run_pipeline) and two collection engines (object-level vs
-vectorized).  These tests pin them together: a refactor that changes any
-engine's semantics relative to the others fails here.
+The library has two ways to run everything (a streaming
+``Engine.session`` vs a batch ``Engine.run``) and two collection
+engines (object-level vs vectorized).  These tests pin them together: a
+refactor that changes any engine's semantics relative to the others
+fails here.
 
 The vectorized hot-path kernels (α-clipped offsets, contingency-based
 similarity re-indexing, membership forecasting, the batched collection
@@ -16,13 +17,14 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.api import Engine
 from repro.core.config import (
     ClusteringConfig,
     ForecastingConfig,
     PipelineConfig,
     TransmissionConfig,
 )
-from repro.core.pipeline import OnlinePipeline, run_pipeline
+from repro.core.pipeline import OnlinePipeline
 from repro.clustering.similarity import (
     persistent_labels,
     similarity_matrix_from_labels,
@@ -44,7 +46,6 @@ from repro.simulation.collection import (
     simulate_adaptive_collection,
     simulate_uniform_collection,
 )
-from repro.simulation.system import MonitoringSystem
 from repro.transmission.adaptive import AdaptiveTransmissionPolicy
 from repro.transmission.uniform import UniformTransmissionPolicy
 
@@ -74,9 +75,9 @@ class TestStreamingVsBatch:
         trace = walk_trace()
         cfg = config()
         batch = simulate_adaptive_collection(trace, cfg.transmission)
-        system = MonitoringSystem(6, 1, cfg)
+        session = Engine(cfg).session(6, 1)
         for t in range(60):
-            output = system.tick(trace[t])
+            output = session.ingest(trace[t])
             np.testing.assert_allclose(
                 output.stored, batch.stored[t],
                 err_msg=f"slot {t}",
@@ -92,9 +93,9 @@ class TestStreamingVsBatch:
             batch_pipeline.step(batch_collect.stored[t]) for t in range(60)
         ]
         # Streaming path.
-        system = MonitoringSystem(6, 1, cfg)
+        session = Engine(cfg).session(6, 1)
         for t in range(60):
-            stream_output = system.tick(trace[t])
+            stream_output = session.ingest(trace[t])
             batch_output = batch_outputs[t]
             if batch_output.node_forecasts is None:
                 assert stream_output.node_forecasts is None
@@ -110,17 +111,17 @@ class TestStreamingVsBatch:
         trace = walk_trace(seed=2)
         cfg = config()
         batch = simulate_adaptive_collection(trace, cfg.transmission)
-        system = MonitoringSystem(6, 1, cfg)
+        session = Engine(cfg).session(6, 1)
         for t in range(60):
-            system.tick(trace[t])
-        assert system.transport_stats.messages == int(batch.decisions.sum())
+            session.ingest(trace[t])
+        assert session.transport_stats.messages == int(batch.decisions.sum())
 
 
 class TestDeterminism:
     def test_run_pipeline_deterministic(self):
         trace = walk_trace(seed=3)
-        a = run_pipeline(trace, config())
-        b = run_pipeline(trace, config())
+        a = Engine(config()).run(trace)
+        b = Engine(config()).run(trace)
         assert a.rmse_by_horizon == b.rmse_by_horizon
         np.testing.assert_array_equal(a.decisions, b.decisions)
 
@@ -134,8 +135,8 @@ class TestDeterminism:
                 lstm_hidden=4, lstm_lookback=5, lstm_epochs=2, seed=11,
             ),
         )
-        a = run_pipeline(trace, cfg)
-        b = run_pipeline(trace, cfg)
+        a = Engine(cfg).run(trace)
+        b = Engine(cfg).run(trace)
         assert a.rmse_by_horizon == b.rmse_by_horizon
 
     @given(st.floats(0.1, 0.9), st.integers(0, 5))

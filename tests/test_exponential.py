@@ -183,7 +183,7 @@ class TestPipelineIntegrationOfNewModels:
             ForecastingConfig,
             PipelineConfig,
         )
-        from repro.core.pipeline import run_pipeline
+        from repro.api import Engine
 
         rng = np.random.default_rng(4)
         trace = np.clip(
@@ -196,7 +196,7 @@ class TestPipelineIntegrationOfNewModels:
                 initial_collection=30, retrain_interval=30,
             ),
         )
-        result = run_pipeline(trace, config)
+        result = Engine(config).run(trace)
         assert result.rmse_by_horizon[1] < 0.2
 
     def test_holt_winters_runs_in_pipeline(self):
@@ -205,7 +205,7 @@ class TestPipelineIntegrationOfNewModels:
             ForecastingConfig,
             PipelineConfig,
         )
-        from repro.core.pipeline import run_pipeline
+        from repro.api import Engine
 
         t = np.arange(120)
         base = 0.5 + 0.2 * np.sin(2 * np.pi * t / 12)
@@ -220,5 +220,5 @@ class TestPipelineIntegrationOfNewModels:
                 initial_collection=40, retrain_interval=40,
             ),
         )
-        result = run_pipeline(trace, config)
+        result = Engine(config).run(trace)
         assert result.rmse_by_horizon[1] < 0.15

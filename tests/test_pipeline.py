@@ -3,17 +3,14 @@
 import numpy as np
 import pytest
 
+from repro.api import Engine
 from repro.core.config import (
     ClusteringConfig,
     ForecastingConfig,
     PipelineConfig,
     TransmissionConfig,
 )
-from repro.core.pipeline import (
-    OnlinePipeline,
-    default_forecaster_factory,
-    run_pipeline,
-)
+from repro.core.pipeline import OnlinePipeline, default_forecaster_factory
 from repro.exceptions import ConfigurationError, DataError
 from repro.forecasting.arima import AutoArima
 from repro.forecasting.lstm import LstmForecaster
@@ -164,9 +161,11 @@ class TestOnlinePipeline:
 
 
 class TestRunPipeline:
+    """Batch runs of the whole pipeline through Engine.run."""
+
     def test_h0_is_collection_error(self):
         trace = grouped_trace()
-        result = run_pipeline(trace, small_config(budget=1.0))
+        result = Engine(small_config(budget=1.0)).run(trace)
         assert result.rmse_by_horizon[0] == pytest.approx(0.0, abs=1e-12)
 
     def test_rmse_increases_with_horizon_on_drifting_data(self):
@@ -174,60 +173,61 @@ class TestRunPipeline:
         walk = np.clip(
             0.5 + np.cumsum(rng.normal(0, 0.02, size=(120, 6)), axis=0), 0, 1
         )
-        result = run_pipeline(walk, small_config(horizon=5, initial=30))
+        result = Engine(small_config(horizon=5, initial=30)).run(walk)
         assert result.rmse_by_horizon[5] >= result.rmse_by_horizon[1] - 0.01
 
     def test_uniform_collection_mode(self):
         trace = grouped_trace()
-        result = run_pipeline(trace, small_config(), collection="uniform")
+        result = Engine(small_config(), collection="uniform").run(trace)
         assert 0 in result.rmse_by_horizon
 
     def test_perfect_collection_mode(self):
         trace = grouped_trace()
-        result = run_pipeline(trace, small_config(), collection="perfect")
+        result = Engine(small_config(), collection="perfect").run(trace)
         assert result.decisions.all()
         assert result.rmse_by_horizon[0] == 0.0
 
     def test_unknown_collection_mode(self):
         with pytest.raises(ConfigurationError):
-            run_pipeline(grouped_trace(), small_config(), collection="xyz")
+            Engine(small_config(), collection="xyz")
 
     def test_horizon_subset(self):
         trace = grouped_trace()
-        result = run_pipeline(
-            trace, small_config(horizon=3), horizons=[1, 3]
+        result = Engine(small_config(horizon=3)).run(
+            trace, horizons=[1, 3]
         )
         assert set(result.rmse_by_horizon) == {1, 3}
 
     def test_bad_horizon_rejected(self):
         with pytest.raises(ConfigurationError):
-            run_pipeline(grouped_trace(), small_config(horizon=3),
-                         horizons=[7])
+            Engine(small_config(horizon=3)).run(
+                grouped_trace(), horizons=[7]
+            )
 
     def test_intermediate_rmse_reported(self):
-        result = run_pipeline(grouped_trace(), small_config())
+        result = Engine(small_config()).run(grouped_trace())
         assert 0 <= result.intermediate_rmse < 0.5
 
     def test_forecast_start_recorded(self):
-        result = run_pipeline(grouped_trace(), small_config(initial=20))
+        result = Engine(small_config(initial=20)).run(grouped_trace())
         assert result.forecast_start == 19
 
     def test_arima_model_end_to_end(self):
         trace = grouped_trace()
-        result = run_pipeline(
-            trace, small_config(model="arima", initial=30, horizon=2)
-        )
+        result = Engine(
+            small_config(model="arima", initial=30, horizon=2)
+        ).run(trace)
         assert result.rmse_by_horizon[1] < 0.2
 
     def test_lstm_model_end_to_end(self):
         trace = grouped_trace()
-        result = run_pipeline(
-            trace, small_config(model="lstm", initial=30, horizon=2)
-        )
+        result = Engine(
+            small_config(model="lstm", initial=30, horizon=2)
+        ).run(trace)
         assert result.rmse_by_horizon[1] < 0.3
 
     def test_multiresource_trace(self):
         rng = np.random.default_rng(2)
         trace = rng.random((60, 5, 2))
-        result = run_pipeline(trace, small_config(initial=20, horizon=2))
+        result = Engine(small_config(initial=20, horizon=2)).run(trace)
         assert 1 in result.rmse_by_horizon

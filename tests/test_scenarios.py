@@ -43,6 +43,7 @@ from repro.scenarios import (
     run_scenario,
 )
 from repro.scenarios.harness import resolve_scenario
+from repro.scenarios.spec import TRACE_SOURCES
 from repro.simulation.transport import Channel, TransportStats
 
 POLICIES = ("adaptive", "uniform", "deadband", "perfect")
@@ -173,20 +174,6 @@ class TestIdealLinkInvisible:
             np.testing.assert_array_equal(
                 bare.fleet.stored, linked.fleet.stored
             )
-
-    def test_object_path_bit_identical(self):
-        trace = walk_trace(steps=30, nodes=6, seed=3)
-        bare = Engine(config(), policy="adaptive").session(
-            6, 1, vectorized=False
-        )
-        linked = Engine(config(), policy="adaptive").session(
-            6, 1, vectorized=False, link=IdealLink(6)
-        )
-        for t in range(trace.shape[0]):
-            a = bare.ingest(trace[t][:, np.newaxis])
-            b = linked.ingest(trace[t][:, np.newaxis])
-            np.testing.assert_array_equal(a.stored, b.stored)
-            assert a.transport.messages == b.transport.messages
 
     def test_ideal_link_counts_sent(self):
         link = IdealLink(5)
@@ -520,12 +507,9 @@ class TestSessionChurn:
         for t in range(start, end):
             session.ingest(trace[t, : session.num_nodes][:, np.newaxis])
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_grow_then_compact_roundtrip(self, vectorized):
+    def test_grow_then_compact_roundtrip(self):
         trace = walk_trace(steps=40, nodes=12, seed=4)
-        session = Engine(config(), policy="adaptive").session(
-            8, 1, vectorized=vectorized
-        )
+        session = Engine(config(), policy="adaptive").session(8, 1)
         self.run_slots(session, trace, 0, 15)
         session.grow(4)
         assert session.num_nodes == 12
@@ -536,17 +520,28 @@ class TestSessionChurn:
         state = session.snapshot()
         assert state.session["num_nodes"] == 10
 
-    @pytest.mark.parametrize("vectorized", [True, False])
-    def test_restart_nodes_resets_state(self, vectorized):
+    def test_restart_nodes_resets_state(self):
         trace = walk_trace(steps=30, nodes=6, seed=5)
-        session = Engine(config(), policy="adaptive").session(
-            6, 1, vectorized=vectorized
-        )
+        session = Engine(config(), policy="adaptive").session(6, 1)
         self.run_slots(session, trace, 0, 20)
-        session.restart_nodes(np.asarray([1, 4]))
-        assert not session.fleet.observed[[1, 4]].any()
-        self.run_slots(session, trace, 20, 30)
-        assert session.fleet.observed[[1, 4]].all()
+        crashed = np.asarray([1, 4])
+        times = session.fleet.times.copy()
+        stored = session.fleet.stored.copy()
+        session.restart_nodes(crashed)
+        # Policy state zeroed, clocks keep running, the store keeps the
+        # last received values.
+        assert not session.fleet.observed[crashed].any()
+        np.testing.assert_array_equal(session.fleet.policy_state[crashed], 0)
+        np.testing.assert_array_equal(session.fleet.times, times)
+        np.testing.assert_array_equal(session.fleet.stored, stored)
+        # The next report of a restarted node is a forced transmission.
+        output = session.ingest(trace[20][:, np.newaxis])
+        sent = output.transport.per_node_messages.as_array()
+        np.testing.assert_array_equal(sent[crashed], 1)
+        np.testing.assert_array_equal(session.fleet.last_update[crashed], 20)
+        np.testing.assert_array_equal(session.fleet.times, times + 1)
+        self.run_slots(session, trace, 21, 30)
+        assert session.fleet.observed[crashed].all()
 
     def test_restart_validates_ids(self):
         from repro.exceptions import DataError
@@ -721,6 +716,27 @@ class TestHarness:
         assert report.late_applied == 0
         assert report.transport_messages == report.link_totals["sent"]
         assert 0 < report.empirical_frequency <= 1
+
+    def test_rmse_by_horizon_is_eq4_like_engine_run(self):
+        # Ideal link, static fleet: the replay's forecasts are Engine.run's
+        # on the same trace, so the time-averaged RMSE (Eq. 4) agrees.
+        spec = ScenarioSpec(
+            name="default_static", num_steps=200,
+            total_nodes=24, initial_nodes=24,
+        )
+        report = run_scenario(spec)
+        trace = TRACE_SOURCES[spec.source](
+            num_nodes=spec.total_nodes, num_steps=spec.num_steps
+        ).resource(spec.resource)
+        result = Engine(
+            spec.pipeline_config, collection=spec.policy
+        ).run(trace)
+        horizons = [h for h in result.rmse_by_horizon if h >= 1]
+        assert sorted(report.rmse_by_horizon) == horizons
+        for h in horizons:
+            assert report.rmse_by_horizon[h] == pytest.approx(
+                result.rmse_by_horizon[h], rel=1e-12
+            )
 
     def test_until_truncates(self):
         report = run_scenario(quick_lossy_churn(), until=40)

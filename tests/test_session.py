@@ -1,8 +1,10 @@
 """Tests for the stateful serving API (repro.session.StreamSession).
 
-Pins the vectorized slot-kernel hot path **bit-identical** to the
-faithful per-node object loop on randomized traces (hypothesis), and
-covers the documented partial-slot and late-arrival semantics.
+Pins the slot-kernel path **bit-identical** to two independent oracles
+on randomized traces (hypothesis) — the registered batch collection
+backends for full slots, and a per-node loop of ``LocalNode`` and
+registered policy objects for partial slots and multi-resource fleets
+— and covers the documented partial-slot and late-arrival semantics.
 """
 
 import numpy as np
@@ -22,8 +24,18 @@ from repro.exceptions import (
     DataError,
     NotFittedError,
 )
+from repro.registry import (
+    COLLECTION_BACKENDS,
+    SLOT_KERNELS,
+    TRANSMISSION_POLICIES,
+    register_slot_kernel,
+)
 from repro.session import StreamSession
-from repro.simulation.transport import TransportStats
+from repro.simulation.collection import simulate_uniform_collection
+from repro.simulation.controller import CentralStore
+from repro.simulation.fleet import FleetState
+from repro.simulation.transport import Channel, TransportStats
+from repro.transmission.uniform import uniform_transmit_slot
 
 POLICIES = ("adaptive", "uniform", "deadband", "perfect")
 
@@ -50,23 +62,61 @@ def walk_trace(steps=40, nodes=6, dims=1, seed=0):
     return trace[:, :, 0] if dims == 1 else trace
 
 
-def assert_outputs_equal(a, b):
-    np.testing.assert_array_equal(a.stored, b.stored)
-    assert len(a.assignments) == len(b.assignments)
-    for x, y in zip(a.assignments, b.assignments):
-        np.testing.assert_array_equal(x.labels, y.labels)
-        np.testing.assert_array_equal(x.centroids, y.centroids)
-    assert (a.node_forecasts is None) == (b.node_forecasts is None)
-    if a.node_forecasts is not None:
-        assert set(a.node_forecasts) == set(b.node_forecasts)
-        for h in a.node_forecasts:
-            np.testing.assert_array_equal(
-                a.node_forecasts[h], b.node_forecasts[h]
+def batch_collection(policy, trace, transmission):
+    """The registered batch backend's run of ``trace`` for ``policy``.
+
+    The session starts every uniform accumulator at phase 0, while the
+    ``uniform`` backend staggers phases, so uniform compares against
+    the unstaggered recurrence.
+    """
+    if policy == "uniform":
+        return simulate_uniform_collection(
+            trace, transmission.budget, stagger=False
+        )
+    return COLLECTION_BACKENDS.create(policy, trace, transmission)
+
+
+class ObjectFleet:
+    """Per-node oracle: the object-level slot.  One registered policy
+    object per node decides through ``LocalNode.observe``; its messages
+    cross a ``Channel`` and a ``CentralStore`` applies them."""
+
+    def __init__(self, policy, transmission, num_nodes, dims):
+        self.fleet = FleetState(num_nodes, dims)
+        self.nodes = [
+            self.fleet.node_view(
+                i, TRANSMISSION_POLICIES.create(policy, transmission, i)
             )
+            for i in range(num_nodes)
+        ]
+        self.channel = Channel(node_counts=self.fleet.message_counts)
+        self.store = CentralStore(fleet=self.fleet)
+
+    def ingest(self, values, ids, slot):
+        for row, i in enumerate(ids):
+            message = self.nodes[i].observe(values[row])
+            if message is not None:
+                self.channel.send(message)
+        self.store.apply(self.channel.drain(), now=slot)
+
+    def assert_matches(self, session):
+        fleet = session.fleet
+        for column in (
+            "stored", "observed", "times", "last_update", "message_counts"
+        ):
+            np.testing.assert_array_equal(
+                getattr(fleet, column), getattr(self.fleet, column),
+                err_msg=column,
+            )
+        np.testing.assert_array_equal(
+            fleet.policy_state,
+            [node.policy.fleet_scalar_state for node in self.nodes],
+        )
 
 
 class TestVectorizedObjectEquivalence:
-    """The slot-kernel path is bit-identical to the per-node loop."""
+    """The slot-kernel path is bit-identical to the batch backends and
+    to a per-node loop of policy objects."""
 
     @pytest.mark.parametrize("policy", POLICIES)
     @given(seed=st.integers(0, 10_000))
@@ -74,97 +124,109 @@ class TestVectorizedObjectEquivalence:
     def test_full_slots_bit_identical(self, policy, seed):
         cfg = config()
         trace = walk_trace(steps=30, seed=seed)
-        fast = StreamSession(cfg, 6, 1, policy=policy, vectorized=True)
-        slow = StreamSession(cfg, 6, 1, policy=policy, vectorized=False)
-        assert fast.vectorized and not slow.vectorized
+        session = StreamSession(cfg, 6, 1, policy=policy)
+        batch = batch_collection(policy, trace, cfg.transmission)
         for t in range(trace.shape[0]):
-            assert_outputs_equal(fast.ingest(trace[t]), slow.ingest(trace[t]))
-        assert fast.transport_stats.messages == slow.transport_stats.messages
-        assert (
-            fast.transport_stats.payload_floats
-            == slow.transport_stats.payload_floats
-        )
-        np.testing.assert_array_equal(
-            fast.fleet.message_counts, slow.fleet.message_counts
-        )
-        np.testing.assert_array_equal(
-            fast.fleet.last_update, slow.fleet.last_update
-        )
-        np.testing.assert_array_equal(fast.fleet.times, slow.fleet.times)
-        if policy in ("adaptive", "uniform"):
+            output = session.ingest(trace[t])
+            np.testing.assert_array_equal(output.stored, batch.stored[t])
             np.testing.assert_array_equal(
-                fast.fleet.policy_state,
-                [node.policy.fleet_scalar_state for node in slow.nodes],
+                output.transport.per_node_messages.as_array(),
+                batch.decisions[t],
             )
+        np.testing.assert_array_equal(
+            session.fleet.message_counts, batch.decisions.sum(axis=0)
+        )
+        assert session.transport_stats.messages == int(
+            batch.decisions.sum()
+        )
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=8, deadline=None)
     def test_partial_slots_bit_identical(self, seed):
         cfg = config()
-        rng = np.random.default_rng(seed)
         trace = walk_trace(steps=25, nodes=8, seed=seed)
-        fast = StreamSession(cfg, 8, 1, vectorized=True)
-        slow = StreamSession(cfg, 8, 1, vectorized=False)
-        for t in range(trace.shape[0]):
-            present = rng.random(8) < 0.7
-            ids = np.flatnonzero(present)
-            if ids.size == 0:
-                ids = np.asarray([int(rng.integers(8))])
-            a = fast.ingest(trace[t][ids], node_ids=ids)
-            b = slow.ingest(trace[t][ids], node_ids=ids)
-            assert_outputs_equal(a, b)
-        assert fast.transport_stats.messages == slow.transport_stats.messages
-        np.testing.assert_array_equal(fast.fleet.times, slow.fleet.times)
-        np.testing.assert_array_equal(
-            fast.fleet.policy_state,
-            [node.policy.fleet_scalar_state for node in slow.nodes],
-        )
+        for policy in POLICIES:
+            rng = np.random.default_rng(seed)
+            session = StreamSession(cfg, 8, 1, policy=policy)
+            oracle = ObjectFleet(policy, cfg.transmission, 8, 1)
+            for t in range(trace.shape[0]):
+                ids = np.flatnonzero(rng.random(8) < 0.7)
+                if ids.size == 0:
+                    ids = np.asarray([int(rng.integers(8))])
+                session.ingest(trace[t][ids], node_ids=ids)
+                oracle.ingest(trace[t][ids][:, np.newaxis], ids, t)
+                oracle.assert_matches(session)
 
     def test_multiresource_bit_identical(self):
         cfg = config()
         trace = walk_trace(steps=25, nodes=5, dims=3, seed=3)
-        fast = StreamSession(cfg, 5, 3, vectorized=True)
-        slow = StreamSession(cfg, 5, 3, vectorized=False)
-        for t in range(trace.shape[0]):
-            assert_outputs_equal(fast.ingest(trace[t]), slow.ingest(trace[t]))
+        for policy in POLICIES:
+            session = StreamSession(cfg, 5, 3, policy=policy)
+            oracle = ObjectFleet(policy, cfg.transmission, 5, 3)
+            for t in range(trace.shape[0]):
+                session.ingest(trace[t])
+                oracle.ingest(trace[t], range(5), t)
+                oracle.assert_matches(session)
 
 
-class TestEngineStepShim:
-    def test_step_is_a_session_slot(self):
-        cfg = config()
-        trace = walk_trace(seed=5)
-        engine = Engine(cfg, num_nodes=6, num_resources=1)
-        session = Engine(cfg).session(6, 1)
-        for t in range(trace.shape[0]):
-            assert_outputs_equal(
-                engine.step(trace[t]), session.ingest(trace[t])
-            )
-        assert engine.time == session.time
-        assert engine.transport_stats.messages == (
-            session.transport_stats.messages
+class TestSessionStreaming:
+    """One session driven slot by slot over a live fleet."""
+
+    @staticmethod
+    def feed(seed=0, steps=50, nodes=6):
+        rng = np.random.default_rng(seed)
+        base = np.where(np.arange(nodes) < nodes // 2, 0.2, 0.7)
+        return np.clip(
+            base[None, :] + rng.normal(0, 0.02, (steps, nodes)), 0, 1
         )
-        assert engine.empirical_frequency == session.empirical_frequency
 
-    def test_step_uses_vectorized_default_session(self):
-        engine = Engine(config())
-        engine.step(np.zeros(4))
-        assert engine._session.vectorized
+    def test_tick_advances_everything(self):
+        session = Engine(config(initial=20)).session(6, 1)
+        data = self.feed()
+        for t in range(30):
+            assert session.ingest(data[t]).time == t
+        assert session.time == 30
+        assert session.pipeline.time == 30
+        assert session.transport_stats.messages > 0
 
-    def test_resume_becomes_default_session(self, tmp_path):
-        cfg = config()
-        trace = walk_trace(seed=6)
-        engine = Engine(cfg, num_nodes=6, num_resources=1)
-        for t in range(20):
-            engine.step(trace[t])
-        path = engine._session.save(tmp_path / "ck.npz")
-        other = Engine(cfg)
-        resumed = other.resume(path)
-        assert other._session is resumed
-        assert other.time == 20
-        reference = Engine(cfg, num_nodes=6, num_resources=1)
-        for t in range(20):
-            reference.step(trace[t])
-        assert_outputs_equal(other.step(trace[20]), reference.step(trace[20]))
+    def test_first_tick_all_transmit(self):
+        session = Engine(config()).session(6, 1)
+        session.ingest(self.feed()[0])
+        assert session.transport_stats.messages == 6
+
+    def test_empirical_frequency_near_budget(self):
+        rng = np.random.default_rng(1)
+        walk = np.clip(
+            0.5 + np.cumsum(rng.normal(0, 0.02, (400, 5)), axis=0), 0, 1
+        )
+        session = Engine(config(budget=0.3)).session(5, 1)
+        for t in range(400):
+            session.ingest(walk[t])
+        assert session.empirical_frequency == pytest.approx(0.3, abs=0.02)
+
+    def test_multiresource(self):
+        session = Engine(config(initial=10)).session(4, 2)
+        rng = np.random.default_rng(2)
+        for t in range(15):
+            output = session.ingest(rng.random((4, 2)))
+        assert output.node_forecasts[1].shape == (4, 2)
+
+    def test_forecasts_after_initial_collection(self):
+        session = Engine(config(initial=15)).session(6, 1)
+        data = self.feed()
+        for t in range(14):
+            assert session.ingest(data[t]).node_forecasts is None
+        for t in range(14, 25):
+            output = session.ingest(data[t])
+        assert output.node_forecasts[1].shape == (6, 1)
+
+    def test_wrong_shape_rejected(self):
+        session = Engine(config()).session(4, 1)
+        with pytest.raises(DataError, match="full slot"):
+            session.ingest(np.zeros(5))
+        with pytest.raises(DataError):
+            session.ingest(np.zeros((4, 2)))
+        assert session.time == 0
 
 
 class TestStepOutputAlignment:
@@ -335,35 +397,35 @@ class TestForecastOnDemand:
 
 class TestSessionConstruction:
     def test_vectorized_needs_kernel(self):
-        from repro.transmission.uniform import UniformTransmissionPolicy
-
         with pytest.raises(ConfigurationError, match="slot kernel"):
-            StreamSession(
-                config(), 3, 1,
-                policy_factory=lambda i: UniformTransmissionPolicy(0.3),
-                vectorized=True,
-            )
+            StreamSession(config(), 3, 1, policy="morse")
 
-    def test_custom_policy_factory_falls_back_to_objects(self):
-        from repro.transmission.uniform import UniformTransmissionPolicy
+    def test_custom_policy_is_a_slot_kernel_registration(self):
+        # A staggered uniform sampler: each node's accumulator starts at
+        # its own phase, carried in the fleet's policy_state column.
+        def build(transmission):
+            def kernel(x, stored, observed, state, times):
+                fresh = ~observed & (times == 0)
+                state[fresh] = np.arange(state.size)[fresh] / state.size
+                return uniform_transmit_slot(
+                    observed, state, transmission.budget
+                )
 
-        session = StreamSession(
-            config(), 3, 1,
-            policy_factory=lambda i: UniformTransmissionPolicy(
-                0.5, phase=i / 3
-            ),
-        )
-        assert not session.vectorized
-        session.ingest(np.asarray([0.1, 0.2, 0.3]))
-        assert session.transport_stats.messages == 3
+            return kernel
 
-    def test_nodes_are_column_views(self):
-        session = Engine(config()).session(3, 1)
-        session.ingest(np.asarray([0.1, 0.2, 0.3]))
-        nodes = session.nodes
-        assert len(nodes) == 3
-        assert nodes[1].fleet is session.fleet
-        assert nodes[1].stored_value[0] == 0.2
+        register_slot_kernel("staggered_uniform")(build)
+        try:
+            session = Engine(
+                config(budget=0.5), policy="staggered_uniform"
+            ).session(4, 1)
+            for t in range(20):
+                session.ingest(np.full(4, 0.1 * t))
+        finally:
+            del SLOT_KERNELS._entries["staggered_uniform"]
+        # Forced first slot, then floor(phase + 0.5 * 19) crossings for
+        # phases 0, 1/4, 1/2 and 3/4.
+        assert session.transport_stats.messages == 4 + (9 + 9 + 10 + 10)
+        assert session.snapshot().session["policy"] == "staggered_uniform"
 
     def test_sessions_are_independent(self):
         engine = Engine(config())
@@ -380,11 +442,13 @@ class TestSessionConstruction:
         with pytest.raises(ConfigurationError):
             StreamSession(config(), 3, 1, reorder_window=-1)
 
-    def test_engine_session_requires_dims(self):
-        with pytest.raises(ConfigurationError, match="num_nodes"):
-            Engine(config()).session()
+    def test_invalid_construction(self):
+        engine = Engine(config())
+        with pytest.raises(ConfigurationError):
+            engine.session(0, 1)
+        with pytest.raises(ConfigurationError):
+            engine.session(3, 0)
 
-    def test_engine_session_inherits_dims(self):
-        engine = Engine(config(), num_nodes=5, num_resources=2)
-        session = engine.session()
-        assert (session.num_nodes, session.num_resources) == (5, 2)
+    def test_engine_session_requires_dims(self):
+        with pytest.raises(TypeError, match="num_nodes"):
+            Engine(config()).session()

@@ -1,6 +1,6 @@
 """ShardPool: persistent shared-memory workers are bit-identical.
 
-The pool replaces the pickle-per-call process pool for sharded
+The pool replaces a pickle-per-call process pool for sharded
 collection; its contract is that pooled results match the in-process
 single-shard run bit for bit, for every registered backend and both
 column dtypes, across pool reuse (including fleets that grow or shrink
@@ -182,25 +182,11 @@ class TestEngineIntegration:
             num_clusters=2, initial_collection=20, retrain_interval=20
         )
 
-    def test_shared_pool_run_matches_serial_and_pickle(self):
+    def test_shared_pool_run_matches_serial(self):
         trace = walk_trace(steps=60, nodes=9, seed=17)
         cfg = self._config()
         serial = Engine(cfg).run(trace, shards=3)
         shared = Engine(cfg).run(trace, shards=3, workers=2)
-        pickled = Engine(cfg).run(
-            trace, shards=3, workers=2, pool="pickle"
-        )
         np.testing.assert_array_equal(serial.stored, shared.stored)
         np.testing.assert_array_equal(serial.decisions, shared.decisions)
-        np.testing.assert_array_equal(serial.stored, pickled.stored)
         assert serial.rmse_by_horizon == shared.rmse_by_horizon
-        assert serial.rmse_by_horizon == pickled.rmse_by_horizon
-
-    def test_invalid_pool_name(self):
-        with pytest.raises(ConfigurationError, match="pool"):
-            Engine(self._config()).run(
-                walk_trace(steps=20, nodes=4),
-                shards=2,
-                workers=2,
-                pool="carrier_pigeon",
-            )
