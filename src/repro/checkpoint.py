@@ -57,7 +57,13 @@ def _library_version() -> str:
 
 #: Format version written into every manifest; bumped on any change to
 #: the artifact layout or the component state contracts.
-CHECKPOINT_FORMAT_VERSION = 1
+CHECKPOINT_FORMAT_VERSION = 2
+
+#: Format versions :meth:`Checkpoint.load` accepts.  Format 1 (repro
+#: 2.0.0 and earlier) also stores every slot's tracker labels and the
+#: pipeline's stage timings; restoring reads the last ``M`` label rows
+#: and ignores the timings.
+_READABLE_VERSIONS = (1, 2)
 
 #: Archive member holding the JSON manifest.
 _MANIFEST_MEMBER = "manifest.json"
@@ -331,11 +337,12 @@ class Checkpoint:
         except zipfile.BadZipFile as exc:
             raise CheckpointError(f"{path} is not a checkpoint: {exc}") from exc
         version = manifest.get("format_version")
-        if version != CHECKPOINT_FORMAT_VERSION:
+        if version not in _READABLE_VERSIONS:
+            readable = ", ".join(str(v) for v in _READABLE_VERSIONS)
             raise CheckpointError(
                 f"checkpoint {path} has format version {version!r}; this "
-                f"build reads version {CHECKPOINT_FORMAT_VERSION} — "
-                "re-snapshot with a matching library version"
+                f"build reads versions {readable} — re-snapshot with a "
+                "matching library version"
             )
         checkpoint = cls(
             config=manifest["config"],

@@ -6,14 +6,19 @@ At every time slot the central node:
 2. re-indexes the resulting clusters against the previous ``M`` partitions
    by solving a maximum-weight bipartite matching on the similarity
    measure (Eq. 10–11), so cluster ``j``'s identity persists over time;
-3. records the re-indexed partition and centroids, forming one time series
-   of centroids per cluster — the input to the forecasting stage.
+3. records the re-indexed centroids, forming one time series of
+   centroids per cluster — the input to the forecasting stage.
+
+The tracker keeps only the history it reads: the last ``M`` labellings
+(the similarity window) and the centroid series.  Each :meth:`update`
+returns its slot's full :class:`~repro.core.types.ClusterAssignment`;
+callers that need a longer label history keep those.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional, Sequence, Set
+from typing import Deque, List, Optional
 
 import numpy as np
 
@@ -68,7 +73,6 @@ class DynamicClusterTracker:
         self._label_window: Deque[np.ndarray] = deque(maxlen=history_depth)
         self._previous_centroids: Optional[np.ndarray] = None
         self._centroid_history: List[np.ndarray] = []
-        self._assignments: List[ClusterAssignment] = []
         self._time = 0
         self._dim: Optional[int] = None
 
@@ -76,26 +80,6 @@ class DynamicClusterTracker:
     def time(self) -> int:
         """Number of updates performed so far."""
         return self._time
-
-    @property
-    def assignments(self) -> Sequence[ClusterAssignment]:
-        """All re-indexed assignments so far, oldest first."""
-        return self._assignments
-
-    @property
-    def _partition_history(self) -> List[List[Set[int]]]:
-        """Remembered partitions as node-id sets (compatibility view).
-
-        The tracker stores label arrays internally; this rebuilds the
-        set-of-sets form of each remembered slot on demand.
-        """
-        return [
-            [
-                set(np.flatnonzero(labels == j).tolist())
-                for j in range(self.num_clusters)
-            ]
-            for labels in self._label_window
-        ]
 
     def centroid_series(self, cluster: int) -> np.ndarray:
         """Time series of centroids for ``cluster``, shape ``(t, d)``.
@@ -128,6 +112,12 @@ class DynamicClusterTracker:
                 self._dim if self._dim is not None else 1,
             ))
         return np.stack(self._centroid_history)
+
+    def recent_centroids(self, count: int) -> List[np.ndarray]:
+        """The last ``count`` slots' centroids, oldest first, each
+        ``(K, d)`` — the tail of :meth:`centroid_tensor` without
+        stacking the whole series."""
+        return self._centroid_history[-count:] if count > 0 else []
 
     def update(
         self,
@@ -195,7 +185,6 @@ class DynamicClusterTracker:
         assignment = ClusterAssignment(
             time=self._time, labels=labels, centroids=centroids
         )
-        self._assignments.append(assignment)
         self._time += 1
         return assignment
 
@@ -206,16 +195,14 @@ class DynamicClusterTracker:
     def reindex_nodes(
         self, index_map: np.ndarray, *, fill_label: int = 0
     ) -> None:
-        """Remap the node axis of every remembered labelling.
+        """Remap the node axis of the remembered labellings.
 
-        Fleet churn renumbers nodes; the similarity window (Eq. 10) and
-        the recorded assignments are node-aligned label arrays, so both
-        are rebuilt as ``new[i] = old[index_map[i]]``, with joined
-        nodes (``index_map[i] == -1``) backfilled with ``fill_label``.
-        The whole assignment history is remapped — not just the
-        window — so the checkpoint contract (one stackable ``(t, N)``
-        label matrix) keeps holding after churn.  Centroid histories
-        are per-cluster and unaffected.
+        Fleet churn renumbers nodes; the similarity window (Eq. 10) is
+        the tracker's only node-aligned state, so its ``M`` label
+        arrays are rebuilt as ``new[i] = old[index_map[i]]``, with
+        joined nodes (``index_map[i] == -1``) backfilled with
+        ``fill_label``.  The centroid series is per-cluster and
+        unaffected.
 
         Args:
             index_map: int array, one entry per *new* node: the old
@@ -228,19 +215,12 @@ class DynamicClusterTracker:
         fresh = index_map < 0
         gather = np.where(fresh, 0, index_map)
 
-        def remap(labels: np.ndarray) -> np.ndarray:
-            out = np.asarray(labels)[gather].copy()
-            out[fresh] = int(fill_label)
-            return out
-
-        window = [remap(labels) for labels in self._label_window]
+        window = []
+        for labels in self._label_window:
+            remapped = labels[gather]
+            remapped[fresh] = int(fill_label)
+            window.append(remapped)
         self._label_window = deque(window, maxlen=self.history_depth)
-        self._assignments = [
-            ClusterAssignment(
-                time=a.time, labels=remap(a.labels), centroids=a.centroids
-            )
-            for a in self._assignments
-        ]
 
     # ------------------------------------------------------------------
     # Checkpoint state contract
@@ -249,21 +229,22 @@ class DynamicClusterTracker:
     def get_state(self) -> dict:
         """Serializable tracker state (checkpoint contract).
 
-        Captures everything a future :meth:`update` depends on: the full
-        re-indexed label and centroid histories (labels double as the
-        similarity window; centroids are the forecasters' training
-        data), the previous centroids used for empty-cluster fallback
-        and warm starts, and the *exact* internal RNG state — K-means
-        restarts draw from it, so bit-identical resumption requires the
-        generator to continue mid-stream.
+        Captures everything a future :meth:`update` depends on: the
+        re-indexed labels of the last ``M`` slots (the similarity
+        window, at most ``M`` rows), the full centroid series (the
+        forecasters' training data), the previous centroids used for
+        empty-cluster fallback and warm starts, and the *exact*
+        internal RNG state — K-means restarts draw from it, so
+        bit-identical resumption requires the generator to continue
+        mid-stream.
         """
         return {
             "num_clusters": self.num_clusters,
             "time": self._time,
             "dim": self._dim,
             "labels": (
-                np.stack([a.labels for a in self._assignments])
-                if self._assignments else None
+                np.stack(self._label_window) if self._label_window
+                else None
             ),
             "centroids": (
                 np.stack(self._centroid_history)
@@ -277,7 +258,11 @@ class DynamicClusterTracker:
         }
 
     def set_state(self, state: dict) -> None:
-        """Restore a state captured by :meth:`get_state`."""
+        """Restore a state captured by :meth:`get_state`.
+
+        Format-1 checkpoints carry every slot's labels; only the last
+        ``M`` rows are read.
+        """
         if int(state["num_clusters"]) != self.num_clusters:
             raise ConfigurationError(
                 f"state holds K={state['num_clusters']}, tracker has "
@@ -287,21 +272,17 @@ class DynamicClusterTracker:
         self._dim = None if state["dim"] is None else int(state["dim"])
         labels = state["labels"]
         centroids = state["centroids"]
-        self._assignments = []
-        self._centroid_history = []
-        self._label_window = deque(maxlen=self.history_depth)
-        if labels is not None:
-            labels = np.asarray(labels)
-            centroids = np.asarray(centroids, dtype=float)
-            for t in range(labels.shape[0]):
-                self._assignments.append(
-                    ClusterAssignment(
-                        time=t, labels=labels[t], centroids=centroids[t]
-                    )
-                )
-                self._centroid_history.append(centroids[t])
-            for row in labels[-self.history_depth:]:
-                self._label_window.append(np.asarray(row, dtype=int).copy())
+        self._centroid_history = (
+            [] if centroids is None
+            else list(np.asarray(centroids, dtype=float))
+        )
+        self._label_window = deque(
+            [] if labels is None else [
+                np.asarray(row, dtype=int).copy()
+                for row in labels[-self.history_depth:]
+            ],
+            maxlen=self.history_depth,
+        )
         previous = state["previous_centroids"]
         self._previous_centroids = (
             None if previous is None else np.asarray(previous, dtype=float)
@@ -325,7 +306,6 @@ class DynamicClusterTracker:
         assignment = ClusterAssignment(
             time=self._time, labels=labels, centroids=centroids
         )
-        self._assignments.append(assignment)
         self._time += 1
         return assignment
 

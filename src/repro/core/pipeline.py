@@ -162,9 +162,10 @@ class OnlinePipeline:
         # Only the last M'+1 slots feed the membership forecast and the
         # offset estimation, so these rolling windows are bounded at
         # O(window · N · d) — preallocated rings, not deques of per-slot
-        # arrays, so steady-state appends allocate nothing.  (The
-        # trackers' centroid/assignment histories still grow with the
-        # stream — full centroid series are needed for model training.)
+        # arrays, so steady-state appends allocate nothing.  The
+        # trackers keep their own M-slot label windows; the only state
+        # that grows with the stream is their centroid series
+        # (K · d floats per slot), which model training reads whole.
         window = config.forecasting.membership_lookback + 1
         self._stored_history = SlotRing(window)
         self._label_history: List[SlotRing] = [
@@ -172,7 +173,8 @@ class OnlinePipeline:
         ]
         self._time = 0
         self._last_train: Optional[int] = None
-        #: Cumulative wall-clock seconds per stage across all steps.
+        #: Cumulative wall-clock seconds per stage across the steps this
+        #: object ran (not checkpointed).
         self.stage_seconds: Dict[str, float] = {
             "clustering": 0.0, "training": 0.0, "forecasting": 0.0,
         }
@@ -299,14 +301,14 @@ class OnlinePipeline:
         bounded history rings, one
         :class:`~repro.clustering.dynamic.DynamicClusterTracker` and one
         :class:`~repro.forecasting.bank.ForecasterBank` per resource
-        group — plus the pipeline's own clock, retrain schedule and
-        cumulative stage timings.
+        group — plus the pipeline's own clock and retrain schedule.
+        Wall-clock :attr:`stage_seconds` are not state: a resumed
+        pipeline counts its own from zero.
         """
         return {
             "time": self._time,
             "num_nodes": self.num_nodes,
             "last_train": self._last_train,
-            "stage_seconds": dict(self.stage_seconds),
             "stored_history": self._stored_history.get_state(),
             "label_history": [
                 ring.get_state() for ring in self._label_history
@@ -323,6 +325,7 @@ class OnlinePipeline:
         The pipeline must have been constructed with the same
         configuration and dimensions (group structure and bank types are
         set at construction; the state carries only their contents).
+        The ``stage_seconds`` of format-1 checkpoints are ignored.
 
         Args:
             adopt: Adopt the node-aligned history windows (the state's
@@ -343,10 +346,6 @@ class OnlinePipeline:
         self.num_nodes = int(state.get("num_nodes", self.num_nodes))
         last_train = state["last_train"]
         self._last_train = None if last_train is None else int(last_train)
-        self.stage_seconds = {
-            stage: float(seconds)
-            for stage, seconds in state["stage_seconds"].items()
-        }
         self._stored_history.set_state(state["stored_history"], adopt=adopt)
         for ring, ring_state in zip(
             self._label_history, state["label_history"]
@@ -427,9 +426,7 @@ class OnlinePipeline:
             # __init__), so the whole window is the whole ring.
             window = len(self._stored_history)
             stored_group = [z[:, group] for z in self._stored_history]
-            centroid_group = [
-                a.centroids for a in self._trackers[g].assignments[-window:]
-            ]
+            centroid_group = self._trackers[g].recent_centroids(window)
             offsets = estimate_offsets(
                 stored_group, centroid_group, memberships, lookback
             )

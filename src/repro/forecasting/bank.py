@@ -125,9 +125,10 @@ class ForecasterBank(abc.ABC):
     Attributes:
         dtype: Floating dtype of the bank's series state (default
             float64).  Set by :func:`resolve_bank` from the pipeline's
-            configured column dtype; every ``fit``/``update`` input and
-            restored state array is cast to it, so a float32 pipeline's
-            model layer stays float32 end to end.
+            configured column dtype; every ``fit``/``update`` input,
+            stored observation and forecast is cast to it.  Parameters
+            the closed-form kernels compute in float64 (means, SES
+            levels, AR coefficients) stay float64, live and restored.
     """
 
     def __init__(self, num_clusters: int, dim: int) -> None:
@@ -306,10 +307,9 @@ class MeanBank(ForecasterBank):
             [] if rows is None
             else [row.copy() for row in np.asarray(rows, dtype=self.dtype)]
         )
+        # The mean is computed in float64 whatever the bank dtype.
         mean = state["mean"]
-        self._mean = (
-            None if mean is None else np.asarray(mean, dtype=self.dtype)
-        )
+        self._mean = None if mean is None else np.asarray(mean, dtype=float)
 
 
 class ExponentialBank(ForecasterBank):
@@ -378,9 +378,10 @@ class ExponentialBank(ForecasterBank):
             float(alpha) if np.ndim(alpha) == 0
             else np.asarray(alpha, dtype=self.dtype)
         )
+        # The level recurrence runs in float64 (see MeanBank).
         level = state["level"]
         self._level = (
-            None if level is None else np.asarray(level, dtype=self.dtype)
+            None if level is None else np.asarray(level, dtype=float)
         )
 
 
@@ -436,15 +437,15 @@ class YuleWalkerBank(ForecasterBank):
         }
 
     def _load_state(self, state: Dict[str, object]) -> None:
+        # Coefficients and mean are fitted in float64 (see MeanBank);
+        # only the observation window is held in the bank dtype.
         coefficients = state["coefficients"]
         self._coefficients = (
             None if coefficients is None
-            else np.asarray(coefficients, dtype=self.dtype)
+            else np.asarray(coefficients, dtype=float)
         )
         mean = state["mean"]
-        self._mean = (
-            None if mean is None else np.asarray(mean, dtype=self.dtype)
-        )
+        self._mean = None if mean is None else np.asarray(mean, dtype=float)
         window = state["window"]
         self._window = (
             [] if window is None

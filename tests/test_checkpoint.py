@@ -165,7 +165,7 @@ class TestRoundTripBitIdentity:
         session = Engine(config()).session(4, 1)
         session.ingest(walk_trace(steps=1, nodes=4)[0])
         checkpoint = session.snapshot()
-        assert checkpoint.version == CHECKPOINT_FORMAT_VERSION == 1
+        assert checkpoint.version == CHECKPOINT_FORMAT_VERSION == 2
         for key in ("vectorized", "custom_policy_factory"):
             assert key not in checkpoint.session
         assert "policies" not in checkpoint.state
@@ -549,3 +549,62 @@ class TestMmapResume:
             assert_outputs_equal(
                 resumed.ingest(trace[t]), reference.ingest(trace[t])
             )
+
+
+def array_bytes(state):
+    if isinstance(state, np.ndarray):
+        return state.nbytes
+    if isinstance(state, dict):
+        return sum(array_bytes(v) for v in state.values())
+    if isinstance(state, (list, tuple)):
+        return sum(array_bytes(v) for v in state)
+    return 0
+
+
+class TestBoundedState:
+    def test_soak_state_grows_only_by_the_centroid_series(self):
+        """Over 5,000 slots with churn, the only session state that
+        grows at a fixed fleet size is the centroid series: groups·K·d
+        floats per slot.  Tracker labels stay within the M-slot
+        window."""
+        nodes, clusters, depth, every = 16, 3, 2, 500
+        cfg = PipelineConfig(
+            transmission=TransmissionConfig(budget=0.3),
+            clustering=ClusteringConfig(
+                num_clusters=clusters,
+                history_depth=depth,
+                kmeans_restarts=1,
+                warm_start=True,
+                seed=0,
+            ),
+            forecasting=ForecastingConfig(
+                model="sample_hold",
+                max_horizon=2,
+                initial_collection=50,
+                retrain_interval=250,
+            ),
+        )
+        rng = np.random.default_rng(0)
+        steps = 10 * every
+        phase = rng.uniform(0, 2 * np.pi, nodes + 2)
+        slots = np.arange(steps)[:, np.newaxis]
+        trace = np.clip(
+            0.5 + 0.3 * np.sin(2 * np.pi * slots / 288 + phase)
+            + rng.normal(0, 0.02, (steps, nodes + 2)),
+            0, 1,
+        )
+        session = Engine(cfg).session(nodes, 1)
+        sizes = []
+        for t in range(steps):
+            if t % every == every // 2:
+                session.grow(2)
+            if t % every == every // 2 + 10:
+                session.compact(np.delete(np.arange(nodes + 2), [1, 7]))
+            session.ingest(trace[t, : session.num_nodes])
+            if (t + 1) % every == 0:
+                state = session.snapshot().state
+                for tracker in state["pipeline"]["trackers"]:
+                    assert tracker["labels"].shape == (depth, nodes)
+                sizes.append(array_bytes(state))
+        per_slot = clusters * 1 * 8  # groups · K · d · float64
+        assert np.diff(sizes).tolist() == [every * per_slot] * 9

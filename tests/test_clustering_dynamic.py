@@ -38,9 +38,9 @@ class TestDynamicClusterTracker:
     def test_centroid_series_tracks_group_means(self):
         tracker = DynamicClusterTracker(2, seed=0)
         rng = np.random.default_rng(2)
-        for _ in range(5):
+        first = tracker.update(two_group_slot(rng, low=0.2, high=0.7))
+        for _ in range(4):
             tracker.update(two_group_slot(rng, low=0.2, high=0.7))
-        first = tracker.assignments[0]
         low_cluster = int(first.labels[0])
         series = tracker.centroid_series(low_cluster)
         assert series.shape == (5, 1)
@@ -66,7 +66,7 @@ class TestDynamicClusterTracker:
         rng = np.random.default_rng(4)
         for _ in range(6):
             tracker.update(two_group_slot(rng))
-        assert len(tracker._partition_history) == 3
+        assert tracker.get_state()["labels"].shape == (3, 20)
 
     def test_jaccard_similarity_mode(self):
         tracker = DynamicClusterTracker(2, similarity="jaccard", seed=0)
@@ -152,20 +152,6 @@ class TestDynamicClusterTracker:
         grown = tracker.update(two_group_slot(rng, n_per=12))
         assert grown.labels.shape == (24,)
         assert grown.labels[0] == low_cluster
-
-    def test_partition_history_compatibility_view(self):
-        # The set-of-sets view must stay consistent with the labels.
-        tracker = DynamicClusterTracker(2, history_depth=2, seed=0)
-        rng = np.random.default_rng(9)
-        for _ in range(4):
-            assignment = tracker.update(two_group_slot(rng))
-        partitions = tracker._partition_history
-        assert len(partitions) == 2
-        newest = partitions[-1]
-        for j in range(2):
-            assert newest[j] == set(
-                np.flatnonzero(assignment.labels == j).tolist()
-            )
 
     def test_multidimensional_values(self):
         tracker = DynamicClusterTracker(2, seed=0)

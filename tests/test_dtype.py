@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 from repro.api import Engine
 from repro.core.config import (
     SUPPORTED_DTYPES,
+    ClusteringConfig,
     ForecastingConfig,
     PipelineConfig,
 )
@@ -199,3 +200,34 @@ class TestDtypeCheckpointGuard:
         resumed = Engine(cfg).resume(path)
         assert resumed.time == 5
         assert resumed.fleet.stored.dtype == np.dtype(np.float32)
+
+    @pytest.mark.parametrize("cut", [15, 33, 50])
+    @pytest.mark.parametrize("model", BANK_MODELS)
+    def test_float32_resume_is_bit_identical(self, tmp_path, model, cut):
+        """Bank parameters the kernels fit in float64 (means, levels,
+        AR coefficients) must come back as float64, not float32."""
+        cfg = PipelineConfig(
+            clustering=ClusteringConfig(num_clusters=2, seed=0),
+            forecasting=ForecastingConfig(
+                model=model,
+                max_horizon=3,
+                initial_collection=10,
+                retrain_interval=20,
+            ),
+            dtype="float32",
+        )
+        for seed in range(3):
+            trace = walk_trace(steps=60, nodes=12, seed=seed)
+            baseline = Engine(cfg).session(12, 1)
+            expected = [baseline.ingest(row) for row in trace]
+            interrupted = Engine(cfg).session(12, 1)
+            for row in trace[:cut]:
+                interrupted.ingest(row)
+            path = interrupted.save(tmp_path / f"{seed}.ckpt")
+            resumed = Engine(cfg).resume(path)
+            for t in range(cut, trace.shape[0]):
+                output = resumed.ingest(trace[t])
+                for h, forecast in expected[t].node_forecasts.items():
+                    np.testing.assert_array_equal(
+                        output.node_forecasts[h], forecast
+                    )

@@ -9,8 +9,8 @@ Pins the subsystem's three contracts:
   delivered late, dropped to loss, dropped to churn, or still in
   flight, under any mix of adversities;
 * **checkpoint/resume is bit-identical** mid-scenario — including
-  mid-churn, with link queues and generators in flight — excluding
-  only wall-clock stage timings.
+  mid-churn, with link queues and generators in flight — down to the
+  whole saved state tree.
 """
 
 import numpy as np
@@ -67,19 +67,6 @@ def walk_trace(steps=40, nodes=8, seed=0):
     return np.clip(
         0.5 + np.cumsum(rng.normal(0, 0.04, (steps, nodes)), axis=0), 0, 1
     )
-
-
-def strip_timings(state):
-    """Stage wall-clock timings are non-deterministic by nature."""
-    if isinstance(state, dict):
-        return {
-            k: strip_timings(v)
-            for k, v in state.items()
-            if k != "stage_seconds"
-        }
-    if isinstance(state, list):
-        return [strip_timings(v) for v in state]
-    return state
 
 
 def assert_trees_equal(a, b, path=""):
@@ -767,9 +754,7 @@ class TestScenarioCheckpointResume:
         full = as_checkpoint(full_path)
         resumed = as_checkpoint(resumed_path)
         assert_trees_equal(full.session, resumed.session)
-        assert_trees_equal(
-            strip_timings(full.state), strip_timings(resumed.state)
-        )
+        assert_trees_equal(full.state, resumed.state)
 
     def test_resume_mid_scenario(self, tmp_path):
         # Stop between churn events, with latency traffic in flight.
