@@ -10,21 +10,19 @@ and compares the execution paths on the same trace:
 * **columnar** — the FleetState path: the whole-fleet Lyapunov
   recurrence over the ``(N,)``/``(N, d)`` columns (``collect``).
 * **sharded** — the columnar path partitioned into 4 contiguous node
-  shards in-process and merged back, pinned bit-identical to
-  single-shard.
-* **shm pool** — the shards serviced by persistent
-  :class:`~repro.simulation.shard_pool.ShardPool` workers over
-  ``multiprocessing.shared_memory``: the trace and result columns are
-  shared segments, requests never pickle array data.
+  shards, worked one after another on the calling thread and merged
+  back, pinned bit-identical to single-shard.
+* **threads** — the same shards worked by ``WORKERS`` threads of a
+  :class:`~repro.simulation.shard_pool.ShardPool` (the calling thread
+  plus helpers), which overlap inside numpy's GIL-free array ops.
 
 Asserts the acceptance bars: the columnar path is at least 5× faster
 than the object-per-node path at the largest N the reference still
-runs; the shared-memory pool is bit-identical to columnar everywhere
-and — on a multi-core box — faster than single-process columnar at
-N = 1M.
+runs; the threaded run is bit-identical to columnar everywhere and —
+on a multi-core box — faster than single-process columnar at N = 1M.
 
 Quick mode — ``REPRO_BENCH_QUICK=1`` — runs only the N = 1k case
-(including a shared-memory pool smoke), for CI.
+(including a threaded smoke), for CI.
 """
 
 import os
@@ -77,10 +75,10 @@ def test_bench_fleet_scale(record_result):
     lines = [
         f"collection stage, T={NUM_STEPS} slots, adaptive policy "
         f"(budget {BUDGET}), {SHARDS}-way sharding, "
-        f"{WORKERS} pool workers ({os.cpu_count()} cpu)",
+        f"{WORKERS} worker threads ({os.cpu_count()} cpu)",
         "",
         f"{'N':>8}  {'object/node s':>13}  {'columnar s':>10}  "
-        f"{'sharded s':>9}  {'shm pool s':>10}  {'col speedup':>11}",
+        f"{'sharded s':>9}  {'threads s':>10}  {'col speedup':>11}",
         f"{'-' * 8}  {'-' * 13}  {'-' * 10}  {'-' * 9}  {'-' * 10}  "
         f"{'-' * 11}",
     ]
@@ -105,14 +103,17 @@ def test_bench_fleet_scale(record_result):
         )
         np.testing.assert_array_equal(columnar.stored, sharded[0].stored)
 
-        # Persistent shared-memory workers (pool startup included —
-        # that's the real cost an Engine.run caller pays).
-        shm_s, shm = _timeit(
+        # Worker threads (pool startup included — that's the real cost
+        # an Engine.run caller pays).
+        threads_s, threaded = _timeit(
             lambda: engine._collect_sharded(data, SHARDS, WORKERS),
             repeats=repeats,
         )
-        np.testing.assert_array_equal(columnar.decisions, shm[0].decisions)
-        np.testing.assert_array_equal(columnar.stored, shm[0].stored)
+        assert threaded[0].decisions.dtype == columnar.decisions.dtype
+        np.testing.assert_array_equal(
+            columnar.decisions, threaded[0].decisions
+        )
+        np.testing.assert_array_equal(columnar.stored, threaded[0].stored)
 
         if num_nodes <= OBJECT_LOOP_MAX_N:
 
@@ -140,7 +141,7 @@ def test_bench_fleet_scale(record_result):
 
         lines.append(
             f"{num_nodes:>8}  {object_part}  {columnar_s:>10.4f}  "
-            f"{sharded_s:>9.4f}  {shm_s:>10.4f}  {speedup_part}"
+            f"{sharded_s:>9.4f}  {threads_s:>10.4f}  {speedup_part}"
         )
         rows.append(
             {
@@ -148,14 +149,14 @@ def test_bench_fleet_scale(record_result):
                 "object_s": object_s,
                 "columnar_s": columnar_s,
                 "sharded_inprocess_s": sharded_s,
-                "shm_pool_s": shm_s,
+                "threads_s": threads_s,
                 "columnar_speedup": speedups.get(num_nodes),
             }
         )
 
     lines += [
         "",
-        "sharded (K=4) and the shared-memory worker pool are pinned "
+        "sharded (K=4) and the worker threads are pinned "
         "bit-identical to single-shard;",
         "beyond N=10k the object-per-node path is skipped (it scales as "
         "N·T Python calls — the",
@@ -182,15 +183,15 @@ def test_bench_fleet_scale(record_result):
         f"{speedups[gate]:.1f}x"
     )
 
-    # Acceptance bar 2: with real parallelism available, the
-    # shared-memory sharded path beats single-process columnar at the
-    # top of the ladder.  On a single-core box the workers time-slice
-    # one CPU, so the comparison is meaningless and skipped.
+    # Acceptance bar 2: with real parallelism available, the threaded
+    # sharded path beats single-process columnar at the top of the
+    # ladder.  On a single-core box the threads time-slice one CPU, so
+    # the comparison is meaningless and skipped.
     top = FLEET_SIZES[-1]
     if MULTI_CORE and top >= 1_000_000:
         top_row = rows[-1]
-        assert top_row["shm_pool_s"] < top_row["columnar_s"], (
-            f"shared-memory pool ({top_row['shm_pool_s']:.3f}s) did not "
+        assert top_row["threads_s"] < top_row["columnar_s"], (
+            f"worker threads ({top_row['threads_s']:.3f}s) did not "
             f"beat single-process columnar "
             f"({top_row['columnar_s']:.3f}s) at N={top}"
         )

@@ -11,9 +11,9 @@ serves both execution modes:
   :class:`RunResult` with the paper's RMSE metrics, transport stats and
   per-stage wall-clock timings.  ``run(trace, shards=K, workers=W)``
   additionally partitions the fleet into contiguous node shards for
-  the collection stage (in-process, or across a persistent
-  shared-memory :class:`~repro.simulation.shard_pool.ShardPool` of
-  ``W`` workers) and merges them into one columnar
+  the collection stage, runs them on ``W`` threads of a
+  :class:`~repro.simulation.shard_pool.ShardPool` (the calling thread
+  alone by default) and merges them into one columnar
   :class:`~repro.simulation.fleet.FleetState` — bit-identical to the
   single-shard run;
 * **streaming** — :meth:`Engine.session` opens a long-lived, stateful
@@ -68,12 +68,8 @@ from repro.exceptions import CheckpointError, ConfigurationError
 from repro.registry import COLLECTION_BACKENDS, SLOT_KERNELS
 from repro.session import StreamSession
 from repro.simulation.collection import CollectionResult
-from repro.simulation.fleet import (
-    FleetState,
-    merge_collection_shards,
-    shard_slices,
-)
-from repro.simulation.shard_pool import ShardPool, shard_aware_kwargs
+from repro.simulation.fleet import FleetState, shard_slices
+from repro.simulation.shard_pool import ShardPool
 from repro.simulation.transport import TransportStats
 
 
@@ -368,24 +364,11 @@ class Engine:
             )
             return collected, fleet
         ranges = shard_slices(num_nodes, shards)
-        if workers is not None:
-            # Persistent shared-memory workers: the trace and both
-            # result columns live in shared segments, so shard requests
-            # and results never cross a pickle boundary.
-            with ShardPool(min(workers, shards)) as shard_pool:
-                stored, decisions = shard_pool.collect(
-                    self.collection, data, self.config.transmission, ranges
-                )
-        else:
-            backend = COLLECTION_BACKENDS.get(self.collection)
-            stored, decisions = merge_collection_shards([
-                backend(
-                    data[:, lo:hi],
-                    self.config.transmission,
-                    **shard_aware_kwargs(backend, lo, num_nodes),
-                )
-                for lo, hi in ranges
-            ])
+        # workers=None: the calling thread runs every shard itself.
+        with ShardPool(min(workers or 1, shards)) as shard_pool:
+            stored, decisions = shard_pool.collect(
+                self.collection, data, self.config.transmission, ranges
+            )
         fleet = FleetState.from_run(stored, decisions)
         # Transport-stats reduction over the fleet's own counter column
         # (shared array, not a copy).
@@ -418,15 +401,12 @@ class Engine:
                 bit-identical to ``shards=1`` for every registered
                 backend (including :attr:`RunResult.transport`, merged
                 by the shard reduction).
-            workers: Run the shards on a
-                :class:`~repro.simulation.shard_pool.ShardPool` of this
-                many persistent workers over shared-memory trace/result
-                segments — shard requests never pickle array data, and
-                the result is bit-identical to the in-process run.  Any
-                explicit value, including 1, creates a real pool
-                (default ``None``: in-process, one shard after another —
-                the right choice below roughly 100k nodes, where
-                process startup dominates).  Requires ``shards > 1``.
+            workers: Run the shards on this many threads of a
+                :class:`~repro.simulation.shard_pool.ShardPool`, the
+                calling thread included (capped at ``shards``).  The
+                result is bit-identical whatever the value (default
+                ``None``: the calling thread runs every shard, one after
+                another).  Requires ``shards > 1``.
 
         Returns:
             The :class:`RunResult` with RMSE per horizon, transport

@@ -93,8 +93,8 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     run_parser.add_argument(
         "--workers", type=int, default=None, metavar="W",
-        help="run the shards in a pool of W persistent shared-memory "
-             "workers (default: in-process)",
+        help="run the shards on W threads, the calling one included "
+             "(default: the calling thread alone)",
     )
     run_parser.add_argument(
         "--dtype", choices=SUPPORTED_DTYPES, default=None,
@@ -168,12 +168,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--runtime", action="store_true",
         help="also drive every registered component through the "
              "checkpoint round-trip and determinism contracts",
-    )
-    lint_parser.add_argument(
-        "--sanitize", action="store_true",
-        help="also run the shared-memory sanitizer: guard-canaried "
-             "ShardPool rounds with fd/segment leak accounting and "
-             "worker-crash recovery (RT-004/RT-005, never waivable)",
     )
     lint_parser.add_argument(
         "--rules", default=None, metavar="IDS",
@@ -537,7 +531,6 @@ def _command_lint(args: argparse.Namespace) -> int:
             args.paths or None,
             rules=rules,
             runtime=args.runtime,
-            sanitize=args.sanitize,
             cache_path=Path(args.cache) if args.cache else None,
             changed=changed,
         )

@@ -5,25 +5,20 @@ that ordinary tests catch late or not at all: every stateful component
 round-trips through ``get_state``/``set_state`` (checkpoint/resume),
 every registry's lazy-load list stays in sync with the ``@register_*``
 call sites, the vectorized kernels stay pure and loop-free over the
-node axis, fleet-scale array allocations state their dtype, every
-shared-memory segment reaches ``close()``/``unlink()`` on all exit
-paths, and state-dtype arrays never meet bare float64 arithmetic.
-This package checks those contracts *statically* over the AST — the
-shared-memory and dtype-flow families on a dataflow layer
-(:mod:`repro.lint.dataflow`) rather than single-node syntax — plus an
-optional runtime pass that drives live components and a runtime shm
-*sanitizer* that stresses an instrumented, guard-canaried
-:class:`~repro.simulation.shard_pool.ShardPool`.  Findings render as
-``file:line: RULE-ID message`` diagnostics with inline
-``# repro: noqa RULE-ID(reason)`` waivers and text/JSON/GitHub
-reporters; file-granularity results cache incrementally by content
-hash.
+node axis, fleet-scale array allocations state their dtype, and
+state-dtype arrays never meet bare float64 arithmetic.  This package
+checks those contracts *statically* over the AST — the dtype-flow
+family on a dataflow layer (:mod:`repro.lint.dataflow`) rather than
+single-node syntax — plus an optional runtime pass that drives live
+components.  Findings render as ``file:line: RULE-ID message``
+diagnostics with inline ``# repro: noqa RULE-ID(reason)`` waivers and
+text/JSON/GitHub reporters; file-granularity results cache
+incrementally by content hash.
 
 Use it from the CLI::
 
     repro lint                       # static rules over the installed tree
     repro lint --runtime             # plus live contract verification
-    repro lint --sanitize            # plus the shm sanitizer (RT-004/5)
     repro lint src/ --format json    # machine-readable report
     repro lint --cache .lint-cache --changed origin/main   # incremental CI
 
@@ -49,7 +44,6 @@ from repro.lint.rules import (
     register_lint_rule,
     rules_by_id,
     runtime_rules,
-    sanitize_rules,
     static_rules,
 )
 from repro.lint.runner import (
@@ -59,7 +53,6 @@ from repro.lint.runner import (
     lint_paths,
 )
 from repro.lint.runtime import run_runtime_checks
-from repro.lint.sanitize import run_sanitize_checks
 from repro.lint.waivers import parse_waivers
 
 __all__ = [
@@ -85,8 +78,6 @@ __all__ = [
     "render_text",
     "rules_by_id",
     "run_runtime_checks",
-    "run_sanitize_checks",
     "runtime_rules",
-    "sanitize_rules",
     "static_rules",
 ]

@@ -13,8 +13,8 @@ their results cacheable: an entry is valid exactly when
   never serves stale verdicts).
 
 Tree-granularity rules (the registry family) reason across files and
-always re-run; runtime and sanitizer findings describe live processes
-and are never cached.  Entries store the *post-waiver* split — waiver
+always re-run; runtime findings describe live components and are
+never cached.  Entries store the *post-waiver* split — waiver
 parsing reads only the file's own comments, so it is covered by the
 content hash.
 """

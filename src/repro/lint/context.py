@@ -39,9 +39,9 @@ KERNEL_SHARED_PATTERNS = (
     "*.forecasting.yule_walker",
     "*.scenarios.links",
     "*.scenarios.churn",
-    # Shared-memory shard workers re-run registered collection backends
-    # out of process: any ambient randomness or wall-clock read there
-    # would silently break the pooled == in-process bit-identity pin.
+    # The shard runner calls registered collection backends on helper
+    # threads: any ambient randomness or wall-clock read there would
+    # silently break the sharded == single-shard bit-identity pin.
     "*.simulation.shard_pool",
 )
 

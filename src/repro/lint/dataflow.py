@@ -1,19 +1,17 @@
 """The dataflow IR: array/dtype tags propagated through functions.
 
 PR 6's rules were purely syntactic — one AST node, one verdict.  The
-shared-memory and dtype rules need to know what a *value* is, not what
-an expression looks like: whether a local is an ndarray, whether its
-dtype is parameterized (and therefore possibly float32), and whether it
-aliases a shared-memory segment.  This module is that layer: a small
-abstract interpreter over function bodies that assigns every local one
-of the :data:`TAGS`, plus a call-graph summary pass that propagates
-tags through calls (so a kernel whose caller passes it a state-dtype
-column knows its parameters are state-dtype without annotations).
+dtype rules need to know what a *value* is, not what an expression
+looks like: whether a local is an ndarray, and whether its dtype is
+parameterized (and therefore possibly float32).  This module is that
+layer: a small abstract interpreter over function bodies that assigns
+every local one of the :data:`TAGS`, plus a call-graph summary pass
+that propagates tags through calls (so a kernel whose caller passes it
+a state-dtype column knows its parameters are state-dtype without
+annotations).
 
 The lattice, from most to least specific:
 
-* ``VIEW`` — an ndarray mapped over a shared-memory segment buffer
-  (``np.ndarray(..., buffer=seg.buf)`` or a helper returning one);
 * ``STATE`` — an ndarray whose dtype is *parameterized*: allocated
   with a non-literal ``dtype=`` expression, ``.astype(dtype_var)``, or
   explicitly float32 (any dtype the default float64 promotion would
@@ -35,14 +33,14 @@ import ast
 import hashlib
 import json
 from dataclasses import dataclass, field
-from typing import Dict, Iterator, List, Optional, Set, Tuple
+from typing import Dict, Iterator, List, Optional, Tuple
 
 from repro.lint.context import LintContext, ModuleInfo
 
 #: Value tags, in increasing specificity rank (see module docstring).
-TAGS = ("ARRAY", "FLOAT64", "STATE", "VIEW")
+TAGS = ("ARRAY", "FLOAT64", "STATE")
 
-_RANK = {None: 0, "ARRAY": 1, "FLOAT64": 2, "STATE": 3, "VIEW": 4}
+_RANK = {None: 0, "ARRAY": 1, "FLOAT64": 2, "STATE": 3}
 
 #: Array tags (everything except ``None``).
 ARRAY_TAGS = frozenset(TAGS)
@@ -98,29 +96,11 @@ class Mixing:
 
 
 @dataclass
-class ViewWrite:
-    """One subscript store into a shared-memory-backed view."""
-
-    lineno: int
-    target: str  #: Source text of the written base (best effort).
-
-
-@dataclass
-class PipeSend:
-    """One ``.send(...)`` whose payload references an ndarray local."""
-
-    lineno: int
-    names: Tuple[str, ...]  #: The offending array-tagged locals.
-
-
-@dataclass
 class FunctionFacts:
     """Everything one pass over a function body learned."""
 
     qualname: str
     mixings: List[Mixing] = field(default_factory=list)
-    view_writes: List[ViewWrite] = field(default_factory=list)
-    pipe_sends: List[PipeSend] = field(default_factory=list)
     return_tag: Optional[str] = None
     #: Call sites: callee bare name → highest tag seen per parameter
     #: position / keyword.
@@ -221,10 +201,10 @@ class FunctionFlow:
                 self._bind(node.target, self._expr(node.value))
         elif isinstance(node, ast.AugAssign):
             # In-place ops keep the target's dtype (numpy casts the
-            # operand down), so they are never upcast sites — but a
-            # store through a shm view is still ownership-gated.
+            # operand down), so they are never upcast sites.
             self._expr(node.value)
-            self._check_view_store(node.target, node.lineno)
+            if isinstance(node.target, ast.Subscript):
+                self._expr(node.target.value)
         elif isinstance(node, ast.Return):
             if node.value is not None:
                 self.facts.return_tag = max_tag(
@@ -270,27 +250,16 @@ class FunctionFlow:
             self.env[target.id] = max_tag(self.env.get(target.id), tag)
         elif isinstance(target, (ast.Tuple, ast.List)):
             for element in target.elts:
-                self._bind(element, tag if tag == "VIEW" else None)
-        elif isinstance(target, ast.Subscript):
+                self._bind(element, None)
+        elif isinstance(target, (ast.Subscript, ast.Attribute)):
             # Storing into a state-dtype column casts silently (never
-            # upcasts the column), so stores are not mixing sites —
-            # but a store into a shared-memory view is ownership-gated.
-            self._check_view_store(target, target.lineno)
-        elif isinstance(target, ast.Attribute):
+            # upcasts the column), so stores are not mixing sites.
             self._expr(target.value)
-
-    def _target_tag(self, target: ast.expr) -> Optional[str]:
-        if isinstance(target, ast.Name):
-            return self.env.get(target.id)
-        if isinstance(target, ast.Subscript):
-            return self._expr(target.value)
-        return None
 
     # -- expressions ----------------------------------------------------
 
     def _element_tag(self, iterable: ast.expr) -> Optional[str]:
-        tag = self._expr(iterable)
-        return tag if tag in ("VIEW", "STATE", "FLOAT64", "ARRAY") else None
+        return self._expr(iterable)
 
     def _expr(self, node: ast.expr) -> Optional[str]:
         if isinstance(node, ast.Name):
@@ -301,8 +270,7 @@ class FunctionFlow:
             left = self._expr(node.left)
             right = self._expr(node.right)
             self._check_mix(node, left, node.left, right, node.right)
-            result = max_tag(left, right)
-            return result if result != "VIEW" else "ARRAY"
+            return max_tag(left, right)
         if isinstance(node, ast.UnaryOp):
             return self._expr(node.operand)
         if isinstance(node, ast.Compare):
@@ -354,18 +322,11 @@ class FunctionFlow:
                 self._expr(keyword.value)
         func = node.func
 
-        # np.ndarray(shape, dtype, buffer=seg.buf) → shared-memory view.
-        if any(k.arg == "buffer" for k in node.keywords):
-            return "VIEW"
-
         if isinstance(func, ast.Attribute):
             owner = func.value
             # <dtype expr>.type(x): the sanctioned scalar cast.
             if func.attr == "type":
                 return None
-            # conn.send(payload): record array-typed payload names.
-            if func.attr == "send":
-                self._check_send(node)
             if isinstance(owner, ast.Name) and owner.id in ("np", "numpy"):
                 return self._numpy_call(func.attr, node, arg_tags)
             # method on a tagged receiver
@@ -377,7 +338,7 @@ class FunctionFlow:
                         dtype_arg = keyword.value
                 return _dtype_tag(dtype_arg)
             if receiver in ARRAY_TAGS and func.attr in _PROPAGATING_METHODS:
-                return receiver if receiver != "VIEW" else "ARRAY"
+                return receiver
             self.facts.calls.append((func.attr, arg_tags))
             summary = self.resolve(func.attr)
             if summary is not None:
@@ -386,8 +347,6 @@ class FunctionFlow:
 
         if isinstance(func, ast.Name):
             if func.id in ("float", "int", "bool", "str", "len", "range"):
-                return None
-            if func.id in ("SharedMemory",):
                 return None
             self.facts.calls.append((func.id, arg_tags))
             summary = self.resolve(func.id)
@@ -426,10 +385,7 @@ class FunctionFlow:
             )
             return source if source in ("STATE", "FLOAT64") else "ARRAY"
         if name in _PROPAGATING or name.endswith("_like"):
-            source = max_tag(*(tag for tag in arg_tags.values()))
-            if source == "VIEW":
-                return "ARRAY"
-            return source
+            return max_tag(*(tag for tag in arg_tags.values()))
         if name == "dtype":
             return None
         return None
@@ -484,28 +440,6 @@ class FunctionFlow:
                     )
                 )
                 return
-
-    def _check_view_store(self, target: ast.expr, lineno: int) -> None:
-        if not isinstance(target, ast.Subscript):
-            return
-        if self._expr(target.value) == "VIEW":
-            self.facts.view_writes.append(
-                ViewWrite(lineno=lineno, target=_describe(target.value))
-            )
-
-    def _check_send(self, node: ast.Call) -> None:
-        offenders: Set[str] = set()
-        for arg in list(node.args) + [k.value for k in node.keywords]:
-            for child in ast.walk(arg):
-                if (
-                    isinstance(child, ast.Name)
-                    and self.env.get(child.id) in ARRAY_TAGS
-                ):
-                    offenders.add(child.id)
-        if offenders:
-            self.facts.pipe_sends.append(
-                PipeSend(lineno=node.lineno, names=tuple(sorted(offenders)))
-            )
 
 
 # ---------------------------------------------------------------------------
@@ -669,9 +603,7 @@ __all__ = [
     "FunctionSummary",
     "Mixing",
     "ModuleSummaries",
-    "PipeSend",
     "TAGS",
-    "ViewWrite",
     "function_node_for",
     "max_tag",
     "module_summaries",

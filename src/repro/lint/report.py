@@ -77,10 +77,10 @@ def render_github(result: "LintResult") -> str:
     """GitHub workflow commands: one ``::error`` per active finding.
 
     Emitted to stdout inside an Actions job, each line becomes an
-    inline annotation on the PR diff at ``path:line``.  Runtime and
-    sanitizer findings carry a component coordinate instead of a file
-    path; they are emitted without ``file=`` so they still surface in
-    the job summary.
+    inline annotation on the pull-request diff at ``path:line``.  Runtime
+    findings carry a component coordinate instead of a file path; they
+    are emitted without ``file=`` so they still surface in the job
+    summary.
     """
     lines: List[str] = []
     for finding in result.findings:

@@ -39,8 +39,7 @@ class LintRule:
         family: Rule family (see the module docstring).
         description: One-line summary shown by ``repro list``.
         scope: ``"static"`` rules run over the AST context;
-            ``"runtime"`` rules run under ``repro lint --runtime``;
-            ``"sanitize"`` rules run under ``repro lint --sanitize``.
+            ``"runtime"`` rules run under ``repro lint --runtime``.
         granularity: ``"file"`` rules derive every finding for a file
             from that file alone (given the shared summary layer) and
             participate in the incremental result cache; ``"tree"``
@@ -78,10 +77,8 @@ LINT_RULES = Registry(
         "repro.lint.rules.kernel_purity",
         "repro.lint.rules.dtype_discipline",
         "repro.lint.rules.dtype_flow",
-        "repro.lint.rules.shm_discipline",
         "repro.lint.waivers",
         "repro.lint.runtime",
-        "repro.lint.sanitize",
     ),
 )
 
@@ -120,15 +117,6 @@ def runtime_rules() -> List[LintRule]:
     ]
 
 
-def sanitize_rules() -> List[LintRule]:
-    """All registered sanitizer-scope rules, by rule id."""
-    return [
-        LINT_RULES.get(name)
-        for name in LINT_RULES.available()
-        if LINT_RULES.get(name).scope == "sanitize"
-    ]
-
-
 def rules_by_id(rule_ids: Iterable[str]) -> List[LintRule]:
     """Resolve explicit rule ids (unknown ids raise a friendly error)."""
     return [LINT_RULES.get(rule_id) for rule_id in rule_ids]
@@ -141,6 +129,5 @@ __all__ = [
     "register_lint_rule",
     "rules_by_id",
     "runtime_rules",
-    "sanitize_rules",
     "static_rules",
 ]

@@ -12,9 +12,9 @@ The run is staged by rule granularity:
   else is re-linted and stored back;
 * *tree* rules (the registry family) reason across files and always
   re-run;
-* *runtime* and *sanitize* rules drive live components and processes;
-  their findings are appended **after** waiver filtering — they are
-  never waivable and never cached.
+* *runtime* rules drive live components; their findings are appended
+  **after** waiver filtering — they are never waivable and never
+  cached.
 """
 
 from __future__ import annotations
@@ -29,7 +29,6 @@ from repro.lint.rules import (
     LintRule,
     rules_by_id,
     runtime_rules,
-    sanitize_rules,
     static_rules,
 )
 from repro.lint.waivers import collect_waivers
@@ -149,7 +148,6 @@ def lint_paths(
     *,
     rules: Optional[Sequence[str]] = None,
     runtime: bool = False,
-    sanitize: bool = False,
     cache_path: Optional[Path] = None,
     changed: Optional[Set[Path]] = None,
 ) -> LintResult:
@@ -163,15 +161,12 @@ def lint_paths(
         runtime: Also run the runtime contract verifier
             (``repro lint --runtime``); runtime findings are never
             waivable — they describe live components, not source lines.
-        sanitize: Also run the shm sanitizer (``repro lint
-            --sanitize``): guard-canary ShardPool rounds with fd and
-            segment leak accounting.  Never waivable, like runtime.
         cache_path: Incremental cache file; file-granularity results
             are reused for files whose content hash and summary-layer
             key are unchanged.
         changed: Restrict *reported* file findings to these absolute
-            paths (``repro lint --changed REF``); non-file findings
-            (runtime, sanitize) always pass through.
+            paths (``repro lint --changed REF``); non-file (runtime)
+            findings always pass through.
 
     Returns:
         A :class:`LintResult`; ``result.ok`` is the pass/fail verdict
@@ -186,8 +181,6 @@ def lint_paths(
         selected = static_rules()
         if runtime:
             selected += runtime_rules()
-        if sanitize:
-            selected += sanitize_rules()
     file_rules = [
         r
         for r in selected
@@ -277,13 +270,6 @@ def lint_paths(
         from repro.lint.runtime import run_runtime_checks
 
         active.extend(run_runtime_checks(only=runtime_ids))
-    sanitize_ids = tuple(
-        r.rule_id for r in selected if r.scope == "sanitize"
-    )
-    if sanitize_ids:
-        from repro.lint.sanitize import run_sanitize_checks
-
-        active.extend(run_sanitize_checks(only=sanitize_ids))
     active.sort(key=lambda f: f.sort_key())
     waived.sort(key=lambda f: f.sort_key())
     return LintResult(

@@ -3,8 +3,8 @@
 Each rule family gets a seeded-violation fixture (proving ``repro
 lint`` exits non-zero on it) and a clean fixture (proving no false
 positive), plus waiver semantics, the JSON/GitHub reporter schemas,
-the incremental result cache, the runtime contract verifier, the shm
-sanitizer, and the meta-test that the shipped tree itself lints clean.
+the incremental result cache, the runtime contract verifier, and the
+meta-test that the shipped tree itself lints clean.
 """
 
 import json
@@ -23,7 +23,6 @@ from repro.lint import (
     render_json,
     render_text,
     run_runtime_checks,
-    run_sanitize_checks,
 )
 from repro.lint.runner import LintResult
 
@@ -498,174 +497,6 @@ def test_state_003_constructor_only_attrs_pass(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Shared-memory family (SHM-001/2/3)
-# ---------------------------------------------------------------------------
-
-_SHM_HEADER = (
-    "import numpy as np\n"
-    "from multiprocessing import shared_memory\n"
-)
-
-
-def test_shm_001_segment_never_unlinked(tmp_path):
-    write_pkg(tmp_path, {"spkg/pool.py": _SHM_HEADER + (
-        "def leaky(nbytes):\n"
-        "    seg = shared_memory.SharedMemory(create=True, size=nbytes)\n"
-        "    seg.close()\n"
-    )})
-    result = lint_paths([tmp_path])
-    assert "SHM-001" in rule_ids(result)
-    assert any("unlink" in f.message for f in result.findings)
-
-
-def test_shm_001_happy_path_only_cleanup_flagged(tmp_path):
-    write_pkg(tmp_path, {"spkg/pool.py": _SHM_HEADER + (
-        "def fragile(nbytes, work):\n"
-        "    seg = shared_memory.SharedMemory(create=True, size=nbytes)\n"
-        "    work(seg)\n"
-        "    seg.close()\n"
-        "    seg.unlink()\n"
-    )})
-    result = lint_paths([tmp_path])
-    assert "SHM-001" in rule_ids(result)
-    assert any("happy path" in f.message for f in result.findings)
-
-
-def test_shm_001_finally_protected_cleanup_passes(tmp_path):
-    write_pkg(tmp_path, {"spkg/pool.py": _SHM_HEADER + (
-        "def safe(nbytes, work):\n"
-        "    seg = shared_memory.SharedMemory(create=True, size=nbytes)\n"
-        "    try:\n"
-        "        work(seg)\n"
-        "    finally:\n"
-        "        seg.close()\n"
-        "        seg.unlink()\n"
-    )})
-    assert lint_paths([tmp_path]).ok
-
-
-def test_shm_001_collection_cleanup_in_finally_passes(tmp_path):
-    write_pkg(tmp_path, {"spkg/pool.py": _SHM_HEADER + (
-        "def safe(sizes, work):\n"
-        "    segments = []\n"
-        "    try:\n"
-        "        for size in sizes:\n"
-        "            segments.append(\n"
-        "                shared_memory.SharedMemory(create=True, size=size)\n"
-        "            )\n"
-        "        work(segments)\n"
-        "    finally:\n"
-        "        for segment in segments:\n"
-        "            segment.close()\n"
-        "            segment.unlink()\n"
-    )})
-    assert lint_paths([tmp_path]).ok
-
-
-def test_shm_001_escaping_segment_needs_ownership(tmp_path):
-    write_pkg(tmp_path, {"spkg/pool.py": _SHM_HEADER + (
-        "class Pool:\n"
-        "    def make(self, nbytes):\n"
-        "        seg = shared_memory.SharedMemory(create=True, size=nbytes)\n"
-        "        self._seg = seg\n"
-        "        return seg\n"
-    )})
-    result = lint_paths([tmp_path])
-    assert "SHM-001" in rule_ids(result)
-    assert any("escapes" in f.message for f in result.findings)
-
-
-def test_shm_001_declared_ownership_passes(tmp_path):
-    write_pkg(tmp_path, {"spkg/pool.py": _SHM_HEADER + (
-        "class Pool:\n"
-        "    def make(self, nbytes):\n"
-        "        # repro: shm-owner(pool frees the segment on close)\n"
-        "        seg = shared_memory.SharedMemory(create=True, size=nbytes)\n"
-        "        self._seg = seg\n"
-        "        return seg\n"
-    )})
-    assert lint_paths([tmp_path]).ok
-
-
-def test_shm_002_view_write_without_owner(tmp_path):
-    write_pkg(tmp_path, {"spkg/pool.py": _SHM_HEADER + (
-        "def writer(seg, lo, hi):\n"
-        "    view = np.ndarray((8,), dtype=np.float32, buffer=seg.buf)\n"
-        "    view[lo:hi] = 1\n"
-    )})
-    result = lint_paths([tmp_path])
-    assert rule_ids(result) == ["SHM-002"]
-
-
-def test_shm_002_decorated_range_owner_passes(tmp_path):
-    write_pkg(tmp_path, {"spkg/pool.py": _SHM_HEADER + (
-        "def shm_range_owner(ranges):\n"
-        "    def mark(func):\n"
-        "        return func\n"
-        "    return mark\n"
-        "@shm_range_owner('writes only its assigned [lo, hi)')\n"
-        "def writer(seg, lo, hi):\n"
-        "    view = np.ndarray((8,), dtype=np.float32, buffer=seg.buf)\n"
-        "    view[lo:hi] = 1\n"
-    )})
-    assert lint_paths([tmp_path]).ok
-
-
-def test_shm_002_owner_comment_on_write_line_passes(tmp_path):
-    write_pkg(tmp_path, {"spkg/pool.py": _SHM_HEADER + (
-        "def writer(seg, lo, hi):\n"
-        "    view = np.ndarray((8,), dtype=np.float32, buffer=seg.buf)\n"
-        "    # repro: shm-owner(single writer before workers spawn)\n"
-        "    view[lo:hi] = 1\n"
-    )})
-    assert lint_paths([tmp_path]).ok
-
-
-def test_shm_002_view_through_helper_is_tracked(tmp_path):
-    # The helper returns an shm-backed view; the dataflow layer tags
-    # the caller's local VIEW through the call summary.
-    write_pkg(tmp_path, {"spkg/pool.py": _SHM_HEADER + (
-        "def as_view(seg, shape):\n"
-        "    return np.ndarray(shape, dtype=np.float32, buffer=seg.buf)\n"
-        "def writer(seg):\n"
-        "    out = as_view(seg, (8,))\n"
-        "    out[:] = 0\n"
-    )})
-    result = lint_paths([tmp_path])
-    assert rule_ids(result) == ["SHM-002"]
-
-
-def test_shm_003_ndarray_in_pipe_payload(tmp_path):
-    write_pkg(tmp_path, {"spkg/pool.py": _SHM_HEADER + (
-        "def request(conn, dtype):\n"
-        "    arr = np.zeros(4, dtype=dtype)\n"
-        "    conn.send(('data', arr))\n"
-    )})
-    result = lint_paths([tmp_path])
-    assert rule_ids(result) == ["SHM-003"]
-    assert "arr" in result.findings[0].message
-
-
-def test_shm_003_range_payloads_pass(tmp_path):
-    write_pkg(tmp_path, {"spkg/pool.py": _SHM_HEADER + (
-        "def request(conn, ranges):\n"
-        "    conn.send(('collect', [(int(lo), int(hi)) "
-        "for lo, hi in ranges]))\n"
-    )})
-    assert lint_paths([tmp_path]).ok
-
-
-def test_shm_rules_ignore_modules_without_shm_import(tmp_path):
-    write_pkg(tmp_path, {"spkg/other.py": (
-        "import numpy as np\n"
-        "def writer(buf):\n"
-        "    view = np.ndarray((8,), dtype=np.float32, buffer=buf)\n"
-        "    view[:] = 1\n"
-    )})
-    assert lint_paths([tmp_path]).ok
-
-
-# ---------------------------------------------------------------------------
 # Waivers
 # ---------------------------------------------------------------------------
 
@@ -787,20 +618,6 @@ def test_multi_rule_waiver_on_single_line(tmp_path):
     assert sorted(f.rule_id for f in result.waived) == ["DT-001", "DT-002"]
 
 
-def test_waivers_apply_to_new_rules_in_fixture_packages(tmp_path):
-    write_pkg(tmp_path, {"spkg/pool.py": (
-        "import numpy as np\n"
-        "from multiprocessing import shared_memory\n"
-        "def writer(seg, lo, hi):\n"
-        "    view = np.ndarray((8,), dtype=np.float32, buffer=seg.buf)\n"
-        "    view[lo:hi] = 1  # repro: noqa SHM-002(fixture waiver)\n"
-    )})
-    result = lint_paths([tmp_path])
-    assert result.ok
-    assert result.waived[0].rule_id == "SHM-002"
-    assert result.waived[0].waive_reason == "fixture waiver"
-
-
 # ---------------------------------------------------------------------------
 # Incremental cache and --changed filtering
 # ---------------------------------------------------------------------------
@@ -912,7 +729,7 @@ def test_text_report_format(tmp_path):
     write_pkg(tmp_path, {"cpkg/core/ring.py": _DT_VIOLATION})
     text = render_text(lint_paths([tmp_path]))
     assert "ring.py:3: DT-001" in text
-    assert text.strip().endswith("(0 waived, 15 rules)")
+    assert text.strip().endswith("(0 waived, 12 rules)")
 
 
 def test_rules_filter_restricts_scope(tmp_path):
@@ -1014,103 +831,6 @@ def test_cli_lint_changed_bad_ref_exits_two(tmp_path, capsys):
 
 
 # ---------------------------------------------------------------------------
-# Guard canaries and the shm sanitizer
-# ---------------------------------------------------------------------------
-
-
-def test_guard_canary_tear_detected():
-    from multiprocessing import shared_memory
-
-    import numpy as np
-
-    import repro.simulation.shard_pool as sp
-    from repro.exceptions import SimulationError
-
-    seg = shared_memory.SharedMemory(
-        create=True, size=64 + 2 * sp._GUARD_NBYTES
-    )
-    try:
-        head, tail = sp._guard_views(seg, 64)
-        head[:] = sp._canary(3)
-        tail[:] = sp._canary(3)
-        pool = object.__new__(sp.ShardPool)
-        sp.ShardPool._verify_guards(pool, [seg], [64], 3)  # intact
-        tail[0] ^= np.uint64(1)
-        with pytest.raises(SimulationError, match="canary torn"):
-            sp.ShardPool._verify_guards(pool, [seg], [64], 3)
-    finally:
-        seg.close()
-        seg.unlink()
-
-
-def test_guard_canary_is_generation_specific():
-    import numpy as np
-
-    import repro.simulation.shard_pool as sp
-
-    assert not np.array_equal(sp._canary(1), sp._canary(2))
-    assert np.array_equal(sp._canary(7), sp._canary(7))
-
-
-@pytest.mark.slow
-def test_sanitizer_detects_seeded_segment_leak(monkeypatch):
-    from multiprocessing import shared_memory
-
-    import repro.simulation.shard_pool as sp
-    from repro.lint import sanitize
-
-    real_collect = sp.ShardPool.collect
-    leaked = []
-
-    def leaky_collect(self, *args, **kwargs):
-        seg = shared_memory.SharedMemory(create=True, size=64)
-        leaked.append(seg)
-        return real_collect(self, *args, **kwargs)
-
-    monkeypatch.setattr(sp.ShardPool, "collect", leaky_collect)
-    try:
-        findings = sanitize._check_leak_accounting()
-    finally:
-        for seg in leaked:
-            seg.close()
-            seg.unlink()
-    assert any(
-        f.rule_id == "RT-004" and "/dev/shm" in f.message
-        for f in findings
-    )
-
-
-@pytest.mark.slow
-def test_sanitizer_reports_torn_canary_as_rt_005(monkeypatch):
-    import repro.simulation.shard_pool as sp
-    from repro.exceptions import SimulationError
-    from repro.lint import sanitize
-
-    def torn_collect(self, *args, **kwargs):
-        raise SimulationError(
-            "shard pool guard canary torn after collect generation 1"
-        )
-
-    monkeypatch.setattr(sp.ShardPool, "collect", torn_collect)
-    findings = sanitize._check_guard_stress()
-    assert [f.rule_id for f in findings] == ["RT-005"]
-    assert "tore a canary" in findings[0].message
-
-
-@pytest.mark.slow
-def test_sanitize_checks_pass_on_shipped_pool():
-    findings = run_sanitize_checks()
-    assert findings == [], "\n".join(str(f) for f in findings)
-
-
-@pytest.mark.slow
-def test_cli_lint_sanitize_flag(capsys):
-    assert main(["lint", "--sanitize"]) == 0
-    out = capsys.readouterr().out
-    assert "17 rules" in out
-
-
-# ---------------------------------------------------------------------------
 # The shipped tree and the runtime contracts
 # ---------------------------------------------------------------------------
 
@@ -1132,7 +852,7 @@ def test_every_rule_has_id_family_description():
         assert rule.rule_id == rule_id
         assert rule.family
         assert rule.description
-        assert rule.scope in ("static", "runtime", "sanitize")
+        assert rule.scope in ("static", "runtime")
         assert rule.granularity in ("file", "tree")
 
 
@@ -1146,4 +866,4 @@ def test_runtime_contracts_hold_for_all_components():
 def test_cli_lint_runtime_flag(capsys):
     assert main(["lint", "--runtime"]) == 0
     out = capsys.readouterr().out
-    assert "18 rules" in out
+    assert "15 rules" in out

@@ -1,11 +1,13 @@
-"""ShardPool: persistent shared-memory workers are bit-identical.
+"""ShardPool: the thread shard runner is bit-identical.
 
-The pool replaces a pickle-per-call process pool for sharded
-collection; its contract is that pooled results match the in-process
-single-shard run bit for bit, for every registered backend and both
-column dtypes, across pool reuse (including fleets that grow or shrink
-between requests while the same workers keep running).
+The runner works node ranges on the calling thread plus helper
+threads; its contract is that its results match the single-shard run
+bit for bit — values and dtypes — for every registered backend and
+both column dtypes, across pool reuse (including fleets that grow or
+shrink between requests while the same helpers keep running).
 """
+
+import sys
 
 import numpy as np
 import pytest
@@ -47,6 +49,7 @@ class TestBitIdentity:
         with ShardPool(workers=2) as pool:
             stored, decisions = pool_collect(pool, backend, trace)
         assert stored.dtype == np.dtype(dtype)
+        assert decisions.dtype == expected.decisions.dtype
         np.testing.assert_array_equal(expected.stored, stored)
         np.testing.assert_array_equal(expected.decisions, decisions)
 
@@ -54,8 +57,22 @@ class TestBitIdentity:
         trace = walk_trace(nodes=13, seed=3)
         expected = collect(trace, TransmissionConfig(budget=0.3))
         with ShardPool(workers=2) as pool:
-            stored, _ = pool_collect(pool, "adaptive", trace, shards=7)
+            stored, decisions = pool_collect(
+                pool, "adaptive", trace, shards=7
+            )
+        assert decisions.dtype == expected.decisions.dtype
         np.testing.assert_array_equal(expected.stored, stored)
+        np.testing.assert_array_equal(expected.decisions, decisions)
+
+    def test_more_workers_than_shards(self):
+        trace = walk_trace(nodes=5, seed=4)
+        expected = collect(trace, TransmissionConfig(budget=0.3))
+        with ShardPool(workers=4) as pool:
+            stored, decisions = pool_collect(
+                pool, "adaptive", trace, shards=2
+            )
+        np.testing.assert_array_equal(expected.stored, stored)
+        np.testing.assert_array_equal(expected.decisions, decisions)
 
     def test_single_worker_single_shard(self):
         trace = walk_trace(seed=5)
@@ -64,17 +81,43 @@ class TestBitIdentity:
             stored, decisions = pool_collect(
                 pool, "adaptive", trace, shards=1
             )
+        assert decisions.dtype == expected.decisions.dtype
         np.testing.assert_array_equal(expected.stored, stored)
         np.testing.assert_array_equal(expected.decisions, decisions)
+
+
+class TestThreadStress:
+    def test_more_threads_than_cores_with_short_switch_interval(self):
+        """Every range's result lands in its own slot, under preemption.
+
+        Eight threads on fewer cores, switching every microsecond: a
+        lost or misplaced shard result would break bit-identity.
+        """
+        trace = walk_trace(steps=20, nodes=64, seed=21)
+        expected = collect(trace, TransmissionConfig(budget=0.3))
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with ShardPool(workers=8) as pool:
+                for _ in range(5):
+                    stored, decisions = pool_collect(
+                        pool, "adaptive", trace, shards=32
+                    )
+                    np.testing.assert_array_equal(expected.stored, stored)
+                    np.testing.assert_array_equal(
+                        expected.decisions, decisions
+                    )
+        finally:
+            sys.setswitchinterval(interval)
 
 
 class TestReuseAndChurn:
     def test_pool_survives_fleet_growth_and_compaction(self):
         """One pool services fleets of changing size, request by request.
 
-        The segments are re-published per collect, so the same workers
-        must track a fleet that grows and then compacts — the shapes
-        they attached last time are gone.
+        The same helper threads must track a fleet that grows and then
+        compacts — nothing from the previous request's shapes may leak
+        into the next.
         """
         with ShardPool(workers=2) as pool:
             for seed, nodes in ((1, 8), (2, 20), (3, 6), (4, 20)):
@@ -127,16 +170,37 @@ class TestErrorsAndLifecycle:
         COLLECTION_BACKENDS.register("_test_exploding", exploding_backend)
         try:
             trace = walk_trace(seed=13)
-            # The pool forks after registration, so workers see the
-            # backend and fail *inside* collect, not at lookup.
+            # Every worker, the calling thread and the helper, fails
+            # inside collect; the backend's own error propagates as is.
             with ShardPool(workers=2) as pool:
-                with pytest.raises(SimulationError, match="boom"):
+                with pytest.raises(ValueError, match="boom"):
                     pool_collect(pool, "_test_exploding", trace)
                 expected = collect(trace, TransmissionConfig(budget=0.3))
                 stored, _ = pool_collect(pool, "adaptive", trace)
                 np.testing.assert_array_equal(expected.stored, stored)
         finally:
             del COLLECTION_BACKENDS._entries["_test_exploding"]
+
+    def test_helper_error_propagates_and_pool_survives(self):
+        def helper_only_failure(trace, config, node_offset=0,
+                                total_nodes=None):
+            # With 2 shards and 2 workers, only the helper thread's
+            # range starts past node 0.
+            if node_offset:
+                raise ValueError("boom in the helper")
+            return collect(trace, config)
+
+        COLLECTION_BACKENDS.register("_test_helper_fails", helper_only_failure)
+        try:
+            trace = walk_trace(seed=15)
+            with ShardPool(workers=2) as pool:
+                with pytest.raises(ValueError, match="helper"):
+                    pool_collect(pool, "_test_helper_fails", trace, shards=2)
+                expected = collect(trace, TransmissionConfig(budget=0.3))
+                stored, _ = pool_collect(pool, "adaptive", trace)
+                np.testing.assert_array_equal(expected.stored, stored)
+        finally:
+            del COLLECTION_BACKENDS._entries["_test_helper_fails"]
 
     def test_close_is_idempotent_and_collect_after_close_raises(self):
         pool = ShardPool(workers=1)
@@ -187,6 +251,7 @@ class TestEngineIntegration:
         cfg = self._config()
         serial = Engine(cfg).run(trace, shards=3)
         shared = Engine(cfg).run(trace, shards=3, workers=2)
+        assert shared.decisions.dtype == serial.decisions.dtype
         np.testing.assert_array_equal(serial.stored, shared.stored)
         np.testing.assert_array_equal(serial.decisions, shared.decisions)
         assert serial.rmse_by_horizon == shared.rmse_by_horizon

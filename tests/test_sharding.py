@@ -1,9 +1,9 @@
 """Sharded-execution equivalence: shards>1 is bit-identical to one shard.
 
 The collection stage partitions the fleet into contiguous node shards
-(optionally across a process pool); clustering and forecasting run on
-the merged ``z_t`` matrix, so every downstream number must be exactly
-the single-shard run's.
+(optionally worked by several threads); clustering and forecasting run
+on the merged ``z_t`` matrix, so every downstream number must be
+exactly the single-shard run's.
 """
 
 import json
@@ -65,9 +65,38 @@ class TestShardedEquivalence:
         cfg = small_config()
         serial = Engine(cfg).run(trace, shards=4)
         pooled = Engine(cfg).run(trace, shards=4, workers=2)
+        assert pooled.decisions.dtype == serial.decisions.dtype
         np.testing.assert_array_equal(serial.stored, pooled.stored)
         np.testing.assert_array_equal(serial.decisions, pooled.decisions)
         assert serial.rmse_by_horizon == pooled.rmse_by_horizon
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize(
+        "backend", ["adaptive", "uniform", "perfect", "deadband"]
+    )
+    @pytest.mark.parametrize("workers", [None, 1, 2, 4])
+    def test_workers_never_change_a_bit(self, workers, backend, dtype):
+        trace = walk_trace(seed=19)
+        cfg = small_config(dtype=dtype)
+        single = Engine(cfg, collection=backend).run(trace)
+        sharded = Engine(cfg, collection=backend).run(
+            trace, shards=5, workers=workers
+        )
+        assert sharded.stored.dtype == np.dtype(dtype)
+        assert single.decisions.dtype == np.int64
+        assert sharded.decisions.dtype == np.int64
+        np.testing.assert_array_equal(single.stored, sharded.stored)
+        np.testing.assert_array_equal(single.decisions, sharded.decisions)
+        assert sharded.transport.messages == single.transport.messages
+        assert (
+            sharded.transport.payload_floats
+            == single.transport.payload_floats
+        )
+        assert (
+            sharded.transport.per_node_messages
+            == single.transport.per_node_messages
+        )
+        assert single.rmse_by_horizon == sharded.rmse_by_horizon
 
     def test_shards_equal_to_fleet_size(self):
         trace = walk_trace(steps=40, nodes=5, seed=9)
