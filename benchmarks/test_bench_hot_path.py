@@ -1,9 +1,12 @@
 """Fleet-scale hot-path scaling benchmark.
 
-Times the vectorized per-slot kernels against the pre-vectorization
-loop implementations (`repro.reference_impl`) at growing fleet sizes
-N ∈ {100, 500, 1000}:
+Times the per-slot kernels against the implementations kept in
+`repro.reference_impl` — the per-node loops, and K-means in its
+``(N, K, d)`` broadcast form — and asserts every output bit-identical.
 
+At growing fleet sizes N ∈ {100, 500, 1000} (d = 1, K = 10):
+
+* `kmeans` — the Sec. V-B clustering of one slot;
 * `estimate_offsets` — the Eq. 12 α-clipped offsets;
 * similarity re-indexing — the Eq. 10 contingency for the Hungarian
   matching;
@@ -11,9 +14,15 @@ N ∈ {100, 500, 1000}:
 * the collection stage — `CollectionSimulation`'s batched fast path vs
   its per-node object loop (fewer slots, it is the slowest reference).
 
+At the two perfbench serving shapes — N = 4,000, d = 1, K = 3
+(serve_scalar) and N = 10,000, d = 2, K = 5 (batch_joint), M' = 5 — it
+times `kmeans`, `estimate_offsets` and `forecast_membership` again, so
+bit-identity is checked where the fleet actually runs.
+
 Asserts the paper's fleet-scale claim is actually realized: at
 N = 1000 the vectorized `estimate_offsets` + re-indexing combo must be
-at least 10× faster than the reference loops.
+at least 10× faster than the reference loops.  Rows are also recorded
+as structured data in `benchmarks/results/hot_path.json`.
 """
 
 import time
@@ -21,6 +30,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.clustering.kmeans import kmeans
 from repro.clustering.similarity import similarity_matrix_from_labels
 from repro.core.config import TransmissionConfig
 from repro.forecasting.membership import forecast_membership
@@ -28,6 +38,7 @@ from repro.forecasting.offsets import estimate_offsets
 from repro.reference_impl import (
     estimate_offsets_reference,
     forecast_membership_reference,
+    kmeans_reference,
     reindex_weights_reference,
 )
 from repro.simulation.collection import CollectionSimulation
@@ -38,6 +49,9 @@ NUM_CLUSTERS = 10
 WINDOW = 4  # offsets lookback M' + 1
 HISTORY_DEPTH = 3  # similarity look-back M
 COLLECTION_STEPS = 120
+#: (N, d, K) of the serve_scalar and batch_joint perfbench workloads.
+WORKLOAD_SHAPES = ((4000, 1, 3), (10000, 2, 5))
+WORKLOAD_WINDOW = 6  # their M' = 5
 
 
 def _timeit(fn, *, repeats=3):
@@ -51,42 +65,75 @@ def _timeit(fn, *, repeats=3):
     return best, result
 
 
-def _fleet_case(num_nodes, rng):
+def _fleet_case(num_nodes, rng, *, dim=1, num_clusters=NUM_CLUSTERS,
+                window=WINDOW):
     """Clustered measurements + centroid/label history for one fleet."""
-    base = rng.uniform(0.1, 0.9, size=(NUM_CLUSTERS, 1))
-    labels = rng.integers(0, NUM_CLUSTERS, size=num_nodes)
+    base = rng.uniform(0.1, 0.9, size=(num_clusters, dim))
+    labels = rng.integers(0, num_clusters, size=num_nodes)
     stored, cents, label_history = [], [], []
-    for _ in range(max(WINDOW, HISTORY_DEPTH)):
-        stored.append(base[labels] + rng.normal(0, 0.08, (num_nodes, 1)))
+    for _ in range(max(window, HISTORY_DEPTH)):
+        stored.append(
+            base[labels] + rng.normal(0, 0.08, (num_nodes, dim))
+        )
         cents.append(base + rng.normal(0, 0.01, base.shape))
         churn = rng.random(num_nodes) < 0.05
         labels = np.where(
-            churn, rng.integers(0, NUM_CLUSTERS, size=num_nodes), labels
+            churn, rng.integers(0, num_clusters, size=num_nodes), labels
         )
         label_history.append(labels.copy())
     new_labels = np.where(
         rng.random(num_nodes) < 0.05,
-        rng.integers(0, NUM_CLUSTERS, size=num_nodes),
+        rng.integers(0, num_clusters, size=num_nodes),
         labels,
     )
     return stored, cents, label_history, new_labels
+
+
+def _assert_same_kmeans(expected, result):
+    np.testing.assert_array_equal(expected.labels, result.labels)
+    assert expected.centroids.tobytes() == result.centroids.tobytes()
+    assert expected.inertia == result.inertia
+    assert expected.iterations == result.iterations
 
 
 @pytest.mark.slow
 def test_bench_hot_path(record_result):
     rng = np.random.default_rng(0)
     lines = [
-        f"{'kernel':<12} {'N':>5}  {'reference s':>11}  "
+        f"{'kernel':<12} {'N':>5} {'d':>2} {'K':>3}  {'reference s':>11}  "
         f"{'vectorized s':>12}  {'speedup':>8}",
-        f"{'-' * 12} {'-' * 5}  {'-' * 11}  {'-' * 12}  {'-' * 8}",
+        f"{'-' * 12} {'-' * 5} {'-' * 2} {'-' * 3}  {'-' * 11}  "
+        f"{'-' * 12}  {'-' * 8}",
     ]
-    combined = {}
+    rows = []
 
+    def row(kernel, num_nodes, dim, num_clusters, ref_s, vec_s):
+        rows.append({
+            "kernel": kernel, "nodes": num_nodes, "dim": dim,
+            "clusters": num_clusters, "reference_s": ref_s,
+            "vectorized_s": vec_s, "speedup": ref_s / vec_s,
+        })
+        clusters = "-" if num_clusters is None else num_clusters
+        lines.append(
+            f"{kernel:<12} {num_nodes:>5} {dim:>2} {clusters:>3}  "
+            f"{ref_s:>11.4f}  {vec_s:>12.4f}  {ref_s / vec_s:>7.1f}x"
+        )
+
+    combined = {}
     for num_nodes in FLEET_SIZES:
         stored, cents, label_history, new_labels = _fleet_case(
             num_nodes, rng
         )
         memberships = label_history[-1]
+
+        kmeans_ref_s, ref_k = _timeit(lambda: kmeans_reference(
+            stored[-1], NUM_CLUSTERS, rng=np.random.default_rng(0)
+        ))
+        kmeans_vec_s, vec_k = _timeit(lambda: kmeans(
+            stored[-1], NUM_CLUSTERS, rng=np.random.default_rng(0)
+        ))
+        _assert_same_kmeans(ref_k, vec_k)
+        row("kmeans", num_nodes, 1, NUM_CLUSTERS, kmeans_ref_s, kmeans_vec_s)
 
         ref_s, ref_out = _timeit(lambda: estimate_offsets_reference(
             stored[-WINDOW:], cents[-WINDOW:], memberships, WINDOW - 1
@@ -95,10 +142,7 @@ def test_bench_hot_path(record_result):
             stored[-WINDOW:], cents[-WINDOW:], memberships, WINDOW - 1
         ))
         np.testing.assert_array_equal(ref_out, vec_out)
-        lines.append(
-            f"{'offsets':<12} {num_nodes:>5}  {ref_s:>11.4f}  "
-            f"{vec_s:>12.4f}  {ref_s / vec_s:>7.1f}x"
-        )
+        row("offsets", num_nodes, 1, NUM_CLUSTERS, ref_s, vec_s)
 
         history = label_history[-HISTORY_DEPTH:]
         reindex_ref_s, ref_w = _timeit(lambda: reindex_weights_reference(
@@ -108,9 +152,9 @@ def test_bench_hot_path(record_result):
             "intersection", new_labels, history, NUM_CLUSTERS
         ))
         np.testing.assert_array_equal(ref_w, vec_w)
-        lines.append(
-            f"{'reindex':<12} {num_nodes:>5}  {reindex_ref_s:>11.4f}  "
-            f"{reindex_vec_s:>12.4f}  {reindex_ref_s / reindex_vec_s:>7.1f}x"
+        row(
+            "reindex", num_nodes, 1, NUM_CLUSTERS, reindex_ref_s,
+            reindex_vec_s,
         )
 
         member_ref_s, ref_m = _timeit(lambda: forecast_membership_reference(
@@ -120,9 +164,9 @@ def test_bench_hot_path(record_result):
             label_history, WINDOW - 1
         ))
         np.testing.assert_array_equal(ref_m, vec_m)
-        lines.append(
-            f"{'membership':<12} {num_nodes:>5}  {member_ref_s:>11.4f}  "
-            f"{member_vec_s:>12.4f}  {member_ref_s / member_vec_s:>7.1f}x"
+        row(
+            "membership", num_nodes, 1, NUM_CLUSTERS, member_ref_s,
+            member_vec_s,
         )
 
         trace = np.clip(
@@ -151,15 +195,48 @@ def test_bench_hot_path(record_result):
         collect_vec_s, vec_c = _timeit(run_fast_path)
         np.testing.assert_array_equal(ref_c.decisions, vec_c.decisions)
         np.testing.assert_array_equal(ref_c.stored, vec_c.stored)
-        lines.append(
-            f"{'collection':<12} {num_nodes:>5}  {collect_ref_s:>11.4f}  "
-            f"{collect_vec_s:>12.4f}  "
-            f"{collect_ref_s / collect_vec_s:>7.1f}x"
-        )
+        row("collection", num_nodes, 1, None, collect_ref_s, collect_vec_s)
 
         combined[num_nodes] = (
             (ref_s + reindex_ref_s) / (vec_s + reindex_vec_s)
         )
+
+    lines.append("")
+    lines.append("serving shapes (perfbench serve_scalar, batch_joint):")
+    for num_nodes, dim, num_clusters in WORKLOAD_SHAPES:
+        stored, cents, label_history, _ = _fleet_case(
+            num_nodes, rng, dim=dim, num_clusters=num_clusters,
+            window=WORKLOAD_WINDOW,
+        )
+        memberships = label_history[-1]
+        lookback = WORKLOAD_WINDOW - 1
+
+        ref_s, ref_k = _timeit(lambda: kmeans_reference(
+            stored[-1], num_clusters, rng=np.random.default_rng(0)
+        ), repeats=2)
+        vec_s, vec_k = _timeit(lambda: kmeans(
+            stored[-1], num_clusters, rng=np.random.default_rng(0)
+        ), repeats=2)
+        _assert_same_kmeans(ref_k, vec_k)
+        row("kmeans", num_nodes, dim, num_clusters, ref_s, vec_s)
+
+        ref_s, ref_out = _timeit(lambda: estimate_offsets_reference(
+            stored, cents, memberships, lookback
+        ), repeats=1)
+        vec_s, vec_out = _timeit(lambda: estimate_offsets(
+            stored, cents, memberships, lookback
+        ))
+        np.testing.assert_array_equal(ref_out, vec_out)
+        row("offsets", num_nodes, dim, num_clusters, ref_s, vec_s)
+
+        ref_s, ref_m = _timeit(lambda: forecast_membership_reference(
+            label_history, lookback
+        ), repeats=1)
+        vec_s, vec_m = _timeit(lambda: forecast_membership(
+            label_history, lookback
+        ))
+        np.testing.assert_array_equal(ref_m, vec_m)
+        row("membership", num_nodes, dim, num_clusters, ref_s, vec_s)
 
     lines.append("")
     lines.append(
@@ -168,7 +245,16 @@ def test_bench_hot_path(record_result):
             f"N={n}: {ratio:.1f}x" for n, ratio in combined.items()
         )
     )
-    record_result("hot_path", "\n".join(lines))
+    record_result(
+        "hot_path",
+        "\n".join(lines),
+        data={
+            "rows": rows,
+            "combined_offsets_reindex_speedup": {
+                str(n): ratio for n, ratio in combined.items()
+            },
+        },
+    )
 
     # The acceptance bar: >= 10x at fleet scale.
     assert combined[1000] >= 10.0, (

@@ -22,7 +22,7 @@ from typing import Deque, List, Optional
 
 import numpy as np
 
-from repro.clustering.kmeans import kmeans
+from repro.clustering.kmeans import cluster_means, kmeans
 from repro.clustering.matching import maximum_weight_assignment
 from repro.clustering.similarity import similarity_matrix_from_labels
 from repro.core.types import ClusterAssignment
@@ -31,6 +31,11 @@ from repro.exceptions import ConfigurationError, DataError
 
 class DynamicClusterTracker:
     """Tracks an evolving K-cluster partition of node measurements.
+
+    Clustering runs in float64 whatever ``PipelineConfig.dtype`` is:
+    values are cast on :meth:`update`, and K-means, the centroid series
+    and the checkpointed state are float64.  A float32 K-means would
+    relabel float32 sessions and break their bit-identical resume.
 
     Args:
         num_clusters: Number of clusters K.
@@ -334,11 +339,10 @@ class DynamicClusterTracker:
         centroid (or the global mean on the first step)."""
         dim = values.shape[1]
         centroids = np.zeros((self.num_clusters, dim))
-        for j in range(self.num_clusters):
-            members = labels == j
-            if members.any():
-                centroids[j] = values[members].mean(axis=0)
-            elif self._previous_centroids is not None and (
+        counts = np.bincount(labels, minlength=self.num_clusters)
+        cluster_means(values, labels, counts, centroids)
+        for j in np.flatnonzero(counts == 0).tolist():
+            if self._previous_centroids is not None and (
                 self._previous_centroids.shape[1] == dim
             ):
                 centroids[j] = self._previous_centroids[j]

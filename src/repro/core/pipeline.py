@@ -391,6 +391,9 @@ class OnlinePipeline:
             for h in range(1, horizon + 1)
         }
         memberships_all = np.zeros((self.num_groups, self.num_nodes), dtype=int)
+        # The ring's maxlen is exactly lookback + 1 (set in __init__), so
+        # the whole window is the whole ring.
+        stored_window = self._stored_history.ordered()  # (W, N, d)
 
         for g, group in enumerate(self._groups):
             # Forecast all clusters of this group in one bank call.
@@ -418,17 +421,15 @@ class OnlinePipeline:
                 ).copy()
 
             memberships = forecast_membership(
-                list(self._label_history[g]), lookback
+                self._label_history[g].ordered(), lookback
             )
             memberships_all[g] = memberships
 
-            # The ring's maxlen is exactly lookback + 1 (set in
-            # __init__), so the whole window is the whole ring.
-            window = len(self._stored_history)
-            stored_group = [z[:, group] for z in self._stored_history]
-            centroid_group = self._trackers[g].recent_centroids(window)
             offsets = estimate_offsets(
-                stored_group, centroid_group, memberships, lookback
+                stored_window[:, :, group],
+                self._trackers[g].recent_centroids(len(stored_window)),
+                memberships,
+                lookback,
             )
 
             for h in range(1, horizon + 1):

@@ -23,7 +23,8 @@ def forecast_membership(
     Args:
         label_history: Per-slot label arrays, oldest first; each has shape
             ``(N,)``.  Only the last ``lookback + 1`` entries (the paper's
-            ``[t − M', t]`` window) are used.
+            ``[t − M', t]`` window) are used.  A stacked ``(T, N)`` array
+            works too and is not copied.
         lookback: The look-back ``M'``.
 
     Returns:
@@ -31,29 +32,31 @@ def forecast_membership(
     """
     if lookback < 0:
         raise ConfigurationError(f"lookback must be >= 0, got {lookback}")
-    if not label_history:
+    if len(label_history) == 0:
         raise DataError("label_history is empty")
-    window = [np.asarray(l, dtype=int) for l in label_history[-(lookback + 1):]]
-    num_nodes = window[0].shape[0]
-    if any(l.shape != (num_nodes,) for l in window):
+    recent = label_history[-(lookback + 1):]
+    num_nodes = np.shape(recent[0])[0]
+    if any(np.shape(l) != (num_nodes,) for l in recent):
         raise DataError("label arrays in history have inconsistent shapes")
-    stacked = np.stack(window)  # (W, N)
-    num_steps = stacked.shape[0]
-    num_clusters = int(stacked.max()) + 1
-    # One-hot occupancy (W, N, K): counts and recency in one pass, no
-    # per-node Python loop.
-    occupancy = stacked[:, :, np.newaxis] == np.arange(num_clusters)
-    counts = occupancy.sum(axis=0)  # (N, K)
-    best = counts.max(axis=1, keepdims=True)
-    # Tie-break toward the most recently occupied cluster among the
-    # maximal ones, which keeps the forecast stable under oscillation:
-    # every candidate cluster appears somewhere in the window, so the
-    # candidate with the largest last-occupied slot index wins.
-    last_seen = np.where(
-        occupancy, np.arange(num_steps)[:, np.newaxis, np.newaxis], -1
-    ).max(axis=0)  # (N, K)
-    ranked = np.where(counts == best, last_seen, -1)
-    return ranked.argmax(axis=1)
+    window = np.asarray(recent, dtype=int)  # (W, N)
+    num_steps = window.shape[0]
+    # counts[w, n]: how often node n's label at slot w occurs in the
+    # window — a (W, W, N) equality with the node axis innermost, so the
+    # cost does not depend on K.
+    counts = (window[:, np.newaxis] == window[np.newaxis]).sum(
+        axis=1, dtype=np.min_scalar_type(num_steps)
+    )
+    # The winning slot has the largest count, ties going to the most
+    # recent slot; its label is the most frequent one, ties broken toward
+    # the most recently occupied cluster, which keeps the forecast stable
+    # under oscillation.  Slots run in increasing order, so a maximum
+    # moves each node's winner to w exactly where w takes the lead.
+    best = counts[0].copy()
+    winner = np.zeros(num_nodes, dtype=np.intp)
+    for w in range(1, num_steps):
+        np.maximum(winner, (counts[w] >= best) * w, out=winner)
+        np.maximum(best, counts[w], out=best)
+    return np.take_along_axis(window, winner[np.newaxis], axis=0)[0]
 
 
 def membership_stability(label_history: Sequence[np.ndarray]) -> float:

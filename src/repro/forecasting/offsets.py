@@ -11,11 +11,18 @@ where the scaling coefficient ``α ∈ (0, 1]`` is the largest value keeping
 prevents the reconstructed value from crossing into a different cluster
 than the one whose centroid is being forecast.
 
-The α computation is fully vectorized: all boundary crossings for every
-node (and, in :func:`estimate_offsets`, every history slot) are evaluated
-through one ``(..., N, K, d)`` broadcast instead of per-node Python-level
-dot products, which is what makes fleet-scale (N ≈ 10³⁺) per-slot
-forecasting feasible.
+The α computation is vectorized over nodes with the node axis
+innermost: :func:`estimate_offsets` walks the ``M' + 1`` window slots
+oldest first, and each slot's boundary crossings are ``(K, N)`` arrays —
+rival centroid on the outer axis, node on the inner one — built
+coordinate by coordinate, so no numpy loop runs over ``d`` (1–2) or K
+(3–5) alone.  Projections and norms sum their coordinates left to
+right, which is how numpy sums a trailing axis of fewer than
+:data:`~repro.clustering.kmeans.PAIRWISE_SUM_MIN` (8) terms; from 8
+coordinates on numpy sums pairwise, so there the ``(N, K, d)``
+broadcast and its trailing-axis sums are kept.  Either way the offsets
+are bit-identical to :func:`repro.reference_impl.estimate_offsets_reference`.
+Offsets are computed in float64 whatever ``PipelineConfig.dtype`` is.
 """
 
 from __future__ import annotations
@@ -24,6 +31,7 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.clustering.kmeans import PAIRWISE_SUM_MIN
 from repro.exceptions import ConfigurationError, DataError
 
 
@@ -42,8 +50,7 @@ def alpha_clip_batch(
 
     For every node ``i`` this computes the largest ``α ∈ (0, 1]`` keeping
     ``c_j + α(z_i − c_j)`` closest to centroid ``j = clusters[i]`` — the
-    same rule as :func:`alpha_clip`, evaluated for all nodes through a
-    single ``(N, K, d)`` broadcast.
+    same rule as :func:`alpha_clip`, evaluated for all nodes at once.
 
     Args:
         values: Stored measurements ``z``, shape ``(N, d)`` or ``(N,)``.
@@ -61,26 +68,41 @@ def alpha_clip_batch(
         cents = cents[:, np.newaxis]
     idx = np.asarray(clusters, dtype=int)
     _validate_clusters(idx, cents.shape[0])
-    own = cents[idx]  # (N, d)
-    direction = z - own  # (N, d)
-    alphas = _clipped_alphas(direction[np.newaxis], cents, own[np.newaxis])
-    return alphas[0]
+    own = cents.T[:, idx]
+    return _clipped_alphas(z.T - own, cents, own)
 
 
 def _clipped_alphas(
     direction: np.ndarray, centroids: np.ndarray, own: np.ndarray
 ) -> np.ndarray:
-    """Boundary-crossing α's for a ``(..., N, d)`` stack of directions.
+    """Boundary-crossing α per node for one slot, shape ``(N,)``.
 
-    ``direction`` is ``z − c_j`` per node, ``own`` the matching centroid
-    ``c_j``, and ``centroids`` either ``(K, d)`` (shared across the stack)
-    or ``(..., K, d)`` (one centroid set per leading index).
+    ``direction`` is ``z − c_j`` per node and ``own`` the matching
+    centroid ``c_j``, both ``(d, N)``: one row per coordinate, node
+    innermost.  ``centroids`` holds all K centroids, ``(K, d)``.
     """
-    # Rival displacement u = c_k − c_j for every (node, rival) pair.
-    rivals = np.expand_dims(centroids, -3) - np.expand_dims(own, -2)
-    # (..., N, K): projections of each node's direction onto each rival.
-    projection = (np.expand_dims(direction, -2) * rivals).sum(axis=-1)
-    rival_norm_sq = (rivals * rivals).sum(axis=-1)
+    dim = direction.shape[0]
+    if dim < PAIRWISE_SUM_MIN:
+        # Per coordinate, the rival displacement u = c_k − c_j of every
+        # (rival, node) pair, (K, N); projections direction·u and norms
+        # ||u||² sum their coordinates left to right.
+        rivals = [centroids[:, i, np.newaxis] - own[i] for i in range(dim)]
+        projection = direction[0] * rivals[0]
+        rival_norm_sq = rivals[0] * rivals[0]
+        norm_sq = direction[0] * direction[0]
+        for i in range(1, dim):
+            projection += direction[i] * rivals[i]
+            rival_norm_sq += rivals[i] * rivals[i]
+            norm_sq += direction[i] * direction[i]
+    else:
+        # Row-major (N, K, d), so each sum runs over a contiguous
+        # trailing axis: pairwise, as in the reference.
+        rows = np.ascontiguousarray(direction.T)
+        own_rows = np.ascontiguousarray(own.T)
+        rivals = centroids[np.newaxis] - own_rows[:, np.newaxis]
+        projection = (rows[:, np.newaxis] * rivals).sum(axis=-1).T
+        rival_norm_sq = (rivals * rivals).sum(axis=-1).T
+        norm_sq = (rows * rows).sum(axis=-1)
     # Boundary: ||α·direction||² == ||α·direction − u||²
     #        ⇔ α == ||u||² / (2 · direction·u), relevant only when the
     # direction actually moves toward the rival (projection > 0); the own
@@ -88,9 +110,8 @@ def _clipped_alphas(
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         boundary = rival_norm_sq / (2.0 * projection)
     boundary = np.where(projection > 0.0, boundary, np.inf)
-    alphas = np.minimum(1.0, boundary.min(axis=-1))
+    alphas = np.minimum(1.0, boundary.min(axis=0))
     alphas = np.maximum(alphas, 1e-12)
-    norm_sq = (direction * direction).sum(axis=-1)
     return np.where(norm_sq == 0.0, 1.0, alphas)
 
 
@@ -125,13 +146,14 @@ def estimate_offsets(
 ) -> np.ndarray:
     """Compute the per-node offsets ``ŝ`` of Eq. 12.
 
-    All boundary α's over the look-back window are evaluated through one
-    ``(window, N, K, d)`` broadcast — no Python-level per-node loops.
+    The window is walked slot by slot, oldest first; each slot's α's are
+    evaluated for all nodes at once — no Python-level per-node loops.
 
     Args:
         stored_history: Per-slot stored measurements ``z``, oldest first;
             each of shape ``(N, d)`` (or ``(N,)``).  Only the final
-            ``lookback + 1`` slots are used.
+            ``lookback + 1`` slots are used.  A stacked ``(T, N, d)``
+            array works too.
         centroid_history: Per-slot centroid arrays ``(K, d)`` aligned with
             ``stored_history``.
         memberships: Shape ``(N,)`` — the forecasted cluster ``j`` per
@@ -151,7 +173,7 @@ def estimate_offsets(
             "stored_history and centroid_history lengths differ: "
             f"{len(stored_history)} vs {len(centroid_history)}"
         )
-    if not stored_history:
+    if len(stored_history) == 0:
         raise DataError("histories are empty")
     window = min(lookback + 1, len(stored_history))
     memberships = np.asarray(memberships, dtype=int)
@@ -161,26 +183,22 @@ def estimate_offsets(
         raise DataError(
             f"memberships must have shape ({num_nodes},), got {memberships.shape}"
         )
-    stored = np.stack([
-        np.asarray(s, dtype=float).reshape(num_nodes, -1)
-        for s in stored_history[-window:]
-    ])  # (window, N, d)
-    dim = stored.shape[2]
-    cents = np.stack([
-        np.asarray(c, dtype=float).reshape(-1, dim)
-        for c in centroid_history[-window:]
-    ])  # (window, K, d)
-    _validate_clusters(memberships, cents.shape[1])
-    own = cents[:, memberships, :]  # (window, N, d)
-    diff = stored - own  # (window, N, d)
-    if clip:
-        alphas = _clipped_alphas(diff, cents, own)  # (window, N)
-    else:
-        alphas = np.ones((window, num_nodes))
-    # Accumulate slot by slot (oldest first) so the floating-point
-    # summation order matches the streaming definition exactly.
-    offsets = np.zeros((num_nodes, dim))
-    for m in range(window):
-        offsets += alphas[m][:, np.newaxis] * diff[m]
+    dim = first.reshape(num_nodes, -1).shape[1]
+    num_clusters = np.size(centroid_history[-window]) // dim
+    _validate_clusters(memberships, num_clusters)
+    # (d, N), node innermost.  Accumulated slot by slot, oldest first,
+    # so the floating-point summation order matches the streaming
+    # definition exactly.
+    offsets = np.zeros((dim, num_nodes))
+    for stored, centroids in zip(
+        stored_history[-window:], centroid_history[-window:]
+    ):
+        z = np.asarray(stored, dtype=float).reshape(num_nodes, dim)
+        cents = np.asarray(centroids, dtype=float).reshape(num_clusters, dim)
+        own = cents.T[:, memberships]
+        direction = z.T - own
+        if clip:
+            direction *= _clipped_alphas(direction, cents, own)
+        offsets += direction
     offsets /= window
-    return offsets
+    return np.ascontiguousarray(offsets.T)

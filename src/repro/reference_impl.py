@@ -3,13 +3,15 @@
 These are the straightforward per-node Python-loop versions of the
 fleet-scale hot path: α-clipped offset estimation (Eq. 12), the
 similarity re-indexing contingency (Eq. 10–11), and the majority-vote
-membership forecast (Sec. V-C).  The production implementations in
-:mod:`repro.forecasting.offsets`, :mod:`repro.clustering.similarity` and
-:mod:`repro.forecasting.membership` are vectorized rewrites of these
-loops; the property tests in ``tests/test_equivalence.py`` assert the
-rewrites are *bit-identical* on randomized traces, and the scaling
-benchmark in ``benchmarks/test_bench_hot_path.py`` measures the speedup
-against them.
+membership forecast (Sec. V-C), plus the K-means of Sec. V-B in its
+``(N, K, d)`` broadcast form.  The production implementations in
+:mod:`repro.forecasting.offsets`, :mod:`repro.clustering.similarity`,
+:mod:`repro.forecasting.membership` and :mod:`repro.clustering.kmeans`
+are rewrites of these; the property tests in
+``tests/test_equivalence.py`` assert the rewrites are *bit-identical*
+on randomized inputs, and the scaling benchmark in
+``benchmarks/test_bench_hot_path.py`` measures the speedup against
+them.
 
 They are intentionally kept simple and obviously-correct; do not
 optimize this module.
@@ -17,10 +19,11 @@ optimize this module.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Set
+from typing import List, Optional, Sequence, Set, Tuple
 
 import numpy as np
 
+from repro.clustering.kmeans import KMeansResult
 from repro.clustering.similarity import similarity_matrix
 from repro.exceptions import ConfigurationError, DataError
 
@@ -164,3 +167,164 @@ def forecast_membership_reference(
                     forecast[i] = label
                     break
     return forecast
+
+
+def _squared_distances(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+    """Pairwise squared Euclidean distances, shape ``(N, K)``."""
+    diff = points[:, np.newaxis, :] - centroids[np.newaxis, :, :]
+    return np.einsum("nkd,nkd->nk", diff, diff)
+
+
+def _kmeans_plus_plus_init(
+    points: np.ndarray, num_clusters: int, rng: np.random.Generator
+) -> np.ndarray:
+    """Select initial centroids with the k-means++ scheme.
+
+    The first centroid is uniform over the points; each subsequent
+    centroid is drawn with probability proportional to the squared
+    distance from the nearest already-chosen centroid.
+    """
+    num_points = points.shape[0]
+    first = int(rng.integers(num_points))
+    chosen = [first]
+    closest_sq = np.sum((points - points[first]) ** 2, axis=1)
+    for _ in range(1, num_clusters):
+        total = closest_sq.sum()
+        if total <= 0:
+            # All remaining points coincide with a chosen centroid; pick
+            # uniformly among the rest to keep K distinct slots.
+            candidates = [i for i in range(num_points) if i not in chosen]
+            if not candidates:
+                candidates = list(range(num_points))
+            nxt = int(rng.choice(candidates))
+        else:
+            probabilities = closest_sq / total
+            nxt = int(rng.choice(num_points, p=probabilities))
+        chosen.append(nxt)
+        dist_new = np.sum((points - points[nxt]) ** 2, axis=1)
+        closest_sq = np.minimum(closest_sq, dist_new)
+    return points[chosen].copy()
+
+
+def _repair_empty_clusters(
+    points: np.ndarray,
+    labels: np.ndarray,
+    centroids: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """Reassign the farthest points to any empty clusters.
+
+    Lloyd iterations can empty a cluster when K is close to N or data is
+    degenerate.  For each empty cluster we promote the point farthest from
+    its current centroid (a standard repair that keeps exactly K clusters).
+    """
+    num_clusters = centroids.shape[0]
+    counts = np.bincount(labels, minlength=num_clusters)
+    empty = np.flatnonzero(counts == 0)
+    if empty.size == 0:
+        return labels, centroids
+    sq = _squared_distances(points, centroids)
+    assigned_sq = sq[np.arange(points.shape[0]), labels]
+    order = np.argsort(-assigned_sq)
+    used = set()
+    for cluster in empty:
+        for idx in order:
+            idx = int(idx)
+            if idx in used:
+                continue
+            # Only steal from clusters that will stay non-empty.
+            if counts[labels[idx]] > 1:
+                used.add(idx)
+                counts[labels[idx]] -= 1
+                labels = labels.copy()
+                labels[idx] = cluster
+                counts[cluster] += 1
+                centroids = centroids.copy()
+                centroids[cluster] = points[idx]
+                break
+    return labels, centroids
+
+
+def kmeans_reference(
+    points: np.ndarray,
+    num_clusters: int,
+    *,
+    restarts: int = 3,
+    max_iterations: int = 100,
+    tolerance: float = 1e-8,
+    rng: Optional[np.random.Generator] = None,
+    initial_centroids: Optional[np.ndarray] = None,
+) -> KMeansResult:
+    """Run K-means with k-means++ seeding and multiple restarts.
+
+    The pre-rewrite :func:`repro.clustering.kmeans.kmeans`, kept
+    verbatim: ``(N, K, d)`` broadcast distances, ``argmin`` assignment
+    and one masked mean per cluster.
+
+    Args:
+        points: Data of shape ``(N, d)`` or ``(N,)`` (promoted to d=1).
+        num_clusters: Number of clusters K; must satisfy ``1 <= K <= N``.
+        restarts: Independent k-means++ restarts; the lowest-inertia run
+            wins.  Ignored when ``initial_centroids`` is given.
+        max_iterations: Lloyd iteration cap per restart.
+        tolerance: Stop when total centroid movement falls below this.
+        rng: Random generator for seeding (fresh default if None).
+        initial_centroids: Optional warm-start centroids of shape
+            ``(K, d)``; used for the single run performed.
+
+    Returns:
+        The best :class:`KMeansResult` across restarts.
+    """
+    data = np.asarray(points, dtype=float)
+    if data.ndim == 1:
+        data = data[:, np.newaxis]
+    if data.ndim != 2:
+        raise DataError(f"points must be (N, d), got shape {data.shape}")
+    num_points = data.shape[0]
+    if num_clusters < 1:
+        raise ConfigurationError(f"num_clusters must be >= 1, got {num_clusters}")
+    if num_clusters > num_points:
+        raise ConfigurationError(
+            f"num_clusters={num_clusters} exceeds number of points {num_points}"
+        )
+    if rng is None:
+        rng = np.random.default_rng()
+
+    best: Optional[KMeansResult] = None
+    runs = 1 if initial_centroids is not None else max(1, restarts)
+    for _ in range(runs):
+        if initial_centroids is not None:
+            centroids = np.asarray(initial_centroids, dtype=float).copy()
+            if centroids.shape != (num_clusters, data.shape[1]):
+                raise ConfigurationError(
+                    "initial_centroids must have shape "
+                    f"({num_clusters}, {data.shape[1]}), got {centroids.shape}"
+                )
+        else:
+            centroids = _kmeans_plus_plus_init(data, num_clusters, rng)
+        labels = np.zeros(num_points, dtype=int)
+        iterations = 0
+        for iterations in range(1, max_iterations + 1):
+            sq = _squared_distances(data, centroids)
+            labels = np.argmin(sq, axis=1)
+            labels, centroids = _repair_empty_clusters(data, labels, centroids)
+            new_centroids = centroids.copy()
+            for j in range(num_clusters):
+                members = labels == j
+                if members.any():
+                    new_centroids[j] = data[members].mean(axis=0)
+            movement = float(np.sum((new_centroids - centroids) ** 2))
+            centroids = new_centroids
+            if movement < tolerance:
+                break
+        sq = _squared_distances(data, centroids)
+        labels = np.argmin(sq, axis=1)
+        labels, centroids = _repair_empty_clusters(data, labels, centroids)
+        inertia = float(sq[np.arange(num_points), labels].sum())
+        result = KMeansResult(
+            labels=labels, centroids=centroids, inertia=inertia,
+            iterations=iterations,
+        )
+        if best is None or result.inertia < best.inertia:
+            best = result
+    assert best is not None
+    return best

@@ -89,6 +89,32 @@ class TestKMeans:
                 rng=np.random.default_rng(0),
             )
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_non_finite_points_rejected(self, bad, warm):
+        # Cold starts used to fail inside rng.choice with numpy's bare
+        # "Probabilities contain NaN"; warm starts returned a NaN
+        # centroid after max_iterations.
+        data = np.random.default_rng(9).random((12, 2))
+        initial = data[:3].copy() if warm else None
+        data[5, 1] = bad
+        rng = np.random.default_rng(0)
+        state = rng.bit_generator.state
+        with pytest.raises(DataError, match="NaN or infinite"):
+            kmeans(data, 3, rng=rng, initial_centroids=initial)
+        assert rng.bit_generator.state == state
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_initial_centroids_rejected(self, bad):
+        data = np.random.default_rng(10).random((12, 2))
+        initial = data[:3].copy()
+        initial[1, 0] = bad
+        with pytest.raises(DataError, match="NaN or infinite"):
+            kmeans(
+                data, 3, rng=np.random.default_rng(0),
+                initial_centroids=initial,
+            )
+
     def test_warm_start_converges(self):
         rng = np.random.default_rng(7)
         data = well_separated(rng, [[0.2], [0.8]])

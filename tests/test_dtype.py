@@ -21,6 +21,7 @@ from repro.core.config import (
     ForecastingConfig,
     PipelineConfig,
 )
+from repro.core.pipeline import OnlinePipeline
 from repro.core.types import validate_trace
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.forecasting.bank import resolve_bank
@@ -103,6 +104,21 @@ class TestColumnDtypes:
         )
         result = Engine(cfg).run(walk_trace(seed=2))
         assert result.stored.dtype == np.dtype(np.float32)
+
+    def test_clustering_stays_float64(self):
+        # A float32 K-means would relabel float32 sessions and break the
+        # bit-identical resume of their checkpoints.
+        cfg = PipelineConfig.small(
+            initial_collection=20, retrain_interval=20, dtype="float32"
+        )
+        pipeline = OnlinePipeline(10, 1, cfg)
+        for row in walk_trace(seed=3, dtype=np.float32):
+            output = pipeline.step(row)
+        assert output.stored.dtype == np.dtype(np.float32)
+        assert output.assignments[0].centroids.dtype == np.dtype(np.float64)
+        tracker = pipeline.tracker(0)
+        assert tracker.centroid_tensor().dtype == np.dtype(np.float64)
+        assert tracker.get_state()["centroids"].dtype == np.dtype(np.float64)
 
 
 class TestFloat32TracksFloat64:
