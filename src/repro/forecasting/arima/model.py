@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
-from scipy import optimize, signal
 
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.forecasting.base import Forecaster
@@ -160,6 +159,8 @@ class ArimaModel(Forecaster):
             _is_stable(ar) and _is_stable(ma)
         ):
             return None
+        from scipy import signal
+
         # φ(B) ỹ = θ(B) e  ⇔  e = (φ/θ)(B) ỹ; lfilter(b=ar, a=ma) applies
         # exactly this rational filter with zero initial conditions.
         residuals = signal.lfilter(ar, ma, centered)
@@ -203,6 +204,8 @@ class ArimaModel(Forecaster):
             self._sse = float(np.dot(centered[burn:], centered[burn:]))
             self._num_effective = w.size - burn
             return
+        from scipy import optimize
+
         bounds = [(-0.98, 0.98)] * n_coeff + [(None, None)]
         result = optimize.minimize(
             self._objective,
@@ -254,6 +257,8 @@ class ArimaModel(Forecaster):
         centered = w - self._mean
         params = self._params if self._params is not None else np.empty(0)
         ar, ma = _expand_polynomials(order, params)
+        from scipy import signal
+
         residuals = signal.lfilter(ar, ma, centered)
         if not np.isfinite(residuals).all():
             residuals = np.zeros_like(centered)
@@ -293,6 +298,8 @@ class ArimaModel(Forecaster):
             raise NotFittedError("model not fitted")
         if count < 1:
             raise DataError(f"count must be >= 1, got {count}")
+        from scipy import signal
+
         from repro.forecasting.stattools import differencing_polynomial
 
         params = self._params if self._params is not None else np.empty(0)

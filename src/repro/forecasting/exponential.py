@@ -24,7 +24,6 @@ from __future__ import annotations
 from typing import Optional, Tuple, Union
 
 import numpy as np
-from scipy import optimize
 
 from repro.exceptions import ConfigurationError, DataError
 from repro.forecasting.base import Forecaster
@@ -66,6 +65,8 @@ def fit_ses_alpha(series: np.ndarray) -> float:
     per column; the level recurrence itself is batched in
     :func:`ewma_run`.
     """
+    from scipy import optimize
+
     result = optimize.minimize_scalar(
         lambda a: SimpleExponentialSmoothing._sse(a, series),
         bounds=(1e-4, 1.0),
@@ -155,6 +156,8 @@ class HoltLinear(Forecaster):
     def _fit(self, series: np.ndarray) -> None:
         if series.size < 2:
             raise DataError("HoltLinear needs at least 2 observations")
+        from scipy import optimize
+
         result = optimize.minimize(
             lambda p: self._run((p[0], p[1]), series)[0],
             np.array([0.5, 0.1]),
@@ -267,6 +270,8 @@ class HoltWinters(Forecaster):
                 f"HoltWinters(period={self.period}) needs at least "
                 f"{2 * self.period} observations, got {series.size}"
             )
+        from scipy import optimize
+
         result = optimize.minimize(
             lambda p: self._run((p[0], p[1], p[2]), series)[0],
             np.array([0.3, 0.05, 0.1]),
