@@ -267,10 +267,11 @@ class Engine:
                 load>`).  Irrelevant for an already-loaded checkpoint.
 
         Raises:
-            CheckpointError: On format-version mismatch (raised by
-                :meth:`Checkpoint.load <repro.checkpoint.Checkpoint.
-                load>`), configuration, dtype or policy mismatch, or a
-                missing custom forecaster factory.
+            CheckpointError: On a damaged archive or a format-version
+                mismatch (raised by :meth:`Checkpoint.load
+                <repro.checkpoint.Checkpoint.load>`), configuration,
+                dtype or policy mismatch, or a missing custom
+                forecaster factory.
         """
         checkpoint = as_checkpoint(source, mmap=mmap)
         # Normalize the stored config through PipelineConfig so older

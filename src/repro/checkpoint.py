@@ -19,15 +19,16 @@ the state tree is stored as its own archive member, and one JSON
 all non-array state with placeholders pointing at the array members.
 Array members are written **uncompressed** (``ZIP_STORED``) so
 :meth:`Checkpoint.load` can map them straight off disk
-(``mmap=True``): each member becomes a copy-on-write
-:class:`numpy.memmap` view of the archive, and the session restore
-path *adopts* those views in place of freshly allocated columns — a
-resume at N=1M never holds two copies of the state.  The manifest
-itself stays deflated, and archives from older builds (whose array
-members are deflated) load transparently through the in-memory path,
-member by member.  The artifact is portable — no pickling, nothing
-process-specific — and :meth:`Checkpoint.load` rejects unknown format
-versions loudly instead of misinterpreting them.
+(``mmap=True``): the archive is mapped copy-on-write once, each
+member becomes a CRC-checked :class:`numpy.memmap` view of that map,
+and the session restore path *adopts* those views in place of freshly
+allocated columns — a resume at N=1M never holds two copies of the
+state.  The manifest itself stays deflated, and archives from older
+builds (whose array members are deflated) load transparently through
+the in-memory path, member by member.  The artifact is portable — no
+pickling, nothing process-specific — and :meth:`Checkpoint.load`
+rejects unknown format versions and damaged archives loudly instead
+of misinterpreting them.
 
 Resuming is exact by construction: every component contract captures
 all forward-relevant state (including RNG streams), and the round-trip
@@ -39,8 +40,12 @@ from __future__ import annotations
 
 import io
 import json
+import math
 import os
+import struct
+import tokenize
 import zipfile
+import zlib
 from pathlib import Path
 from typing import Any, Dict, List, Mapping, Tuple, Union
 
@@ -133,54 +138,208 @@ def _decode(value: Any, arrays: Mapping[str, np.ndarray], path: str) -> Any:
     return value
 
 
-def _mmap_member(
-    path: Path, info: zipfile.ZipInfo
-) -> "np.ndarray | None":
-    """Map one stored ``.npy`` archive member copy-on-write, or ``None``.
+#: A ZIP local file header's fixed 30 bytes, as far as the mapped path
+#: reads them: signature, name length and extra-field length.  Sizes
+#: and the CRC-32 come from the central directory instead.
+_LOCAL_HEADER = struct.Struct("<4s22xHH")
+_LOCAL_SIGNATURE = b"PK\x03\x04"
 
-    Only ``ZIP_STORED`` members are mappable (their bytes sit verbatim
-    in the archive).  The member's data offset is recovered from its
-    *local* file header — the central-directory ``header_offset`` plus
-    the 30-byte fixed header plus the local name/extra lengths, which
-    may differ from the central directory's.  The ``.npy`` header is
-    then parsed in place and the payload wrapped in a ``mode='c'``
-    :class:`numpy.memmap`: reads come straight off the page cache,
-    writes are private to this process, and nothing is persisted back.
+#: Bytes of a mapped member handed to numpy's npy-header parser: the
+#: 12-byte magic, version and length prefix plus the 10,000-byte header
+#: limit ``np.load`` applies without ``allow_pickle``.
+_NPY_HEADER_WINDOW = 12 + 10_000
 
-    Returns ``None`` whenever the member cannot be mapped (deflated
-    legacy archives, zero-size payloads, fortran order, exotic npy
-    versions) — the caller falls back to the in-memory loader.
-    """
-    if info.compress_type != zipfile.ZIP_STORED:
-        return None
+#: What numpy's npy-header parser raises on malformed bytes.
+_NPY_HEADER_ERRORS = (ValueError, SyntaxError, tokenize.TokenError)
+
+#: Largest read when checking a mapped member's CRC-32.  The check reads
+#: the archive through one buffer of at most this size, not through the
+#: map: reading through the map would fault every mapped page in, and a
+#: resume that adopts the map would keep them all resident.
+_CRC_CHUNK = 1 << 18
+
+
+def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> bytes:
+    """A member's bytes through ``zipfile``, which checks name and CRC-32."""
     try:
-        with open(path, "rb") as handle:
-            handle.seek(info.header_offset)
-            local = handle.read(30)
-            if len(local) != 30 or local[:4] != b"PK\x03\x04":
-                return None
-            name_len = int.from_bytes(local[26:28], "little")
-            extra_len = int.from_bytes(local[28:30], "little")
-            handle.seek(info.header_offset + 30 + name_len + extra_len)
-            version = np.lib.format.read_magic(handle)
-            if version == (1, 0):
-                header = np.lib.format.read_array_header_1_0(handle)
-            elif version == (2, 0):
-                header = np.lib.format.read_array_header_2_0(handle)
-            else:
-                return None
-            shape, fortran, dtype = header
-            if fortran or dtype.hasobject:
-                return None
-            if int(np.prod(shape)) == 0:
-                # Zero pages to map; a plain empty array is equivalent.
-                return np.empty(shape, dtype=dtype)
-            return np.memmap(
-                path, dtype=dtype, mode="c", offset=handle.tell(),
-                shape=shape, order="C",
+        return archive.read(info)
+    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+        raise CheckpointError(
+            f"checkpoint member {info.filename!r} is corrupt: {exc}"
+        ) from exc
+
+
+def _load_member(
+    archive: zipfile.ZipFile, info: zipfile.ZipInfo
+) -> np.ndarray:
+    """Read one ``.npy`` member into memory (deflated or unmappable)."""
+    data = _read_member(archive, info)
+    try:
+        return np.load(io.BytesIO(data), allow_pickle=False)
+    except _NPY_HEADER_ERRORS as exc:
+        raise CheckpointError(
+            f"checkpoint member {info.filename!r} is not an npy array: {exc}"
+        ) from exc
+
+
+def _crc32(
+    handle: io.BufferedReader, start: int, size: int, buffer: memoryview
+) -> int:
+    """CRC-32 of ``size`` bytes at ``start``, read through ``buffer``."""
+    handle.seek(start)
+    crc = 0
+    while size > 0:
+        got = handle.readinto(buffer[: min(size, len(buffer))])
+        if not got:
+            break
+        crc = zlib.crc32(buffer[:got], crc)
+        size -= got
+    return crc
+
+
+def _map_member(
+    whole: np.memmap,
+    handle: io.BufferedReader,
+    buffer: memoryview,
+    info: zipfile.ZipInfo,
+) -> "np.ndarray | None":
+    """One ``ZIP_STORED`` ``.npy`` member as a view of the archive's map.
+
+    The local header and the npy header are read from ``whole``, the
+    copy-on-write map of the archive; the member's stored bytes are
+    checked against the central directory's CRC-32 through ``buffer``
+    before any view is made.  The view is a :class:`numpy.memmap`
+    sharing ``whole``'s mapping, in the member's C or Fortran order.
+
+    Returns ``None`` when only ``np.load`` can read the member (object
+    dtypes, npy versions other than 1.0 and 2.0).
+
+    Raises:
+        CheckpointError: The local header is missing or names another
+            member, the member runs past the end of the file, its
+            CRC-32 does not match, its npy header does not parse, or
+            its array does not fit its stored size.
+    """
+    name = info.filename
+    local = info.header_offset
+    if local < 0 or local + _LOCAL_HEADER.size > whole.size:
+        raise CheckpointError(
+            f"checkpoint member {name!r} has its local header outside "
+            "the file"
+        )
+    signature, name_size, extra_size = _LOCAL_HEADER.unpack_from(
+        whole, local
+    )
+    named = local + _LOCAL_HEADER.size
+    start = named + name_size + extra_size
+    stop = start + info.compress_size
+    if signature != _LOCAL_SIGNATURE or stop > whole.size:
+        raise CheckpointError(
+            f"checkpoint member {name!r} has no local header at its "
+            "central-directory offset, or runs past the end of the file"
+        )
+    local_name = whole[named : named + name_size].tobytes()
+    if local_name != info.orig_filename.encode():
+        raise CheckpointError(
+            f"checkpoint member {name!r} has local header name "
+            f"{local_name!r}"
+        )
+    if _crc32(handle, start, info.compress_size, buffer) != info.CRC:
+        raise CheckpointError(
+            f"checkpoint member {name!r} fails its CRC-32 check"
+        )
+    header = io.BytesIO(
+        whole[start : min(stop, start + _NPY_HEADER_WINDOW)].tobytes()
+    )
+    try:
+        version = np.lib.format.read_magic(header)
+        if version == (1, 0):
+            shape, fortran, dtype = np.lib.format.read_array_header_1_0(
+                header
             )
-    except (OSError, ValueError):
+        elif version == (2, 0):
+            shape, fortran, dtype = np.lib.format.read_array_header_2_0(
+                header
+            )
+        else:
+            return None
+    except _NPY_HEADER_ERRORS as exc:
+        raise CheckpointError(
+            f"checkpoint member {name!r} has a malformed npy header: {exc}"
+        ) from exc
+    if dtype.hasobject:
         return None
+    begin = start + header.tell()
+    end = begin + math.prod(shape) * dtype.itemsize
+    if min(shape, default=0) < 0 or end > stop:
+        raise CheckpointError(
+            f"checkpoint member {name!r} declares a {shape} {dtype} array "
+            f"that does not fit its {info.compress_size} stored bytes"
+        )
+    try:
+        return whole[begin:end].view(dtype).reshape(
+            shape, order="F" if fortran else "C"
+        )
+    except ValueError as exc:
+        raise CheckpointError(
+            f"checkpoint member {name!r} does not view as a {shape} "
+            f"{dtype} array: {exc}"
+        ) from exc
+
+
+def _read_manifest(archive: zipfile.ZipFile, path: Path) -> Dict[str, Any]:
+    """The archive's manifest, of a format version this build reads."""
+    try:
+        info = archive.getinfo(_MANIFEST_MEMBER)
+    except KeyError:
+        raise CheckpointError(
+            f"{path} has no {_MANIFEST_MEMBER}; not a repro checkpoint"
+        ) from None
+    data = _read_member(archive, info)
+    try:
+        manifest = json.loads(data)
+    except ValueError as exc:
+        raise CheckpointError(
+            f"{path} has an unreadable {_MANIFEST_MEMBER}: {exc}"
+        ) from exc
+    version = manifest.get("format_version")
+    if version not in _READABLE_VERSIONS:
+        readable = ", ".join(str(v) for v in _READABLE_VERSIONS)
+        raise CheckpointError(
+            f"checkpoint {path} has format version {version!r}; this "
+            f"build reads versions {readable} — re-snapshot with a "
+            "matching library version"
+        )
+    return manifest
+
+
+def _read_arrays(
+    handle: io.BufferedReader, archive: zipfile.ZipFile, *, mmap: bool
+) -> Dict[str, np.ndarray]:
+    """Every array member, keyed by name without ``.npy``.
+
+    With ``mmap``, the archive is mapped copy-on-write once and every
+    ``ZIP_STORED`` member becomes a CRC-checked view of that map (see
+    :func:`_map_member`); deflated members, and any member only
+    ``np.load`` can read, are loaded into memory.
+    """
+    members = [
+        info for info in archive.infolist()
+        if info.filename != _MANIFEST_MEMBER
+    ]
+    if mmap:
+        whole = np.memmap(handle, dtype=np.uint8, mode="c")
+        largest = max((info.compress_size for info in members), default=0)
+        buffer = memoryview(bytearray(min(largest, _CRC_CHUNK)))
+    arrays: Dict[str, np.ndarray] = {}
+    for info in members:
+        array = None
+        if mmap and info.compress_type == zipfile.ZIP_STORED:
+            array = _map_member(whole, handle, buffer, info)
+        if array is None:
+            array = _load_member(archive, info)
+        arrays[info.filename[: -len(".npy")]] = array
+    return arrays
 
 
 class Checkpoint:
@@ -257,7 +416,9 @@ class Checkpoint:
 
         Array members are written ``ZIP_STORED`` (uncompressed) so a
         later :meth:`load` with ``mmap=True`` can map them off disk
-        without inflating anything; the manifest stays deflated.
+        without inflating anything; each array streams straight into
+        its member.  The manifest stays deflated and is written
+        compact.
 
         Returns:
             The path written.
@@ -277,16 +438,18 @@ class Checkpoint:
                 scratch, "w", zipfile.ZIP_DEFLATED
             ) as archive:
                 archive.writestr(
-                    _MANIFEST_MEMBER, json.dumps(manifest, indent=2)
+                    _MANIFEST_MEMBER,
+                    json.dumps(manifest, separators=(",", ":")),
                 )
                 for key, array in arrays.items():
-                    buffer = io.BytesIO()
-                    np.save(buffer, np.asarray(array), allow_pickle=False)
-                    archive.writestr(
-                        f"{key}.npy",
-                        buffer.getvalue(),
-                        compress_type=zipfile.ZIP_STORED,
-                    )
+                    info = zipfile.ZipInfo(f"{key}.npy")
+                    # zipfile picks zip64 from file_size with 5% to
+                    # spare, which covers the npy header.
+                    info.file_size = array.nbytes
+                    with archive.open(info, "w") as member:
+                        np.lib.format.write_array(
+                            member, array, allow_pickle=False
+                        )
             os.replace(scratch, path)
         finally:
             scratch.unlink(missing_ok=True)
@@ -304,51 +467,34 @@ class Checkpoint:
                 *adoptable* (see :meth:`claim_adoption`): the first
                 session to restore it takes the mapped views as its live
                 columns, so resuming an N=1M fleet never materializes a
-                second copy of the state.  Members that cannot be mapped
-                (deflated archives from older builds) silently fall back
-                to the in-memory loader, member by member.
+                second copy of the state.  The archive is mapped once;
+                every stored member is checked against its CRC-32 before
+                its view is returned.  Members that cannot be mapped
+                (deflated archives from older builds) fall back to the
+                in-memory loader, member by member.
 
         Raises:
-            CheckpointError: On a corrupt artifact, a missing manifest,
-                or a format version this build does not understand.
+            CheckpointError: On a corrupt or truncated artifact (a CRC,
+                name, header or size mismatch, on either path), a
+                missing manifest, or a format version this build does
+                not understand.
         """
         path = Path(path)
-        try:
-            with zipfile.ZipFile(path, "r") as archive:
-                names = set(archive.namelist())
-                if _MANIFEST_MEMBER not in names:
-                    raise CheckpointError(
-                        f"{path} has no {_MANIFEST_MEMBER}; not a repro "
-                        "checkpoint"
-                    )
-                manifest = json.loads(archive.read(_MANIFEST_MEMBER))
-                arrays: Dict[str, np.ndarray] = {}
-                for name in names - {_MANIFEST_MEMBER}:
-                    array = None
-                    if mmap:
-                        array = _mmap_member(path, archive.getinfo(name))
-                    if array is None:
-                        with archive.open(name) as member:
-                            array = np.load(
-                                io.BytesIO(member.read()),
-                                allow_pickle=False,
-                            )
-                    arrays[name[: -len(".npy")]] = array
-        except zipfile.BadZipFile as exc:
-            raise CheckpointError(f"{path} is not a checkpoint: {exc}") from exc
-        version = manifest.get("format_version")
-        if version not in _READABLE_VERSIONS:
-            readable = ", ".join(str(v) for v in _READABLE_VERSIONS)
-            raise CheckpointError(
-                f"checkpoint {path} has format version {version!r}; this "
-                f"build reads versions {readable} — re-snapshot with a "
-                "matching library version"
-            )
+        with open(path, "rb") as handle:
+            try:
+                archive = zipfile.ZipFile(handle)
+            except zipfile.BadZipFile as exc:
+                raise CheckpointError(
+                    f"{path} is not a checkpoint: {exc}"
+                ) from exc
+            with archive:
+                manifest = _read_manifest(archive, path)
+                arrays = _read_arrays(handle, archive, mmap=mmap)
         checkpoint = cls(
             config=manifest["config"],
             session=_decode(manifest["session"], arrays, "session"),
             state=_decode(manifest["state"], arrays, "state"),
-            version=int(version),
+            version=int(manifest["format_version"]),
             library_version=manifest.get("library_version", "unknown"),
         )
         checkpoint._adoptable = bool(mmap)

@@ -37,7 +37,7 @@ from repro.api import Engine
 from repro.checkpoint import CHECKPOINT_FORMAT_VERSION, as_checkpoint
 from repro.core.config import SUPPORTED_DTYPES, PipelineConfig
 from repro.datasets import load_alibaba_like
-from repro.exceptions import ReproError
+from repro.exceptions import CheckpointError, ReproError
 from repro.experiments import EXPERIMENTS
 from repro.registry import (
     COLLECTION_BACKENDS,
@@ -317,6 +317,9 @@ def _command_run_stream(args: argparse.Namespace) -> int:
             session = engine.session(num_nodes, 1)
     except OSError as exc:
         print(f"cannot read configuration: {exc}", file=sys.stderr)
+        return 2
+    except CheckpointError as exc:
+        print(f"CheckpointError: {exc}", file=sys.stderr)
         return 2
     except (TypeError, ValueError, ReproError) as exc:
         print(f"invalid configuration: {exc}", file=sys.stderr)

@@ -7,7 +7,13 @@ an arbitrary slot, resume it in a fresh engine, and every future output
 to the session that never stopped.
 """
 
+import io
 import json
+import os
+import signal
+import struct
+import subprocess
+import sys
 import zipfile
 
 import numpy as np
@@ -15,6 +21,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import repro
 from repro.api import Engine
 from repro.checkpoint import (
     CHECKPOINT_FORMAT_VERSION,
@@ -549,6 +556,326 @@ class TestMmapResume:
             assert_outputs_equal(
                 resumed.ingest(trace[t]), reference.ingest(trace[t])
             )
+
+    def test_members_are_views_of_one_map(self, tmp_path):
+        _, _, path = self.make_checkpoint(tmp_path)
+        state = Checkpoint.load(path, mmap=True).state
+        fleet = state["fleet"]
+        assert isinstance(fleet["times"], np.memmap)
+        assert fleet["stored"]._mmap is fleet["times"]._mmap
+
+    def test_fortran_members_are_mapped_in_fortran_order(self, tmp_path):
+        cfg = config(model="ar")
+        session = Engine(cfg).session(6, 1)
+        for row in walk_trace(steps=20, seed=3):
+            session.ingest(row)
+        path = session.save(tmp_path / "ar.ckpt")
+        mapped = Checkpoint.load(path, mmap=True).state["pipeline"]
+        copied = Checkpoint.load(path).state["pipeline"]
+        coefficients = mapped["banks"][0]["coefficients"]
+        expected = copied["banks"][0]["coefficients"]
+        assert isinstance(coefficients, np.memmap)
+        assert coefficients.flags.f_contiguous
+        assert not coefficients.flags.c_contiguous
+        assert expected.flags.f_contiguous
+        np.testing.assert_array_equal(coefficients, expected)
+
+    def test_archive_reads_through_np_load(self, tmp_path):
+        _, _, path = self.make_checkpoint(tmp_path)
+        with zipfile.ZipFile(path) as archive:
+            raw = archive.read("manifest.json")
+        manifest = json.loads(raw)
+        assert raw == json.dumps(manifest, separators=(",", ":")).encode()
+        mapped = Checkpoint.load(path, mmap=True).state["fleet"]
+        with np.load(path) as archive:
+            key = manifest["state"]["fleet"]["stored"]["__array__"]
+            np.testing.assert_array_equal(archive[key], mapped["stored"])
+
+
+class ArchiveLayout:
+    """Byte offsets of a checkpoint archive's zip structures."""
+
+    def __init__(self, data):
+        self.size = len(data)
+        self.eocd = data.rindex(b"PK\x05\x06")
+        cd_size, self.central_directory = struct.unpack_from(
+            "<2L", data, self.eocd + 12
+        )
+        #: member name -> offset of its central-directory entry
+        self.central = {}
+        at = self.central_directory
+        while at < self.central_directory + cd_size:
+            lengths = struct.unpack_from("<3H", data, at + 28)
+            self.central[data[at + 46 : at + 46 + lengths[0]].decode()] = at
+            at += 46 + sum(lengths)
+        #: member name -> (local header offset, data offset, data size)
+        self.members = {}
+        with zipfile.ZipFile(io.BytesIO(data)) as archive:
+            for info in archive.infolist():
+                local = info.header_offset
+                lengths = struct.unpack_from("<2H", data, local + 26)
+                start = local + 30 + sum(lengths)
+                self.members[info.filename] = (
+                    local, start, info.compress_size
+                )
+        self.largest = max(
+            (name for name in self.members if name.endswith(".npy")),
+            key=lambda name: self.members[name][2],
+        )
+        start = self.members[self.largest][1]
+        header = 10 + int.from_bytes(data[start + 8 : start + 10], "little")
+        #: offset of the largest member's first array byte
+        self.array_start = start + header
+
+
+MANIFEST = "manifest.json"
+
+#: Single-bit flips, as (byte offset, bit) from the archive's layout.
+#: Every one must make each load path raise CheckpointError.
+FLIPS = {
+    "manifest-payload-first": lambda z: (z.members[MANIFEST][1], 1),
+    "manifest-payload-quarter": lambda z: (
+        z.members[MANIFEST][1] + z.members[MANIFEST][2] // 4, 6
+    ),
+    "manifest-payload-middle": lambda z: (
+        z.members[MANIFEST][1] + z.members[MANIFEST][2] // 2, 3
+    ),
+    "manifest-local-name": lambda z: (z.members[MANIFEST][0] + 30, 0),
+    "member-local-name": lambda z: (z.members[z.largest][0] + 30, 0),
+    "member-npy-magic": lambda z: (z.members[z.largest][1] + 1, 0),
+    "member-npy-header": lambda z: (z.members[z.largest][1] + 12, 1),
+    "member-npy-header-length": lambda z: (z.members[z.largest][1] + 8, 4),
+    "member-payload-first": lambda z: (z.array_start, 0),
+    "member-payload-last": lambda z: (
+        z.members[z.largest][1] + z.members[z.largest][2] - 1, 7
+    ),
+    "manifest-central-crc": lambda z: (z.central[MANIFEST] + 16, 5),
+    "member-central-crc": lambda z: (z.central[z.largest] + 16, 0),
+    "manifest-central-offset": lambda z: (z.central[MANIFEST] + 42, 2),
+    "member-central-offset-low": lambda z: (z.central[z.largest] + 42, 0),
+    "member-central-offset-high": lambda z: (z.central[z.largest] + 45, 7),
+}
+
+#: Flips no loader notices: the end record's two entry counts (zipfile
+#: walks the central directory by its size), and the deflate stream's
+#: final-block bit and its padding after the last code (the manifest's
+#: one block inflates the same either way).
+UNREAD_FLIPS = {
+    "end-record-disk-entries": lambda z: (z.eocd + 8, 0),
+    "end-record-total-entries": lambda z: (z.eocd + 10, 0),
+    "manifest-final-block-bit": lambda z: (z.members[MANIFEST][1], 0),
+    "manifest-padding-bit": lambda z: (
+        z.members[MANIFEST][1] + z.members[MANIFEST][2] - 1, 7
+    ),
+}
+
+
+def npy_bytes(array, **fields):
+    """``array``'s bytes behind an npy header with ``fields`` changed."""
+    header = np.lib.format.header_data_from_array_1_0(array)
+    header.update(fields)
+    stream = io.BytesIO()
+    np.lib.format.write_array_header_1_0(stream, header)
+    return stream.getvalue() + array.tobytes()
+
+
+#: Member bytes no loader may turn into an array: headers that overstate
+#: the payload, a subarray dtype that does not fit it, and a header
+#: numpy's tokenizer fails on (an unterminated string).
+MALFORMED_MEMBERS = {
+    "one-more-element": lambda a: npy_bytes(a, shape=(a.size + 1,)),
+    "negative-dimension": lambda a: npy_bytes(a, shape=(-a.size,)),
+    "subarray-dtype": lambda a: npy_bytes(
+        a, descr=(a.dtype.str, (2,)), shape=(a.size // 2,)
+    ),
+    "unterminated-header": lambda a: (
+        b"\x93NUMPY\x01\x00\x04\x00'''\n" + a.tobytes()
+    ),
+}
+
+#: Truncation points, as a byte count kept from the archive's layout.
+TRUNCATIONS = {
+    "empty": lambda z: 0,
+    "one-byte": lambda z: 1,
+    "local-header": lambda z: 30,
+    "mid-member": lambda z: z.array_start + 1,
+    "half": lambda z: z.size // 2,
+    "central-directory": lambda z: z.central_directory,
+    "mid-central-directory": lambda z: z.central_directory + 10,
+    "end-record": lambda z: z.eocd,
+    "last-byte": lambda z: z.size - 1,
+}
+
+
+class TestCorruptArchives:
+    """A damaged archive never resumes: every load path raises
+    CheckpointError, whichever structure the damage hits."""
+
+    @pytest.fixture(scope="class")
+    def intact(self, tmp_path_factory):
+        cfg = config(model="ar")
+        trace = walk_trace(steps=30, nodes=12, seed=17)
+        session = Engine(cfg).session(12, 1)
+        for row in trace[:20]:
+            session.ingest(row)
+        path = session.save(tmp_path_factory.mktemp("intact") / "a.ckpt")
+        data = path.read_bytes()
+        return cfg, trace, data, ArchiveLayout(data)
+
+    def assert_every_load_raises(self, cfg, path):
+        with pytest.raises(CheckpointError):
+            Checkpoint.load(path, mmap=True)
+        with pytest.raises(CheckpointError):
+            Checkpoint.load(path, mmap=False)
+        with pytest.raises(CheckpointError):
+            Engine(cfg).resume(path)
+
+    @pytest.mark.parametrize("case", sorted(FLIPS))
+    def test_bit_flip_raises(self, intact, tmp_path, case):
+        cfg, _, data, layout = intact
+        offset, bit = FLIPS[case](layout)
+        damaged = bytearray(data)
+        damaged[offset] ^= 1 << bit
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(damaged)
+        self.assert_every_load_raises(cfg, path)
+
+    @pytest.mark.parametrize("case", sorted(TRUNCATIONS))
+    def test_truncation_raises(self, intact, tmp_path, case):
+        cfg, _, data, layout = intact
+        path = tmp_path / "truncated.ckpt"
+        path.write_bytes(data[: TRUNCATIONS[case](layout)])
+        self.assert_every_load_raises(cfg, path)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MEMBERS))
+    def test_malformed_npy_member_in_a_valid_zip_raises(
+        self, intact, tmp_path, case
+    ):
+        # zipfile computes every CRC-32 of the rewritten archive, so
+        # only the npy checks can catch these.
+        cfg, _, data, layout = intact
+        path = tmp_path / "malformed.ckpt"
+        with zipfile.ZipFile(io.BytesIO(data)) as src, zipfile.ZipFile(
+            path, "w"
+        ) as dst:
+            for info in src.infolist():
+                payload = src.read(info)
+                if info.filename == layout.largest:
+                    array = np.load(io.BytesIO(payload))
+                    payload = MALFORMED_MEMBERS[case](array)
+                dst.writestr(info, payload)
+        self.assert_every_load_raises(cfg, path)
+
+    @pytest.mark.parametrize("case", sorted(UNREAD_FLIPS))
+    def test_flip_in_an_unread_field_resumes_the_intact_state(
+        self, intact, tmp_path, case
+    ):
+        # An archive damaged where no loader reads may load; it must
+        # then continue exactly like the intact one.
+        cfg, trace, data, layout = intact
+        offset, bit = UNREAD_FLIPS[case](layout)
+        damaged = bytearray(data)
+        damaged[offset] ^= 1 << bit
+        path = tmp_path / "damaged.ckpt"
+        path.write_bytes(damaged)
+        reference_path = tmp_path / "intact.ckpt"
+        reference_path.write_bytes(data)
+        for mmap in (True, False):
+            try:
+                resumed = Engine(cfg).resume(path, mmap=mmap)
+            except CheckpointError:
+                continue
+            reference = Engine(cfg).resume(reference_path, mmap=mmap)
+            for t in range(20, 30):
+                assert_outputs_equal(
+                    reference.ingest(trace[t]), resumed.ingest(trace[t])
+                )
+
+
+KILL_SCRIPT = r"""
+import os
+import shutil
+import signal
+import sys
+
+import numpy as np
+
+from repro.api import Engine
+
+path, config_path, trace_path, cut = sys.argv[1:5]
+cut = int(cut)
+trace = np.load(trace_path)
+session = Engine.from_config(config_path).session(trace.shape[1], 1)
+for row in trace[:cut]:
+    session.ingest(row)
+session.save(path)
+shutil.copyfile(path, path + ".good")
+for row in trace[cut : cut + 4]:
+    session.ingest(row)
+
+write_array = np.lib.format.write_array
+written = []
+
+
+def write_then_die(*args, **kwargs):
+    if written:
+        os.kill(os.getpid(), signal.SIGKILL)
+    written.append(1)
+    return write_array(*args, **kwargs)
+
+
+np.lib.format.write_array = write_then_die
+session.save(path)
+sys.exit("the save survived its kill point")
+"""
+
+
+class TestKilledSave:
+    def test_kill_mid_save_keeps_the_previous_archive(self, tmp_path):
+        """A process killed while streaming members into a save leaves
+        the archive already at that path intact and resumable, and the
+        next save to that path succeeds."""
+        cfg = config(model="ar")
+        trace = walk_trace(steps=40, nodes=6, seed=29)
+        cut = 16
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(cfg.to_dict()))
+        trace_path = tmp_path / "trace.npy"
+        np.save(trace_path, trace)
+        path = tmp_path / "session.ckpt"
+        source_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            filter(None, [source_root, env.get("PYTHONPATH")])
+        )
+        child = subprocess.run(
+            [
+                sys.executable, "-c", KILL_SCRIPT, str(path),
+                str(config_path), str(trace_path), str(cut),
+            ],
+            env=env,
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert child.returncode == -signal.SIGKILL, child.stderr
+        # The kill landed inside the second save: its scratch file is
+        # left behind, the target still holds the first archive.
+        assert len(list(tmp_path.glob("session.ckpt.tmp-*"))) == 1
+        good = tmp_path / "session.ckpt.good"
+        assert path.read_bytes() == good.read_bytes()
+
+        baseline = Engine(cfg).session(6, 1)
+        outputs = [baseline.ingest(row) for row in trace]
+        resumed = Engine(cfg).resume(path)
+        assert resumed.time == cut
+        for t in range(cut, cut + 8):
+            assert_outputs_equal(outputs[t], resumed.ingest(trace[t]))
+        resumed.save(path)
+        again = Engine(cfg).resume(path)
+        assert again.time == cut + 8
+        for t in range(cut + 8, 40):
+            assert_outputs_equal(outputs[t], again.ingest(trace[t]))
 
 
 def array_bytes(state):

@@ -1,6 +1,7 @@
 """Tests for the command-line interface."""
 
 import json
+import zipfile
 
 from repro.cli import main
 from repro.core.config import PipelineConfig
@@ -88,3 +89,34 @@ class TestCli:
         out = capsys.readouterr().out
         assert "RMSE(h=0)" in out
         assert "transmission frequency" in out
+
+    def test_resume_of_a_corrupt_checkpoint_fails_loudly(
+        self, capsys, tmp_path
+    ):
+        config = PipelineConfig.small(
+            initial_collection=20, retrain_interval=20, max_horizon=2
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        path = tmp_path / "mid.ckpt"
+        assert main([
+            "run", "--config", str(config_path), "--stream", "--nodes",
+            "8", "--steps", "30", "--checkpoint", str(path),
+        ]) == 0
+        with zipfile.ZipFile(path) as archive:
+            largest = max(
+                (i for i in archive.infolist() if i.filename.endswith(".npy")),
+                key=lambda i: i.file_size,
+            )
+        data = bytearray(path.read_bytes())
+        # The last byte of the largest array member's payload.
+        local = largest.header_offset
+        lengths = int.from_bytes(data[local + 26 : local + 28], "little")
+        lengths += int.from_bytes(data[local + 28 : local + 30], "little")
+        data[local + 30 + lengths + largest.compress_size - 1] ^= 0xFF
+        path.write_bytes(data)
+        capsys.readouterr()
+        assert main(["run", "--resume", str(path), "--steps", "60"]) == 2
+        err = capsys.readouterr().err
+        assert "CheckpointError" in err
+        assert "CRC-32" in err
