@@ -19,6 +19,14 @@ At the two perfbench serving shapes — N = 4,000, d = 1, K = 3
 times `kmeans`, `estimate_offsets` and `forecast_membership` again, so
 bit-identity is checked where the fleet actually runs.
 
+The `offsets-memo` rows slide a window of M' + 1 = 6 slots over
+`MEMO_SLIDES` new slots at the longlived_churn shape (N = 500, d = 1,
+K = 3) and the two serving shapes.  Each slot is computed twice: by the
+stateless `estimate_offsets` (the "reference" column) and with a memo
+reused across slots, as the pipeline calls it, which computes only the
+newest slot's terms and gathers the rest.  The two must be
+bit-identical on every slot; the columns are mean seconds per slot.
+
 Asserts the paper's fleet-scale claim is actually realized: at
 N = 1000 the vectorized `estimate_offsets` + re-indexing combo must be
 at least 10× faster than the reference loops.  Rows are also recorded
@@ -52,6 +60,9 @@ COLLECTION_STEPS = 120
 #: (N, d, K) of the serve_scalar and batch_joint perfbench workloads.
 WORKLOAD_SHAPES = ((4000, 1, 3), (10000, 2, 5))
 WORKLOAD_WINDOW = 6  # their M' = 5
+#: (N, d, K) of longlived_churn and the serving shapes, for the memo rows.
+MEMO_SHAPES = ((500, 1, 3),) + WORKLOAD_SHAPES
+MEMO_SLIDES = 12  # slots each memo row slides its window over
 
 
 def _timeit(fn, *, repeats=3):
@@ -237,6 +248,39 @@ def test_bench_hot_path(record_result):
         ))
         np.testing.assert_array_equal(ref_m, vec_m)
         row("membership", num_nodes, dim, num_clusters, ref_s, vec_s)
+
+    lines.append("")
+    lines.append(
+        "offset memo, mean s per slot over a sliding window "
+        "(reference = stateless call):"
+    )
+    for num_nodes, dim, num_clusters in MEMO_SHAPES:
+        stored, cents, label_history, _ = _fleet_case(
+            num_nodes, rng, dim=dim, num_clusters=num_clusters,
+            window=WORKLOAD_WINDOW + MEMO_SLIDES,
+        )
+        lookback = WORKLOAD_WINDOW - 1
+        memo = []
+        stateless_s = memo_s = 0.0
+        for stop in range(1, len(stored) + 1):
+            memo.append(None)
+            del memo[:-WORKLOAD_WINDOW]
+            window = slice(max(0, stop - WORKLOAD_WINDOW), stop)
+            args = (stored[window], cents[window], label_history[stop - 1])
+            started = time.perf_counter()
+            memo_out = estimate_offsets(*args, lookback, memo=memo)
+            elapsed = time.perf_counter() - started
+            if stop <= WORKLOAD_WINDOW:
+                continue  # filling the window
+            memo_s += elapsed
+            started = time.perf_counter()
+            stateless_out = estimate_offsets(*args, lookback)
+            stateless_s += time.perf_counter() - started
+            assert memo_out.tobytes() == stateless_out.tobytes()
+        row(
+            "offsets-memo", num_nodes, dim, num_clusters,
+            stateless_s / MEMO_SLIDES, memo_s / MEMO_SLIDES,
+        )
 
     lines.append("")
     lines.append(

@@ -13,12 +13,13 @@ regimes over the same Alibaba-like trace and pipeline configuration:
 
 The interesting number is the overhead column: what a scenario costs
 relative to the bare session at the same fleet size.  The acceptance
-bar is generous (ideal <= 1.5x bare, lossy <= 4x bare) — the link is
-Python-loop bookkeeping over at most one message per node per slot,
-not a kernel — and exists to catch accidental quadratic behavior.
+bar is generous (ideal <= 1.5x bare, lossy <= 4x bare): the link moves
+each slot's messages (at most one per node) as columns in a few array
+operations, and the bar exists to catch per-message or quadratic
+behavior creeping back.
 
-Quick mode — ``REPRO_BENCH_QUICK=1`` — runs the small fleet only, for
-CI smoke.
+Quick mode — ``REPRO_BENCH_QUICK=1`` — runs the small fleet and the
+N = 10,000 one, for CI smoke, so the link is exercised at scale.
 """
 
 import os
@@ -38,7 +39,7 @@ from repro.datasets import load_alibaba_like
 from repro.scenarios import IdealLink, LinkConfig, NetworkLink
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
-FLEET_SIZES = (200,) if QUICK else (200, 1_000)
+FLEET_SIZES = (200, 10_000) if QUICK else (200, 1_000, 10_000)
 SLOTS = 40 if QUICK else 120
 IDEAL_OVERHEAD_BAR = 1.5
 LOSSY_OVERHEAD_BAR = 4.0

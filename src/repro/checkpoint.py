@@ -144,6 +144,10 @@ def _decode(value: Any, arrays: Mapping[str, np.ndarray], path: str) -> Any:
 _LOCAL_HEADER = struct.Struct("<4s22xHH")
 _LOCAL_SIGNATURE = b"PK\x03\x04"
 
+#: General-purpose flag bits 0 (encrypted) and 6 (strong encryption):
+#: a mapped view of such a member would be ciphertext.
+_ENCRYPTED_FLAGS = 0x41
+
 #: Bytes of a mapped member handed to numpy's npy-header parser: the
 #: 12-byte magic, version and length prefix plus the 10,000-byte header
 #: limit ``np.load`` applies without ``allow_pickle``.
@@ -159,11 +163,51 @@ _NPY_HEADER_ERRORS = (ValueError, SyntaxError, tokenize.TokenError)
 _CRC_CHUNK = 1 << 18
 
 
+def _remove_stale_scratch(path: Path) -> None:
+    """Delete the ``<name>.tmp-<pid>`` files of killed saves to ``path``.
+
+    A save writes its archive to such a sibling and renames it over
+    ``path``; a save killed before the rename leaves it behind.  Only
+    files whose writer process no longer exists are removed, so a save
+    running elsewhere keeps its temp file.  POSIX only: elsewhere
+    ``os.kill`` cannot probe a process without signalling it.
+    """
+    if os.name != "posix":
+        return
+    prefix = path.name + ".tmp-"
+    try:
+        entries = [
+            entry.name for entry in os.scandir(path.parent)
+            if entry.name.startswith(prefix)
+        ]
+    except OSError:
+        return
+    for name in entries:
+        pid = name[len(prefix):]
+        if not pid.isdigit():
+            continue
+        try:
+            os.kill(int(pid), 0)
+        except ProcessLookupError:
+            path.with_name(name).unlink(missing_ok=True)
+        except (OSError, OverflowError):
+            continue  # alive (not ours to signal) or not a process id
+
+
 def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> bytes:
-    """A member's bytes through ``zipfile``, which checks name and CRC-32."""
+    """A member's bytes through ``zipfile``, which checks name and CRC-32.
+
+    ``zipfile`` raises ``RuntimeError`` for a member flagged encrypted
+    (it wants a password) and ``NotImplementedError`` for one flagged
+    strongly encrypted; checkpoints are never encrypted, so both mean
+    damage too.
+    """
     try:
         return archive.read(info)
-    except (zipfile.BadZipFile, zlib.error, EOFError) as exc:
+    except (
+        zipfile.BadZipFile, zlib.error, EOFError, RuntimeError,
+        NotImplementedError,
+    ) as exc:
         raise CheckpointError(
             f"checkpoint member {info.filename!r} is corrupt: {exc}"
         ) from exc
@@ -215,12 +259,17 @@ def _map_member(
     dtypes, npy versions other than 1.0 and 2.0).
 
     Raises:
-        CheckpointError: The local header is missing or names another
-            member, the member runs past the end of the file, its
-            CRC-32 does not match, its npy header does not parse, or
-            its array does not fit its stored size.
+        CheckpointError: The member is flagged encrypted, the local
+            header is missing or names another member, the member runs
+            past the end of the file, its CRC-32 does not match, its
+            npy header does not parse, or its array does not fit its
+            stored size.
     """
     name = info.filename
+    if info.flag_bits & _ENCRYPTED_FLAGS:
+        raise CheckpointError(
+            f"checkpoint member {name!r} is flagged encrypted"
+        )
     local = info.header_offset
     if local < 0 or local + _LOCAL_HEADER.size > whole.size:
         raise CheckpointError(
@@ -432,6 +481,7 @@ class Checkpoint:
             "state": _encode(self.state, arrays, "state"),
         }
         path = Path(path)
+        _remove_stale_scratch(path)
         scratch = path.with_name(path.name + f".tmp-{os.getpid()}")
         try:
             with zipfile.ZipFile(

@@ -171,6 +171,14 @@ class OnlinePipeline:
         self._label_history: List[SlotRing] = [
             SlotRing(window) for _ in self._groups
         ]
+        # Per group, each window slot's Eq. 12 terms for every target
+        # cluster (see estimate_offsets' memo), aligned with the stored
+        # ring; None until the next forecast computes them.  Derived
+        # state: never checkpointed, cleared whenever the ring's node
+        # axis or contents are replaced.
+        self._offset_memo: List[List[Optional[np.ndarray]]] = [
+            [] for _ in self._groups
+        ]
         self._time = 0
         self._last_train: Optional[int] = None
         #: Cumulative wall-clock seconds per stage across the steps this
@@ -234,6 +242,10 @@ class OnlinePipeline:
                 f"got {z.shape}"
             )
         self._stored_history.append(z)  # the ring copies into its buffer
+        for memo in self._offset_memo:
+            memo.append(None)
+            if len(memo) > self._stored_history.maxlen:
+                del memo[0]
 
         started = time.perf_counter()
         assignments = []
@@ -289,6 +301,11 @@ class OnlinePipeline:
             ring.reindex(index_map, fill=0)
         for tracker in self._trackers:
             tracker.reindex_nodes(index_map, fill_label=0)
+        self._offset_memo = self._empty_offset_memo()
+
+    def _empty_offset_memo(self) -> List[List[Optional[np.ndarray]]]:
+        """A memo with every window slot still to compute."""
+        return [[None] * len(self._stored_history) for _ in self._groups]
 
     # ------------------------------------------------------------------
     # Checkpoint state contract
@@ -355,6 +372,7 @@ class OnlinePipeline:
             tracker.set_state(tracker_state)
         for bank, bank_state in zip(self._banks, state["banks"]):
             bank.set_state(bank_state)
+        self._offset_memo = self._empty_offset_memo()
 
     # ------------------------------------------------------------------
     # Model management
@@ -393,7 +411,7 @@ class OnlinePipeline:
         memberships_all = np.zeros((self.num_groups, self.num_nodes), dtype=int)
         # The ring's maxlen is exactly lookback + 1 (set in __init__), so
         # the whole window is the whole ring.
-        stored_window = self._stored_history.ordered()  # (W, N, d)
+        window = len(self._stored_history)
 
         for g, group in enumerate(self._groups):
             # Forecast all clusters of this group in one bank call.
@@ -425,11 +443,16 @@ class OnlinePipeline:
             )
             memberships_all[g] = memberships
 
+            # A group is a run of adjacent resources, so its columns
+            # are views of the ring's rows: nothing is copied, and the
+            # memo reads only the slots it has not computed yet.
+            columns = slice(group[0], group[-1] + 1)
             offsets = estimate_offsets(
-                stored_window[:, :, group],
-                self._trackers[g].recent_centroids(len(stored_window)),
+                [stored[:, columns] for stored in self._stored_history],
+                self._trackers[g].recent_centroids(window),
                 memberships,
                 lookback,
+                memo=self._offset_memo[g],
             )
 
             for h in range(1, horizon + 1):

@@ -39,14 +39,11 @@ messages.  The harness asserts it after every run.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, SimulationError
-
-#: One queued or in-flight message: (origin slot, node id, payload).
-_Record = Tuple[int, int, np.ndarray]
 
 
 @dataclass(frozen=True)
@@ -266,8 +263,58 @@ class IdealLink(LinkModel):
         self._sent = int(state["sent"])
 
 
+class _Queued(NamedTuple):
+    """Messages waiting for uplink capacity, one column per field.
+
+    FIFO by position: within each uplink (``node % uplinks``), a lower
+    position drained earlier.  The interleaving of different uplinks
+    is never observed.
+    """
+
+    origin: np.ndarray  # (m,) int64 origin slot
+    node: np.ndarray  # (m,) int64 node id
+    values: np.ndarray  # (m, d) float64 payload rows
+
+
+class _Delayed(NamedTuple):
+    """Drained messages waiting out their latency, in scheduling order."""
+
+    origin: np.ndarray
+    node: np.ndarray
+    values: np.ndarray
+    arrival: np.ndarray  # (m,) int64 slot at which ``due`` hands it back
+
+
+_EMPTY = np.empty(0, dtype=np.int64)
+_NO_QUEUE = _Queued(_EMPTY, _EMPTY, np.empty((0, 0)))
+_NO_DELAY = _Delayed(_EMPTY, _EMPTY, np.empty((0, 0)), _EMPTY)
+_Batch = TypeVar("_Batch", _Queued, _Delayed)
+
+
+def _take(batch: _Batch, index: np.ndarray) -> _Batch:
+    """The messages at ``index`` (positions or a mask), in that order."""
+    return type(batch)(*(column[index] for column in batch))
+
+
+def _join(batches: Sequence[_Batch], empty: _Batch) -> _Batch:
+    """``batches`` one after another; ``empty`` when none holds a message."""
+    full = [batch for batch in batches if batch.node.size]
+    if not full:
+        return empty
+    if len(full) == 1:
+        return full[0]
+    return type(empty)(*(np.concatenate(column) for column in zip(*full)))
+
+
 class NetworkLink(LinkModel):
     """Burst/i.i.d. loss, shared-uplink contention and latency.
+
+    The uplink backlog and the latency-delayed messages are held as
+    columns (origin slot, node id, payload rows, and arrival slot for
+    the delayed ones), so each slot's traffic moves in a few array
+    operations rather than one Python step per message.  Draws, FIFO
+    order and state layout match the per-message link of 4.3.0 and
+    earlier: archives move between the two both ways, bit for bit.
 
     Args:
         num_nodes: Initial fleet size.
@@ -284,12 +331,10 @@ class NetworkLink(LinkModel):
         # repro: noqa KER-001(seeded generator; the link is a pure function of config)
         self._rng = np.random.default_rng(config.seed)
         self._bad = np.zeros(self._num_nodes, dtype=bool)
-        # Per-uplink FIFO backlogs of messages awaiting drain capacity.
-        self._queues: List[List[_Record]] = [
-            [] for _ in range(max(config.uplinks, 0))
-        ]
-        # Latency-delayed messages keyed by arrival slot.
-        self._pending: Dict[int, List[_Record]] = {}
+        # Every uplink's backlog awaiting drain capacity.
+        self._queues = _NO_QUEUE
+        # Drained messages awaiting their arrival slot.
+        self._pending = _NO_DELAY
         self._sent = 0
         self._delivered_now = 0
         self._delivered_late = 0
@@ -307,6 +352,8 @@ class NetworkLink(LinkModel):
     def transfer(
         self, slot: int, sender_ids: np.ndarray, payload: np.ndarray
     ) -> np.ndarray:
+        """See :meth:`LinkModel.transfer`; ``sender_ids`` are distinct
+        (the session rejects duplicate node ids)."""
         cfg = self.config
         sender_ids = np.asarray(sender_ids, dtype=np.int64).ravel()
         payload = np.atleast_2d(np.asarray(payload, dtype=float))
@@ -326,74 +373,97 @@ class NetworkLink(LinkModel):
             bursty = self._bad[sender_ids]
             if bursty.any():
                 keep &= ~(bursty & (self._rng.random(count) < cfg.burst_loss))
-        self._dropped_loss += int(count - keep.sum())
+        kept = np.flatnonzero(keep).astype(np.int64, copy=False)
+        self._dropped_loss += count - int(kept.size)
 
-        if cfg.uplinks > 0:
-            for pos in np.flatnonzero(keep).tolist():
-                node = int(sender_ids[pos])
-                self._queues[node % cfg.uplinks].append(
-                    (int(slot), node, payload[pos].copy())
-                )
-            immediate = set()
-            for origin, node, value in self._drain():
-                if origin == slot and cfg.latency == 0:
-                    immediate.add(node)
-                else:
-                    self._schedule(slot, origin, node, value)
-            self._delivered_now += len(immediate)
-            if immediate:
-                order = [
-                    p for p in range(count)
-                    if int(sender_ids[p]) in immediate
-                ]
-                return np.asarray(order, dtype=np.int64)
+        if cfg.uplinks == 0 and cfg.latency == 0:
+            self._delivered_now += int(kept.size)
+            return kept
+        survivors = _Queued(
+            np.full(kept.size, slot, dtype=np.int64),
+            sender_ids[kept],
+            payload[kept],
+        )
+        if cfg.uplinks == 0:
+            self._schedule(slot, survivors)
             return np.empty(0, dtype=np.int64)
+        drained = self._drain(survivors)
+        immediate = _EMPTY
         if cfg.latency == 0:
-            positions = np.flatnonzero(keep)
-            self._delivered_now += int(positions.size)
-            return positions.astype(np.int64)
-        for pos in np.flatnonzero(keep).tolist():
-            self._schedule(
-                slot, int(slot), int(sender_ids[pos]), payload[pos].copy()
-            )
-        return np.empty(0, dtype=np.int64)
+            now = drained.origin == slot
+            immediate = drained.node[now]
+            drained = _take(drained, ~now)
+        self._schedule(slot, drained)
+        if not immediate.size:
+            return np.empty(0, dtype=np.int64)
+        self._delivered_now += int(immediate.size)
+        return np.flatnonzero(np.isin(sender_ids, immediate)).astype(
+            np.int64, copy=False
+        )
 
-    def _drain(self) -> List[_Record]:
-        """Pop up to ``uplink_capacity`` records per uplink, FIFO."""
+    def _drain(self, arrivals: _Queued) -> _Queued:
+        """Queue ``arrivals`` behind the backlog, then pop up to
+        ``uplink_capacity`` messages per uplink, FIFO.
+
+        Returns the drained messages uplink by uplink, oldest first
+        within each.
+        """
+        uplinks = self.config.uplinks
         capacity = self.config.uplink_capacity
-        drained: List[_Record] = []
-        for queue in self._queues:
-            take = min(capacity, len(queue))
-            drained.extend(queue[:take])
-            del queue[:take]
-        return drained
+        backlog = _join((self._queues, arrivals), arrivals)
+        uplink = backlog.node % uplinks
+        order = np.argsort(uplink, kind="stable")
+        counts = np.bincount(uplink, minlength=uplinks)
+        if counts.max() <= capacity:  # the usual slot: everything drains
+            self._queues = _NO_QUEUE
+            return _take(backlog, order)
+        # Rank within its uplink of each message in ``order``.
+        starts = np.cumsum(counts) - counts
+        rank = np.arange(order.size) - starts[uplink[order]]
+        drained = order[rank < capacity]
+        left = np.ones(order.size, dtype=bool)
+        left[drained] = False
+        self._queues = _take(backlog, left)
+        return _take(backlog, drained)
 
-    def _schedule(
-        self, now: int, origin: int, node: int, value: np.ndarray
-    ) -> None:
-        """Park a drained message until its propagation delay elapses.
+    def _schedule(self, now: int, batch: _Queued) -> None:
+        """Park drained messages until their propagation delay elapses.
 
         Arrival is at least ``now + 1``: slot ``now``'s late arrivals
         were already re-ingested before this slot's transfer ran.
         """
-        arrival = max(now + self.config.latency, now + 1)
-        self._pending.setdefault(arrival, []).append((origin, node, value))
+        if not batch.node.size:
+            return
+        arrival = np.full(
+            batch.node.size, now + max(self.config.latency, 1),
+            dtype=np.int64,
+        )
+        delayed = _Delayed(*batch, arrival)
+        self._pending = _join((self._pending, delayed), delayed)
 
     def due(self, slot: int) -> List[Tuple[int, np.ndarray, np.ndarray]]:
-        matured = self._pending.pop(int(slot), [])
-        if not matured:
+        pending = self._pending
+        matured = pending.arrival == slot
+        count = int(np.count_nonzero(matured))
+        if not count:
             return []
-        self._delivered_late += len(matured)
-        by_origin: Dict[int, List[Tuple[int, np.ndarray]]] = {}
-        for origin, node, value in matured:
-            by_origin.setdefault(origin, []).append((node, value))
-        out = []
-        for origin in sorted(by_origin):
-            group = by_origin[origin]
-            ids = np.asarray([node for node, _ in group], dtype=np.int64)
-            values = np.stack([value for _, value in group])
-            out.append((origin, ids, values))
-        return out
+        self._delivered_late += count
+        if count == matured.size:  # the usual slot: all of it matures
+            batch = pending
+            self._pending = _NO_DELAY
+        else:
+            batch = _take(pending, matured)
+            self._pending = _take(pending, ~matured)
+        # Group by origin, ascending; scheduling order within a group.
+        order = np.argsort(batch.origin, kind="stable")
+        origin = batch.origin[order]
+        node = batch.node[order]
+        values = batch.values[order]
+        edges = [0, *(np.flatnonzero(origin[1:] != origin[:-1]) + 1), count]
+        return [
+            (int(origin[start]), node[start:stop], values[start:stop])
+            for start, stop in zip(edges[:-1], edges[1:])
+        ]
 
     # ------------------------------------------------------------------
     # Fleet churn
@@ -413,46 +483,35 @@ class NetworkLink(LinkModel):
         remap[keep] = np.arange(keep.size, dtype=np.int64)
         self._bad = self._bad[keep]
         self._num_nodes = int(keep.size)
-        survivors: List[_Record] = []
-        for queue in self._queues:
-            for origin, node, value in queue:
-                if remap[node] >= 0:
-                    survivors.append((origin, int(remap[node]), value))
-                else:
-                    self._dropped_churn += 1
-            queue.clear()
+        queued = self._renumber(self._queues, remap)
         # Re-bucket: uplink assignment follows the *new* node ids.
-        # Deterministic order: origin slot, then new node id.
-        survivors.sort(key=lambda record: (record[0], record[1]))
-        for record in survivors:
-            self._queues[record[1] % self.config.uplinks].append(record)
-        for arrival in sorted(self._pending):
-            kept = []
-            for origin, node, value in self._pending[arrival]:
-                if remap[node] >= 0:
-                    kept.append((origin, int(remap[node]), value))
-                else:
-                    self._dropped_churn += 1
-            if kept:
-                self._pending[arrival] = kept
-            else:
-                del self._pending[arrival]
+        # Deterministic order within an uplink: origin slot, then new
+        # node id.
+        self._queues = _take(queued, np.lexsort((queued.node, queued.origin)))
+        self._pending = self._renumber(self._pending, remap)
+
+    def _renumber(self, batch: _Batch, remap: np.ndarray) -> _Batch:
+        """``batch`` with node ids mapped through ``remap``; messages of
+        nodes mapped to -1 are churn losses."""
+        node = remap[batch.node]
+        return self._survivors(batch._replace(node=node), node >= 0)
+
+    def _survivors(self, batch: _Batch, alive: np.ndarray) -> _Batch:
+        """The messages of ``batch`` that ``alive`` keeps; the others
+        are churn losses."""
+        self._dropped_churn += int(alive.size - np.count_nonzero(alive))
+        return _take(batch, alive)
 
     def fail_nodes(self, node_ids: np.ndarray) -> None:
-        failed = set(np.asarray(node_ids, dtype=np.int64).ravel().tolist())
-        for queue in self._queues:
-            kept = [r for r in queue if r[1] not in failed]
-            self._dropped_churn += len(queue) - len(kept)
-            queue[:] = kept
-        for arrival in sorted(self._pending):
-            kept = [r for r in self._pending[arrival] if r[1] not in failed]
-            self._dropped_churn += len(self._pending[arrival]) - len(kept)
-            if kept:
-                self._pending[arrival] = kept
-            else:
-                del self._pending[arrival]
+        failed = np.asarray(node_ids, dtype=np.int64).ravel()
+        self._queues = self._survivors(
+            self._queues, ~np.isin(self._queues.node, failed)
+        )
+        self._pending = self._survivors(
+            self._pending, ~np.isin(self._pending.node, failed)
+        )
         # A restarted node comes back with a clean channel.
-        self._bad[np.asarray(sorted(failed), dtype=np.int64)] = False
+        self._bad[failed] = False
 
     # ------------------------------------------------------------------
     # Accounting and state
@@ -469,29 +528,36 @@ class NetworkLink(LinkModel):
 
     @property
     def in_flight(self) -> int:
-        queued = sum(len(queue) for queue in self._queues)
-        delayed = sum(len(batch) for batch in self._pending.values())
-        return queued + delayed
+        return int(self._queues.node.size + self._pending.node.size)
 
     def get_state(self) -> dict:
-        def pack(records: List[_Record]) -> Optional[dict]:
-            if not records:
+        """Per-uplink packs of the backlog and per-arrival-slot packs of
+        the delayed messages, the layout archives from 4.3.0 and
+        earlier hold."""
+
+        def pack(batch: _Batch, mask: np.ndarray) -> Optional[dict]:
+            if not mask.any():
                 return None
             return {
-                "origin": np.asarray([r[0] for r in records], dtype=np.int64),
-                "node": np.asarray([r[1] for r in records], dtype=np.int64),
-                "values": np.stack([r[2] for r in records]),
+                "origin": batch.origin[mask],
+                "node": batch.node[mask],
+                "values": batch.values[mask],
             }
 
+        queued, pending = self._queues, self._pending
+        arrivals = np.unique(pending.arrival).tolist()
         return {
             "kind": "network",
             "num_nodes": self._num_nodes,
             "bad": self._bad.copy(),
-            "queues": [pack(queue) for queue in self._queues],
-            "pending_slots": sorted(self._pending),
+            "queues": [
+                pack(queued, queued.node % self.config.uplinks == uplink)
+                for uplink in range(self.config.uplinks)
+            ],
+            "pending_slots": arrivals,
             "pending": [
-                pack(self._pending[arrival])
-                for arrival in sorted(self._pending)
+                pack(pending, pending.arrival == arrival)
+                for arrival in arrivals
             ],
             "counters": self.counters(),
             "rng": self._rng.bit_generator.state,
@@ -503,30 +569,32 @@ class NetworkLink(LinkModel):
                 f"state is for a {state.get('kind')!r} link, not network"
             )
 
-        def unpack(packed: Optional[dict]) -> List[_Record]:
+        def unpack(packed: Optional[dict]) -> _Queued:
+            # Copies, so the link never aliases the checkpoint's arrays.
             if packed is None:
-                return []
-            origins = np.asarray(packed["origin"], dtype=np.int64)
-            node_column = np.asarray(packed["node"], dtype=np.int64)
-            values = np.asarray(packed["values"], dtype=float)
-            return [
-                (int(origins[k]), int(node_column[k]), values[k].copy())
-                for k in range(origins.shape[0])
-            ]
+                return _NO_QUEUE
+            return _Queued(
+                np.array(packed["origin"], dtype=np.int64),
+                np.array(packed["node"], dtype=np.int64),
+                np.array(packed["values"], dtype=float),
+            )
 
-        self._num_nodes = int(state["num_nodes"])
-        self._bad = np.asarray(state["bad"], dtype=bool).copy()
         queues = state["queues"]
-        if len(queues) != len(self._queues):
+        if len(queues) != self.config.uplinks:
             raise SimulationError(
                 f"state has {len(queues)} uplink queues, link has "
-                f"{len(self._queues)} (config mismatch)"
+                f"{self.config.uplinks} (config mismatch)"
             )
-        self._queues = [unpack(packed) for packed in queues]
-        self._pending = {
-            int(arrival): unpack(packed)
-            for arrival, packed in zip(state["pending_slots"], state["pending"])
-        }
+        self._num_nodes = int(state["num_nodes"])
+        self._bad = np.asarray(state["bad"], dtype=bool).copy()
+        self._queues = _join([unpack(packed) for packed in queues], _NO_QUEUE)
+        delayed = []
+        for arrival, packed in zip(state["pending_slots"], state["pending"]):
+            batch = unpack(packed)
+            delayed.append(_Delayed(*batch, np.full(
+                batch.node.size, int(arrival), dtype=np.int64
+            )))
+        self._pending = _join(delayed, _NO_DELAY)
         totals = state["counters"]
         self._sent = int(totals["sent"])
         self._delivered_now = int(totals["delivered_now"])

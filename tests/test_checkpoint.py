@@ -654,6 +654,11 @@ FLIPS = {
     "manifest-central-offset": lambda z: (z.central[MANIFEST] + 42, 2),
     "member-central-offset-low": lambda z: (z.central[z.largest] + 42, 0),
     "member-central-offset-high": lambda z: (z.central[z.largest] + 45, 7),
+    # General-purpose flag bits 0 (encrypted) and 6 (strong encryption).
+    "member-central-flag-encrypted": lambda z: (z.central[z.largest] + 8, 0),
+    "member-central-flag-strong-encryption": lambda z: (
+        z.central[z.largest] + 8, 6
+    ),
 }
 
 #: Flips no loader notices: the end record's two entry counts (zipfile
@@ -871,7 +876,13 @@ class TestKilledSave:
         assert resumed.time == cut
         for t in range(cut, cut + 8):
             assert_outputs_equal(outputs[t], resumed.ingest(trace[t]))
+        # A temp file of a save still running elsewhere (a live pid)
+        # survives; the killed child's is removed by the next save.
+        live = tmp_path / f"session.ckpt.tmp-{os.getppid()}"
+        live.write_bytes(b"in progress")
         resumed.save(path)
+        assert list(tmp_path.glob("session.ckpt.tmp-*")) == [live]
+        assert live.read_bytes() == b"in progress"
         again = Engine(cfg).resume(path)
         assert again.time == cut + 8
         for t in range(cut + 8, 40):

@@ -14,6 +14,7 @@ randomized inputs.
 """
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -30,6 +31,7 @@ from repro.clustering.similarity import (
     persistent_labels,
     similarity_matrix_from_labels,
 )
+from repro.exceptions import DataError
 from repro.forecasting.membership import forecast_membership
 from repro.forecasting.offsets import (
     alpha_clip,
@@ -254,6 +256,147 @@ class TestVectorizedOffsetsEquivalence:
         reference = estimate_offsets_reference(stored, cents, labels, 3)
         vectorized = estimate_offsets(stored, cents, labels, 3)
         np.testing.assert_array_equal(reference, vectorized)
+
+
+class TestOffsetMemo:
+    """estimate_offsets over a reused memo of per-slot target terms vs
+    the stateless call and the reference loops, and the pipeline's
+    memo across churn, restore and rewind."""
+
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(DIMS),
+        st.sampled_from((1, 2, 3, 5)),
+        st.booleans(),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_memo_over_a_sliding_window_bit_identical(
+        self, seed, dim, clusters, clip
+    ):
+        rng = np.random.default_rng(seed)
+        num_nodes = int(rng.integers(1, 25))
+        lookback = int(rng.integers(0, 6))
+        window = lookback + 1
+        float32 = rng.random() < 0.3
+        stored, cents, memo = [], [], []
+        for _ in range(window + int(rng.integers(1, 6))):
+            centroids = rng.normal(size=(clusters, dim))
+            z = rng.normal(size=(num_nodes, dim))
+            if float32:
+                centroids = centroids.astype(np.float32).astype(float)
+            if rng.random() < 0.3:
+                # Points exactly on a centroid: zero directions.
+                on = rng.integers(0, clusters, size=z[::2].shape[0])
+                z[::2] = centroids[on]
+            if rng.random() < 0.3:
+                # -0.0 against a 0.0 centroid: signed-zero directions.
+                centroids[0] = 0.0
+                z[1::3] = -0.0
+            stored.append(z.astype(np.float32) if float32 else z)
+            cents.append(centroids)
+            memo.append(None)
+            del memo[:-window]
+            if rng.random() < 0.2:
+                memo[int(rng.integers(0, len(memo)))] = None
+            memberships = rng.integers(0, clusters, size=num_nodes)
+            memoized = estimate_offsets(
+                stored, cents, memberships, lookback, clip=clip, memo=memo
+            )
+            stateless = estimate_offsets(
+                stored, cents, memberships, lookback, clip=clip
+            )
+            reference = estimate_offsets_reference(
+                stored, cents, memberships, lookback, clip=clip
+            )
+            assert memoized.tobytes() == stateless.tobytes()
+            assert memoized.tobytes() == reference.tobytes()
+            assert memoized.shape == reference.shape
+            assert all(terms is not None for terms in memo)
+
+    @pytest.mark.parametrize("dim", (2, 8))
+    def test_memo_spanning_several_node_blocks(self, dim):
+        # The memo computes a slot's terms 1,024 nodes at a time; a
+        # fleet of two and a half blocks must match the stateless call.
+        rng = np.random.default_rng(dim)
+        num_nodes, clusters, lookback = 2_600, 3, 2
+        stored = [rng.normal(size=(num_nodes, dim)) for _ in range(4)]
+        cents = [rng.normal(size=(clusters, dim)) for _ in range(4)]
+        memberships = rng.integers(0, clusters, size=num_nodes)
+        memo = [None] * 4
+        memoized = estimate_offsets(
+            stored, cents, memberships, lookback, memo=memo
+        )
+        stateless = estimate_offsets(stored, cents, memberships, lookback)
+        assert memoized.tobytes() == stateless.tobytes()
+        assert memo[0] is None  # outside the window: never computed
+
+    def test_memo_shorter_than_the_window_is_rejected(self):
+        stored = [np.zeros((3, 1))] * 3
+        cents = [np.zeros((2, 1))] * 3
+        with pytest.raises(DataError):
+            estimate_offsets(stored, cents, np.zeros(3), 2, memo=[None])
+        with pytest.raises(DataError):
+            estimate_offsets(
+                stored, cents, np.zeros(3), 0, memo=[np.zeros((1, 2, 4))]
+            )
+
+    def test_session_churn_and_resume_mid_window(self, tmp_path):
+        """Grow, compact and a save/resume inside the M'+1 window: the
+        memo is rebuilt, and the resumed session continues bit for bit
+        like the one that never stopped."""
+        cfg = PipelineConfig(
+            transmission=TransmissionConfig(budget=0.4),
+            clustering=ClusteringConfig(num_clusters=3, seed=0),
+            forecasting=ForecastingConfig(
+                model="ar", max_horizon=2, initial_collection=12,
+                retrain_interval=12, membership_lookback=4,
+            ),
+        )
+        trace = walk_trace(steps=50, nodes=12, seed=11)
+        live = Engine(cfg).session(10, 1)
+        stopped = Engine(cfg).session(10, 1)
+        members = np.arange(10)
+        for t in range(50):
+            if t == 20:  # two nodes join
+                for session in (live, stopped):
+                    session.grow(2)
+                members = np.arange(12)
+            if t == 24:  # three leave, one slot later than the joins
+                keep = np.asarray([0, 1, 3, 4, 6, 7, 8, 10, 11])
+                for session in (live, stopped):
+                    session.compact(keep)
+                members = members[keep]
+            if t == 26:  # mid-window: the memo holds slots 24 and 25
+                stopped.save(tmp_path / "mid.ckpt")
+                stopped = Engine(cfg).resume(tmp_path / "mid.ckpt")
+            a, b = live.ingest(trace[t, members]), stopped.ingest(
+                trace[t, members]
+            )
+            assert (a.node_forecasts is None) == (b.node_forecasts is None)
+            for h in a.node_forecasts or {}:
+                assert a.node_forecasts[h].tobytes() == (
+                    b.node_forecasts[h].tobytes()
+                )
+
+    def test_pipeline_rewound_by_set_state(self):
+        """set_state onto a pipeline that ran ahead drops its memo."""
+        cfg = config(initial=8)
+        trace = walk_trace(steps=40, nodes=8, seed=5)
+        ahead = OnlinePipeline(8, 1, cfg)
+        for t in range(20):
+            ahead.step(trace[t])
+        state = ahead.get_state()
+        reference = OnlinePipeline(8, 1, cfg)
+        reference.set_state(state)
+        for t in range(20, 30):
+            ahead.step(trace[t])
+        ahead.set_state(state)
+        for t in range(20, 40):
+            a, b = ahead.step(trace[t]), reference.step(trace[t])
+            for h in a.node_forecasts:
+                assert a.node_forecasts[h].tobytes() == (
+                    b.node_forecasts[h].tobytes()
+                )
 
 
 class TestVectorizedSimilarityEquivalence:

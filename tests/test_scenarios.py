@@ -293,9 +293,11 @@ class TestNetworkLink:
         assert link.in_flight == 4
         link.compact(np.asarray([1, 2, 3]))
         assert link.is_conserved
-        for queue_index, queue in enumerate(link._queues):
-            for _, node, _ in queue:
-                assert node % 2 == queue_index
+        queues = link.get_state()["queues"]
+        assert sum(packed is not None for packed in queues) > 0
+        for queue_index, packed in enumerate(queues):
+            if packed is not None:
+                assert (packed["node"] % 2 == queue_index).all()
 
     def test_fail_nodes_drops_in_flight(self):
         link = NetworkLink(4, LinkConfig(latency=3, seed=0))
