@@ -27,6 +27,14 @@ reused across slots, as the pipeline calls it, which computes only the
 newest slot's terms and gathers the rest.  The two must be
 bit-identical on every slot; the columns are mean seconds per slot.
 
+The `centroid-series` rows fill a K = 3, d = 1 tracker's centroid
+series with t ∈ {1,000, 10,000, 100,000} rows, appended directly rather
+than through t K-means runs, and time its `get_state` and `set_state`
+in milliseconds against what a list of t ``(K, d)`` rows costs: an
+``np.stack`` out and a split back in.  The state's centroids must be
+byte-equal to ``np.stack`` of the same rows, before and after the
+round trip.  These rows have no wall-clock bar.
+
 Asserts the paper's fleet-scale claim is actually realized: at
 N = 1000 the vectorized `estimate_offsets` + re-indexing combo must be
 at least 10× faster than the reference loops.  Rows are also recorded
@@ -38,6 +46,7 @@ import time
 import numpy as np
 import pytest
 
+from repro.clustering.dynamic import DynamicClusterTracker
 from repro.clustering.kmeans import kmeans
 from repro.clustering.similarity import similarity_matrix_from_labels
 from repro.core.config import TransmissionConfig
@@ -63,6 +72,8 @@ WORKLOAD_WINDOW = 6  # their M' = 5
 #: (N, d, K) of longlived_churn and the serving shapes, for the memo rows.
 MEMO_SHAPES = ((500, 1, 3),) + WORKLOAD_SHAPES
 MEMO_SLIDES = 12  # slots each memo row slides its window over
+#: Lengths t of the centroid-series rows (K = 3, d = 1).
+SERIES_SLOTS = (1_000, 10_000, 100_000)
 
 
 def _timeit(fn, *, repeats=3):
@@ -284,6 +295,43 @@ def test_bench_hot_path(record_result):
 
     lines.append("")
     lines.append(
+        "centroid series, K = 3, d = 1, ms per call at t slots "
+        "(reference = a list of t rows):"
+    )
+    lines.append(
+        f"{'kernel':<15} {'t':>7}  {'np.stack':>9}  {'get_state':>9}  "
+        f"{'split':>9}  {'set_state':>9}"
+    )
+    series_rows = []
+    for slots in SERIES_SLOTS:
+        listed = list(rng.uniform(0.1, 0.9, (slots, 3, 1)))
+        tracker = DynamicClusterTracker(3, seed=0)
+        for centroids in listed:
+            tracker._centroids.append(centroids)
+        stacked = np.stack(listed)
+        stack_s, _ = _timeit(lambda: np.stack(listed), repeats=5)
+        get_s, state = _timeit(tracker.get_state, repeats=5)
+        assert state["centroids"].tobytes() == stacked.tobytes()
+        split_s, _ = _timeit(lambda: list(stacked), repeats=5)
+        restored = DynamicClusterTracker(3, seed=1)
+        set_s, _ = _timeit(lambda: restored.set_state(state), repeats=5)
+        assert restored.get_state()["centroids"].tobytes() == (
+            stacked.tobytes()
+        )
+        series_rows.append({
+            "kernel": "centroid-series", "slots": slots, "dim": 1,
+            "clusters": 3, "stack_ms": 1e3 * stack_s,
+            "get_state_ms": 1e3 * get_s, "split_ms": 1e3 * split_s,
+            "set_state_ms": 1e3 * set_s,
+        })
+        lines.append(
+            f"{'centroid-series':<15} {slots:>7}  {1e3 * stack_s:>9.3f}  "
+            f"{1e3 * get_s:>9.3f}  {1e3 * split_s:>9.3f}  "
+            f"{1e3 * set_s:>9.3f}"
+        )
+
+    lines.append("")
+    lines.append(
         "combined offsets+reindex speedup: "
         + ", ".join(
             f"N={n}: {ratio:.1f}x" for n, ratio in combined.items()
@@ -294,6 +342,7 @@ def test_bench_hot_path(record_result):
         "\n".join(lines),
         data={
             "rows": rows,
+            "centroid_series": series_rows,
             "combined_offsets_reindex_speedup": {
                 str(n): ratio for n, ratio in combined.items()
             },

@@ -18,13 +18,14 @@ callers that need a longer label history keep those.
 from __future__ import annotations
 
 from collections import deque
-from typing import Deque, List, Optional
+from typing import Deque, Optional
 
 import numpy as np
 
 from repro.clustering.kmeans import cluster_means, kmeans
 from repro.clustering.matching import maximum_weight_assignment
 from repro.clustering.similarity import similarity_matrix_from_labels
+from repro.core.ring import SlotSeries
 from repro.core.types import ClusterAssignment
 from repro.exceptions import ConfigurationError, DataError
 
@@ -77,7 +78,9 @@ class DynamicClusterTracker:
         # contingency is one bincount, not per-node set building).
         self._label_window: Deque[np.ndarray] = deque(maxlen=history_depth)
         self._previous_centroids: Optional[np.ndarray] = None
-        self._centroid_history: List[np.ndarray] = []
+        # One (K, d) row per slot.  Every array handed out is a copy,
+        # except recent_centroids' read-only view.
+        self._centroids = SlotSeries()
         self._time = 0
         self._dim: Optional[int] = None
 
@@ -97,9 +100,9 @@ class DynamicClusterTracker:
             raise ConfigurationError(
                 f"cluster {cluster} outside [0, {self.num_clusters})"
             )
-        if not self._centroid_history:
+        if not self._centroids:
             return np.empty((0, self._dim if self._dim is not None else 1))
-        return np.stack([c[cluster] for c in self._centroid_history])
+        return self._centroids.view()[:, cluster].copy()
 
     def centroid_tensor(self) -> np.ndarray:
         """Centroid series of every cluster at once, shape ``(t, K, d)``.
@@ -110,19 +113,21 @@ class DynamicClusterTracker:
         consistent shape: ``(0, K, d)`` once the dimensionality is
         known, ``(0, K, 1)`` otherwise.
         """
-        if not self._centroid_history:
+        if not self._centroids:
             return np.empty((
                 0,
                 self.num_clusters,
                 self._dim if self._dim is not None else 1,
             ))
-        return np.stack(self._centroid_history)
+        return self._centroids.copy()
 
-    def recent_centroids(self, count: int) -> List[np.ndarray]:
-        """The last ``count`` slots' centroids, oldest first, each
-        ``(K, d)`` — the tail of :meth:`centroid_tensor` without
-        stacking the whole series."""
-        return self._centroid_history[-count:] if count > 0 else []
+    def recent_centroids(self, count: int) -> np.ndarray:
+        """The last ``count`` slots' centroids, oldest first,
+        ``(min(count, t), K, d)`` — a read-only view of the tail of
+        :meth:`centroid_tensor`, not a copy."""
+        if not self._centroids:
+            return self.centroid_tensor()
+        return self._centroids.tail(count)
 
     def update(
         self,
@@ -141,6 +146,11 @@ class DynamicClusterTracker:
 
         Returns:
             The re-indexed :class:`ClusterAssignment` for this slot.
+
+        Raises:
+            DataError: On malformed ``values`` or ``features``, or on
+                ``values`` whose dimensionality differs from earlier
+                slots' (the centroid series holds one ``(K, d)`` shape).
         """
         data = np.asarray(values, dtype=float)
         if data.ndim == 1:
@@ -182,8 +192,8 @@ class DynamicClusterTracker:
             labels = self._reindex(labels)
         centroids = self._value_centroids(data, labels)
 
+        self._centroids.append(centroids)
         self._label_window.append(np.asarray(labels, dtype=int).copy())
-        self._centroid_history.append(centroids)
         self._dim = data.shape[1]
         if features is None:
             self._previous_centroids = centroids
@@ -251,10 +261,7 @@ class DynamicClusterTracker:
                 np.stack(self._label_window) if self._label_window
                 else None
             ),
-            "centroids": (
-                np.stack(self._centroid_history)
-                if self._centroid_history else None
-            ),
+            "centroids": self._centroids.copy() if self._centroids else None,
             "previous_centroids": (
                 None if self._previous_centroids is None
                 else self._previous_centroids.copy()
@@ -265,8 +272,9 @@ class DynamicClusterTracker:
     def set_state(self, state: dict) -> None:
         """Restore a state captured by :meth:`get_state`.
 
-        Format-1 checkpoints carry every slot's labels; only the last
-        ``M`` rows are read.
+        The centroid series is copied in, so the tracker never shares
+        it with ``state``.  Format-1 checkpoints carry every slot's
+        labels; only the last ``M`` rows are read.
         """
         if int(state["num_clusters"]) != self.num_clusters:
             raise ConfigurationError(
@@ -277,10 +285,10 @@ class DynamicClusterTracker:
         self._dim = None if state["dim"] is None else int(state["dim"])
         labels = state["labels"]
         centroids = state["centroids"]
-        self._centroid_history = (
-            [] if centroids is None
-            else list(np.asarray(centroids, dtype=float))
-        )
+        if centroids is None:
+            self._centroids.clear()
+        else:
+            self._centroids.load(np.asarray(centroids, dtype=float))
         self._label_window = deque(
             [] if labels is None else [
                 np.asarray(row, dtype=int).copy()
@@ -304,8 +312,8 @@ class DynamicClusterTracker:
             centroids = data.copy()
         else:
             centroids = self._value_centroids(data, labels)
+        self._centroids.append(centroids)
         self._label_window.append(np.asarray(labels, dtype=int).copy())
-        self._centroid_history.append(centroids)
         self._dim = data.shape[1]
         self._previous_centroids = centroids
         assignment = ClusterAssignment(

@@ -1,4 +1,4 @@
-"""Preallocated ring buffers for bounded per-slot history windows.
+"""Preallocated per-slot history: a bounded ring and a growing series.
 
 The online pipeline only ever looks back ``M' + 1`` slots for membership
 forecasting and offset estimation.  A :class:`SlotRing` keeps that
@@ -6,6 +6,12 @@ window in one preallocated ``(maxlen, …)`` array instead of a deque of
 per-slot array objects: appends are a single row copy into recycled
 storage (no per-slot allocation, no object churn), and the window reads
 back in order as zero-copy row views.
+
+The forecasters train on whole per-slot series that grow with the
+stream (the tracker's centroids, the mean bank's rows).  A
+:class:`SlotSeries` keeps such a series in one array that doubles when
+full: an append is one row copy, and the series reads back as one
+contiguous slice, so a checkpoint or a retrain copies one block.
 """
 
 from __future__ import annotations
@@ -170,4 +176,92 @@ class SlotRing:
             self.append(row)
 
 
-__all__ = ["SlotRing"]
+class SlotSeries:
+    """Append-only series of per-slot arrays in one doubling buffer.
+
+    Storage is allocated on the first append, :attr:`INITIAL_CAPACITY`
+    rows of that slot's shape and dtype, and doubles whenever it is
+    full, so an append costs one row copy amortized.  :meth:`view` and
+    :meth:`tail` return read-only views of the live buffer; whatever
+    leaves the series to be kept or changed goes through :meth:`copy`.
+    """
+
+    __slots__ = ("_buffer", "_length")
+
+    #: Rows allocated at the first append.
+    INITIAL_CAPACITY = 16
+
+    def __init__(self) -> None:
+        self._buffer: Optional[np.ndarray] = None
+        self._length = 0
+
+    def append(self, value: np.ndarray) -> None:
+        """Copy one slot's array onto the end of the series."""
+        if self._buffer is None:
+            self._buffer = np.empty(
+                (self.INITIAL_CAPACITY,) + value.shape, dtype=value.dtype
+            )
+        elif value.shape != self._buffer.shape[1:]:
+            raise DataError(
+                f"slot shape {value.shape} does not match the series' "
+                f"{self._buffer.shape[1:]}"
+            )
+        elif self._length == len(self._buffer):
+            grown = np.empty(
+                (2 * self._length,) + value.shape, dtype=self._buffer.dtype
+            )
+            grown[: self._length] = self._buffer
+            self._buffer = grown
+        self._buffer[self._length] = value
+        self._length += 1
+
+    def __len__(self) -> int:
+        return self._length
+
+    def view(self) -> np.ndarray:
+        """Every slot so far, oldest first, ``(len, …)`` (read-only view).
+
+        Raises:
+            DataError: Nothing was ever appended or loaded, so the slot
+                shape is unknown.
+        """
+        if self._buffer is None:
+            raise DataError("empty series has no slot shape")
+        rows = self._buffer[: self._length]
+        rows.flags.writeable = False
+        return rows
+
+    def tail(self, count: int) -> np.ndarray:
+        """The last ``count`` slots (all of them when fewer), oldest
+        first (read-only view)."""
+        rows = self.view()
+        return rows[max(0, len(rows) - count):] if count > 0 else rows[:0]
+
+    def copy(self) -> np.ndarray:
+        """Every slot so far as a fresh C-contiguous ``(len, …)`` array."""
+        return self.view().copy()
+
+    def load(self, rows: np.ndarray) -> None:
+        """Replace the series with a copy of ``rows``, shape ``(t, …)``.
+
+        The buffer gets the capacity that ``t`` appends would have
+        grown, so a restored series holds what the original held.
+        """
+        if rows.ndim < 1:
+            raise DataError("series rows need a slot axis")
+        capacity = self.INITIAL_CAPACITY
+        while capacity < len(rows):
+            capacity *= 2
+        self._buffer = np.empty(
+            (capacity,) + rows.shape[1:], dtype=rows.dtype
+        )
+        self._buffer[: len(rows)] = rows
+        self._length = len(rows)
+
+    def clear(self) -> None:
+        """Forget every slot and the slot shape (storage is released)."""
+        self._buffer = None
+        self._length = 0
+
+
+__all__ = ["SlotRing", "SlotSeries"]

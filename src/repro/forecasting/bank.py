@@ -41,6 +41,7 @@ from typing import Callable, Dict, List, Optional, TYPE_CHECKING
 
 import numpy as np
 
+from repro.core.ring import SlotSeries
 from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
@@ -277,36 +278,38 @@ class SampleHoldBank(ForecasterBank):
 class MeanBank(ForecasterBank):
     """Long-term mean of every series, recomputed over the full history
     on update — matching :class:`~repro.forecasting.sample_hold.
-    MeanForecaster` exactly."""
+    MeanForecaster` exactly.  The history is one growing ``(t, S)``
+    array in the bank dtype, so an update appends one row and reduces
+    the array."""
 
     def __init__(self, num_clusters: int, dim: int) -> None:
         super().__init__(num_clusters, dim)
-        self._rows: List[np.ndarray] = []
+        self._rows = SlotSeries()
         self._mean: Optional[np.ndarray] = None
 
     def _fit(self, matrix: np.ndarray) -> None:
-        self._rows = [row for row in matrix]
+        self._rows.load(matrix)
         self._mean = running_mean(matrix)
 
     def _update(self, values: np.ndarray) -> None:
-        self._rows.append(values.copy())
-        self._mean = running_mean(np.asarray(self._rows, dtype=self.dtype))
+        self._rows.append(values)
+        self._mean = running_mean(self._rows.view())
 
     def _forecast(self, horizon: int) -> np.ndarray:
         return hold_forecast(self._mean, horizon)
 
     def _state(self) -> Dict[str, object]:
         return {
-            "rows": np.stack(self._rows) if self._rows else None,
+            "rows": self._rows.copy() if self._rows else None,
             "mean": self._mean,
         }
 
     def _load_state(self, state: Dict[str, object]) -> None:
         rows = state["rows"]
-        self._rows = (
-            [] if rows is None
-            else [row.copy() for row in np.asarray(rows, dtype=self.dtype)]
-        )
+        if rows is None:
+            self._rows.clear()
+        else:
+            self._rows.load(np.asarray(rows, dtype=self.dtype))
         # The mean is computed in float64 whatever the bank dtype.
         mean = state["mean"]
         self._mean = None if mean is None else np.asarray(mean, dtype=float)

@@ -90,15 +90,42 @@ class TestVectorizedBankEquivalence:
         np.testing.assert_array_equal(actual, expected)
 
     @given(st.integers(0, 10_000), st.integers(1, 5), st.integers(1, 3),
-           st.integers(0, 4), st.integers(1, 40))
+           st.integers(90, 140), st.integers(1, 40), st.data())
     @settings(max_examples=40, deadline=None)
-    def test_mean(self, seed, clusters, dim, num_updates, steps):
-        series = centroid_tensor(seed, steps, clusters, dim)
-        updates = centroid_tensor(seed + 1, max(num_updates, 1), clusters,
-                                  dim)[:num_updates]
-        expected = scalar_loop(MeanForecaster, series, updates, 3)
-        actual = drive_bank(MeanBank(clusters, dim), series, updates, 3)
-        np.testing.assert_array_equal(actual, expected)
+    def test_mean(self, seed, clusters, dim, num_updates, steps, data):
+        # A fit of at most 40 rows fills at most 64 rows of the bank's
+        # history buffer; 90 or more updates double it at least twice.
+        # A get_state/set_state round trip lands anywhere in between.
+        cut = data.draw(st.integers(0, num_updates), label="cut")
+        for dtype in (np.float64, np.float32):
+            series = centroid_tensor(seed, steps, clusters, dim).astype(dtype)
+            updates = centroid_tensor(seed + 1, num_updates, clusters,
+                                      dim).astype(dtype)
+            expected = scalar_loop(
+                MeanForecaster, series.astype(float), updates.astype(float),
+                3,
+            ).astype(dtype)
+
+            def bank():
+                return resolve_bank(ForecastingConfig(model="mean"),
+                                    num_clusters=clusters, dim=dim,
+                                    dtype=dtype)
+
+            live = bank().fit(series)
+            for values in updates[:cut]:
+                live.update(values)
+            state = live.get_state()
+            assert state["rows"].dtype == np.dtype(dtype)
+            assert state["rows"].shape == (steps + cut, clusters * dim)
+            resumed = bank()
+            resumed.set_state(state)
+            for values in updates[cut:]:
+                resumed.update(values)
+                live.update(values)
+            actual = resumed.forecast(3)
+            assert actual.dtype == np.dtype(dtype)
+            np.testing.assert_array_equal(actual, expected)
+            assert live.forecast(3).tobytes() == actual.tobytes()
 
     @given(st.integers(0, 10_000), st.integers(1, 3), st.integers(1, 2),
            st.integers(0, 3), st.integers(1, 12))

@@ -7,6 +7,7 @@ an arbitrary slot, resume it in a fresh engine, and every future output
 to the session that never stopped.
 """
 
+import gc
 import io
 import json
 import os
@@ -14,6 +15,7 @@ import signal
 import struct
 import subprocess
 import sys
+import tracemalloc
 import zipfile
 
 import numpy as np
@@ -28,6 +30,7 @@ from repro.checkpoint import (
     Checkpoint,
     as_checkpoint,
     config_mismatch,
+    state_equal,
 )
 from repro.core.config import (
     ClusteringConfig,
@@ -35,6 +38,7 @@ from repro.core.config import (
     PipelineConfig,
     TransmissionConfig,
 )
+from repro.core.ring import SlotSeries
 from repro.exceptions import CheckpointError
 from repro.forecasting.base import Forecaster
 
@@ -904,7 +908,9 @@ class TestBoundedState:
         """Over 5,000 slots with churn, the only session state that
         grows at a fixed fleet size is the centroid series: groups·K·d
         floats per slot.  Tracker labels stay within the M-slot
-        window."""
+        window.  The heap grows by at most four times that between
+        slots 1,000 and 5,000: the series' doubling buffer, not one
+        array object per slot."""
         nodes, clusters, depth, every = 16, 3, 2, 500
         cfg = PipelineConfig(
             transmission=TransmissionConfig(budget=0.3),
@@ -933,16 +939,64 @@ class TestBoundedState:
         )
         session = Engine(cfg).session(nodes, 1)
         sizes = []
-        for t in range(steps):
-            if t % every == every // 2:
-                session.grow(2)
-            if t % every == every // 2 + 10:
-                session.compact(np.delete(np.arange(nodes + 2), [1, 7]))
-            session.ingest(trace[t, : session.num_nodes])
-            if (t + 1) % every == 0:
-                state = session.snapshot().state
-                for tracker in state["pipeline"]["trackers"]:
-                    assert tracker["labels"].shape == (depth, nodes)
-                sizes.append(array_bytes(state))
+        heap = {}
+        tracemalloc.start()
+        try:
+            for t in range(steps):
+                if t % every == every // 2:
+                    session.grow(2)
+                if t % every == every // 2 + 10:
+                    session.compact(np.delete(np.arange(nodes + 2), [1, 7]))
+                session.ingest(trace[t, : session.num_nodes])
+                if (t + 1) % every == 0:
+                    state = session.snapshot().state
+                    for tracker in state["pipeline"]["trackers"]:
+                        assert tracker["labels"].shape == (depth, nodes)
+                    sizes.append(array_bytes(state))
+                    del state
+                if t + 1 in (1000, steps):
+                    gc.collect()
+                    heap[t + 1] = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
         per_slot = clusters * 1 * 8  # groups · K · d · float64
         assert np.diff(sizes).tolist() == [every * per_slot] * 9
+        growth = (heap[steps] - heap[1000]) / (steps - 1000)
+        assert growth <= 4 * per_slot, f"heap grew {growth:.1f} B per slot"
+
+
+#: Resume points one slot before, at and after the first two doublings
+#: of a centroid series' buffer.
+CAPACITY_CUTS = tuple(
+    SlotSeries.INITIAL_CAPACITY * scale + step
+    for scale in (1, 2) for step in (-1, 0, 1)
+)
+
+
+class TestSeriesCapacityBoundaries:
+    @pytest.mark.parametrize("model", ["sample_hold", "mean"])
+    @pytest.mark.parametrize("cut", CAPACITY_CUTS)
+    def test_resume_is_bit_identical(self, cut, model, tmp_path):
+        """A session saved next to a doubling of the centroid series
+        (and, for ``mean``, of the bank's rows) resumes bit for bit."""
+        cfg = config(model=model, initial=8)
+        trace = walk_trace(steps=cut + 40, nodes=6, seed=cut)
+        baseline = Engine(cfg).session(6, 1)
+        outputs = [baseline.ingest(row) for row in trace]
+        interrupted = Engine(cfg).session(6, 1)
+        for row in trace[:cut]:
+            interrupted.ingest(row)
+        path = interrupted.save(tmp_path / "session.ckpt")
+        resumed = Engine(cfg).resume(path)
+        for tracker in resumed.snapshot().state["pipeline"]["trackers"]:
+            assert len(tracker["centroids"]) == cut
+        for t in range(cut, len(trace)):
+            assert_outputs_equal(outputs[t], resumed.ingest(trace[t]))
+        ours = resumed.snapshot().state
+        theirs = baseline.snapshot().state
+        assert state_equal(ours, theirs)
+        for a, b in zip(
+            ours["pipeline"]["trackers"], theirs["pipeline"]["trackers"]
+        ):
+            assert a["labels"].tobytes() == b["labels"].tobytes()
+            assert a["centroids"].tobytes() == b["centroids"].tobytes()

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.checkpoint import state_equal
 from repro.clustering.dynamic import DynamicClusterTracker
+from repro.core.ring import SlotSeries
 from repro.exceptions import ConfigurationError, DataError
 
 
@@ -169,3 +171,156 @@ class TestDynamicClusterTracker:
         for _ in range(4):
             assignment = tracker.update(two_group_slot(rng))
         assert assignment.num_clusters == 2
+
+
+def drifting_slots(steps, nodes=12, seed=0):
+    """Three drifting node groups, one ``(N,)`` slot per row."""
+    rng = np.random.default_rng(seed)
+    groups = np.arange(nodes) % 3
+    centres = np.array([0.2, 0.5, 0.8]) + np.cumsum(
+        rng.normal(0, 0.01, (steps, 3)), axis=0
+    )
+    return centres[:, groups] + rng.normal(0, 0.02, (steps, nodes))
+
+
+def assert_same_tracker_state(a, b):
+    state_a, state_b = a.get_state(), b.get_state()
+    assert state_equal(state_a, state_b)
+    assert state_a["labels"].tobytes() == state_b["labels"].tobytes()
+    assert state_a["centroids"].tobytes() == state_b["centroids"].tobytes()
+
+
+#: Restore points one slot before, at and after the first two doublings
+#: of the centroid series' buffer.
+CAPACITY_CUTS = tuple(
+    SlotSeries.INITIAL_CAPACITY * scale + step
+    for scale in (1, 2) for step in (-1, 0, 1)
+)
+
+
+class TestCentroidSeries:
+    """The centroid series is one growing array; copies leave it."""
+
+    def test_outputs_are_copies_of_the_series(self):
+        slots = drifting_slots(21)
+        tracker = DynamicClusterTracker(3, history_depth=2, seed=0,
+                                        warm_start=True)
+        twin = DynamicClusterTracker(3, history_depth=2, seed=0,
+                                     warm_start=True)
+        for values in slots[:20]:
+            tracker.update(values)
+            twin.update(values)
+        outputs = [
+            tracker.get_state()["centroids"],
+            tracker.centroid_tensor(),
+            tracker.centroid_series(1),
+        ]
+        for out in outputs:
+            assert out.flags.c_contiguous and out.flags.writeable
+            out[...] = -1.0
+        assert_same_tracker_state(tracker, twin)
+        ours, theirs = tracker.update(slots[20]), twin.update(slots[20])
+        assert ours.labels.tobytes() == theirs.labels.tobytes()
+        assert ours.centroids.tobytes() == theirs.centroids.tobytes()
+        assert_same_tracker_state(tracker, twin)
+
+    def test_series_matches_stacked_assignments(self):
+        tracker = DynamicClusterTracker(3, seed=0)
+        assignments = [
+            tracker.update(values) for values in drifting_slots(40)
+        ]
+        stacked = np.stack([a.centroids for a in assignments])
+        assert tracker.centroid_tensor().tobytes() == stacked.tobytes()
+        assert tracker.get_state()["centroids"].tobytes() == (
+            stacked.tobytes()
+        )
+        for j in range(3):
+            assert tracker.centroid_series(j).tobytes() == (
+                np.ascontiguousarray(stacked[:, j]).tobytes()
+            )
+
+    def test_recent_centroids_is_a_read_only_tail(self):
+        tracker = DynamicClusterTracker(3, seed=0)
+        assert tracker.recent_centroids(4).shape == (0, 3, 1)
+        for values in drifting_slots(6):
+            tracker.update(values)
+        tensor = tracker.centroid_tensor()
+        np.testing.assert_array_equal(tracker.recent_centroids(4), tensor[-4:])
+        np.testing.assert_array_equal(tracker.recent_centroids(10), tensor)
+        assert tracker.recent_centroids(0).shape == (0, 3, 1)
+        with pytest.raises(ValueError):
+            tracker.recent_centroids(2)[-1] = 0.0
+
+    def test_row_of_another_shape_raises_at_append(self):
+        tracker = DynamicClusterTracker(2, seed=0)
+        tracker.update(np.linspace(0, 1, 8))
+        with pytest.raises(DataError, match="slot shape"):
+            tracker.update(np.linspace(0, 1, 16).reshape(8, 2))
+        state = tracker.get_state()
+        assert state["time"] == 1
+        assert state["centroids"].shape == (1, 2, 1)
+        assert state["labels"].shape == (1, 8)
+
+    @pytest.mark.parametrize("cut", CAPACITY_CUTS)
+    def test_restore_at_capacity_boundaries(self, cut):
+        slots = drifting_slots(cut + 40, seed=cut)
+
+        def tracker(seed=0):
+            return DynamicClusterTracker(3, history_depth=2, seed=seed,
+                                         warm_start=True)
+
+        uninterrupted, interrupted = tracker(), tracker()
+        expected = [uninterrupted.update(values) for values in slots]
+        for values in slots[:cut]:
+            interrupted.update(values)
+        restored = tracker(seed=99)
+        restored.set_state(interrupted.get_state())
+        assert len(restored.centroid_tensor()) == cut
+        for values, want in zip(slots[cut:], expected[cut:]):
+            got = restored.update(values)
+            assert got.labels.tobytes() == want.labels.tobytes()
+            assert got.centroids.tobytes() == want.centroids.tobytes()
+        assert_same_tracker_state(restored, uninterrupted)
+
+    def test_set_state_copies_in(self):
+        tracker = DynamicClusterTracker(3, seed=0)
+        for values in drifting_slots(5):
+            tracker.update(values)
+        state = tracker.get_state()
+        restored = DynamicClusterTracker(3, seed=0)
+        restored.set_state(state)
+        state["centroids"][...] = -1.0
+        np.testing.assert_array_equal(
+            restored.centroid_tensor(), tracker.centroid_tensor()
+        )
+
+
+class TestSlotSeries:
+    def test_appends_read_back_across_doublings(self):
+        series = SlotSeries()
+        rows = np.arange(2.0 * 70).reshape(70, 2)
+        for count, row in enumerate(rows, start=1):
+            series.append(row)
+            assert len(series) == count
+            assert series.copy().tobytes() == rows[:count].tobytes()
+        np.testing.assert_array_equal(series.tail(3), rows[-3:])
+        assert not series.view().flags.writeable
+
+    def test_load_copies_and_keeps_the_dtype(self):
+        rows = np.arange(12, dtype=np.float32).reshape(4, 3)
+        series = SlotSeries()
+        series.load(rows)
+        rows[0] = -1.0
+        series.append(np.ones(3))
+        assert series.view().dtype == np.dtype(np.float32)
+        np.testing.assert_array_equal(
+            series.view()[:, 0], [0.0, 3.0, 6.0, 9.0, 1.0]
+        )
+        with pytest.raises(DataError, match="slot shape"):
+            series.append(np.ones(2))
+        series.clear()
+        assert len(series) == 0
+        with pytest.raises(DataError):
+            series.view()
+        series.append(np.ones(2))
+        assert series.view().shape == (1, 2)
