@@ -35,21 +35,39 @@ in milliseconds against what a list of t ``(K, d)`` rows costs: an
 byte-equal to ``np.stack`` of the same rows, before and after the
 round trip.  These rows have no wall-clock bar.
 
+The `checkpoint-cycle` row serves perfbench serve_scalar's durability
+probe shape (N = 4,000, d = 2, 55 slots, the same pipeline config) and
+then runs 30 cycles of save -> resume -> drop the previous resumed
+session, reporting the median milliseconds of each step.  Every resume
+must be `state_equal` to the saved session, and once the last session
+is dropped no descriptor of a replaced archive may stay open (checked
+where ``/proc/self/fd`` exists).  No wall-clock bar either.
+
 Asserts the paper's fleet-scale claim is actually realized: at
 N = 1000 the vectorized `estimate_offsets` + re-indexing combo must be
 at least 10× faster than the reference loops.  Rows are also recorded
 as structured data in `benchmarks/results/hot_path.json`.
 """
 
+import gc
+import os
+import statistics
 import time
 
 import numpy as np
 import pytest
 
+from repro.api import Engine
+from repro.checkpoint import state_equal
 from repro.clustering.dynamic import DynamicClusterTracker
 from repro.clustering.kmeans import kmeans
 from repro.clustering.similarity import similarity_matrix_from_labels
-from repro.core.config import TransmissionConfig
+from repro.core.config import (
+    ClusteringConfig,
+    ForecastingConfig,
+    PipelineConfig,
+    TransmissionConfig,
+)
 from repro.forecasting.membership import forecast_membership
 from repro.forecasting.offsets import estimate_offsets
 from repro.reference_impl import (
@@ -74,6 +92,22 @@ MEMO_SHAPES = ((500, 1, 3),) + WORKLOAD_SHAPES
 MEMO_SLIDES = 12  # slots each memo row slides its window over
 #: Lengths t of the centroid-series rows (K = 3, d = 1).
 SERIES_SLOTS = (1_000, 10_000, 100_000)
+#: (N, d, slots served) of serve_scalar's durability probe, and the
+#: save -> resume -> drop cycles the checkpoint-cycle row runs on it.
+CYCLE_SHAPE = (4000, 2, 55)
+CYCLES = 30
+#: serve_scalar's pipeline config (perfbench/workloads.py).
+CYCLE_CONFIG = PipelineConfig(
+    transmission=TransmissionConfig(budget=0.3),
+    clustering=ClusteringConfig(
+        num_clusters=3, history_depth=1, scalar_per_resource=True,
+        kmeans_restarts=3, seed=0,
+    ),
+    forecasting=ForecastingConfig(
+        model="ar", membership_lookback=5, max_horizon=5,
+        initial_collection=50, retrain_interval=288,
+    ),
+)
 
 
 def _timeit(fn, *, repeats=3):
@@ -111,6 +145,68 @@ def _fleet_case(num_nodes, rng, *, dim=1, num_clusters=NUM_CLUSTERS,
     return stored, cents, label_history, new_labels
 
 
+def _deleted_files(directory):
+    """Descriptors of this process on replaced files in ``directory``;
+    none where ``/proc/self/fd`` does not exist."""
+    if not os.path.isdir("/proc/self/fd"):
+        return []
+    prefix = f"{os.path.realpath(directory)}/"
+    found = []
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{name}")
+        except OSError:
+            continue  # closed since the listing
+        if target.startswith(prefix) and target.endswith(" (deleted)"):
+            found.append(target)
+    return found
+
+
+def _checkpoint_cycles(directory):
+    """Median ms of save, resume and drop over :data:`CYCLES` cycles
+    of the serve_scalar probe, and the archive's size in MB."""
+    num_nodes, dim, slots = CYCLE_SHAPE
+    rng = np.random.default_rng(5)
+    trace = np.clip(
+        0.5 + np.cumsum(rng.normal(0, 0.02, (slots, num_nodes, dim)), axis=0),
+        0, 1,
+    )
+    engine = Engine(CYCLE_CONFIG)
+    session = engine.session(num_nodes, dim)
+    for row in trace:
+        session.ingest(row)
+    expected = session.snapshot().state
+    path = directory / "cycle.ckpt"
+    steps = {"save": [], "resume": [], "drop": []}
+    for _ in range(CYCLES):
+        started = time.perf_counter()
+        session.save(path)
+        steps["save"].append(time.perf_counter() - started)
+        started = time.perf_counter()
+        fresh = engine.resume(path)
+        steps["resume"].append(time.perf_counter() - started)
+        assert state_equal(fresh.snapshot().state, expected)
+        started = time.perf_counter()
+        resumed = fresh  # drops the previous resumed session
+        steps["drop"].append(time.perf_counter() - started)
+    archive_mb = path.stat().st_size / 1e6
+    del resumed, fresh
+    gc.collect()
+    deadline = time.monotonic() + 30
+    while _deleted_files(directory) and time.monotonic() < deadline:
+        time.sleep(0.01)
+    assert not _deleted_files(directory), _deleted_files(directory)
+    medians = {
+        f"{step}_ms": 1e3 * statistics.median(seconds)
+        for step, seconds in steps.items()
+    }
+    return {
+        "kernel": "checkpoint-cycle", "nodes": num_nodes, "dim": dim,
+        "slots": slots, "cycles": CYCLES, "archive_mb": archive_mb,
+        **medians,
+    }
+
+
 def _assert_same_kmeans(expected, result):
     np.testing.assert_array_equal(expected.labels, result.labels)
     assert expected.centroids.tobytes() == result.centroids.tobytes()
@@ -119,7 +215,7 @@ def _assert_same_kmeans(expected, result):
 
 
 @pytest.mark.slow
-def test_bench_hot_path(record_result):
+def test_bench_hot_path(record_result, tmp_path):
     rng = np.random.default_rng(0)
     lines = [
         f"{'kernel':<12} {'N':>5} {'d':>2} {'K':>3}  {'reference s':>11}  "
@@ -331,6 +427,22 @@ def test_bench_hot_path(record_result):
         )
 
     lines.append("")
+    cycle = _checkpoint_cycles(tmp_path)
+    lines.append(
+        f"checkpoint cycle, serve_scalar probe (N = {cycle['nodes']:,}, "
+        f"d = {cycle['dim']}, {cycle['slots']} slots, "
+        f"{cycle['archive_mb']:.2f} MB), median ms over "
+        f"{cycle['cycles']} cycles:"
+    )
+    lines.append(
+        f"{'kernel':<16} {'save':>7}  {'resume':>7}  {'drop':>7}"
+    )
+    lines.append(
+        f"{'checkpoint-cycle':<16} {cycle['save_ms']:>7.3f}  "
+        f"{cycle['resume_ms']:>7.3f}  {cycle['drop_ms']:>7.3f}"
+    )
+
+    lines.append("")
     lines.append(
         "combined offsets+reindex speedup: "
         + ", ".join(
@@ -343,6 +455,7 @@ def test_bench_hot_path(record_result):
         data={
             "rows": rows,
             "centroid_series": series_rows,
+            "checkpoint_cycle": cycle,
             "combined_offsets_reindex_speedup": {
                 str(n): ratio for n, ratio in combined.items()
             },

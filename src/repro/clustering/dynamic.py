@@ -197,8 +197,10 @@ class DynamicClusterTracker:
         self._dim = data.shape[1]
         if features is None:
             self._previous_centroids = centroids
+        # A copy: the caller may write into what it is returned, and
+        # ``centroids`` may be the next update's seed.
         assignment = ClusterAssignment(
-            time=self._time, labels=labels, centroids=centroids
+            time=self._time, labels=labels, centroids=centroids.copy()
         )
         self._time += 1
         return assignment
@@ -316,8 +318,9 @@ class DynamicClusterTracker:
         self._label_window.append(np.asarray(labels, dtype=int).copy())
         self._dim = data.shape[1]
         self._previous_centroids = centroids
+        # A copy, as in update().
         assignment = ClusterAssignment(
-            time=self._time, labels=labels, centroids=centroids
+            time=self._time, labels=labels, centroids=centroids.copy()
         )
         self._time += 1
         return assignment

@@ -281,6 +281,11 @@ class StreamSession:
 
         output = self.pipeline.step(self.fleet.stored.copy())
         self._time += 1
+        if output.node_forecasts is not None:
+            # The session keeps these for forecast() and the next
+            # snapshot, so the caller gets them read-only.
+            for forecast in output.node_forecasts.values():
+                forecast.flags.writeable = False
         self._forecasts = output.node_forecasts
 
         output.transport = TransportStats.from_node_counts(
@@ -371,6 +376,9 @@ class StreamSession:
 
         Available as soon as forecasting starts, including immediately
         after a resume (the latest forecasts travel in the checkpoint).
+        The arrays are read-only, as are ``StepOutput.node_forecasts``:
+        the session keeps them for its next snapshot.  Copy one to
+        write into it.
 
         Args:
             horizons: Horizons to return, each in ``1..max_horizon``;
@@ -582,12 +590,19 @@ class StreamSession:
         forecasts = state.get("forecasts")
         self._forecasts = (
             None if forecasts is None else {
-                int(h): np.asarray(values)
+                int(h): _read_only(values)
                 for h, values in zip(
                     forecasts["horizons"], forecasts["values"]
                 )
             }
         )
+
+
+def _read_only(values: np.ndarray) -> np.ndarray:
+    """A read-only view; the checkpoint's own array keeps its flags."""
+    view = np.asarray(values).view()
+    view.flags.writeable = False
+    return view
 
 
 __all__ = ["StreamSession"]

@@ -10,12 +10,17 @@ to the session that never stopped.
 import gc
 import io
 import json
+import mmap
 import os
 import signal
 import struct
 import subprocess
 import sys
+import threading
+import time
 import tracemalloc
+import warnings
+import weakref
 import zipfile
 
 import numpy as np
@@ -26,6 +31,7 @@ from hypothesis import strategies as st
 import repro
 from repro.api import Engine
 from repro.checkpoint import (
+    _RELEASE_CAP,
     CHECKPOINT_FORMAT_VERSION,
     Checkpoint,
     as_checkpoint,
@@ -119,6 +125,44 @@ def roundtrip_is_bit_identical(cfg, trace, cut, tmp_path, **session_kwargs):
     np.testing.assert_array_equal(
         baseline.fleet.message_counts, resumed.fleet.message_counts
     )
+
+
+#: The release-thread tests read this process's descriptors and maps.
+needs_proc = pytest.mark.skipif(
+    not os.path.isdir("/proc/self/fd"), reason="reads /proc/self (Linux)"
+)
+
+
+def open_files(directory):
+    """This process's descriptors on files in ``directory``, by fd."""
+    prefix = f"{os.path.realpath(directory)}/"
+    found = {}
+    for name in os.listdir("/proc/self/fd"):
+        try:
+            target = os.readlink(f"/proc/self/fd/{name}")
+        except OSError:
+            continue  # closed since the listing
+        if target.startswith(prefix):
+            found[int(name)] = target
+    return found
+
+
+def deleted_files(directory):
+    """Descriptors on files in ``directory`` that were replaced."""
+    return {
+        fd: target for fd, target in open_files(directory).items()
+        if target.endswith(" (deleted)")
+    }
+
+
+def eventually(condition, timeout=30.0):
+    """Poll ``condition`` until it holds or ``timeout`` passes."""
+    deadline = time.monotonic() + timeout
+    while not condition():
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.005)
+    return True
 
 
 class TestRoundTripBitIdentity:
@@ -756,14 +800,11 @@ class TestCorruptArchives:
         path.write_bytes(data[: TRUNCATIONS[case](layout)])
         self.assert_every_load_raises(cfg, path)
 
-    @pytest.mark.parametrize("case", sorted(MALFORMED_MEMBERS))
-    def test_malformed_npy_member_in_a_valid_zip_raises(
-        self, intact, tmp_path, case
-    ):
-        # zipfile computes every CRC-32 of the rewritten archive, so
-        # only the npy checks can catch these.
-        cfg, _, data, layout = intact
-        path = tmp_path / "malformed.ckpt"
+    @staticmethod
+    def write_malformed(data, layout, case, path):
+        """``data`` with its largest member replaced by a malformed one;
+        zipfile computes every CRC-32 of the rewritten archive, so only
+        the npy checks can catch these."""
         with zipfile.ZipFile(io.BytesIO(data)) as src, zipfile.ZipFile(
             path, "w"
         ) as dst:
@@ -773,7 +814,40 @@ class TestCorruptArchives:
                     array = np.load(io.BytesIO(payload))
                     payload = MALFORMED_MEMBERS[case](array)
                 dst.writestr(info, payload)
+
+    @pytest.mark.parametrize("case", sorted(MALFORMED_MEMBERS))
+    def test_malformed_npy_member_in_a_valid_zip_raises(
+        self, intact, tmp_path, case
+    ):
+        cfg, _, data, layout = intact
+        path = tmp_path / "malformed.ckpt"
+        self.write_malformed(data, layout, case, path)
         self.assert_every_load_raises(cfg, path)
+
+    @needs_proc
+    def test_the_damaged_archive_matrix_leaks_no_descriptor(
+        self, intact, tmp_path
+    ):
+        cfg, _, data, layout = intact
+        for case, flip in FLIPS.items():
+            offset, bit = flip(layout)
+            damaged = bytearray(data)
+            damaged[offset] ^= 1 << bit
+            path = tmp_path / f"flip-{case}.ckpt"
+            path.write_bytes(damaged)
+            self.assert_every_load_raises(cfg, path)
+        for case, cut in TRUNCATIONS.items():
+            path = tmp_path / f"truncated-{case}.ckpt"
+            path.write_bytes(data[: cut(layout)])
+            self.assert_every_load_raises(cfg, path)
+        for case in MALFORMED_MEMBERS:
+            path = tmp_path / f"malformed-{case}.ckpt"
+            self.write_malformed(data, layout, case, path)
+            self.assert_every_load_raises(cfg, path)
+        gc.collect()
+        assert eventually(lambda: not open_files(tmp_path)), (
+            open_files(tmp_path)
+        )
 
     @pytest.mark.parametrize("case", sorted(UNREAD_FLIPS))
     def test_flip_in_an_unread_field_resumes_the_intact_state(
@@ -891,6 +965,190 @@ class TestKilledSave:
         assert again.time == cut + 8
         for t in range(cut + 8, 40):
             assert_outputs_equal(outputs[t], again.ingest(trace[t]))
+
+
+@needs_proc
+class TestReleaseThread:
+    """Replaced archives are freed on the release thread, never in the
+    caller that saves over them or drops a session mapping them."""
+
+    @staticmethod
+    def probe(slots=14):
+        cfg = config()
+        session = Engine(cfg).session(6, 1)
+        for row in walk_trace(steps=slots, seed=5):
+            session.ingest(row)
+        return cfg, session
+
+    def test_replaced_archives_close_on_the_release_thread(
+        self, tmp_path, monkeypatch
+    ):
+        closes = []
+        close = os.close
+
+        def recording_close(fd):
+            try:
+                target = os.readlink(f"/proc/self/fd/{fd}")
+            except OSError:
+                target = ""
+            closes.append((threading.current_thread(), target))
+            close(fd)
+
+        monkeypatch.setattr(os, "close", recording_close)
+        cfg, session = self.probe()
+        path = tmp_path / "cycle.ckpt"
+        for _ in range(20):
+            session.save(path)
+            # Rebinding drops the previous resumed session, whose
+            # columns map the archive this save just replaced.
+            resumed = Engine(cfg).resume(path)
+        del resumed
+        gc.collect()
+        assert eventually(lambda: not deleted_files(tmp_path)), (
+            deleted_files(tmp_path)
+        )
+        prefix = f"{os.path.realpath(tmp_path)}/"
+        released = [
+            thread for thread, target in closes
+            if target.startswith(prefix) and target.endswith(" (deleted)")
+        ]
+        # Two per replaced archive: the descriptor the save held over
+        # the rename, and the one held while a session mapped it.
+        assert len(released) == 2 * 19
+        main = threading.main_thread()
+        assert all(t is not main and t.daemon for t in released)
+
+    def test_a_blocked_release_thread_holds_at_most_the_cap(
+        self, tmp_path, monkeypatch
+    ):
+        unblock = threading.Event()
+        inline = []
+        close = os.close
+
+        def blocking_close(fd):
+            if threading.current_thread() is threading.main_thread():
+                inline.append(fd)
+            else:
+                unblock.wait(60)
+            close(fd)
+
+        monkeypatch.setattr(os, "close", blocking_close)
+        _, session = self.probe()
+        path = tmp_path / "blocked.ckpt"
+        try:
+            for _ in range(100):
+                session.save(path)
+            pending = len(deleted_files(tmp_path))
+        finally:
+            unblock.set()
+        # The queue's cap, plus the one the blocked thread holds; the
+        # rest of the 99 replaced archives closed inline.
+        assert pending <= _RELEASE_CAP + 1
+        assert len(inline) >= 99 - (_RELEASE_CAP + 1)
+        assert eventually(lambda: not deleted_files(tmp_path)), (
+            deleted_files(tmp_path)
+        )
+
+    def test_concurrent_savers_lose_no_descriptor(self, tmp_path):
+        # More savers than cores, switching threads as often as the
+        # interpreter allows: every replaced archive is still closed.
+        # Loads take turns: numpy parses npy headers with
+        # ast.literal_eval, and CPython 3.11.7's parser can raise
+        # "SystemError: AST constructor recursion depth mismatch" when
+        # two threads parse at once.  Saves and drops still overlap.
+        cfg, session = self.probe()
+        expected = session.snapshot().state
+        loading = threading.Lock()
+        done = []
+
+        def cycles(index):
+            path = tmp_path / f"saver-{index}.ckpt"
+            for _ in range(10):
+                session.save(path)
+                with loading:
+                    fresh = Engine(cfg).resume(path)
+                resumed = fresh  # drops the previous one outside the lock
+                assert state_equal(resumed.snapshot().state, expected)
+            done.append(index)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            savers = [
+                threading.Thread(target=cycles, args=(i,)) for i in range(4)
+            ]
+            for saver in savers:
+                saver.start()
+            for saver in savers:
+                saver.join(120)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(saver.is_alive() for saver in savers)
+        assert sorted(done) == [0, 1, 2, 3]
+        gc.collect()
+        assert eventually(lambda: not deleted_files(tmp_path)), (
+            deleted_files(tmp_path)
+        )
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_a_forked_child_saves_and_resumes(self, tmp_path):
+        cfg, session = self.probe()
+        path = tmp_path / "fork.ckpt"
+        session.save(path)
+        resumed = Engine(cfg).resume(path)
+        session.save(path)  # the parent's release thread is running
+        del resumed
+        gc.collect()
+        assert eventually(lambda: not deleted_files(tmp_path))
+        with warnings.catch_warnings():
+            # Python 3.12 warns about forking a process with threads.
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+        if pid == 0:
+            code = 1
+            try:
+                for _ in range(5):
+                    session.save(path)
+                    resumed = Engine(cfg).resume(path)
+                del resumed
+                gc.collect()
+                code = 0 if eventually(
+                    lambda: not deleted_files(tmp_path)
+                ) else 2
+            finally:
+                os._exit(code)
+        deadline = time.monotonic() + 120
+        while True:
+            done, status = os.waitpid(pid, os.WNOHANG)
+            if done:
+                break
+            if time.monotonic() > deadline:
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+                pytest.fail("the forked child did not exit")
+            time.sleep(0.01)
+        assert os.waitstatus_to_exitcode(status) == 0
+
+    def test_an_mmap_finalizer_runs_after_the_unmap(self, tmp_path):
+        # Checkpoint.load relies on this order: the descriptor it hands
+        # to the release thread must outlive the mapping.
+        path = tmp_path / "mapped.bin"
+        path.write_bytes(bytes(1 << 16))
+        with open(path, "rb") as handle:
+            mapping = mmap.mmap(
+                handle.fileno(), 0, access=mmap.ACCESS_COPY
+            )
+        name = os.path.realpath(path)
+
+        def mapped():
+            with open("/proc/self/maps", encoding="utf-8") as maps:
+                return name in maps.read()
+
+        seen = []
+        weakref.finalize(mapping, lambda: seen.append(mapped()))
+        assert mapped()
+        del mapping
+        assert seen == [False]
 
 
 def array_bytes(state):

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Engine
+from repro.checkpoint import state_equal
 from repro.core.config import (
     ClusteringConfig,
     ForecastingConfig,
@@ -452,3 +453,72 @@ class TestSessionConstruction:
     def test_engine_session_requires_dims(self):
         with pytest.raises(TypeError, match="num_nodes"):
             Engine(config()).session()
+
+
+class TestReturnedArraysDoNotAliasState:
+    """Writing into what a session returns never reaches its state.
+
+    Two twin sessions ingest the same slots; one of them has what it
+    returned written into.  Their next snapshots must still be equal.
+    """
+
+    @staticmethod
+    def twins(warm_start=False, slots=20):
+        cfg = PipelineConfig(
+            transmission=TransmissionConfig(budget=0.3),
+            clustering=ClusteringConfig(
+                num_clusters=3, history_depth=3, warm_start=warm_start,
+                seed=0,
+            ),
+            forecasting=ForecastingConfig(
+                model="ar", max_horizon=2, initial_collection=10,
+                retrain_interval=10,
+            ),
+        )
+        trace = walk_trace(steps=slots + 5, nodes=40, dims=2, seed=3)
+        pair = [Engine(cfg).session(40, 2) for _ in range(2)]
+        for t in range(slots - 1):
+            for session in pair:
+                session.ingest(trace[t])
+        outputs = [session.ingest(trace[slots - 1]) for session in pair]
+        return pair, outputs, trace[slots:]
+
+    @staticmethod
+    def assert_same_state(pair, rest):
+        assert state_equal(pair[0].snapshot().state, pair[1].snapshot().state)
+        for row in rest:
+            assert_same_outputs(pair[0].ingest(row), pair[1].ingest(row))
+        assert state_equal(pair[0].snapshot().state, pair[1].snapshot().state)
+
+    @pytest.mark.parametrize("warm_start", [False, True])
+    def test_assignment_centroids_are_copies(self, warm_start):
+        pair, outputs, rest = self.twins(warm_start)
+        for assignment in outputs[0].assignments:
+            assignment.centroids[...] += 5.0
+        self.assert_same_state(pair, rest)
+
+    def test_step_forecasts_are_read_only(self):
+        pair, outputs, rest = self.twins()
+        for forecast in outputs[0].node_forecasts.values():
+            with pytest.raises(ValueError):
+                forecast += 5.0
+        self.assert_same_state(pair, rest)
+
+    def test_session_forecasts_are_read_only(self, tmp_path):
+        pair, _, rest = self.twins()
+        pair[1] = Engine(pair[1].config).resume(
+            pair[1].save(tmp_path / "twin.ckpt")
+        )
+        for session in pair:
+            for forecast in session.forecast().values():
+                with pytest.raises(ValueError):
+                    forecast += 5.0
+        self.assert_same_state(pair, rest)
+
+
+def assert_same_outputs(a, b):
+    for x, y in zip(a.assignments, b.assignments):
+        np.testing.assert_array_equal(x.labels, y.labels)
+        np.testing.assert_array_equal(x.centroids, y.centroids)
+    for h in a.node_forecasts:
+        np.testing.assert_array_equal(a.node_forecasts[h], b.node_forecasts[h])
