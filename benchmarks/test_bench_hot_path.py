@@ -43,6 +43,14 @@ must be `state_equal` to the saved session, and once the last session
 is dropped no descriptor of a replaced archive may stay open (checked
 where ``/proc/self/fd`` exists).  No wall-clock bar either.
 
+The `npy-header` row parses the npy header of every array member of
+that archive twice: with numpy's parser (`read_magic` plus
+`read_array_header_1_0` / `_2_0`, which evaluates the header with
+``ast.literal_eval``) and with the checkpoint loader's strict parser,
+which must return numpy's shape, order, dtype and data offset for every
+member.  It reports the median microseconds per header of each, with
+no wall-clock bar.
+
 Asserts the paper's fleet-scale claim is actually realized: at
 N = 1000 the vectorized `estimate_offsets` + re-indexing combo must be
 at least 10× faster than the reference loops.  Rows are also recorded
@@ -50,15 +58,18 @@ as structured data in `benchmarks/results/hot_path.json`.
 """
 
 import gc
+import io
 import os
 import statistics
 import time
+import timeit
+import zipfile
 
 import numpy as np
 import pytest
 
 from repro.api import Engine
-from repro.checkpoint import state_equal
+from repro.checkpoint import _npy_header, state_equal
 from repro.clustering.dynamic import DynamicClusterTracker
 from repro.clustering.kmeans import kmeans
 from repro.clustering.similarity import similarity_matrix_from_labels
@@ -204,6 +215,47 @@ def _checkpoint_cycles(directory):
         "kernel": "checkpoint-cycle", "nodes": num_nodes, "dim": dim,
         "slots": slots, "cycles": CYCLES, "archive_mb": archive_mb,
         **medians,
+    }
+
+
+#: numpy's npy header readers, by format version.
+NPY_READERS = {
+    (1, 0): np.lib.format.read_array_header_1_0,
+    (2, 0): np.lib.format.read_array_header_2_0,
+}
+
+
+def _numpy_npy_header(data):
+    """numpy's ``(shape, fortran_order, dtype, data offset)``."""
+    stream = io.BytesIO(data)
+    header = NPY_READERS[np.lib.format.read_magic(stream)](stream)
+    return (*header, stream.tell())
+
+
+def _us_per_call(fn, number=200):
+    """Best-of-5 mean microseconds of one ``fn()`` over ``number`` calls."""
+    return 1e6 * min(timeit.repeat(fn, number=number, repeat=5)) / number
+
+
+def _npy_headers(path):
+    """Median µs per npy header of the archive at ``path`` for numpy's
+    parser and the strict one, which must agree on every member."""
+    with zipfile.ZipFile(path) as archive:
+        members = [
+            archive.read(info) for info in archive.infolist()
+            if info.filename.endswith(".npy")
+        ]
+    numpy_us, strict_us = [], []
+    for data in members:
+        assert _npy_header(data, 0, len(data)) == _numpy_npy_header(data)
+        numpy_us.append(_us_per_call(lambda: _numpy_npy_header(data)))
+        strict_us.append(
+            _us_per_call(lambda: _npy_header(data, 0, len(data)))
+        )
+    return {
+        "kernel": "npy-header", "members": len(members),
+        "numpy_us": statistics.median(numpy_us),
+        "strict_us": statistics.median(strict_us),
     }
 
 
@@ -443,6 +495,18 @@ def test_bench_hot_path(record_result, tmp_path):
     )
 
     lines.append("")
+    headers = _npy_headers(tmp_path / "cycle.ckpt")
+    lines.append(
+        f"npy headers of that archive ({headers['members']} members), "
+        "median µs per header:"
+    )
+    lines.append(f"{'kernel':<16} {'numpy':>7}  {'strict':>7}")
+    lines.append(
+        f"{'npy-header':<16} {headers['numpy_us']:>7.2f}  "
+        f"{headers['strict_us']:>7.2f}"
+    )
+
+    lines.append("")
     lines.append(
         "combined offsets+reindex speedup: "
         + ", ".join(
@@ -456,6 +520,7 @@ def test_bench_hot_path(record_result, tmp_path):
             "rows": rows,
             "centroid_series": series_rows,
             "checkpoint_cycle": cycle,
+            "npy_header": headers,
             "combined_offsets_reindex_speedup": {
                 str(n): ratio for n, ratio in combined.items()
             },

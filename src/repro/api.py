@@ -279,34 +279,36 @@ class Engine:
         # ``dtype`` existed) compare against their resolved defaults
         # instead of spurious "<missing>" diffs.
         try:
-            checkpoint_config = PipelineConfig.from_dict(
-                checkpoint.config
-            ).to_dict()
+            resolved = PipelineConfig.from_dict(checkpoint.config)
         except ConfigurationError as exc:
             raise CheckpointError(
                 f"checkpoint configuration does not resolve: {exc}"
             ) from exc
-        engine_config = self.config.to_dict()
-        if checkpoint_config.get("dtype") != engine_config.get("dtype"):
-            raise CheckpointError(
-                f"checkpoint was written with "
-                f"dtype={checkpoint_config.get('dtype')!r}, engine runs "
-                f"dtype={engine_config.get('dtype')!r}; restoring across "
-                "dtypes would silently cast the fleet state — rebuild "
-                "the engine with the checkpoint's dtype"
-            )
-        diffs = config_mismatch(checkpoint_config, engine_config)
-        if diffs:
-            detail = "; ".join(
-                f"{path}: checkpoint={a!r} engine={b!r}"
-                for path, a, b in diffs[:5]
-            )
-            raise CheckpointError(
-                f"checkpoint configuration disagrees with the engine's "
-                f"({detail}); build the engine from the checkpoint's "
-                "config (Engine.from_config(checkpoint.config)) or match "
-                "the configs"
-            )
+        # The configs are frozen dataclasses: comparing them is cheap,
+        # and the dicts that name a mismatch are built only for one.
+        if resolved != self.config:
+            checkpoint_config = resolved.to_dict()
+            engine_config = self.config.to_dict()
+            if checkpoint_config["dtype"] != engine_config["dtype"]:
+                raise CheckpointError(
+                    f"checkpoint was written with "
+                    f"dtype={checkpoint_config['dtype']!r}, engine runs "
+                    f"dtype={engine_config['dtype']!r}; restoring across "
+                    "dtypes would silently cast the fleet state — rebuild "
+                    "the engine with the checkpoint's dtype"
+                )
+            diffs = config_mismatch(checkpoint_config, engine_config)
+            if diffs:
+                detail = "; ".join(
+                    f"{path}: checkpoint={a!r} engine={b!r}"
+                    for path, a, b in diffs[:5]
+                )
+                raise CheckpointError(
+                    f"checkpoint configuration disagrees with the engine's "
+                    f"({detail}); build the engine from the checkpoint's "
+                    "config (Engine.from_config(checkpoint.config)) or "
+                    "match the configs"
+                )
         meta = checkpoint.session
         if meta["custom_forecaster_factory"] and (
             self._forecaster_factory is None

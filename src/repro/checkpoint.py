@@ -43,6 +43,7 @@ import json
 import math
 import os
 import queue
+import re
 import struct
 import threading
 import tokenize
@@ -151,10 +152,41 @@ _LOCAL_SIGNATURE = b"PK\x03\x04"
 #: a mapped view of such a member would be ciphertext.
 _ENCRYPTED_FLAGS = 0x41
 
-#: Bytes of a mapped member handed to numpy's npy-header parser: the
-#: 12-byte magic, version and length prefix plus the 10,000-byte header
-#: limit ``np.load`` applies without ``allow_pickle``.
-_NPY_HEADER_WINDOW = 12 + 10_000
+#: The npy magic and version numpy's writer emits for plain arrays,
+#: each with the field that holds its header's length.
+_NPY_LENGTH_FIELDS = {
+    b"\x93NUMPY\x01\x00": struct.Struct("<H"),
+    b"\x93NUMPY\x02\x00": struct.Struct("<I"),
+}
+
+#: The longest header ``np.load`` reads without ``allow_pickle``.
+_NPY_HEADER_LIMIT = 10_000
+
+#: The dtypes :func:`_npy_header` reads, by descr as numpy's writer
+#: spells it: bool and every fixed-width integer, float and complex
+#: type, in both byte orders.
+_NPY_DTYPES = {
+    dtype.str.encode(): dtype
+    for dtype in (
+        np.dtype(order + code)
+        for code in (
+            "b1", "i1", "i2", "i4", "i8", "u1", "u2", "u4", "u8",
+            "f2", "f4", "f8", "c8", "c16",
+        )
+        for order in "<>"
+    )
+}
+
+#: An npy header dict exactly as numpy's writer emits it: the three
+#: keys in order, each shape dimension (``D``) as ``repr`` spells it
+#: (no sign, no leading zero), then space padding and a newline.  At
+#: most 18 digits keep a dimension below 2**63.
+_NPY_HEADER = re.compile(
+    rb"\{'descr': '([<>|][a-z][0-9]{1,2})', 'fortran_order': (False|True), "
+    rb"'shape': \((|D,|D(?:, D)+)\), \} *\n".replace(
+        b"D", rb"(?:0|[1-9][0-9]{0,17})"
+    )
+)
 
 #: What numpy's npy-header parser raises on malformed bytes.
 _NPY_HEADER_ERRORS = (ValueError, SyntaxError, tokenize.TokenError)
@@ -321,11 +353,87 @@ def _read_member(archive: zipfile.ZipFile, info: zipfile.ZipInfo) -> bytes:
         ) from exc
 
 
+def _npy_header(
+    buffer: Any, start: int, stop: int
+) -> Optional[Tuple[Tuple[int, ...], bool, np.dtype, int]]:
+    """The plain npy header of the member at ``buffer[start:stop]``.
+
+    Reads only the header numpy's writer emits for a bool or numeric
+    array (:data:`_NPY_DTYPES`), version 1.0 or 2.0, matched whole by
+    :data:`_NPY_HEADER`.  For such bytes numpy's own parser returns the
+    same shape, order and dtype, but it evaluates the header with
+    ``ast.literal_eval``: about 10 µs a member, and on CPython 3.11 a
+    ``SystemError`` when two threads parse at once.
+
+    Returns:
+        ``(shape, fortran_order, dtype, data_offset)``, or ``None`` for
+        any other header, valid or not.  The caller then hands the
+        member to ``np.load``, which accepts or rejects it as before.
+    """
+    length_field = _NPY_LENGTH_FIELDS.get(buffer[start : start + 8])
+    if length_field is None:
+        return None
+    begin = start + 8 + length_field.size
+    if begin > stop:
+        return None
+    (length,) = length_field.unpack_from(buffer, start + 8)
+    end = begin + length
+    if length > _NPY_HEADER_LIMIT or end > stop:
+        return None
+    match = _NPY_HEADER.fullmatch(buffer, begin, end)
+    if match is None:
+        return None
+    descr, fortran, dims = match.groups()
+    dtype = _NPY_DTYPES.get(descr)
+    if dtype is None:
+        return None
+    shape = tuple(map(int, dims.rstrip(b",").split(b", "))) if dims else ()
+    return shape, fortran == b"True", dtype, end
+
+
+def _npy_view(
+    data: np.ndarray,
+    name: str,
+    stop: int,
+    header: Tuple[Tuple[int, ...], bool, np.dtype, int],
+) -> np.ndarray:
+    """The array an :func:`_npy_header` result declares, as a view of
+    ``data``, a ``uint8`` array whose member ends at ``stop``.
+
+    Raises:
+        CheckpointError: The array does not fit the member's stored
+            bytes, or numpy cannot view it in its shape.
+    """
+    shape, fortran, dtype, begin = header
+    end = begin + math.prod(shape) * dtype.itemsize
+    if end > stop:
+        raise CheckpointError(
+            f"checkpoint member {name!r} declares a {shape} {dtype} array "
+            "that runs past the end of its stored bytes"
+        )
+    try:
+        return data[begin:end].view(dtype).reshape(
+            shape, order="F" if fortran else "C"
+        )
+    except ValueError as exc:
+        raise CheckpointError(
+            f"checkpoint member {name!r} does not view as a {shape} "
+            f"{dtype} array: {exc}"
+        ) from exc
+
+
 def _load_member(
     archive: zipfile.ZipFile, info: zipfile.ZipInfo
 ) -> np.ndarray:
     """Read one ``.npy`` member into memory (deflated or unmappable)."""
     data = _read_member(archive, info)
+    header = _npy_header(data, 0, len(data))
+    if header is not None:
+        view = _npy_view(
+            np.frombuffer(data, dtype=np.uint8), info.filename, len(data),
+            header,
+        )
+        return view.copy(order="K")
     try:
         return np.load(io.BytesIO(data), allow_pickle=False)
     except _NPY_HEADER_ERRORS as exc:
@@ -357,27 +465,29 @@ def _map_member(
 ) -> "np.ndarray | None":
     """One ``ZIP_STORED`` ``.npy`` member as a view of the archive's map.
 
-    The local header and the npy header are read from ``whole``, the
-    copy-on-write map of the archive; the member's stored bytes are
-    checked against the central directory's CRC-32 through ``buffer``
-    before any view is made.  The view is a :class:`numpy.memmap`
-    sharing ``whole``'s mapping, in the member's C or Fortran order.
+    The local header and the npy header are read from ``whole.base``,
+    the ``mmap`` behind ``whole``, the copy-on-write map of the
+    archive; the member's stored bytes are checked against the central
+    directory's CRC-32 through ``buffer`` before any view is made.  The
+    view is a :class:`numpy.memmap` sharing ``whole``'s mapping, in the
+    member's C or Fortran order.
 
-    Returns ``None`` when only ``np.load`` can read the member (object
-    dtypes, npy versions other than 1.0 and 2.0).
+    Returns ``None`` when only ``np.load`` can read the member: any npy
+    header :func:`_npy_header` declines (object and string dtypes, npy
+    versions other than 1.0 and 2.0, malformed headers).
 
     Raises:
         CheckpointError: The member is flagged encrypted, the local
             header is missing or names another member, the member runs
-            past the end of the file, its CRC-32 does not match, its
-            npy header does not parse, or its array does not fit its
-            stored size.
+            past the end of the file, its CRC-32 does not match, or its
+            array does not fit its stored size.
     """
     name = info.filename
     if info.flag_bits & _ENCRYPTED_FLAGS:
         raise CheckpointError(
             f"checkpoint member {name!r} is flagged encrypted"
         )
+    mapped: Any = whole.base  # the mmap.mmap; its slices are bytes
     local = info.header_offset
     if local < 0 or local + _LOCAL_HEADER.size > whole.size:
         raise CheckpointError(
@@ -385,7 +495,7 @@ def _map_member(
             "the file"
         )
     signature, name_size, extra_size = _LOCAL_HEADER.unpack_from(
-        whole, local
+        mapped, local
     )
     named = local + _LOCAL_HEADER.size
     start = named + name_size + extra_size
@@ -395,7 +505,7 @@ def _map_member(
             f"checkpoint member {name!r} has no local header at its "
             "central-directory offset, or runs past the end of the file"
         )
-    local_name = whole[named : named + name_size].tobytes()
+    local_name = mapped[named : named + name_size]
     if local_name != info.orig_filename.encode():
         raise CheckpointError(
             f"checkpoint member {name!r} has local header name "
@@ -405,43 +515,10 @@ def _map_member(
         raise CheckpointError(
             f"checkpoint member {name!r} fails its CRC-32 check"
         )
-    header = io.BytesIO(
-        whole[start : min(stop, start + _NPY_HEADER_WINDOW)].tobytes()
-    )
-    try:
-        version = np.lib.format.read_magic(header)
-        if version == (1, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_1_0(
-                header
-            )
-        elif version == (2, 0):
-            shape, fortran, dtype = np.lib.format.read_array_header_2_0(
-                header
-            )
-        else:
-            return None
-    except _NPY_HEADER_ERRORS as exc:
-        raise CheckpointError(
-            f"checkpoint member {name!r} has a malformed npy header: {exc}"
-        ) from exc
-    if dtype.hasobject:
+    header = _npy_header(mapped, start, stop)
+    if header is None:
         return None
-    begin = start + header.tell()
-    end = begin + math.prod(shape) * dtype.itemsize
-    if min(shape, default=0) < 0 or end > stop:
-        raise CheckpointError(
-            f"checkpoint member {name!r} declares a {shape} {dtype} array "
-            f"that does not fit its {info.compress_size} stored bytes"
-        )
-    try:
-        return whole[begin:end].view(dtype).reshape(
-            shape, order="F" if fortran else "C"
-        )
-    except ValueError as exc:
-        raise CheckpointError(
-            f"checkpoint member {name!r} does not view as a {shape} "
-            f"{dtype} array: {exc}"
-        ) from exc
+    return _npy_view(whole, name, stop, header)
 
 
 def _read_manifest(archive: zipfile.ZipFile, path: Path) -> Dict[str, Any]:

@@ -7,6 +7,7 @@ an arbitrary slot, resume it in a fresh engine, and every future output
 to the session that never stopped.
 """
 
+import ast
 import gc
 import io
 import json
@@ -18,10 +19,12 @@ import subprocess
 import sys
 import threading
 import time
+import tokenize
 import tracemalloc
 import warnings
 import weakref
 import zipfile
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +37,7 @@ from repro.checkpoint import (
     _RELEASE_CAP,
     CHECKPOINT_FORMAT_VERSION,
     Checkpoint,
+    _npy_header,
     as_checkpoint,
     config_mismatch,
     state_equal,
@@ -48,6 +52,7 @@ from repro.core.ring import SlotSeries
 from repro.exceptions import CheckpointError
 from repro.forecasting.base import Forecaster
 
+FORMAT1 = Path(__file__).parent / "data" / "format1"
 POLICIES = ("adaptive", "uniform", "deadband", "perfect")
 #: (model, bank) pairs covering every vectorized bank plus the object
 #: bank adapter (sample_hold forced through ObjectBank, and holt which
@@ -732,9 +737,20 @@ def npy_bytes(array, **fields):
     return stream.getvalue() + array.tobytes()
 
 
+def npy_text(array, text):
+    """``array``'s bytes behind an npy 1.0 header reading ``text``."""
+    body = text.encode("latin1") + b"\n"
+    return (
+        b"\x93NUMPY\x01\x00" + struct.pack("<H", len(body)) + body
+        + array.tobytes()
+    )
+
+
 #: Member bytes no loader may turn into an array: headers that overstate
-#: the payload, a subarray dtype that does not fit it, and a header
-#: numpy's tokenizer fails on (an unterminated string).
+#: the payload, a subarray dtype that does not fit it, a header numpy's
+#: tokenizer fails on (an unterminated string), a dimension with a
+#: leading zero, a fourth key, and a 1.0 header relabelled 3.0 (numpy
+#: then reads a four-byte header length that runs past the member).
 MALFORMED_MEMBERS = {
     "one-more-element": lambda a: npy_bytes(a, shape=(a.size + 1,)),
     "negative-dimension": lambda a: npy_bytes(a, shape=(-a.size,)),
@@ -744,6 +760,13 @@ MALFORMED_MEMBERS = {
     "unterminated-header": lambda a: (
         b"\x93NUMPY\x01\x00\x04\x00'''\n" + a.tobytes()
     ),
+    "leading-zero-dimension": lambda a: npy_text(
+        a,
+        f"{{'descr': '{a.dtype.str}', 'fortran_order': False, "
+        f"'shape': (0{a.size},), }}",
+    ),
+    "extra-key": lambda a: npy_bytes(a, extra=0),
+    "version-3.0": lambda a: b"\x93NUMPY\x03\x00" + npy_bytes(a)[8:],
 }
 
 #: Truncation points, as a byte count kept from the archive's layout.
@@ -873,6 +896,141 @@ class TestCorruptArchives:
                 assert_outputs_equal(
                     reference.ingest(trace[t]), resumed.ingest(trace[t])
                 )
+
+
+#: Every dtype the strict npy header parser reads, in both byte orders.
+PLAIN_DTYPES = [
+    np.dtype(kind).newbyteorder(order)
+    for kind in (
+        np.bool_, np.int8, np.int16, np.int32, np.int64, np.uint8,
+        np.uint16, np.uint32, np.uint64, np.float16, np.float32,
+        np.float64, np.complex64, np.complex128,
+    )
+    for order in "<>"
+]
+
+
+@st.composite
+def plain_headers(draw):
+    """An npy 1.0 or 2.0 header as numpy's writer emits it."""
+    header = {
+        "descr": np.lib.format.dtype_to_descr(
+            draw(st.sampled_from(PLAIN_DTYPES))
+        ),
+        "fortran_order": draw(st.booleans()),
+        "shape": tuple(
+            draw(st.lists(st.integers(0, 2**40), max_size=4))
+        ),
+    }
+    stream = io.BytesIO()
+    if draw(st.booleans()):
+        np.lib.format.write_array_header_1_0(stream, header)
+    else:
+        np.lib.format.write_array_header_2_0(stream, header)
+    return stream.getvalue()
+
+
+def numpy_header(data):
+    """numpy's ``(shape, fortran_order, dtype, data offset)`` for the
+    npy header at the start of ``data``, or None where it rejects it."""
+    stream = io.BytesIO(data)
+    try:
+        version = np.lib.format.read_magic(stream)
+        if version == (1, 0):
+            header = np.lib.format.read_array_header_1_0(stream)
+        elif version == (2, 0):
+            header = np.lib.format.read_array_header_2_0(stream)
+        else:
+            return None
+    except (ValueError, SyntaxError, tokenize.TokenError):
+        return None
+    return (*header, stream.tell())
+
+
+#: Bytes an edit inserts or writes: the header's own alphabet, mostly.
+EDIT_BYTES = st.one_of(
+    st.sampled_from(b"0123456789 ,()'{}:<>|TF\n-L"), st.integers(0, 255)
+)
+
+
+class TestNpyHeaderParser:
+    """Checkpoint loads parse plain npy headers without numpy's parser:
+    whatever the strict parser accepts, numpy reads the same way."""
+
+    @given(data=plain_headers())
+    @settings(max_examples=300, deadline=None)
+    def test_plain_headers_parse_as_numpy_parses_them(self, data):
+        # dtype equality includes the byte order.
+        assert _npy_header(data, 0, len(data)) == numpy_header(data)
+
+    @given(
+        data=plain_headers(),
+        edit=st.sampled_from(("delete", "insert", "replace")),
+        where=st.integers(0, 2**16),
+        byte=EDIT_BYTES,
+    )
+    @settings(max_examples=600, deadline=None)
+    def test_a_one_byte_edit_parses_as_numpy_or_not_at_all(
+        self, data, edit, where, byte
+    ):
+        at = where % len(data)
+        if edit == "delete":
+            edited = data[:at] + data[at + 1 :]
+        elif edit == "insert":
+            edited = data[:at] + bytes([byte]) + data[at:]
+        else:
+            edited = data[:at] + bytes([byte]) + data[at + 1 :]
+        parsed = _npy_header(edited, 0, len(edited))
+        if parsed is not None:
+            assert parsed == numpy_header(edited)
+
+    def test_a_string_member_loads_as_np_load_loads_it(self, tmp_path):
+        names = np.array(["abc", "de", "f"])
+        assert names.dtype.str == "<U3"
+        path = Checkpoint(
+            config=config().to_dict(), session={}, state={"names": names}
+        ).save(tmp_path / "names.ckpt")
+        with zipfile.ZipFile(path) as archive:
+            expected = np.load(io.BytesIO(archive.read("a0.npy")))
+        for mmap in (True, False):
+            loaded = Checkpoint.load(path, mmap=mmap).state["names"]
+            assert state_equal(loaded, expected)
+
+    def test_loads_never_call_ast(self, tmp_path, monkeypatch):
+        # numpy's own npy header parser calls ast.literal_eval; no load
+        # of an archive this library writes, or of a golden format-1
+        # archive, may reach it.
+        session = Engine(config(model="ar")).session(6, 1)
+        for row in walk_trace(steps=20, seed=9):
+            session.ingest(row)
+        paths = [session.save(tmp_path / "ar.ckpt")]
+        paths += sorted(FORMAT1.glob("*.ckpt"))
+        assert len(paths) == 7
+        # A linked archive resumes only into a session with a link.
+        resumable = [path for path in paths if path.stem != "lossy_churn"]
+
+        def resume(path):
+            checkpoint = Checkpoint.load(path)
+            engine = Engine.from_config(
+                checkpoint.config, policy=checkpoint.session["policy"]
+            )
+            return engine.resume(path).snapshot().state
+
+        loads = {
+            (path, mmap): Checkpoint.load(path, mmap=mmap).state
+            for path in paths for mmap in (True, False)
+        }
+        resumes = {path: resume(path) for path in resumable}
+
+        def no_ast(*args, **kwargs):
+            raise AssertionError("ast.literal_eval was called")
+
+        monkeypatch.setattr(ast, "literal_eval", no_ast)
+        for (path, mmap), expected in loads.items():
+            loaded = Checkpoint.load(path, mmap=mmap).state
+            assert state_equal(loaded, expected), (path, mmap)
+        for path in resumable:
+            assert state_equal(resume(path), resumes[path]), path
 
 
 KILL_SCRIPT = r"""
@@ -1052,22 +1210,15 @@ class TestReleaseThread:
     def test_concurrent_savers_lose_no_descriptor(self, tmp_path):
         # More savers than cores, switching threads as often as the
         # interpreter allows: every replaced archive is still closed.
-        # Loads take turns: numpy parses npy headers with
-        # ast.literal_eval, and CPython 3.11.7's parser can raise
-        # "SystemError: AST constructor recursion depth mismatch" when
-        # two threads parse at once.  Saves and drops still overlap.
         cfg, session = self.probe()
         expected = session.snapshot().state
-        loading = threading.Lock()
         done = []
 
         def cycles(index):
             path = tmp_path / f"saver-{index}.ckpt"
             for _ in range(10):
                 session.save(path)
-                with loading:
-                    fresh = Engine(cfg).resume(path)
-                resumed = fresh  # drops the previous one outside the lock
+                resumed = Engine(cfg).resume(path)
                 assert state_equal(resumed.snapshot().state, expected)
             done.append(index)
 
