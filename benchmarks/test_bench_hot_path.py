@@ -17,7 +17,11 @@ At growing fleet sizes N ∈ {100, 500, 1000} (d = 1, K = 10):
 At the two perfbench serving shapes — N = 4,000, d = 1, K = 3
 (serve_scalar) and N = 10,000, d = 2, K = 5 (batch_joint), M' = 5 — it
 times `kmeans`, `estimate_offsets` and `forecast_membership` again, so
-bit-identity is checked where the fleet actually runs.
+bit-identity is checked where the fleet actually runs.  The
+`kmeans-degenerate` row clusters the batch_joint shape with only 3
+distinct points, fewer than K, so k-means++ draws its last seeds
+uniformly from the points not chosen yet; labels, centroids, inertia,
+iterations and the generator state must match the reference.
 
 The `offsets-memo` rows slide a window of M' + 1 = 6 slots over
 `MEMO_SLIDES` new slots at the longlived_churn shape (N = 500, d = 1,
@@ -98,6 +102,8 @@ COLLECTION_STEPS = 120
 #: (N, d, K) of the serve_scalar and batch_joint perfbench workloads.
 WORKLOAD_SHAPES = ((4000, 1, 3), (10000, 2, 5))
 WORKLOAD_WINDOW = 6  # their M' = 5
+#: (N, d, K, distinct points) of the kmeans-degenerate row.
+DEGENERATE_SHAPE = (10000, 2, 5, 3)
 #: (N, d, K) of longlived_churn and the serving shapes, for the memo rows.
 MEMO_SHAPES = ((500, 1, 3),) + WORKLOAD_SHAPES
 MEMO_SLIDES = 12  # slots each memo row slides its window over
@@ -261,6 +267,7 @@ def _npy_headers(path):
 
 def _assert_same_kmeans(expected, result):
     np.testing.assert_array_equal(expected.labels, result.labels)
+    assert expected.labels.dtype == result.labels.dtype
     assert expected.centroids.tobytes() == result.centroids.tobytes()
     assert expected.inertia == result.inertia
     assert expected.iterations == result.iterations
@@ -270,9 +277,9 @@ def _assert_same_kmeans(expected, result):
 def test_bench_hot_path(record_result, tmp_path):
     rng = np.random.default_rng(0)
     lines = [
-        f"{'kernel':<12} {'N':>5} {'d':>2} {'K':>3}  {'reference s':>11}  "
+        f"{'kernel':<17} {'N':>5} {'d':>2} {'K':>3}  {'reference s':>11}  "
         f"{'vectorized s':>12}  {'speedup':>8}",
-        f"{'-' * 12} {'-' * 5} {'-' * 2} {'-' * 3}  {'-' * 11}  "
+        f"{'-' * 17} {'-' * 5} {'-' * 2} {'-' * 3}  {'-' * 11}  "
         f"{'-' * 12}  {'-' * 8}",
     ]
     rows = []
@@ -285,7 +292,7 @@ def test_bench_hot_path(record_result, tmp_path):
         })
         clusters = "-" if num_clusters is None else num_clusters
         lines.append(
-            f"{kernel:<12} {num_nodes:>5} {dim:>2} {clusters:>3}  "
+            f"{kernel:<17} {num_nodes:>5} {dim:>2} {clusters:>3}  "
             f"{ref_s:>11.4f}  {vec_s:>12.4f}  {ref_s / vec_s:>7.1f}x"
         )
 
@@ -407,6 +414,26 @@ def test_bench_hot_path(record_result, tmp_path):
         ))
         np.testing.assert_array_equal(ref_m, vec_m)
         row("membership", num_nodes, dim, num_clusters, ref_s, vec_s)
+
+    num_nodes, dim, num_clusters, distinct = DEGENERATE_SHAPE
+    own = np.random.default_rng(1)  # keeps the later rows' inputs
+    values = own.normal(size=(distinct, dim))
+    points = values[own.integers(0, distinct, num_nodes)]
+    states = {}
+
+    def degenerate(name, fn):
+        generator = np.random.default_rng(0)
+        result = fn(points, num_clusters, rng=generator)
+        states[name] = generator.bit_generator.state
+        return result
+
+    ref_s, ref_k = _timeit(
+        lambda: degenerate("reference", kmeans_reference), repeats=2
+    )
+    vec_s, vec_k = _timeit(lambda: degenerate("vectorized", kmeans))
+    _assert_same_kmeans(ref_k, vec_k)
+    assert states["reference"] == states["vectorized"]
+    row("kmeans-degenerate", num_nodes, dim, num_clusters, ref_s, vec_s)
 
     lines.append("")
     lines.append(

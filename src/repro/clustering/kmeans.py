@@ -7,23 +7,33 @@ repair (the farthest point from its centroid is promoted to a new
 centroid), which matters because per-step data in this application is
 often low-dimensional and tightly bunched.
 
-Every temporary runs along the node axis: distances are K rows of
-length N, the assignment is K − 1 compares of whole rows, and the
-centroid update sums contiguous per-cluster segments of the points
-sorted by label.  The dimension ``d`` (1–2 in the paper's settings) and
-K (3–5) never form the innermost axis of a numpy loop.  Each
+Every temporary runs along the node axis: the points are read as ``d``
+contiguous coordinate columns of length N, distances are K rows of
+length N, and the assignment is K − 1 compares of whole rows into
+labels of the narrowest integer type that holds K − 1 (8 bits for
+K <= 256).  The dimension ``d`` (1–2 in the paper's settings) and K
+(3–5) never form the innermost axis of a numpy loop.  Each
 floating-point operation keeps the order of the ``(N, K, d)`` broadcast
 form kept in :func:`repro.reference_impl.kmeans_reference`, so labels,
-centroids and inertia are bit-identical to it:
+centroids, inertia, iteration counts and random draws are bit-identical
+to it:
 
 * a squared distance sums its coordinates left to right for ``d <= 2``
   — the order ``einsum`` uses there — and calls ``einsum`` per centroid
   for larger ``d``;
 * k-means++ distances sum left to right for ``d < 8``, where numpy's
   row sum is still sequential, and keep the row sum from there on;
-* a cluster mean sums its segment in the order of the masked
-  ``mean(axis=0)`` it replaces: pairwise for ``d = 1``, row after row
-  from zero for larger ``d``.
+* a cluster mean sums its members in the order of the masked
+  ``mean(axis=0)`` it replaces, which has two orders (see
+  :func:`cluster_means`): pairwise over one column for ``d = 1``, and
+  row after row from +0.0 for ``d >= 2``.
+
+A Lloyd run also stops where the loop in the reference would find a
+movement of exactly 0.0 and a positive tolerance stops it: once an
+iteration's labels repeat those of an iteration that left no cluster
+empty, whose update set every centroid to its cluster's (finite) mean,
+the next update could only reproduce the same centroids.  That
+assignment is then the final one too.
 
 K-means always runs in float64, whatever ``PipelineConfig.dtype`` is: a
 float32 K-means would relabel float32 sessions and break the
@@ -32,6 +42,7 @@ bit-identical resume of their checkpoints.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Optional, Tuple
 
@@ -62,9 +73,15 @@ class KMeansResult:
     iterations: int
 
 
-def _distance_rows(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
+def _distance_rows(
+    points: np.ndarray, columns: np.ndarray, centroids: np.ndarray
+) -> np.ndarray:
     """Squared Euclidean distance of every point to every centroid,
-    shape ``(K, N)``: one length-N row per centroid."""
+    shape ``(K, N)``: one length-N row per centroid.
+
+    ``columns`` is ``points.T`` (the ``(d, N)`` coordinate columns),
+    which the ``d <= 2`` rows read; they run fastest contiguous.
+    """
     dim = centroids.shape[1]
     if dim > 2:
         rows = np.empty((centroids.shape[0], points.shape[0]))
@@ -72,10 +89,10 @@ def _distance_rows(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
             diff = points - centroid
             np.einsum("nd,nd->n", diff, diff, out=rows[k])
         return rows
-    rows = points[:, 0] - centroids[:, 0, np.newaxis]
+    rows = columns[0] - centroids[:, 0, np.newaxis]
     rows *= rows
     if dim == 2:
-        second = points[:, 1] - centroids[:, 1, np.newaxis]
+        second = columns[1] - centroids[:, 1, np.newaxis]
         second *= second
         rows += second
     return rows
@@ -84,16 +101,21 @@ def _distance_rows(points: np.ndarray, centroids: np.ndarray) -> np.ndarray:
 def _nearest(rows: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     """Index and value of each point's smallest distance.
 
-    A strict ``<`` against the running minimum keeps ``argmin``'s rule
+    The labels have the narrowest unsigned type that holds K − 1.  A
+    strict ``<`` against the running minimum keeps ``argmin``'s rule
     that a tie goes to the first centroid.
     """
+    label_type = np.min_scalar_type(rows.shape[0] - 1)
     nearest = rows[0].copy()
-    labels = np.zeros(rows.shape[1], dtype=np.intp)
+    labels = np.zeros(rows.shape[1], dtype=label_type)
     for k in range(1, rows.shape[0]):
         # Every label so far is below k, so the maximum sets exactly
         # the closer points to k (and, unlike a masked store, does not
         # branch per element).
-        np.maximum(labels, (rows[k] < nearest) * k, out=labels)
+        closer = rows[k] < nearest
+        np.maximum(
+            labels, closer.view(np.uint8) * label_type.type(k), out=labels
+        )
         np.minimum(nearest, rows[k], out=nearest)
     return labels, nearest
 
@@ -107,32 +129,43 @@ def cluster_means(
     """Write each non-empty cluster's mean of ``points`` into ``out``.
 
     ``counts`` is ``np.bincount(labels, minlength=K)``; rows of ``out``
-    whose cluster is empty are left as they are.  One stable sort lays
-    each cluster's points out as a contiguous run of the ``(d, N)``
-    transpose, in their original order, and each run is summed along
-    the node axis in the order ``points[labels == j].mean(axis=0)``
-    uses, so the means match it bit for bit: pairwise for ``d = 1``,
-    row after row (from zero) for ``d >= 2``.
+    whose cluster is empty are left as they are.  Each mean matches
+    ``points[labels == j].mean(axis=0)`` bit for bit, which sums in one
+    of two orders:
+
+    * ``d = 1``: pairwise, as numpy sums one contiguous run.  A stable
+      sort lays each cluster's points out as a contiguous run, in their
+      original order, and each run is summed on its own.
+    * ``d >= 2``: row after row, starting from +0.0 (which only a
+      cluster of all -0.0 notices).  ``np.bincount`` with a coordinate
+      column as weights adds in exactly that order, one pass per
+      coordinate for all clusters at once.
+
+    The sums read the coordinate columns ``points.T``, fastest when
+    ``points`` is the transpose of a C-contiguous ``(d, N)`` array.
     """
+    columns = points.T
+    num_clusters = counts.size
+    if columns.shape[0] > 1:
+        sums = np.array([  # (d, K)
+            np.bincount(labels, weights=column, minlength=num_clusters)
+            for column in columns
+        ])
+        filled = np.flatnonzero(counts)
+        out[filled] = (sums[:, filled] / counts[filled]).T
+        return
     # The narrowest label dtype: numpy's stable sort of 8- and 16-bit
     # integers is a radix sort.
     order = np.argsort(
-        labels.astype(np.min_scalar_type(counts.size - 1)), kind="stable"
+        labels.astype(np.min_scalar_type(num_clusters - 1), copy=False),
+        kind="stable",
     )
     bounds = np.concatenate(([0], np.cumsum(counts))).tolist()
-    grouped = points.T.take(order, axis=1)  # (d, N), C-contiguous
-    for j in range(counts.size):
+    grouped = columns.take(order, axis=1)  # (1, N), C-contiguous
+    for j in range(num_clusters):
         start, stop = bounds[j], bounds[j + 1]
-        if start == stop:
-            continue
-        segment = grouped[:, start:stop]
-        if points.shape[1] == 1:
-            total = segment.sum(axis=1)
-        else:
-            # Sequential, like the row-by-row sum; that sum starts from
-            # +0.0, which only a segment of all -0.0 notices.
-            total = 0.0 + np.add.accumulate(segment, axis=1)[:, -1]
-        out[j] = total / (stop - start)
+        if start != stop:
+            out[j] = grouped[:, start:stop].sum(axis=1) / (stop - start)
 
 
 def _squared_distances_to(points: np.ndarray, index: int) -> np.ndarray:
@@ -166,13 +199,21 @@ def kmeans_plus_plus_init(
         if total <= 0:
             # All remaining points coincide with a chosen centroid; pick
             # uniformly among the rest to keep K distinct slots.
-            candidates = [i for i in range(num_points) if i not in chosen]
-            if not candidates:
-                candidates = list(range(num_points))
+            free = np.ones(num_points, dtype=bool)
+            free[chosen] = False
+            candidates = np.flatnonzero(free)
+            if not candidates.size:
+                candidates = np.arange(num_points)
             nxt = int(rng.choice(candidates))
+        elif math.isfinite(total):
+            # rng.choice(num_points, p=closest_sq / total) without its
+            # validation of p: the same cdf and the same single draw.
+            cdf = (closest_sq / total).cumsum()
+            cdf /= cdf[-1]
+            nxt = int(cdf.searchsorted(rng.random(), side="right"))
         else:
-            probabilities = closest_sq / total
-            nxt = int(rng.choice(num_points, p=probabilities))
+            # An overflowed distance: let choice raise its ValueError.
+            nxt = int(rng.choice(num_points, p=closest_sq / total))
         chosen.append(nxt)
         dist_new = _squared_distances_to(points, nxt)
         closest_sq = np.minimum(closest_sq, dist_new)
@@ -181,6 +222,7 @@ def kmeans_plus_plus_init(
 
 def _repair_empty_clusters(
     points: np.ndarray,
+    columns: np.ndarray,
     labels: np.ndarray,
     centroids: np.ndarray,
     counts: np.ndarray,
@@ -193,7 +235,7 @@ def _repair_empty_clusters(
     ``counts`` (the label counts) is updated in place.
     """
     empty = np.flatnonzero(counts == 0)
-    sq = _distance_rows(points, centroids)
+    sq = _distance_rows(points, columns, centroids)
     assigned_sq = sq[labels, np.arange(points.shape[0])]
     order = np.argsort(-assigned_sq)
     used = set()
@@ -274,6 +316,11 @@ def kmeans(
     if rng is None:
         rng = np.random.default_rng()
 
+    columns = np.ascontiguousarray(data.T)
+    # Repeated labels imply a movement of exactly 0.0, which stops a run
+    # only below a positive tolerance; at tolerance <= 0 (or NaN) every
+    # run goes on to max_iterations.
+    may_settle = 0.0 < tolerance
     best: Optional[KMeansResult] = None
     runs = 1 if initial_centroids is not None else max(1, restarts)
     for _ in range(runs):
@@ -282,32 +329,46 @@ def kmeans(
         else:
             centroids = kmeans_plus_plus_init(data, num_clusters, rng)
         iterations = 0
+        # The last iteration's labels, once its update left no cluster
+        # empty and moved the centroids by a finite amount (so they are
+        # finite, and repeating that update would move them by 0.0).
+        settled: Optional[np.ndarray] = None
+        final = False  # labels and nearest are the final assignment
         for iterations in range(1, max_iterations + 1):
-            labels, _ = _nearest(_distance_rows(data, centroids))
+            labels, nearest = _nearest(
+                _distance_rows(data, columns, centroids)
+            )
+            if settled is not None and np.array_equal(labels, settled):
+                final = True
+                break
             counts = np.bincount(labels, minlength=num_clusters)
-            if not counts.all():
+            full = bool(counts.all())
+            if not full:
                 labels, centroids = _repair_empty_clusters(
-                    data, labels, centroids, counts
+                    data, columns, labels, centroids, counts
                 )
             new_centroids = centroids.copy()
-            cluster_means(data, labels, counts, new_centroids)
+            cluster_means(columns.T, labels, counts, new_centroids)
             movement = float(np.sum((new_centroids - centroids) ** 2))
             centroids = new_centroids
             if movement < tolerance:
                 break
-        sq = _distance_rows(data, centroids)
-        labels, nearest = _nearest(sq)
-        counts = np.bincount(labels, minlength=num_clusters)
-        if counts.all():
-            inertia = float(nearest.sum())
-        else:
-            labels, centroids = _repair_empty_clusters(
-                data, labels, centroids, counts
-            )
-            inertia = float(sq[labels, np.arange(num_points)].sum())
+            if may_settle and full and math.isfinite(movement):
+                settled = labels
+            else:
+                settled = None
+        if not final:
+            sq = _distance_rows(data, columns, centroids)
+            labels, nearest = _nearest(sq)
+            counts = np.bincount(labels, minlength=num_clusters)
+            if not counts.all():
+                labels, centroids = _repair_empty_clusters(
+                    data, columns, labels, centroids, counts
+                )
+                nearest = sq[labels, np.arange(num_points)]
         result = KMeansResult(
-            labels=labels, centroids=centroids, inertia=inertia,
-            iterations=iterations,
+            labels=labels.astype(np.intp), centroids=centroids,
+            inertia=float(nearest.sum()), iterations=iterations,
         )
         if best is None or result.inertia < best.inertia:
             best = result

@@ -19,7 +19,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.api import Engine
-from repro.clustering.kmeans import _squared_distances_to, kmeans
+from repro.clustering.kmeans import (
+    _squared_distances_to,
+    cluster_means,
+    kmeans,
+    kmeans_plus_plus_init,
+)
 from repro.core.config import (
     ClusteringConfig,
     ForecastingConfig,
@@ -39,6 +44,7 @@ from repro.forecasting.offsets import (
     estimate_offsets,
 )
 from repro.reference_impl import (
+    _kmeans_plus_plus_init,
     alpha_clip_reference,
     estimate_offsets_reference,
     forecast_membership_reference,
@@ -485,18 +491,33 @@ class TestVectorizedMembershipEquivalence:
         assert forecast.dtype == reference.dtype
 
 
+def _assert_same_kmeans(result, expected):
+    np.testing.assert_array_equal(result.labels, expected.labels)
+    assert result.labels.dtype == expected.labels.dtype
+    assert result.centroids.tobytes() == expected.centroids.tobytes()
+    assert result.inertia == expected.inertia
+    assert result.iterations == expected.iterations
+
+
 class TestKMeansEquivalence:
     """Node-innermost K-means vs its ``(N, K, d)`` broadcast original."""
 
+    # 120 examples, about 2.5 s.  tolerance = 0.0 runs every restart to
+    # max_iterations: a movement of 0.0 never stops the loop there, so
+    # neither may labels that repeat.
     @given(
         st.integers(0, 10_000),
         st.sampled_from(DIMS),
         st.sampled_from(["small", "one", "all_but_one"]),
         st.sampled_from(["normal", "duplicates", "grid"]),
         st.booleans(),
+        st.sampled_from([0.0, 1e-8, 1e-2]),
+        st.sampled_from([1, 2, 100]),
     )
     @settings(max_examples=120, deadline=None)
-    def test_kmeans_bit_identical(self, seed, dim, clusters, layout, warm):
+    def test_kmeans_bit_identical(
+        self, seed, dim, clusters, layout, warm, tolerance, max_iterations
+    ):
         rng = np.random.default_rng(seed)
         num_points = int(rng.integers(2, 301))
         if clusters == "one":
@@ -519,17 +540,15 @@ class TestKMeansEquivalence:
             initial = initial + rng.normal(0, 0.01, initial.shape)
         ours = np.random.default_rng(seed)
         theirs = np.random.default_rng(seed)
-        result = kmeans(
-            points, num_clusters, rng=ours, initial_centroids=initial
+        options = dict(
+            initial_centroids=initial, tolerance=tolerance,
+            max_iterations=max_iterations,
         )
+        result = kmeans(points, num_clusters, rng=ours, **options)
         expected = kmeans_reference(
-            points, num_clusters, rng=theirs, initial_centroids=initial
+            points, num_clusters, rng=theirs, **options
         )
-        np.testing.assert_array_equal(result.labels, expected.labels)
-        assert result.labels.dtype == expected.labels.dtype
-        assert result.centroids.tobytes() == expected.centroids.tobytes()
-        assert result.inertia == expected.inertia
-        assert result.iterations == expected.iterations
+        _assert_same_kmeans(result, expected)
         assert ours.bit_generator.state == theirs.bit_generator.state
         # A last-bit change in the k-means++ distances rarely changes a
         # draw, so the run above cannot see it; compare them directly
@@ -538,6 +557,144 @@ class TestKMeansEquivalence:
         seeding = _squared_distances_to(points, index)
         row_sum = np.sum((points - points[index]) ** 2, axis=1)
         assert seeding.tobytes() == row_sum.tobytes()
+
+    @pytest.mark.parametrize(
+        "num_points, dim, distinct", [(4000, 1, 2), (10_000, 2, 3)]
+    )
+    def test_fewer_distinct_points_than_clusters(
+        self, num_points, dim, distinct
+    ):
+        # k-means++ runs out of distinct points and draws uniformly from
+        # the points not chosen yet.
+        rng = np.random.default_rng(num_points)
+        values = rng.normal(size=(distinct, dim))
+        points = values[rng.integers(0, distinct, num_points)]
+        ours = np.random.default_rng(3)
+        theirs = np.random.default_rng(3)
+        result = kmeans(points, 5, rng=ours)
+        expected = kmeans_reference(points, 5, rng=theirs)
+        _assert_same_kmeans(result, expected)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    # 60 examples, about 0.1 s.
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from(DIMS),
+        st.sampled_from(["normal", "duplicates", "spread"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_plus_plus_draws_bit_identical(self, seed, dim, layout):
+        """Each k-means++ draw is ``rng.choice(N, p=...)``'s own
+        algorithm without its validation of ``p``: the same centroids
+        and the same generator state after them."""
+        rng = np.random.default_rng(seed)
+        num_points = int(rng.integers(1, 2001))
+        num_clusters = int(rng.integers(1, min(10, num_points) + 1))
+        if layout == "duplicates":
+            distinct = rng.normal(size=(int(rng.integers(1, 4)), dim))
+            points = distinct[rng.integers(0, len(distinct), num_points)]
+        elif layout == "spread":  # distances from 1e-200 to 1e200
+            points = rng.normal(size=(num_points, dim)) * 10.0 ** (
+                rng.integers(-100, 101, size=(num_points, 1))
+            )
+        else:
+            points = rng.normal(size=(num_points, dim))
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        seeds = kmeans_plus_plus_init(points, num_clusters, ours)
+        expected = _kmeans_plus_plus_init(points, num_clusters, theirs)
+        assert seeds.tobytes() == expected.tobytes()
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("dim", [1, 2, 8])
+    def test_overflowing_distances_raise_like_the_reference(self, dim):
+        # Squared distances near (2e200)² overflow to inf, so the
+        # k-means++ probabilities are NaN and rng.choice rejects them.
+        rng = np.random.default_rng(dim)
+        points = rng.choice([-1e200, 1e200], size=(40, dim))
+        points *= rng.uniform(0.5, 1.5, size=points.shape)
+        ours = np.random.default_rng(0)
+        theirs = np.random.default_rng(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(ValueError) as raised:
+                kmeans(points, 3, rng=ours)
+            with pytest.raises(ValueError) as expected:
+                kmeans_reference(points, 3, rng=theirs)
+        assert str(raised.value) == str(expected.value)
+        assert ours.bit_generator.state == theirs.bit_generator.state
+
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_overflowing_means_run_to_the_iteration_cap(self, warm):
+        # Finite points whose cluster sums overflow: the centroids are
+        # inf, every movement is inf or NaN, and the loop runs on to
+        # max_iterations although the labels never change.
+        points = np.repeat([[1e308, 1.0], [1.5e308, 2.0]], 3, axis=0)
+        num_clusters, initial = 1, None
+        if warm:
+            num_clusters, initial = 2, np.array([[1e308, 1.0], [0.0, 0.0]])
+        ours = np.random.default_rng(0)
+        theirs = np.random.default_rng(0)
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = kmeans(
+                points, num_clusters, rng=ours, initial_centroids=initial,
+                max_iterations=20,
+            )
+            expected = kmeans_reference(
+                points, num_clusters, rng=theirs, initial_centroids=initial,
+                max_iterations=20,
+            )
+        assert expected.iterations == 20
+        _assert_same_kmeans(result, expected)
+
+
+class TestClusterMeansEquivalence:
+    """``cluster_means`` vs one masked ``mean(axis=0)`` per cluster."""
+
+    # 100 examples, about 0.1 s.
+    @given(
+        st.integers(0, 10_000),
+        st.sampled_from([1, 2, 3, 8, 32]),
+        st.sampled_from(["normal", "negative_zero", "magnitudes"]),
+        st.sampled_from([np.uint8, np.intp]),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_cluster_means_bit_identical(self, seed, dim, layout, dtype):
+        rng = np.random.default_rng(seed)
+        num_points = int(rng.integers(1, 400))
+        num_clusters = int(rng.integers(1, 12))
+        # Some clusters stay empty: labels use only part of range(K).
+        used = rng.choice(
+            num_clusters, size=int(rng.integers(1, num_clusters + 1)),
+            replace=False,
+        )
+        labels = used[rng.integers(0, used.size, num_points)].astype(dtype)
+        if layout == "negative_zero":
+            # Whole clusters, and single coordinates, of -0.0: the
+            # masked mean's sum starts from +0.0 for d >= 2.
+            points = rng.choice([-0.0, 0.5, -1.5], size=(num_points, dim))
+            points[np.isin(labels, used[::2])] = -0.0
+            points[:, rng.integers(dim)] = -0.0
+        elif layout == "magnitudes":
+            # Mixed ±1e±300: the order of the additions decides every
+            # bit, and whether a sum absorbs its small terms.
+            points = rng.choice(
+                [1e300, -1e300, 1e-300, -1e-300, 1.0, -3.0],
+                size=(num_points, dim),
+            )
+            points *= rng.uniform(0.5, 2.0, size=points.shape)
+        else:
+            points = rng.normal(size=(num_points, dim))
+        counts = np.bincount(labels, minlength=num_clusters)
+        out = rng.normal(size=(num_clusters, dim))
+        before = out.copy()
+        cluster_means(points, labels, counts, out)
+        for j in range(num_clusters):
+            members = labels == j
+            if members.any():
+                expected = points[members].mean(axis=0)
+            else:  # an empty cluster's row stays as it was
+                expected = before[j]
+            assert out[j].tobytes() == expected.tobytes(), j
 
 
 class TestBatchedCollectionEquivalence:
