@@ -8,6 +8,7 @@ to the session that never stopped.
 """
 
 import ast
+import errno
 import gc
 import io
 import json
@@ -32,11 +33,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import repro
+import repro.checkpoint as checkpoint_module
 from repro.api import Engine
 from repro.checkpoint import (
+    _NPY_DTYPES,
     _RELEASE_CAP,
     CHECKPOINT_FORMAT_VERSION,
     Checkpoint,
+    _encode,
     _npy_header,
     as_checkpoint,
     config_mismatch,
@@ -520,6 +524,208 @@ class TestArtifactFormat:
         assert config_mismatch({"a": 1}, {"a": 1}) == []
 
 
+def zipfile_save(checkpoint, path):
+    """Write ``checkpoint`` as ``Checkpoint.save`` did through 4.8.0:
+    ``zipfile`` plus ``np.lib.format.write_array``, member by member."""
+    arrays = {}
+    manifest = {
+        "format_version": checkpoint.version,
+        "library_version": checkpoint.library_version,
+        "config": checkpoint.config,
+        "session": _encode(checkpoint.session, arrays, "session"),
+        "state": _encode(checkpoint.state, arrays, "state"),
+    }
+    with zipfile.ZipFile(path, "w", zipfile.ZIP_DEFLATED) as archive:
+        archive.writestr(
+            "manifest.json", json.dumps(manifest, separators=(",", ":"))
+        )
+        for key, array in arrays.items():
+            info = zipfile.ZipInfo(f"{key}.npy")
+            info.file_size = array.nbytes
+            with archive.open(info, "w") as member:
+                np.lib.format.write_array(member, array, allow_pickle=False)
+    return path
+
+
+def zip64_records(data):
+    """The zip64 records an archive holds, by kind."""
+    found = set()
+    with zipfile.ZipFile(io.BytesIO(data)) as archive:
+        for info in archive.infolist():
+            (local,) = struct.unpack_from("<H", data, info.header_offset + 28)
+            if local:
+                found.add(f"local {info.filename}")
+            if info.extra:
+                (length,) = struct.unpack_from("<H", info.extra, 2)
+                if length >= 16:
+                    found.add("central sizes")
+                if length != 16:
+                    found.add("central offset")
+    if data[-42:-38] == b"PK\x06\x07":
+        found.add("end")
+    return found
+
+
+#: The local time both writers stamp the manifest with.
+PINNED_CLOCK = time.struct_time((2026, 10, 19, 13, 37, 59, 0, 292, 0))
+
+#: Arrays whose member sizes the zip64 cases set their limits around:
+#: one 1,600-byte member (1,728 with its npy header) after the
+#: manifest, then 40 of 32 bytes (160).
+ZIP64_STATE = {
+    "big": np.arange(200.0),
+    "small": [np.arange(4) + i for i in range(40)],
+}
+
+#: (ZIP64_LIMIT, ZIP_FILECOUNT_LIMIT, zip64 records written).  No limit
+#: falls where zipfile raises instead (a member declared within 5% of
+#: the limit but larger than it with its npy header).
+ZIP64_CASES = {
+    "manifest-and-big-member-local": (300, 65535, {
+        "local manifest.json", "local a0.npy", "central sizes",
+        "central offset", "end",
+    }),
+    "big-member-local": (1600, 65535, {
+        "local a0.npy", "central sizes", "central offset", "end",
+    }),
+    "offsets-only": (3000, 65535, {"central offset", "end"}),
+    "member-count-only": (zipfile.ZIP64_LIMIT, 3, {"end"}),
+}
+
+
+class TestOnePassWriter:
+    """``Checkpoint.save`` writes the archive ``zipfile`` and
+    ``write_array`` wrote, byte for byte, with the clock pinned."""
+
+    @pytest.fixture(autouse=True)
+    def pinned_clock(self, monkeypatch):
+        monkeypatch.setattr(time, "localtime", lambda *args: PINNED_CLOCK)
+
+    @staticmethod
+    def saved_both_ways(checkpoint, tmp_path):
+        expected = zipfile_save(checkpoint, tmp_path / "zipfile.ckpt")
+        written = checkpoint.save(tmp_path / "one-pass.ckpt")
+        assert written.read_bytes() == expected.read_bytes()
+        return written
+
+    @staticmethod
+    def checkpoint_of(state):
+        return Checkpoint(config={"c": 1}, session={"n": 1}, state=state)
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_sessions_of_every_policy(self, policy, tmp_path):
+        session = Engine(config(), policy=policy).session(6, 1)
+        for row in walk_trace(steps=20, seed=31):
+            session.ingest(row)
+        self.saved_both_ways(session.snapshot(), tmp_path)
+
+    @pytest.mark.parametrize("model,bank", BANKS)
+    def test_sessions_of_every_bank(self, model, bank, tmp_path):
+        session = Engine(config(model=model, bank=bank)).session(6, 1)
+        for row in walk_trace(steps=30, seed=37):
+            session.ingest(row)
+        self.saved_both_ways(session.snapshot(), tmp_path)
+
+    def test_every_plain_dtype(self, tmp_path):
+        state = {
+            str(i): (np.arange(6) % 3).astype(dtype).reshape(2, 3)
+            for i, dtype in enumerate(_NPY_DTYPES.values())
+        }
+        path = self.saved_both_ways(self.checkpoint_of(state), tmp_path)
+        for mmap in (False, True):
+            assert state_equal(Checkpoint.load(path, mmap=mmap).state, state)
+
+    def test_array_layouts(self, tmp_path):
+        grid = np.arange(24.0).reshape(4, 6)
+        state = {
+            "scalar": np.array(2.5),
+            "empty": np.zeros((0, 3)),
+            "empty-fortran": np.zeros((3, 0), order="F"),
+            "fortran": np.asfortranarray(grid),
+            "strided": grid[::2, 1::2],
+            "reversed": grid[::-1],
+            "big-endian": grid.astype(">i4"),
+            "read-only": np.frombuffer(grid.tobytes(), dtype=np.float64),
+            # Dtypes only np.load reads back.
+            "text": np.array(["ab", "c"]),
+            "dates": np.array(["2020-01-01"], dtype="M8[D]"),
+            "records": np.zeros(3, dtype=[("a", "<i4"), ("b", "<f8")]),
+        }
+        path = self.saved_both_ways(self.checkpoint_of(state), tmp_path)
+        for mmap in (False, True):
+            assert state_equal(Checkpoint.load(path, mmap=mmap).state, state)
+
+    def test_a_header_too_long_for_npy_version_1_raises(self, tmp_path):
+        # zipfile and write_array would write it in npy format 2.0, but
+        # no load reads a header over 10,000 bytes without allow_pickle.
+        wide = np.dtype([(f"field{i}", "u1") for i in range(5000)])
+        with pytest.raises(ValueError, match="too big for version=.1, 0."):
+            self.checkpoint_of({"wide": np.zeros(2, dtype=wide)}).save(
+                tmp_path / "wide.ckpt"
+            )
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("case", sorted(ZIP64_CASES))
+    def test_zip64_records(self, case, tmp_path, monkeypatch):
+        limit, count_limit, records = ZIP64_CASES[case]
+        for module, prefix in ((zipfile, ""), (checkpoint_module, "_")):
+            monkeypatch.setattr(module, f"{prefix}ZIP64_LIMIT", limit)
+            monkeypatch.setattr(
+                module, f"{prefix}ZIP_FILECOUNT_LIMIT", count_limit
+            )
+        path = self.saved_both_ways(self.checkpoint_of(ZIP64_STATE), tmp_path)
+        data = path.read_bytes()
+        assert zip64_records(data) == records
+        with zipfile.ZipFile(path) as archive:
+            assert archive.testzip() is None
+        with np.load(path) as archive:
+            np.testing.assert_array_equal(archive["a0"], ZIP64_STATE["big"])
+        for mmap in (False, True):
+            loaded = Checkpoint.load(path, mmap=mmap).state
+            assert state_equal(loaded, ZIP64_STATE)
+
+    def test_one_member_a_call_and_short_writes(self, tmp_path, monkeypatch):
+        # Every call writes at most 100 bytes, of its first buffer.
+        writev = os.writev
+        calls = []
+
+        def short_writev(fd, buffers):
+            calls.append(len(buffers))
+            head = bytes(memoryview(buffers[0]).cast("B")[:100])
+            return writev(fd, [head])
+
+        monkeypatch.setattr(os, "writev", short_writev)
+        self.saved_both_ways(self.checkpoint_of(ZIP64_STATE), tmp_path)
+        assert max(calls) == 2  # a local header (and npy header), data
+
+    def test_a_failed_write_keeps_the_previous_archive(
+        self, tmp_path, monkeypatch
+    ):
+        path = self.checkpoint_of({"a": np.arange(3.0)}).save(
+            tmp_path / "kept.ckpt"
+        )
+        kept = path.read_bytes()
+
+        def full_disk(fd, buffers):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+        monkeypatch.setattr(os, "writev", full_disk)
+        with pytest.raises(OSError, match="No space left"):
+            self.checkpoint_of(ZIP64_STATE).save(path)
+        assert path.read_bytes() == kept
+        assert list(tmp_path.iterdir()) == [path]
+
+    def test_object_arrays_raise_as_write_array_does(self, tmp_path):
+        array = np.array([None, 1], dtype=object)
+        with pytest.raises(ValueError) as expected:
+            np.lib.format.write_array(io.BytesIO(), array, allow_pickle=False)
+        path = tmp_path / "objects.ckpt"
+        with pytest.raises(ValueError) as raised:
+            self.checkpoint_of({"a": array}).save(path)
+        assert str(raised.value) == str(expected.value)
+        assert list(tmp_path.iterdir()) == []
+
+
 class TestMmapResume:
     """Zero-copy resume: array members map copy-on-write and are
     adopted as the session's live columns instead of being copied."""
@@ -615,6 +821,7 @@ class TestMmapResume:
         state = Checkpoint.load(path, mmap=True).state
         fleet = state["fleet"]
         assert isinstance(fleet["times"], np.memmap)
+        assert fleet["times"]._mmap is not None
         assert fleet["stored"]._mmap is fleet["times"]._mmap
 
     def test_fortran_members_are_mapped_in_fortran_order(self, tmp_path):
@@ -1054,18 +1261,16 @@ shutil.copyfile(path, path + ".good")
 for row in trace[cut : cut + 4]:
     session.ingest(row)
 
-write_array = np.lib.format.write_array
-written = []
+writev = os.writev
 
 
-def write_then_die(*args, **kwargs):
-    if written:
-        os.kill(os.getpid(), signal.SIGKILL)
-    written.append(1)
-    return write_array(*args, **kwargs)
+def write_then_die(fd, buffers):
+    # The save's first member reaches its temp file; no other does.
+    writev(fd, buffers)
+    os.kill(os.getpid(), signal.SIGKILL)
 
 
-np.lib.format.write_array = write_then_die
+os.writev = write_then_die
 session.save(path)
 sys.exit("the save survived its kill point")
 """
