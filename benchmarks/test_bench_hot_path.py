@@ -55,6 +55,15 @@ which must return numpy's shape, order, dtype and data offset for every
 member.  It reports the median microseconds per header of each, with
 no wall-clock bar.
 
+The `ses-fit` rows fit the SES weight of every series of batch_joint's
+SES bank (K = 5, d = 2: 10 series) with `fit_ses_alpha`, the library's
+port of scipy's bounded Brent method, and with scipy's
+`minimize_scalar(..., method="bounded")` on the same objective: at the
+bank's first fit (T = 10 slots) and at a 288-slot retrain.  Every alpha
+must be bit-identical to scipy's; the columns are best-of-N
+milliseconds per fit of all 10 series, scipy imported beforehand, with
+no wall-clock bar.
+
 Asserts the paper's fleet-scale claim is actually realized: at
 N = 1000 the vectorized `estimate_offsets` + re-indexing combo must be
 at least 10× faster than the reference loops.  Rows are also recorded
@@ -71,6 +80,7 @@ import zipfile
 
 import numpy as np
 import pytest
+from scipy import optimize
 
 from repro.api import Engine
 from repro.checkpoint import _npy_header, state_equal
@@ -82,6 +92,10 @@ from repro.core.config import (
     ForecastingConfig,
     PipelineConfig,
     TransmissionConfig,
+)
+from repro.forecasting.exponential import (
+    SimpleExponentialSmoothing,
+    fit_ses_alpha,
 )
 from repro.forecasting.membership import forecast_membership
 from repro.forecasting.offsets import estimate_offsets
@@ -113,6 +127,9 @@ SERIES_SLOTS = (1_000, 10_000, 100_000)
 #: save -> resume -> drop cycles the checkpoint-cycle row runs on it.
 CYCLE_SHAPE = (4000, 2, 55)
 CYCLES = 30
+#: (series, slots) of the ses-fit rows: batch_joint's SES bank at its
+#: first fit (initial_collection = 10) and at a 288-slot retrain.
+SES_FIT_SHAPES = ((10, 10), (10, 288))
 #: serve_scalar's pipeline config (perfbench/workloads.py).
 CYCLE_CONFIG = PipelineConfig(
     transmission=TransmissionConfig(budget=0.3),
@@ -263,6 +280,44 @@ def _npy_headers(path):
         "numpy_us": statistics.median(numpy_us),
         "strict_us": statistics.median(strict_us),
     }
+
+
+def _scipy_ses_alpha(series):
+    """The oracle: scipy's bounded minimizer on the SES objective."""
+    result = optimize.minimize_scalar(
+        lambda a: SimpleExponentialSmoothing._sse(a, series),
+        bounds=(1e-4, 1.0),
+        method="bounded",
+    )
+    return float(result.x)
+
+
+def _ses_fits():
+    """Best-of-N ms per fit of a bank's series by scipy and by
+    `fit_ses_alpha`, which must agree bit for bit, at each shape of
+    :data:`SES_FIT_SHAPES`."""
+    rng = np.random.default_rng(2)
+    found = []
+    for num_series, slots in SES_FIT_SHAPES:
+        matrix = np.clip(
+            0.5 + np.cumsum(
+                rng.normal(0, 0.02, (slots, num_series)), axis=0
+            ),
+            0, 1,
+        )
+        columns = [matrix[:, s] for s in range(num_series)]
+        scipy_s, expected = _timeit(
+            lambda: [_scipy_ses_alpha(c) for c in columns], repeats=10
+        )
+        port_s, alphas = _timeit(
+            lambda: [fit_ses_alpha(c) for c in columns], repeats=10
+        )
+        assert [a.hex() for a in alphas] == [a.hex() for a in expected]
+        found.append({
+            "kernel": "ses-fit", "series": num_series, "slots": slots,
+            "scipy_ms": 1e3 * scipy_s, "port_ms": 1e3 * port_s,
+        })
+    return found
 
 
 def _assert_same_kmeans(expected, result):
@@ -534,6 +589,19 @@ def test_bench_hot_path(record_result, tmp_path):
     )
 
     lines.append("")
+    ses_rows = _ses_fits()
+    lines.append(
+        "SES weights of a bank (batch_joint: 10 series), ms per fit of "
+        "all series:"
+    )
+    lines.append(f"{'kernel':<16} {'T':>4}  {'scipy':>7}  {'port':>7}")
+    for ses in ses_rows:
+        lines.append(
+            f"{'ses-fit':<16} {ses['slots']:>4}  {ses['scipy_ms']:>7.3f}  "
+            f"{ses['port_ms']:>7.3f}"
+        )
+
+    lines.append("")
     lines.append(
         "combined offsets+reindex speedup: "
         + ", ".join(
@@ -548,6 +616,7 @@ def test_bench_hot_path(record_result, tmp_path):
             "centroid_series": series_rows,
             "checkpoint_cycle": cycle,
             "npy_header": headers,
+            "ses_fit": ses_rows,
             "combined_offsets_reindex_speedup": {
                 str(n): ratio for n, ratio in combined.items()
             },

@@ -320,10 +320,11 @@ class ExponentialBank(ForecasterBank):
 
     The level recurrence and forecasts are fully batched
     (:func:`~repro.forecasting.exponential.ewma_run`); the per-series
-    smoothing weight, when not fixed, is fitted with the same bounded
-    scalar optimizer as :class:`~repro.forecasting.exponential.
-    SimpleExponentialSmoothing` — one optimization per series, since
-    each series has its own objective landscape.
+    smoothing weight, when not fixed, is fitted by
+    :func:`~repro.forecasting.exponential.fit_ses_alpha`, the bounded
+    Brent minimizer that :class:`~repro.forecasting.exponential.
+    SimpleExponentialSmoothing` uses too (no scipy) — one optimization
+    per series, since each series has its own objective landscape.
 
     Args:
         alpha: Fixed smoothing weight in (0, 1]; fitted per series from

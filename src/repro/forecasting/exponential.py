@@ -10,7 +10,10 @@ family, which sits between sample-and-hold and ARIMA in cost:
   for the diurnal structure of cluster workloads.
 
 Smoothing parameters are fitted by minimizing the in-sample one-step
-sum of squared errors with L-BFGS-B.
+sum of squared errors: SES's one weight with the bounded Brent method
+of :func:`_bounded_brent`, in this module, and Holt's and
+Holt–Winters' with scipy's L-BFGS-B.  scipy therefore loads at the
+first Holt or Holt–Winters fit, never at an SES fit.
 
 The EWMA level recurrence is exposed as the batched kernel
 :func:`ewma_run` (and the fitted weight as :func:`fit_ses_alpha`),
@@ -21,7 +24,7 @@ shared between :class:`SimpleExponentialSmoothing` and the
 
 from __future__ import annotations
 
-from typing import Optional, Tuple, Union
+from typing import Callable, Optional, Tuple, Union
 
 import numpy as np
 
@@ -57,22 +60,114 @@ def ewma_run(
     return level
 
 
+def _bounded_brent(
+    func: Callable[[float], float], x1: float, x2: float
+) -> float:
+    """Minimize ``func`` on ``[x1, x2]`` by Brent's bounded method.
+
+    A line-for-line port of ``_minimize_scalar_bounded`` in scipy
+    1.17.1 (scipy's ``fminbound``; Brent, *Algorithms for Minimization
+    without Derivatives*, 1973) with its defaults, ``xatol = 1e-5`` and
+    at most 500 evaluations, minus its printing and result object.  It
+    evaluates ``func`` at the same points in the same order, each a
+    ``np.float64``, and returns the same minimizer bit for bit
+    (``tests/test_exponential.py`` pins both against scipy).
+    """
+    xatol = 1e-5
+    maxfun = 500
+    sqrt_eps = np.sqrt(2.2e-16)
+    golden_mean = 0.5 * (3.0 - np.sqrt(5.0))
+    a, b = x1, x2
+    fulc = a + golden_mean * (b - a)
+    nfc, xf = fulc, fulc
+    rat = e = 0.0
+    x = xf
+    fx = func(x)
+    num = 1
+
+    ffulc = fnfc = fx
+    xm = 0.5 * (a + b)
+    tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+    tol2 = 2.0 * tol1
+
+    while np.abs(xf - xm) > (tol2 - 0.5 * (b - a)):
+        golden = True
+        # Check for a parabolic fit.
+        if np.abs(e) > tol1:
+            golden = False
+            r = (xf - nfc) * (fx - ffulc)
+            q = (xf - fulc) * (fx - fnfc)
+            p = (xf - fulc) * q - (xf - nfc) * r
+            q = 2.0 * (q - r)
+            if q > 0.0:
+                p = -p
+            q = np.abs(q)
+            r = e
+            e = rat
+
+            # Is the parabola acceptable?
+            if ((np.abs(p) < np.abs(0.5 * q * r)) and (p > q * (a - xf))
+                    and (p < q * (b - xf))):
+                rat = (p + 0.0) / q
+                x = xf + rat
+                if ((x - a) < tol2) or ((b - x) < tol2):
+                    si = np.sign(xm - xf) + ((xm - xf) == 0)
+                    rat = tol1 * si
+            else:
+                golden = True
+
+        if golden:  # a golden-section step
+            if xf >= xm:
+                e = a - xf
+            else:
+                e = b - xf
+            rat = golden_mean * e
+
+        si = np.sign(rat) + (rat == 0)
+        x = xf + si * np.maximum(np.abs(rat), tol1)
+        fu = func(x)
+        num += 1
+
+        if fu <= fx:
+            if x >= xf:
+                a = xf
+            else:
+                b = xf
+            fulc, ffulc = nfc, fnfc
+            nfc, fnfc = xf, fx
+            xf, fx = x, fu
+        else:
+            if x < xf:
+                a = x
+            else:
+                b = x
+            if (fu <= fnfc) or (nfc == xf):
+                fulc, ffulc = nfc, fnfc
+                nfc, fnfc = x, fu
+            elif (fu <= ffulc) or (fulc == xf) or (fulc == nfc):
+                fulc, ffulc = x, fu
+
+        xm = 0.5 * (a + b)
+        tol1 = sqrt_eps * np.abs(xf) + xatol / 3.0
+        tol2 = 2.0 * tol1
+
+        if num >= maxfun:
+            break
+    return xf
+
+
 def fit_ses_alpha(series: np.ndarray) -> float:
     """The SES weight minimizing the in-sample one-step SSE (1-D input).
 
     The bounded scalar optimization is inherently per-series (each
     series has its own objective landscape), so banks call this once
     per column; the level recurrence itself is batched in
-    :func:`ewma_run`.
+    :func:`ewma_run`.  The minimizer is :func:`_bounded_brent`, so an
+    SES fit loads no scipy.
     """
-    from scipy import optimize
-
-    result = optimize.minimize_scalar(
-        lambda a: SimpleExponentialSmoothing._sse(a, series),
-        bounds=(1e-4, 1.0),
-        method="bounded",
-    )
-    return float(result.x)
+    return float(_bounded_brent(
+        lambda a: SimpleExponentialSmoothing._sse(a, series), 1e-4, 1.0
+    ))
 
 
 class SimpleExponentialSmoothing(Forecaster):

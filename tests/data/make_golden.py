@@ -10,10 +10,14 @@ current build and demands the same values bit for bit, so later builds
 keep reading the archived format.
 
 The archives in ``format1/`` were written by repro 2.0.0, the last
-build that wrote checkpoint format 1.  To pin another format, run this
-script from a checkout of the build that writes it::
+build that wrote checkpoint format 1, before the ``ses`` session was
+added here.  Those in ``format2/`` were written by repro 4.9.0, the
+last build that fitted SES weights with scipy, so the ``ses``
+continuation pins the in-module minimizer to scipy's output.  To pin
+another build, run this script with that build's ``src`` on the path::
 
-    PYTHONPATH=src python tests/data/make_golden.py tests/data/formatN
+    PYTHONPATH=<checkout>/src python tests/data/make_golden.py \
+        tests/data/formatN
 """
 
 import sys
@@ -143,6 +147,9 @@ def main(argv):
         out, "float32_ar", config(model="ar", dtype="float32"),
         "adaptive", False, 7,
     )
+    # Fits at slot 11 and refits every 12 slots: the continuation
+    # (slots 32-46) refits at slot 35.
+    write_session(out, "ses", config(model="ses"), "adaptive", False, 8)
     write_scenario(out)
     return 0
 

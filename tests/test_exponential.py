@@ -1,13 +1,20 @@
 """Tests for exponential-smoothing forecasters and Yule–Walker AR."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy import optimize
 
 from repro.exceptions import ConfigurationError, DataError
 from repro.forecasting.exponential import (
     HoltLinear,
     HoltWinters,
     SimpleExponentialSmoothing,
+    fit_ses_alpha,
 )
 from repro.forecasting.yule_walker import YuleWalkerAR, fit_yule_walker
 
@@ -44,6 +51,117 @@ class TestSimpleExponentialSmoothing:
     def test_invalid_alpha(self):
         with pytest.raises(ConfigurationError):
             SimpleExponentialSmoothing(alpha=0.0)
+
+
+def scipy_ses_alpha(series):
+    """The oracle: the SES weight as scipy's bounded minimizer finds it."""
+    result = optimize.minimize_scalar(
+        lambda a: SimpleExponentialSmoothing._sse(a, series),
+        bounds=(1e-4, 1.0),
+        method="bounded",
+    )
+    return float(result.x)
+
+
+def evaluations(fit, series):
+    """Every alpha at which ``fit`` evaluates the SES objective on
+    ``series``, as (type, bits), and the bits of the alpha it returns."""
+    sse = SimpleExponentialSmoothing._sse
+    seen = []
+
+    def recording(alpha, values):
+        seen.append((type(alpha), float(alpha).hex()))
+        return sse(alpha, values)
+
+    with mock.patch.object(
+        SimpleExponentialSmoothing, "_sse", staticmethod(recording)
+    ):
+        alpha = fit(series)
+    return seen, alpha.hex()
+
+
+def spiked(value):
+    """A 10-slot random series with ``value`` in its middle."""
+    def make(rng):
+        series = rng.random(10)
+        series[5] = value
+        return series
+    return make
+
+
+#: (name, series(rng)) of the fixed oracle cases.
+ORACLE_CASES = [
+    ("constant", lambda rng: np.full(20, 0.4)),
+    ("zeros", lambda rng: np.zeros(10)),
+    ("quantised", lambda rng: np.round(rng.random(50), 1)),
+    ("tiny_amplitude", lambda rng: 0.5 + 1e-9 * rng.random(20)),
+    ("below_1e-9", lambda rng: 1e-9 * rng.random(20)),
+    ("length_3", lambda rng: rng.random(3)),
+    ("length_4", lambda rng: rng.random(4)),
+    ("random_walk_288", lambda rng: 0.5 + np.cumsum(
+        rng.normal(0, 0.02, 288)
+    )),
+    ("float32_walk", lambda rng: (0.5 + np.cumsum(
+        rng.normal(0, 0.02, 40)
+    )).astype(np.float32)),
+    ("staircase", lambda rng: 1e15 + rng.integers(0, 4, 12)),
+    ("nan", spiked(np.nan)),
+    ("inf", spiked(np.inf)),
+]
+
+
+class TestSesAlphaOracle:
+    """``fit_ses_alpha`` runs a port of scipy's bounded Brent method: it
+    must evaluate the objective at scipy's alphas, in scipy's order,
+    and return scipy's alpha, bit for bit."""
+
+    @pytest.mark.parametrize(
+        "make", [case for _, case in ORACLE_CASES],
+        ids=[name for name, _ in ORACLE_CASES],
+    )
+    @pytest.mark.filterwarnings("ignore::RuntimeWarning")
+    def test_fixed_cases_match_scipy(self, make):
+        series = make(np.random.default_rng(0))
+        ours = evaluations(fit_ses_alpha, series)
+        assert ours == evaluations(scipy_ses_alpha, series)
+        assert len(ours[0]) > 2
+
+    @given(
+        st.sampled_from([np.float64, np.float32]).flatmap(
+            lambda dtype: arrays(
+                dtype, st.integers(3, 60),
+                elements=st.floats(
+                    -10.0, 10.0, allow_nan=False, width=32,
+                ),
+            )
+        )
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_drawn_series_match_scipy(self, series):
+        assert evaluations(fit_ses_alpha, series) == evaluations(
+            scipy_ses_alpha, series
+        )
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 120))
+    @settings(max_examples=40, deadline=None)
+    def test_random_walks_match_scipy(self, seed, size):
+        rng = np.random.default_rng(seed)
+        series = 0.5 + np.cumsum(rng.normal(0, 0.05, size))
+        assert evaluations(fit_ses_alpha, series) == evaluations(
+            scipy_ses_alpha, series
+        )
+
+    @given(st.integers(0, 2**32 - 1), st.integers(3, 20))
+    @settings(max_examples=60, deadline=None)
+    def test_staircase_objectives_match_scipy(self, seed, size):
+        # Noise at the scale of the level's rounding error makes the
+        # SSE a staircase in alpha: exact ties between evaluations take
+        # the minimizer's tie-breaking branches.
+        rng = np.random.default_rng(seed)
+        series = 1e8 + 1e-7 * rng.random(size)
+        assert evaluations(fit_ses_alpha, series) == evaluations(
+            scipy_ses_alpha, series
+        )
 
 
 class TestHoltLinear:

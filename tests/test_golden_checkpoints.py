@@ -1,12 +1,14 @@
 """Golden archives: checkpoints written by earlier builds still resume.
 
 ``tests/data/format1/`` holds checkpoints written by repro 2.0.0
-(checkpoint format 1) together with what the session that never
-stopped produced next (see ``tests/data/make_golden.py``): one session
-per transmission policy with a grow and a compact just before the cut,
-a float32 AR session, and a linked ``lossy_churn`` replay cut after its
-join and its crash.  Every archive must resume with this build and
-continue bit for bit.
+(checkpoint format 1) and ``tests/data/format2/`` checkpoints written
+by repro 4.9.0 (format 2), each together with what the session that
+never stopped produced next (see ``tests/data/make_golden.py``): one
+session per transmission policy with a grow and a compact just before
+the cut, a float32 AR session, and a linked ``lossy_churn`` replay cut
+after its join and its crash.  ``format2/`` adds an SES session whose
+continuation refits the SES weights, which 4.9.0 fitted with scipy.
+Every archive must resume with this build and continue bit for bit.
 """
 
 from pathlib import Path
@@ -14,12 +16,21 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import repro.forecasting.bank
 from repro.api import Engine
 from repro.checkpoint import as_checkpoint
 from repro.scenarios import run_scenario
 
-FORMAT1 = Path(__file__).parent / "data" / "format1"
+DATA = Path(__file__).parent / "data"
+FORMAT1 = DATA / "format1"
+FORMAT2 = DATA / "format2"
 SESSIONS = ("adaptive", "uniform", "deadband", "perfect", "float32_ar")
+#: (directory, checkpoint format, sessions archived there, id prefix);
+#: the format-1 cases keep the ids they had before format 2 was added.
+FORMATS = (
+    (FORMAT1, 1, SESSIONS, ""),
+    (FORMAT2, 2, SESSIONS + ("ses",), "format2-"),
+)
 
 
 def resume(path):
@@ -30,11 +41,25 @@ def resume(path):
     return checkpoint, engine.resume(checkpoint)
 
 
-@pytest.mark.parametrize("name", SESSIONS)
-def test_session_archive_resumes_bit_identically(name):
-    checkpoint, session = resume(FORMAT1 / f"{name}.ckpt")
-    assert checkpoint.version == 1
-    expected = np.load(FORMAT1 / f"{name}.npz")
+@pytest.mark.parametrize("directory,version,name", [
+    pytest.param(directory, version, name, id=prefix + name)
+    for directory, version, names, prefix in FORMATS
+    for name in names
+])
+def test_session_archive_resumes_bit_identically(
+    directory, version, name, monkeypatch
+):
+    checkpoint, session = resume(directory / f"{name}.ckpt")
+    assert checkpoint.version == version
+    fit_ses_alpha = repro.forecasting.bank.fit_ses_alpha
+    ses_fits = []
+
+    def counted(series):
+        ses_fits.append(series.size)
+        return fit_ses_alpha(series)
+
+    monkeypatch.setattr(repro.forecasting.bank, "fit_ses_alpha", counted)
+    expected = np.load(directory / f"{name}.npz")
     for i, row in enumerate(expected["inputs"]):
         output = session.ingest(row)
         np.testing.assert_array_equal(output.stored, expected["stored"][i])
@@ -51,6 +76,12 @@ def test_session_archive_resumes_bit_identically(name):
                 assignment.centroids, expected["centroids"][i, g]
             )
         assert output.transport.messages == expected["messages"][i]
+    # The SES continuation refits with this build's minimizer: its
+    # forecasts then pin it to the weights the archiving build fitted.
+    if checkpoint.config["forecasting"]["model"] == "ses":
+        assert ses_fits
+    else:
+        assert not ses_fits
 
 
 def test_format1_archive_restores_only_the_label_window():
@@ -68,14 +99,23 @@ def test_format1_archive_restores_only_the_label_window():
 
 
 def test_scenario_archive_resumes_bit_identically(tmp_path):
-    expected = np.load(FORMAT1 / "lossy_churn.npz")
+    check_scenario_archive(FORMAT1, 1, tmp_path)
+
+
+def test_format2_scenario_archive_resumes_bit_identically(tmp_path):
+    check_scenario_archive(FORMAT2, 2, tmp_path)
+
+
+def check_scenario_archive(directory, version, tmp_path):
+    expected = np.load(directory / "lossy_churn.npz")
     slots = expected["per_slot_fleet_size"].size
-    start = as_checkpoint(FORMAT1 / "lossy_churn.ckpt").session["time"]
+    archived = as_checkpoint(directory / "lossy_churn.ckpt")
+    assert archived.version == version
     final = tmp_path / "final.ckpt"
     report = run_scenario(
         "lossy_churn",
-        until=start + slots,
-        resume_from=FORMAT1 / "lossy_churn.ckpt",
+        until=archived.session["time"] + slots,
+        resume_from=directory / "lossy_churn.ckpt",
         checkpoint_path=final,
     )
     assert report.slots == slots

@@ -1,11 +1,13 @@
-"""Import boundary: scipy loads at the first ARIMA, SES or Holt fit.
+"""Import boundary: scipy loads at the first ARIMA or Holt fit.
 
 ``import repro`` and every path that needs no scipy (the sample-hold,
-mean and AR banks, clustering, collection, checkpoints and the CLI)
-must leave scipy unloaded, so a restarted central node resumes without
-paying for scipy's import (DESIGN.md, "Import boundary").  Only
+mean, SES and AR banks, clustering, collection, checkpoints and the
+CLI) must leave scipy unloaded, so a restarted central node resumes
+without paying for scipy's import (DESIGN.md, "Import boundary").  Only
 ``repro.forecasting.arima.model`` and ``repro.forecasting.exponential``
-use scipy, and only inside their fit and filter functions.
+use scipy, and only inside the ARIMA fit and filter functions and the
+Holt and Holt–Winters fits; SES fits its weight with the module's own
+bounded Brent minimizer.
 
 The check runs in a fresh interpreter: other test modules import scipy
 when pytest collects them.
@@ -56,7 +58,7 @@ assert main(["list"]) == 0
 rng = np.random.default_rng(0)
 trace = 0.5 + np.cumsum(rng.normal(0.0, 0.02, size=(60, 12)), axis=0)
 with tempfile.TemporaryDirectory() as tmp:
-    for model in ("sample_hold", "mean", "ar"):
+    for model in ("sample_hold", "mean", "ses", "ar"):
         engine = Engine(config(model))
         session = engine.session(12, 1)
         # First fit at slot 10, a retrain at slot 30.
@@ -67,12 +69,13 @@ with tempfile.TemporaryDirectory() as tmp:
         for row in trace[40:]:
             resumed.ingest(row)
         assert np.isfinite(resumed.forecast()[1]).all(), model
-result = Engine(config("ar")).run(trace, shards=2, workers=2)
-assert np.isfinite(result.rmse_by_horizon[1])
+for model in ("ar", "ses"):
+    result = Engine(config(model)).run(trace, shards=2, workers=2)
+    assert np.isfinite(result.rmse_by_horizon[1]), model
 loaded = scipy_modules()
 assert not loaded, f"{len(loaded)} scipy modules loaded: {loaded[:5]}"
 
-for model in ("ses", "holt", "arima"):
+for model in ("holt", "arima"):
     session = Engine(config(model)).session(12, 1)
     for row in trace[:15]:
         session.ingest(row)
