@@ -13,10 +13,17 @@ programmatically across commits instead of by diffing prose.
 
 import json
 import os
+import sys
 
 import pytest
 
 RESULTS_DIR = os.path.join(os.path.dirname(__file__), "results")
+
+# The per-node collection oracle (tests/collection_oracle.py) is the
+# reference some benchmarks time the shipped kernels against.
+sys.path.insert(
+    0, os.path.join(os.path.dirname(os.path.dirname(__file__)), "tests")
+)
 
 
 @pytest.fixture

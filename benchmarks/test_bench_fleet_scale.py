@@ -3,10 +3,11 @@
 Sweeps the collection stage over fleet sizes N ∈ {1k, 10k, 100k, 1M}
 and compares the execution paths on the same trace:
 
-* **object loop** — the pre-refactor architecture: one ``LocalNode``
-  Python object per node, slot-by-slot ``observe``/``send``/``apply``
-  (``CollectionSimulation._run_object_loop``).  Skipped beyond
-  N = 10k, where it would take minutes.
+* **object loop** — the test oracle's object-per-node model
+  (``tests/collection_oracle.py``): one ``LocalNode`` Python object per
+  node, slot-by-slot ``observe``/``send``/``apply``
+  (``CollectionSimulation.run``).  Skipped beyond N = 10k, where it
+  would take minutes.
 * **columnar** — the FleetState path: the whole-fleet Lyapunov
   recurrence over the ``(N,)``/``(N, d)`` columns (``collect``).
 * **sharded** — the columnar path partitioned into 4 contiguous node
@@ -31,11 +32,11 @@ import time
 import numpy as np
 import pytest
 
+from collection_oracle import AdaptiveTransmissionPolicy, CollectionSimulation
 from repro.api import Engine
 from repro.core.config import PipelineConfig, TransmissionConfig
 from repro.core.types import validate_trace
-from repro.simulation.collection import CollectionSimulation, collect
-from repro.transmission.adaptive import AdaptiveTransmissionPolicy
+from repro.simulation.collection import collect
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 FLEET_SIZES = (
@@ -122,7 +123,7 @@ def test_bench_fleet_scale(record_result):
                     num_nodes,
                     lambda i: AdaptiveTransmissionPolicy(config),
                 )
-                return sim._run_object_loop(data.copy())
+                return sim.run(data)
 
             object_s, object_result = _timeit(run_object_loop, repeats=1)
             np.testing.assert_array_equal(

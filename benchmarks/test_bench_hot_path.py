@@ -11,8 +11,10 @@ At growing fleet sizes N ∈ {100, 500, 1000} (d = 1, K = 10):
 * similarity re-indexing — the Eq. 10 contingency for the Hungarian
   matching;
 * `forecast_membership` — the majority-vote membership forecast;
-* the collection stage — `CollectionSimulation`'s batched fast path vs
-  its per-node object loop (fewer slots, it is the slowest reference).
+* the collection stage — `collect` (the adaptive backend, one slot
+  kernel call per slot) vs the per-node object loop of the test
+  oracle, `tests/collection_oracle.py` (fewer slots, it is the slowest
+  reference).
 
 At the two perfbench serving shapes — N = 4,000, d = 1, K = 3
 (serve_scalar) and N = 10,000, d = 2, K = 5 (batch_joint), M' = 5 — it
@@ -82,6 +84,7 @@ import numpy as np
 import pytest
 from scipy import optimize
 
+from collection_oracle import AdaptiveTransmissionPolicy, CollectionSimulation
 from repro.api import Engine
 from repro.checkpoint import _npy_header, state_equal
 from repro.clustering.dynamic import DynamicClusterTracker
@@ -105,8 +108,7 @@ from repro.reference_impl import (
     kmeans_reference,
     reindex_weights_reference,
 )
-from repro.simulation.collection import CollectionSimulation
-from repro.transmission.adaptive import AdaptiveTransmissionPolicy
+from repro.simulation.collection import collect
 
 FLEET_SIZES = (100, 500, 1000)
 NUM_CLUSTERS = 10
@@ -414,17 +416,10 @@ def test_bench_hot_path(record_result, tmp_path):
             sim = CollectionSimulation(
                 num_nodes, lambda i: AdaptiveTransmissionPolicy(config)
             )
-            return sim._run_object_loop(trace[:, :, np.newaxis].copy())
-
-        def run_fast_path():
-            sim = CollectionSimulation(
-                num_nodes, lambda i: AdaptiveTransmissionPolicy(config)
-            )
-            assert sim._batchable()
             return sim.run(trace)
 
         collect_ref_s, ref_c = _timeit(run_object_loop, repeats=1)
-        collect_vec_s, vec_c = _timeit(run_fast_path)
+        collect_vec_s, vec_c = _timeit(lambda: collect(trace, config))
         np.testing.assert_array_equal(ref_c.decisions, vec_c.decisions)
         np.testing.assert_array_equal(ref_c.stored, vec_c.stored)
         row("collection", num_nodes, 1, None, collect_ref_s, collect_vec_s)

@@ -2,11 +2,12 @@
 """Bandwidth budgeting: choose the transmission budget B for a deployment.
 
 The budget ``B`` is directly proportional to monitoring bandwidth
-(Sec. II of the paper).  This example uses the object-level simulation —
-real per-node policy objects, a transport channel with message/byte
-accounting, and the central store — to show the operator-facing
-trade-off: bytes on the wire vs staleness error, for both the adaptive
-Lyapunov policy and uniform sampling.
+(Sec. II of the paper).  This example runs the registered collection
+backends over a recorded trace — the adaptive Lyapunov policy and
+uniform sampling with the backend's seeded, staggered phases — and
+derives message and byte counts from each node's transmissions
+(``TransportStats.from_node_counts``, as ``Engine.run`` does) to show
+the operator-facing trade-off: bytes on the wire vs staleness error.
 
 Run:
     python examples/bandwidth_budgeting.py
@@ -17,9 +18,8 @@ import numpy as np
 from repro.core.config import TransmissionConfig
 from repro.core.metrics import instantaneous_rmse, time_averaged_rmse
 from repro.datasets import load_bitbrains_like
-from repro.registry import TRANSMISSION_POLICIES
-from repro.simulation.collection import CollectionSimulation
-from repro.transmission.uniform import UniformTransmissionPolicy
+from repro.simulation.collection import collect
+from repro.simulation.transport import TransportStats
 
 NUM_NODES = 50
 NUM_STEPS = 600
@@ -39,21 +39,16 @@ def main() -> None:
 
     print(f"{'B':>5}  {'policy':<9} {'messages':>9} {'KiB':>8} "
           f"{'freq':>6} {'RMSE(h=0)':>10}")
-    adaptive_builder = TRANSMISSION_POLICIES.get("adaptive")
     for budget in BUDGETS:
-        for name, factory in (
-            # Registry-built adaptive policy, one object per node.
-            ("adaptive", lambda i: adaptive_builder(
-                TransmissionConfig(budget=budget), i)),
-            # Custom factory: stagger the uniform fleet's phases (the
-            # registry default uses phase 0 on every node).
-            ("uniform", lambda i: UniformTransmissionPolicy(
-                budget, phase=i / NUM_NODES)),
-        ):
-            sim = CollectionSimulation(NUM_NODES, factory)
-            result = sim.run(cpu)
-            kib = result.stats.payload_bytes() / 1024
-            print(f"{budget:>5.2f}  {name:<9} {result.stats.messages:>9d} "
+        config = TransmissionConfig(budget=budget)
+        for name in ("adaptive", "uniform"):
+            result = collect(cpu, config, backend=name)
+            stats = TransportStats.from_node_counts(
+                result.decisions.sum(axis=0).astype(np.int64),
+                floats_per_message=result.stored.shape[2],
+            )
+            kib = stats.payload_bytes() / 1024
+            print(f"{budget:>5.2f}  {name:<9} {stats.messages:>9d} "
                   f"{kib:>8.1f} {result.empirical_frequency:>6.3f} "
                   f"{staleness_rmse(result.stored, cpu):>10.4f}")
     print("\nReading the table: pick the smallest B whose RMSE is "

@@ -29,9 +29,10 @@ Quickstart::
     print(result.rmse_by_horizon)
 
 Every stage is pluggable by name through :mod:`repro.registry`
-(forecasters, transmission policies, collection backends, similarity
-measures); ``Engine.from_config`` additionally accepts a config dict or
-a JSON file path, so deployments are constructible from plain data.
+(forecasters, transmission slot kernels, collection backends,
+similarity measures); ``Engine.from_config`` additionally accepts a
+config dict or a JSON file path, so deployments are constructible from
+plain data.
 """
 
 from repro.api import Engine, RunResult
@@ -60,13 +61,12 @@ from repro.registry import (
     FORECASTER_BANKS,
     SCENARIOS,
     SIMILARITY_MEASURES,
-    TRANSMISSION_POLICIES,
     Registry,
 )
 from repro.session import StreamSession
 from repro.simulation.fleet import FleetState
 
-__version__ = "4.10.0"
+__version__ = "5.0.0"
 
 __all__ = [
     "Engine",
@@ -89,7 +89,6 @@ __all__ = [
     "FORECASTER_BANKS",
     "SCENARIOS",
     "SIMILARITY_MEASURES",
-    "TRANSMISSION_POLICIES",
     "CheckpointError",
     "ConfigurationError",
     "ConvergenceError",

@@ -46,7 +46,6 @@ from repro.registry import (
     SCENARIOS,
     SIMILARITY_MEASURES,
     SLOT_KERNELS,
-    TRANSMISSION_POLICIES,
 )
 
 #: Parameter names accepted by every experiment runner for scaling.
@@ -124,7 +123,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run_parser.add_argument(
         "--policy", default="adaptive",
         help="transmission policy for --stream runs "
-             f"(one of: {', '.join(TRANSMISSION_POLICIES.available())})",
+             f"(one of: {', '.join(SLOT_KERNELS.available())})",
     )
     run_parser.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -201,7 +200,6 @@ def _command_list() -> int:
         ("forecasters", FORECASTERS),
         ("forecaster banks", FORECASTER_BANKS),
         ("collection backends", COLLECTION_BACKENDS),
-        ("transmission policies", TRANSMISSION_POLICIES),
         ("slot kernels", SLOT_KERNELS),
         ("similarity measures", SIMILARITY_MEASURES),
         ("scenarios", SCENARIOS),

@@ -24,7 +24,6 @@ from repro.core.pipeline import (
 from repro.core.types import (
     ClusterAssignment,
     Forecast,
-    Measurement,
     TransmissionRecord,
     partition_from_labels,
     validate_trace,
@@ -48,7 +47,6 @@ __all__ = [
     "default_forecaster_factory",
     "ClusterAssignment",
     "Forecast",
-    "Measurement",
     "TransmissionRecord",
     "partition_from_labels",
     "validate_trace",

@@ -27,35 +27,6 @@ Labels = np.ndarray
 
 
 @dataclass(frozen=True)
-class Measurement:
-    """A single measurement produced by one node at one time step.
-
-    Attributes:
-        node: Index of the producing node.
-        time: Time-slot index at which the value was *measured* (this can
-            lag behind the current slot when transmissions are skipped).
-        value: The ``d``-dimensional utilization vector, values in [0, 1].
-    """
-
-    node: NodeId
-    time: int
-    value: np.ndarray
-
-    def __post_init__(self) -> None:
-        value = np.asarray(self.value, dtype=float)
-        if value.ndim != 1:
-            raise DataError(
-                f"measurement value must be 1-D, got shape {value.shape}"
-            )
-        object.__setattr__(self, "value", value)
-
-    @property
-    def dimension(self) -> int:
-        """Number of resource types in this measurement."""
-        return int(self.value.shape[0])
-
-
-@dataclass(frozen=True)
 class ClusterAssignment:
     """Result of one clustering step at the central node.
 

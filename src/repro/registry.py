@@ -13,13 +13,11 @@ them, so adding a backend never means editing the engine:
   ForecasterBank`` vectorizing all of a group's per-cluster models at
   once (``"sample_hold"``, ``"mean"``, ``"ses"``, ``"ar"``); models
   without an entry fall back to the ``ObjectBank`` adapter;
-* :data:`TRANSMISSION_POLICIES` — builders ``(transmission_config,
-  node_id) -> TransmissionPolicy`` (``"adaptive"``, ``"uniform"``,
-  ``"deadband"``, ``"perfect"``);
 * :data:`SLOT_KERNELS` — builders ``(transmission_config) -> kernel``
-  producing the vectorized one-slot form of a policy — the only way a
-  streaming session decides its fleet's transmissions, one array call
-  per slot;
+  producing a transmission policy's vectorized one-slot form
+  (``"adaptive"``, ``"uniform"``, ``"deadband"``, ``"perfect"``) — the
+  only way a streaming session decides its fleet's transmissions, one
+  array call per slot;
 * :data:`COLLECTION_BACKENDS` — callables ``(trace,
   transmission_config) -> CollectionResult`` (``"adaptive"``,
   ``"uniform"``, ``"perfect"``, ``"deadband"``);
@@ -181,21 +179,16 @@ FORECASTER_BANKS = Registry(
     "forecaster bank", modules=("repro.forecasting.bank",)
 )
 
-#: Policy name → builder ``(transmission_config, node_id)``.
-TRANSMISSION_POLICIES = Registry(
-    "transmission policy", modules=("repro.transmission",)
-)
-
 #: Policy name → builder ``(transmission_config) -> slot kernel``.  A
 #: slot kernel is the whole-fleet vectorized form of one policy slot:
 #: ``kernel(x, stored, observed, state, times) -> transmit`` evaluates
 #: every active node's decision in one array operation (mutating the
-#: per-node scalar ``state`` column in place), bit-identical to looping
-#: the per-node policy objects.  It is the only transmission path of a
-#: :class:`repro.session.StreamSession`: the names here are the
-#: policies ``Engine(policy=...)`` accepts, and a custom policy is a
-#: :func:`register_slot_kernel` registration whose whole per-node state
-#: fits the ``state`` scalar and the ``times`` clock.
+#: per-node scalar ``state`` column in place).  It is the only
+#: transmission path of a :class:`repro.session.StreamSession`: the
+#: names here are the policies ``Engine(policy=...)`` accepts, and a
+#: custom policy is a :func:`register_slot_kernel` registration whose
+#: whole per-node state fits the ``state`` scalar and the ``times``
+#: clock.
 SLOT_KERNELS = Registry(
     "transmission policy slot kernel", modules=("repro.transmission",)
 )
@@ -241,17 +234,6 @@ def register_forecaster_bank(
     ``ForecastingConfig(bank="auto")`` picks it up.
     """
     return FORECASTER_BANKS.register(name, override=override)
-
-
-def register_transmission_policy(
-    name: str, *, override: bool = False
-) -> Callable[[Any], Any]:
-    """Decorator registering a per-node transmission-policy builder.
-
-    The builder receives ``(transmission_config, node_id)`` and returns
-    a fresh :class:`~repro.transmission.base.TransmissionPolicy`.
-    """
-    return TRANSMISSION_POLICIES.register(name, override=override)
 
 
 def register_slot_kernel(
@@ -308,14 +290,12 @@ __all__ = [
     "closest",
     "FORECASTERS",
     "FORECASTER_BANKS",
-    "TRANSMISSION_POLICIES",
     "SLOT_KERNELS",
     "COLLECTION_BACKENDS",
     "SIMILARITY_MEASURES",
     "SCENARIOS",
     "register_forecaster",
     "register_forecaster_bank",
-    "register_transmission_policy",
     "register_slot_kernel",
     "register_collection_backend",
     "register_similarity",

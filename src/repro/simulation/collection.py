@@ -1,22 +1,20 @@
-"""Measurement-collection simulation (transmission stage only).
+"""Whole-trace collection backends (transmission stage only).
 
-Two equivalent engines are provided:
-
-* :class:`CollectionSimulation` — object-level: real
-  :class:`~repro.simulation.node.LocalNode` instances, a
-  :class:`~repro.simulation.transport.Channel`, and a
-  :class:`~repro.simulation.controller.CentralStore`.  This is the
-  faithful distributed-system model with full transport accounting.
-* :func:`simulate_adaptive_collection` / :func:`simulate_uniform_collection`
-  — vectorized: the same decision rules applied across all nodes with
-  numpy, used by the large parameter sweeps in the benchmark harness.
-  A property test asserts both engines produce identical decisions.
+Each backend loops one policy's slot kernel (:mod:`repro.transmission`)
+over a recorded trace, with one array operation per slot for the whole
+fleet.  A streaming session calls the same kernel per slot, so a
+session fed the trace slot by slot transmits exactly as the backend
+does.  :func:`collect` dispatches by name through
+:data:`repro.registry.COLLECTION_BACKENDS`; ``Engine.run`` calls the
+backends the same way.  The test suite keeps a per-node object model of
+the same policies (``tests/collection_oracle.py``) and pins every
+backend against it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -24,18 +22,9 @@ from repro.core.config import TransmissionConfig
 from repro.core.types import validate_trace
 from repro.exceptions import ConfigurationError
 from repro.registry import COLLECTION_BACKENDS, register_collection_backend
-from repro.simulation.controller import CentralStore
-from repro.simulation.fleet import FleetState
-from repro.simulation.transport import Channel, TransportStats
-from repro.transmission.adaptive import (
-    AdaptiveTransmissionPolicy,
-    adaptive_transmit_slot,
-)
-from repro.transmission.base import TransmissionPolicy
-from repro.transmission.uniform import (
-    UniformTransmissionPolicy,
-    uniform_transmit_slot,
-)
+from repro.simulation.transport import TransportStats
+from repro.transmission.adaptive import adaptive_transmit_slot
+from repro.transmission.uniform import uniform_transmit_slot
 
 
 @dataclass
@@ -46,7 +35,8 @@ class CollectionResult:
         stored: Array ``(T, N, d)``: the controller's ``z_t`` after each
             slot.
         decisions: Binary array ``(T, N)`` of transmissions ``β_{i,t}``.
-        stats: Transport counters (None for the vectorized engines).
+        stats: Transport counters; the backends leave it None and
+            ``Engine.run`` derives it from the decisions.
     """
 
     stored: np.ndarray
@@ -63,148 +53,6 @@ class CollectionResult:
         return self.decisions.mean(axis=0)
 
 
-class CollectionSimulation:
-    """Object-level collection simulation.
-
-    When every node runs the same *kind* of policy (all adaptive or all
-    uniform — per-node budgets, control parameters and phases may still
-    differ), :meth:`run` dispatches to a vectorized engine that computes
-    all nodes' decisions with whole-fleet array operations and then
-    fast-forwards the node/policy/transport objects to the exact state a
-    slot-by-slot run would have produced.  Heterogeneous or custom
-    policies fall back to the faithful per-node object loop.
-
-    Args:
-        num_nodes: Number of local nodes.
-        policy_factory: Called with each node id; returns that node's
-            transmission policy (lets callers stagger phases, vary
-            budgets per node, etc.).
-    """
-
-    def __init__(
-        self,
-        num_nodes: int,
-        policy_factory: Callable[[int], TransmissionPolicy],
-    ) -> None:
-        if num_nodes < 1:
-            raise ConfigurationError("num_nodes must be >= 1")
-        self.fleet = FleetState(num_nodes)
-        # One counter array from transport to fleet: the channel's stats
-        # are backed by the fleet's message_counts column.
-        self.channel = Channel(node_counts=self.fleet.message_counts)
-        self.nodes = [
-            self.fleet.node_view(i, policy_factory(i))
-            for i in range(num_nodes)
-        ]
-
-    def run(self, trace: np.ndarray) -> CollectionResult:
-        """Run the full trace through the nodes and central store.
-
-        Args:
-            trace: Shape ``(T, N)`` or ``(T, N, d)`` true measurements.
-
-        Returns:
-            The :class:`CollectionResult` with stored values per slot.
-        """
-        data = validate_trace(trace)
-        num_nodes = data.shape[1]
-        if num_nodes != len(self.nodes):
-            raise ConfigurationError(
-                f"trace has {num_nodes} nodes, simulation has {len(self.nodes)}"
-            )
-        if self._batchable():
-            return self._run_batched(data)
-        return self._run_object_loop(data)
-
-    def _batchable(self) -> bool:
-        """True when the fleet can be advanced with array operations.
-
-        Requires a fresh start (no node has observed anything, nothing
-        in flight) and a homogeneous policy *type* across the fleet —
-        exactly :class:`AdaptiveTransmissionPolicy` or exactly
-        :class:`UniformTransmissionPolicy` (subclasses may override
-        behavior the vectorized recurrences would not reproduce).
-        """
-        if any(node.time != 0 for node in self.nodes):
-            return False
-        if any(node.policy.decisions.size != 0 for node in self.nodes):
-            return False
-        if self.channel.pending:
-            return False
-        policy_types = {type(node.policy) for node in self.nodes}
-        return policy_types in (
-            {AdaptiveTransmissionPolicy},
-            {UniformTransmissionPolicy},
-        )
-
-    def _run_object_loop(self, data: np.ndarray) -> CollectionResult:
-        """Faithful slot-by-slot, node-by-node simulation."""
-        num_steps, num_nodes, dim = data.shape
-        # The store views the shared fleet columns, so continuation runs
-        # (nodes that already observed earlier slots) see the carried
-        # mirrors automatically: silent nodes keep reporting their last
-        # transmitted value instead of a zero initialization.
-        store = CentralStore(dimension=dim, fleet=self.fleet)
-        stored = np.empty_like(data)
-        decisions = np.zeros((num_steps, num_nodes), dtype=int)
-        # Apply on the fleet clock (nodes advance in lock-step here), so
-        # the store's last_update writes agree with the node views' and
-        # continuation runs keep one time base.
-        base = int(self.fleet.times.max())
-        for t in range(num_steps):
-            # repro: noqa KER-003(object-path reference loop, kept as the equivalence oracle)
-            for node in self.nodes:
-                message = node.observe(data[t, node.node_id])
-                if message is not None:
-                    self.channel.send(message)
-                    decisions[t, node.node_id] = 1
-            store.apply(self.channel.drain(), now=base + t)
-            stored[t] = store.values
-        return CollectionResult(
-            stored=stored, decisions=decisions, stats=self.channel.stats
-        )
-
-    def _run_batched(self, data: np.ndarray) -> CollectionResult:
-        """Whole-fleet vectorized run with object-state fast-forward."""
-        num_steps, num_nodes, dim = data.shape
-        policies = [node.policy for node in self.nodes]
-        if isinstance(policies[0], AdaptiveTransmissionPolicy):
-            budgets = np.array([p.config.budget for p in policies])
-            v0s = np.array([p.config.v0 for p in policies])
-            gammas = np.array([p.config.gamma for p in policies])
-            stored, decisions, queue_samples, queues = _adaptive_recurrence(
-                data, budgets, v0s, gammas
-            )
-            # repro: noqa KER-003(one-shot fast-forward of object policies, off the hot path)
-            for i, policy in enumerate(policies):
-                policy.sync_batch(
-                    decisions[:, i], queue_samples[:, i], queues[i]
-                )
-        else:
-            budgets = np.array([p.budget for p in policies])
-            phases = np.array([p.phase for p in policies])
-            stored, decisions, accumulator = _uniform_recurrence(
-                data, budgets, phases
-            )
-            # repro: noqa KER-003(one-shot fast-forward of object policies, off the hot path)
-            for i, policy in enumerate(policies):
-                policy.sync_batch(decisions[:, i], accumulator[i])
-
-        # Transport accounting identical to per-message Channel.send —
-        # counters advance only through the channel.
-        self.channel.record_batch(decisions.sum(axis=0), dim)
-        # Columnar fast-forward: clocks, mirrors, last-transmit slots
-        # and the policy-accumulator column in whole-fleet array ops.
-        self.fleet.advance_batch(decisions, stored[-1])
-        if isinstance(policies[0], AdaptiveTransmissionPolicy):
-            self.fleet.policy_state[:] = queues
-        else:
-            self.fleet.policy_state[:] = accumulator
-        return CollectionResult(
-            stored=stored, decisions=decisions, stats=self.channel.stats
-        )
-
-
 def _prepare(trace: np.ndarray) -> Tuple[np.ndarray, int, int, int]:
     data = validate_trace(trace)
     num_steps, num_nodes, dim = data.shape
@@ -216,33 +64,26 @@ def _adaptive_recurrence(
     budgets: np.ndarray,
     v0s: np.ndarray,
     gammas: np.ndarray,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Fleet-wide Lyapunov drift-plus-penalty recurrence.
 
     Iterates :func:`~repro.transmission.adaptive.adaptive_transmit_slot`
     — the same batched kernel streaming sessions run per slot — over a
-    whole trace.  Per-node budgets and control parameters are supported,
-    and the forced first-slot transmission is charged exactly as
-    :meth:`~repro.transmission.adaptive.AdaptiveTransmissionPolicy.
-    first_transmission` does.
+    whole trace, with per-node budgets and control parameters.
 
     Returns:
-        ``(stored, decisions, queue_samples, queues)`` where
-        ``queue_samples[t]`` holds ``Q_i(t)`` sampled before slot ``t``'s
-        decision and ``queues`` is the final post-run queue vector.
+        ``(stored, decisions)``.
     """
     num_steps, num_nodes, dim = data.shape
     stored = np.empty_like(data)
     decisions = np.zeros((num_steps, num_nodes), dtype=int)
     # Policy accumulators run in the trace's dtype so a float32 pipeline
     # never silently upcasts its hot-loop state.
-    queue_samples = np.empty((num_steps, num_nodes), dtype=data.dtype)
     queues = np.zeros(num_nodes, dtype=data.dtype)
     observed = np.zeros(num_nodes, dtype=bool)
     stored_now = np.zeros_like(data[0])
 
     for t in range(num_steps):
-        queue_samples[t] = queues
         transmit = adaptive_transmit_slot(
             data[t], stored_now, observed, queues, t, budgets, v0s, gammas
         )
@@ -250,20 +91,19 @@ def _adaptive_recurrence(
         observed |= transmit
         decisions[t] = transmit
         stored[t] = stored_now
-    return stored, decisions, queue_samples, queues
+    return stored, decisions
 
 
 def _uniform_recurrence(
     data: np.ndarray, budgets: np.ndarray, phases: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray]:
     """Fleet-wide error-diffusion uniform-sampling recurrence.
 
     Iterates :func:`~repro.transmission.uniform.uniform_transmit_slot`
-    over a whole trace.
+    over a whole trace, each node's accumulator starting at its phase.
 
     Returns:
-        ``(stored, decisions, accumulator)`` with the final per-node
-        accumulator state.
+        ``(stored, decisions)``.
     """
     num_steps, num_nodes, _ = data.shape
     accumulator = np.asarray(phases, dtype=data.dtype).copy()
@@ -277,7 +117,7 @@ def _uniform_recurrence(
         observed |= transmit
         decisions[t] = transmit
         stored[t] = stored_now
-    return stored, decisions, accumulator
+    return stored, decisions
 
 
 def simulate_adaptive_collection(
@@ -286,12 +126,11 @@ def simulate_adaptive_collection(
 ) -> CollectionResult:
     """Vectorized Lyapunov adaptive collection over a full trace.
 
-    Matches :class:`AdaptiveTransmissionPolicy` exactly, including the
-    forced first-slot transmission performed by
-    :class:`~repro.simulation.node.LocalNode`.
+    Every node transmits at slot 0 (the forced first transmission) and
+    is charged for it like any other send.
     """
     data, _, num_nodes, _ = _prepare(trace)
-    stored, decisions, _, _ = _adaptive_recurrence(
+    stored, decisions = _adaptive_recurrence(
         data,
         np.full(num_nodes, config.budget, dtype=data.dtype),
         np.full(num_nodes, config.v0, dtype=data.dtype),
@@ -314,9 +153,9 @@ def simulate_uniform_collection(
     Args:
         trace: True measurements ``(T, N[, d])``.
         budget: Fixed per-node transmission frequency B.
-        stagger: Give each node a random phase so the fleet does not
-            transmit in lock-step (matches the practical deployment and
-            the object-level engine's ``phase`` parameter).
+        stagger: Give each node a random phase (its accumulator's
+            initial value) so the fleet does not transmit in lock-step,
+            as a practical deployment would.
         seed: RNG seed for phases.
         node_offset: First node's index within the whole fleet — used by
             sharded execution, where ``trace`` is a contiguous node
@@ -343,7 +182,7 @@ def simulate_uniform_collection(
         ]
     else:
         phases = np.zeros(num_nodes)
-    stored, decisions, _ = _uniform_recurrence(
+    stored, decisions = _uniform_recurrence(
         data, np.full(num_nodes, budget, dtype=data.dtype), phases
     )
     return CollectionResult(stored=stored, decisions=decisions)

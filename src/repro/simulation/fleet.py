@@ -1,25 +1,18 @@
 """Columnar fleet state: one structure-of-arrays for the whole fleet.
 
-Scaling the paper's system to very large fleets makes the object graph
-itself the bottleneck: one :class:`~repro.simulation.node.LocalNode`
-Python object per node, a dict entry per node in the transport counters,
-and per-node attribute chasing on every slot.  :class:`FleetState`
-replaces that with a single structure-of-arrays — the stored values
-``z_t`` as one ``(N, d)`` matrix plus per-node clocks, last-transmit
-slots, message counters and policy accumulators as flat numpy columns —
-that every layer (transport accounting, the central store's staleness
-rule, collection engines, the pipeline's forecasts) reads and writes
-directly.
-
-:class:`~repro.simulation.node.LocalNode` and
-:class:`~repro.simulation.controller.CentralStore` remain as thin views
-over these columns for backward compatibility: a ``LocalNode`` is a
-``(fleet, index)`` pair whose ``observe``/``stored_value`` touch the
-columns in place, and ``CentralStore.values`` is a copy of
-``fleet.stored``.  Sharded execution (``Engine.run(trace, shards=K)``)
-builds on the same layout: each shard runs collection over a contiguous
-column slice and :meth:`FleetState.from_run` /
-:func:`merge_collection_shards` reassemble the global state.
+Scaling the paper's system to very large fleets makes an object graph
+itself the bottleneck: one Python object per node, a dict entry per
+node in the transport counters, and per-node attribute chasing on every
+slot.  :class:`FleetState` holds the fleet as a single
+structure-of-arrays instead — the stored values ``z_t`` as one
+``(N, d)`` matrix plus per-node clocks, last-transmit slots, message
+counters and policy accumulators as flat numpy columns — that every
+layer (the slot kernels, transport accounting, the pipeline's
+forecasts) reads and writes directly.  A streaming session owns one
+live fleet; ``Engine.run`` snapshots the fleet a whole-trace run
+implies (:meth:`FleetState.from_run`).  Sharded execution
+(``Engine.run(trace, shards=K)``) runs collection over contiguous
+column slices, and :func:`merge_collection_shards` reassembles them.
 """
 
 from __future__ import annotations
@@ -52,8 +45,8 @@ class FleetState:
       advance only through the channel, never here.
     * ``policy_state`` — float per-node scalar policy accumulator
       (Lyapunov virtual queue ``Q_i(t)`` for the adaptive policy, the
-      error-diffusion accumulator for uniform sampling).  Maintained by
-      live fleets (node views, collection engines); NaN in trace-level
+      error-diffusion accumulator for uniform sampling).  The slot
+      kernels maintain it in a live fleet; NaN in trace-level
       snapshots (:meth:`from_run`), where backends do not expose it.
 
     Args:
@@ -124,12 +117,11 @@ class FleetState:
     ) -> None:
         """Fast-forward the whole fleet past a vectorized batch run.
 
-        The columnar counterpart of calling
-        :meth:`LocalNode.sync_batch <repro.simulation.node.LocalNode.
-        sync_batch>` node by node, including the exact per-node
-        last-transmit slots recovered from the decision matrix.
-        Message counters are *not* advanced here — transport accounting
-        stays with the channel.
+        Advances every clock by the batch length, and sets each node
+        that transmitted to observed, with its last transmitted value
+        and the exact slot of its last transmission, recovered from the
+        decision matrix.  Message counters are *not* advanced here —
+        transport accounting stays with the channel.
 
         Args:
             decisions: Binary ``(T, N)`` transmission decisions of the
@@ -169,12 +161,11 @@ class FleetState:
         and policy state) exactly like slot-0 nodes, so their forced
         first transmission happens on their first slot.  Holders of raw
         column references must re-read them afterwards —
-        :class:`~repro.simulation.node.LocalNode` views and
-        :class:`~repro.simulation.transport.PerNodeMessages` read
-        through ``self.fleet``/``stats`` dynamically and stay live, but
-        fleet-backed :class:`~repro.simulation.transport.TransportStats`
-        must :meth:`~repro.simulation.transport.TransportStats.
-        adopt_column` the new ``message_counts``.
+        :class:`~repro.simulation.transport.PerNodeMessages` reads
+        through its stats dynamically and stays live, but fleet-backed
+        :class:`~repro.simulation.transport.TransportStats` must
+        :meth:`~repro.simulation.transport.TransportStats.adopt_column`
+        the new ``message_counts``.
 
         Args:
             count: How many nodes join (>= 1).
@@ -244,16 +235,6 @@ class FleetState:
         if self.stored is not None:
             self.stored = self.stored[index].copy()
 
-    def reset_nodes(self, index: Optional[int] = None) -> None:
-        """Reset one node (or, with ``index=None``, the whole fleet)."""
-        where = slice(None) if index is None else index
-        self.observed[where] = False
-        self.times[where] = 0
-        self.last_update[where] = -1
-        self.policy_state[where] = 0.0
-        if self.stored is not None:
-            self.stored[where] = 0.0
-
     # ------------------------------------------------------------------
     # Checkpoint state contract
     # ------------------------------------------------------------------
@@ -281,8 +262,8 @@ class FleetState:
         """Restore columns captured by :meth:`get_state`, *in place*.
 
         Writes into the existing column arrays (never rebinding them),
-        so shared references — the channel's counter column, node views
-        — keep aliasing the fleet after a restore.
+        so shared references — such as the channel's counter column —
+        keep aliasing the fleet after a restore.
         """
         if int(state["num_nodes"]) != self.num_nodes:
             raise SimulationError(
@@ -319,7 +300,7 @@ class FleetState:
         second set of columns.  Unlike :meth:`set_state`, every holder
         of the *old* column references is stale afterwards — callers
         (the session's restore path) must re-adopt the channel's counter
-        column and any node views.
+        column.
         """
         if int(state["num_nodes"]) != self.num_nodes:
             raise SimulationError(
@@ -362,14 +343,8 @@ class FleetState:
         )
 
     # ------------------------------------------------------------------
-    # Views and assembly
+    # Assembly
     # ------------------------------------------------------------------
-
-    def node_view(self, index: int, policy) -> "LocalNode":
-        """A :class:`LocalNode` view over this fleet's column ``index``."""
-        from repro.simulation.node import LocalNode
-
-        return LocalNode(index, policy, fleet=self)
 
     @classmethod
     def from_run(

@@ -12,18 +12,18 @@ array (shareable with :attr:`FleetState.message_counts
 transport layer are literally the same memory), exposed through the
 read-only dict-like :class:`PerNodeMessages` view for the historical
 ``stats.per_node_messages[i]`` API.  All counters advance in exactly one
-place — the :class:`Channel` — and the public fields are read-only
-properties, so double counting (e.g. a collection engine also bumping
-the totals) is an ``AttributeError`` instead of a silent corruption.
+place — :meth:`Channel.record_deliveries` — and the public fields are
+read-only properties, so double counting (e.g. a collection engine also
+bumping the totals) is an ``AttributeError`` instead of a silent
+corruption.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Mapping, Optional
+from typing import Iterator, Mapping, Optional
 
 import numpy as np
 
-from repro.core.types import Measurement
 from repro.exceptions import SimulationError
 
 
@@ -180,13 +180,6 @@ class TransportStats:
             grown[: self._node_counts.shape[0]] = self._node_counts
             self._node_counts = grown
 
-    def _count(self, node: int, floats: int) -> None:
-        """Account one delivered message (channel-internal)."""
-        self._ensure_node(node)
-        self._messages += 1
-        self._payload_floats += int(floats)
-        self._node_counts[node] += 1
-
     def _count_batch(
         self, per_node: np.ndarray, floats_per_message: int
     ) -> None:
@@ -329,9 +322,8 @@ class TransportStats:
 class Channel:
     """In-process node → controller channel with delivery accounting.
 
-    The single place transport counters advance: :meth:`send` for
-    per-message delivery, :meth:`record_batch` for vectorized engines
-    that compute a whole batch of deliveries in one array operation.
+    The single place transport counters advance: :meth:`record_deliveries`
+    counts one slot's delivered messages.
 
     Args:
         node_counts: Optional per-node counter column to adopt (see
@@ -340,28 +332,6 @@ class Channel:
 
     def __init__(self, node_counts: Optional[np.ndarray] = None) -> None:
         self.stats = TransportStats(node_counts=node_counts)
-        self._inbox: List[Measurement] = []
-
-    def send(self, measurement: Measurement) -> None:
-        """Deliver one measurement to the controller's inbox."""
-        self.stats._count(measurement.node, measurement.dimension)
-        self._inbox.append(measurement)
-
-    def record_batch(
-        self, per_node: np.ndarray, floats_per_message: int
-    ) -> None:
-        """Account a batch of already-applied deliveries.
-
-        Used by the vectorized collection fast path, whose messages
-        never materialize as :class:`Measurement` objects; nothing is
-        enqueued, only the counters advance (exactly as ``send`` would
-        have, message by message).
-
-        Args:
-            per_node: Per-node delivered-message counts, shape ``(n,)``.
-            floats_per_message: Payload floats per message (``d``).
-        """
-        self.stats._count_batch(per_node, floats_per_message)
 
     def record_deliveries(
         self,
@@ -392,13 +362,3 @@ class Channel:
         counts[delivered_ids] = 1
         self.stats._count_batch(counts, floats_per_message)
         return counts
-
-    def drain(self) -> List[Measurement]:
-        """Remove and return all pending measurements (one slot's worth)."""
-        pending = self._inbox
-        self._inbox = []
-        return pending
-
-    @property
-    def pending(self) -> int:
-        return len(self._inbox)

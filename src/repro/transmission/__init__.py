@@ -5,36 +5,24 @@ Implements the paper's adaptive Lyapunov drift-plus-penalty policy
 Fig. 4, the deadband (send-on-delta) baseline of the related-work
 ablation, and the perfect (always-transmit) reference.
 
-Each policy exists in two bit-identical forms: the per-node
-:class:`~repro.transmission.base.TransmissionPolicy` object, and a
-vectorized *slot kernel* (``*_transmit_slot``) evaluating one slot's
-decisions for a whole fleet in one array operation — registered in
-:data:`repro.registry.SLOT_KERNELS` and used by the batch collection
-recurrences and streaming sessions.
+Each policy is one vectorized *slot kernel* (``*_transmit_slot``)
+evaluating one slot's decisions for a whole fleet in one array
+operation, with its per-node state in the fleet's ``policy_state``
+column.  The kernels are registered in
+:data:`repro.registry.SLOT_KERNELS`; streaming sessions call them per
+slot, and the whole-trace collection backends loop them over a trace.
 """
 
-from repro.transmission.adaptive import (
-    AdaptiveTransmissionPolicy,
-    adaptive_transmit_slot,
-)
-from repro.transmission.base import TransmissionPolicy
+# perfect.py defines only its SLOT_KERNELS registration.
+from repro.transmission import perfect  # noqa: F401
+from repro.transmission.adaptive import adaptive_transmit_slot
 from repro.transmission.deadband import (
-    DeadbandTransmissionPolicy,
     deadband_transmit_slot,
     simulate_deadband_collection,
 )
-from repro.transmission.perfect import PerfectTransmissionPolicy
-from repro.transmission.uniform import (
-    UniformTransmissionPolicy,
-    uniform_transmit_slot,
-)
+from repro.transmission.uniform import uniform_transmit_slot
 
 __all__ = [
-    "AdaptiveTransmissionPolicy",
-    "TransmissionPolicy",
-    "DeadbandTransmissionPolicy",
-    "PerfectTransmissionPolicy",
-    "UniformTransmissionPolicy",
     "adaptive_transmit_slot",
     "deadband_transmit_slot",
     "simulate_deadband_collection",

@@ -16,13 +16,8 @@ from typing import Callable, Union
 
 import numpy as np
 
-from repro.exceptions import ConfigurationError, DataError
-from repro.registry import (
-    register_collection_backend,
-    register_slot_kernel,
-    register_transmission_policy,
-)
-from repro.transmission.base import TransmissionPolicy
+from repro.exceptions import ConfigurationError
+from repro.registry import register_collection_backend, register_slot_kernel
 
 
 def deadband_transmit_slot(
@@ -33,18 +28,17 @@ def deadband_transmit_slot(
 ) -> np.ndarray:
     """One fleet-wide deadband slot: transmit on drift beyond ``δ²``.
 
-    The batched form of :meth:`DeadbandTransmissionPolicy.decide`
-    (fresh nodes transmit unconditionally, like the forced first
-    transmission).  Shared by the whole-trace deadband collection and
-    the streaming session's vectorized slot.
+    A node transmits when ``(1/d)·||z − x||² > δ²``; fresh nodes
+    transmit unconditionally (the forced first transmission).  Shared
+    by the whole-trace deadband collection and the streaming session's
+    slot.
 
     Args:
         x: Fresh measurements, shape ``(n, d)``.
         stored: Stored values ``z_t``, shape ``(n, d)``.
         observed: Bool ``(n,)`` — False forces the initial transmission.
         threshold: The *squared* deadband half-width ``δ²`` (scalar or
-            per-node), pre-squared by the caller so the comparison is
-            bit-identical to the scalar policy's ``delta**2``.
+            per-node), pre-squared by the caller.
 
     Returns:
         Bool ``(n,)`` transmission decisions.
@@ -61,33 +55,6 @@ def _deadband_slot_kernel(config) -> Callable:
         return deadband_transmit_slot(x, stored, observed, threshold)
 
     return kernel
-
-
-class DeadbandTransmissionPolicy(TransmissionPolicy):
-    """Transmit when ``(1/d)·||z − x||² > delta²``.
-
-    Args:
-        delta: Deadband half-width on the per-dimension RMS deviation;
-            transmission happens when the stored value drifts beyond it.
-    """
-
-    def __init__(self, delta: float) -> None:
-        super().__init__()
-        if delta <= 0:
-            raise ConfigurationError(f"delta must be positive, got {delta}")
-        self.delta = delta
-
-    def decide(self, current: np.ndarray, stored: np.ndarray) -> bool:
-        cur = np.atleast_1d(np.asarray(current, dtype=float))
-        sto = np.atleast_1d(np.asarray(stored, dtype=float))
-        if cur.shape != sto.shape:
-            raise DataError(
-                f"current shape {cur.shape} != stored shape {sto.shape}"
-            )
-        deviation = float(np.mean((sto - cur) ** 2))
-        transmit = deviation > self.delta**2
-        self._record(transmit)
-        return transmit
 
 
 def simulate_deadband_collection(trace: np.ndarray, delta: float):
@@ -121,11 +88,6 @@ def simulate_deadband_collection(trace: np.ndarray, delta: float):
         decisions[t] = transmit
         stored[t] = stored_now
     return CollectionResult(stored=stored, decisions=decisions)
-
-
-@register_transmission_policy("deadband")
-def _build_deadband(config, node_id: int) -> DeadbandTransmissionPolicy:
-    return DeadbandTransmissionPolicy(config.deadband_delta)
 
 
 @register_collection_backend("deadband")

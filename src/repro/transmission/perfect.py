@@ -12,21 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from repro.registry import register_slot_kernel, register_transmission_policy
-from repro.transmission.base import TransmissionPolicy
-
-
-class PerfectTransmissionPolicy(TransmissionPolicy):
-    """Transmit unconditionally every slot (stateless)."""
-
-    def decide(self, current: np.ndarray, stored: np.ndarray) -> bool:
-        self._record(True)
-        return True
-
-
-@register_transmission_policy("perfect")
-def _build_perfect(config, node_id: int) -> PerfectTransmissionPolicy:
-    return PerfectTransmissionPolicy()
+from repro.registry import register_slot_kernel
 
 
 @register_slot_kernel("perfect")

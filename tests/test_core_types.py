@@ -3,10 +3,10 @@
 import numpy as np
 import pytest
 
+from collection_oracle import Measurement
 from repro.core.types import (
     ClusterAssignment,
     Forecast,
-    Measurement,
     TransmissionRecord,
     partition_from_labels,
     validate_trace,

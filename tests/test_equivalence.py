@@ -1,16 +1,15 @@
 """Cross-engine equivalence and determinism properties.
 
 The library has two ways to run everything (a streaming
-``Engine.session`` vs a batch ``Engine.run``) and two collection
-engines (object-level vs vectorized).  These tests pin them together: a
-refactor that changes any engine's semantics relative to the others
-fails here.
+``Engine.session`` vs a batch ``Engine.run``), and its collection
+backends are pinned against the per-node object model kept in
+``collection_oracle``.  These tests pin them together: a refactor that
+changes any engine's semantics relative to the others fails here.
 
 The vectorized hot-path kernels (K-means, α-clipped offsets,
-contingency-based similarity re-indexing, membership forecasting, the
-batched collection fast path) are additionally pinned **bit-identical**
-to the earlier implementations kept in `repro.reference_impl`, on
-randomized inputs.
+contingency-based similarity re-indexing, membership forecasting) are
+additionally pinned **bit-identical** to the earlier implementations
+kept in `repro.reference_impl`, on randomized inputs.
 """
 
 import numpy as np
@@ -18,6 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from collection_oracle import (
+    AdaptiveTransmissionPolicy,
+    CollectionSimulation,
+    UniformTransmissionPolicy,
+    assert_same_columns,
+)
 from repro.api import Engine
 from repro.clustering.kmeans import (
     _squared_distances_to,
@@ -52,12 +57,10 @@ from repro.reference_impl import (
     reindex_weights_reference,
 )
 from repro.simulation.collection import (
-    CollectionSimulation,
     simulate_adaptive_collection,
     simulate_uniform_collection,
 )
-from repro.transmission.adaptive import AdaptiveTransmissionPolicy
-from repro.transmission.uniform import UniformTransmissionPolicy
+from repro.simulation.fleet import FleetState
 
 
 #: Resource dimensions the kernel pins cover: both sides of d = 2, where
@@ -698,66 +701,54 @@ class TestClusterMeansEquivalence:
 
 
 class TestBatchedCollectionEquivalence:
-    """CollectionSimulation's vectorized fast path vs its object loop."""
+    """The collection backends vs the per-node oracle loop."""
 
-    def _object_result(self, sim, trace):
-        data = np.asarray(trace, dtype=float)[:, :, np.newaxis]
-        return sim._run_object_loop(data)
+    @staticmethod
+    def assert_same_run(backend, oracle, sim):
+        np.testing.assert_array_equal(backend.decisions, oracle.decisions)
+        np.testing.assert_array_equal(backend.stored, oracle.stored)
+        assert oracle.stats.messages == int(backend.decisions.sum())
+        # Engine.run's fleet snapshot holds the oracle's columns.
+        assert_same_columns(
+            FleetState.from_run(backend.stored, backend.decisions),
+            sim.fleet,
+        )
 
     @given(st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
-    def test_adaptive_fast_path_identical(self, seed):
+    def test_adaptive_backend_matches_oracle(self, seed):
         trace = walk_trace(steps=60, nodes=5, seed=seed)
-
-        def factory(i):
-            return AdaptiveTransmissionPolicy(
-                TransmissionConfig(budget=0.15 + 0.1 * (i % 3))
-            )
-
-        fast_sim = CollectionSimulation(5, factory)
-        assert fast_sim._batchable()
-        fast = fast_sim.run(trace)
-        slow_sim = CollectionSimulation(5, factory)
-        slow = self._object_result(slow_sim, trace)
-        np.testing.assert_array_equal(fast.decisions, slow.decisions)
-        np.testing.assert_array_equal(fast.stored, slow.stored)
-        assert fast.stats.messages == slow.stats.messages
-        assert fast.stats.per_node_messages == slow.stats.per_node_messages
-        for fast_node, slow_node in zip(fast_sim.nodes, slow_sim.nodes):
-            assert fast_node.time == slow_node.time
-            np.testing.assert_array_equal(
-                fast_node.stored_value, slow_node.stored_value
-            )
-            assert fast_node.policy.queue_length == (
-                slow_node.policy.queue_length
-            )
-            np.testing.assert_array_equal(
-                fast_node.policy.queue_history,
-                slow_node.policy.queue_history,
-            )
-            np.testing.assert_array_equal(
-                fast_node.policy.decisions, slow_node.policy.decisions
-            )
+        budget = float(np.random.default_rng(seed).uniform(0.05, 0.95))
+        config = TransmissionConfig(budget=budget)
+        backend = simulate_adaptive_collection(trace, config)
+        sim = CollectionSimulation(
+            5, lambda i: AdaptiveTransmissionPolicy(config)
+        )
+        self.assert_same_run(backend, sim.run(trace), sim)
 
     @given(st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
-    def test_uniform_fast_path_identical(self, seed):
+    def test_staggered_uniform_backend_matches_oracle(self, seed):
+        # The staggered backend is what Engine(collection="uniform") and
+        # Fig. 4 run: node i starts its accumulator at the i-th draw of
+        # the seeded phase generator.
         trace = walk_trace(steps=60, nodes=6, seed=seed)
-
-        def factory(i):
-            return UniformTransmissionPolicy(0.3, phase=(0.17 * i) % 1.0)
-
-        fast_sim = CollectionSimulation(6, factory)
-        assert fast_sim._batchable()
-        fast = fast_sim.run(trace)
-        slow_sim = CollectionSimulation(6, factory)
-        slow = self._object_result(slow_sim, trace)
-        np.testing.assert_array_equal(fast.decisions, slow.decisions)
-        np.testing.assert_array_equal(fast.stored, slow.stored)
-        for fast_node, slow_node in zip(fast_sim.nodes, slow_sim.nodes):
-            np.testing.assert_array_equal(
-                fast_node.policy.decisions, slow_node.policy.decisions
-            )
+        phases = np.random.default_rng(seed).uniform(0.0, 1.0, size=6)
+        backend = simulate_uniform_collection(trace, 0.3, seed=seed)
+        sim = CollectionSimulation(
+            6, lambda i: UniformTransmissionPolicy(0.3, phase=phases[i])
+        )
+        oracle = sim.run(trace)
+        self.assert_same_run(backend, oracle, sim)
+        # A sharded slice keeps each node's whole-fleet phase.
+        lo, hi = 2, 5
+        shard = simulate_uniform_collection(
+            trace[:, lo:hi], 0.3, seed=seed, node_offset=lo, total_nodes=6
+        )
+        np.testing.assert_array_equal(
+            shard.decisions, oracle.decisions[:, lo:hi]
+        )
+        np.testing.assert_array_equal(shard.stored, oracle.stored[:, lo:hi])
 
     def test_heterogeneous_policies_fall_back(self):
         def factory(i):
@@ -766,19 +757,17 @@ class TestBatchedCollectionEquivalence:
             return AdaptiveTransmissionPolicy(TransmissionConfig())
 
         sim = CollectionSimulation(4, factory)
-        assert not sim._batchable()
         result = sim.run(walk_trace(steps=30, nodes=4, seed=0))
         assert result.decisions[0].sum() == 4
 
     def test_second_run_falls_back_and_continues(self):
-        # After a batched run the nodes are mid-stream; a second run must
-        # take the object loop (no forced re-transmission semantics).
+        # After a first run the nodes are mid-stream; a second run must
+        # continue them (no forced re-transmission).
         sim = CollectionSimulation(
             3, lambda i: AdaptiveTransmissionPolicy(TransmissionConfig())
         )
         first = sim.run(walk_trace(steps=20, nodes=3, seed=1))
         assert first.decisions[0].sum() == 3
-        assert not sim._batchable()
         second = sim.run(walk_trace(steps=20, nodes=3, seed=2))
         assert second.stored.shape == (20, 3, 1)
         assert sim.nodes[0].time == 40
@@ -801,7 +790,7 @@ class TestBatchedCollectionEquivalence:
         sim = CollectionSimulation(
             4, lambda i: UniformTransmissionPolicy(0.4, phase=0.0)
         )
-        object_level = self._object_result(sim, trace)
+        object_level = sim.run(trace)
         np.testing.assert_array_equal(
             vectorized.decisions, object_level.decisions
         )

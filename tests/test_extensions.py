@@ -4,6 +4,7 @@ prediction intervals, and the deadband ablation."""
 import numpy as np
 import pytest
 
+from collection_oracle import DeadbandTransmissionPolicy
 from repro.analysis.decomposition import decompose_error
 from repro.core.config import (
     ClusteringConfig,
@@ -13,10 +14,7 @@ from repro.core.config import (
 )
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.forecasting.arima import ArimaModel, ArimaOrder
-from repro.transmission.deadband import (
-    DeadbandTransmissionPolicy,
-    simulate_deadband_collection,
-)
+from repro.transmission.deadband import simulate_deadband_collection
 
 
 class TestDeadbandPolicy:

@@ -1,29 +1,34 @@
-"""Tests for the columnar FleetState core and its thin views.
+"""Tests for the columnar FleetState core and the per-node oracle's
+views over it.
 
-Covers the FleetState columns themselves, the LocalNode↔FleetState view
-equivalence (hypothesis property: a fleet-backed node behaves
-bit-identically to the historical self-contained node on any decision
-sequence), and the transport-channel edge cases.
+Covers the FleetState columns themselves, the oracle's LocalNode↔
+FleetState view equivalence (hypothesis property: a fleet-backed node
+behaves bit-identically to a self-contained node on any decision
+sequence), and the transport-channel edge cases of
+``Channel.record_deliveries``.
 """
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from collection_oracle import (
+    AdaptiveTransmissionPolicy,
+    CentralStore,
+    CollectionSimulation,
+    LocalNode,
+    UniformTransmissionPolicy,
+    assert_same_columns,
+)
 from repro.core.config import TransmissionConfig
-from repro.core.types import Measurement
 from repro.exceptions import SimulationError
-from repro.simulation.collection import CollectionSimulation
-from repro.simulation.controller import CentralStore
+from repro.simulation.collection import simulate_adaptive_collection
 from repro.simulation.fleet import (
     FleetState,
     merge_collection_shards,
     shard_slices,
 )
-from repro.simulation.node import LocalNode
 from repro.simulation.transport import Channel, PerNodeMessages, TransportStats
-from repro.transmission.adaptive import AdaptiveTransmissionPolicy
-from repro.transmission.uniform import UniformTransmissionPolicy
 
 
 class TestFleetState:
@@ -77,11 +82,13 @@ class TestFleetState:
             fleet.advance_batch(np.ones((4, 2), dtype=int), np.zeros((2, 1)))
 
     def test_reset_single_node(self):
+        # Resetting the oracle's node view clears only its own column.
         fleet = FleetState(2, 1)
         fleet.advance_batch(np.ones((3, 2), dtype=int), np.ones((2, 1)))
-        fleet.reset_nodes(0)
+        LocalNode(0, UniformTransmissionPolicy(1.0), fleet=fleet).reset()
         assert fleet.times[0] == 0 and fleet.times[1] == 3
         assert not fleet.observed[0] and fleet.observed[1]
+        assert fleet.last_update[0] == -1 and fleet.last_update[1] == 2
         assert fleet.stored[0, 0] == 0.0 and fleet.stored[1, 0] == 1.0
 
     def test_from_run_snapshot(self):
@@ -255,9 +262,9 @@ class TestLocalNodeViewEquivalence:
         np.testing.assert_array_equal(store.last_update, [0, -1])
 
     def test_continuation_run_keeps_one_time_base(self):
-        # Heterogeneous policies force the object loop; across two runs
-        # the store and the node views must write last_update on the
-        # same (fleet) clock, so staleness stays meaningful.
+        # Across two runs the store and the node views must write
+        # last_update on the same (fleet) clock, so staleness stays
+        # meaningful.
         def factory(i):
             if i == 2:
                 return UniformTransmissionPolicy(0.05)  # mostly silent
@@ -276,19 +283,19 @@ class TestLocalNodeViewEquivalence:
         assert (store.staleness(now) >= 0).all()
 
     def test_batched_collection_fills_columns(self):
+        # The fleet Engine.run derives from a backend's result
+        # (FleetState.from_run) holds the columns the per-node loop
+        # writes, one node at a time.
         trace = np.random.default_rng(1).random((30, 5))
+        config = TransmissionConfig(budget=0.3)
         sim = CollectionSimulation(
-            5,
-            lambda i: AdaptiveTransmissionPolicy(
-                TransmissionConfig(budget=0.3)
-            ),
+            5, lambda i: AdaptiveTransmissionPolicy(config)
         )
         result = sim.run(trace)
-        assert sim.fleet.dim == 1
-        np.testing.assert_array_equal(sim.fleet.times, np.full(5, 30))
-        np.testing.assert_array_equal(
-            sim.fleet.message_counts, result.decisions.sum(axis=0)
-        )
+        batched = simulate_adaptive_collection(trace, config)
+        fleet = FleetState.from_run(batched.stored, batched.decisions)
+        assert fleet.dim == sim.fleet.dim == 1
+        assert_same_columns(fleet, sim.fleet)
         # Channel stats and fleet counters are the same memory.
         assert sim.channel.stats.per_node_messages == {
             i: int(c)
@@ -302,13 +309,16 @@ class TestLocalNodeViewEquivalence:
 
 
 class TestChannelEdgeCases:
-    def _measurement(self, node=0, time=0, dim=1):
-        return Measurement(node=node, time=time, value=np.zeros(dim))
+    @staticmethod
+    def _deliver(channel, ids, num_nodes, dim=1):
+        return channel.record_deliveries(
+            np.asarray(ids, dtype=np.int64), num_nodes, dim
+        )
 
     def test_zero_message_slot(self):
         channel = Channel()
-        assert channel.drain() == []
-        assert channel.pending == 0
+        counts = self._deliver(channel, [], 3)
+        np.testing.assert_array_equal(counts, [0, 0, 0])
         assert channel.stats.messages == 0
         assert channel.stats.payload_floats == 0
         assert len(channel.stats.per_node_messages) == 0
@@ -316,8 +326,7 @@ class TestChannelEdgeCases:
 
     def test_payload_bytes_custom_width(self):
         channel = Channel()
-        channel.send(self._measurement(dim=3))
-        channel.send(self._measurement(node=1, dim=3))
+        self._deliver(channel, [0, 1], 2, dim=3)
         assert channel.stats.payload_floats == 6
         assert channel.stats.payload_bytes() == 48          # 8 bytes/float
         assert channel.stats.payload_bytes(bytes_per_float=4) == 24
@@ -325,19 +334,18 @@ class TestChannelEdgeCases:
 
     def test_per_node_counts_after_silence(self):
         channel = Channel()
-        for t in range(3):
-            channel.send(self._measurement(node=0, time=t))
-        channel.drain()
+        for _ in range(3):
+            self._deliver(channel, [0], 2)
         # Node 0 goes silent; node 1 speaks once.
-        channel.send(self._measurement(node=1, time=3))
-        channel.drain()
-        channel.drain()  # two silent slots for everyone
+        self._deliver(channel, [1], 2)
+        self._deliver(channel, [], 2)  # two silent slots for everyone
+        self._deliver(channel, [], 2)
         assert channel.stats.per_node_messages == {0: 3, 1: 1}
         assert channel.stats.messages == 4
 
     def test_per_node_view_mapping_semantics(self):
         channel = Channel()
-        channel.send(self._measurement(node=2))
+        self._deliver(channel, [2], 3)
         view = channel.stats.per_node_messages
         assert isinstance(view, PerNodeMessages)
         assert view[2] == 1
@@ -366,41 +374,41 @@ class TestChannelEdgeCases:
 
     def test_growable_counts_for_unbounded_node_ids(self):
         channel = Channel()
-        channel.send(self._measurement(node=1000))
+        self._deliver(channel, [1000], 1001)
         assert channel.stats.per_node_messages == {1000: 1}
 
     def test_per_node_view_is_live_across_growth(self):
         # Like the dict it replaces, the mapping is a live reference:
-        # counts sent after the view was taken — even ones that force
-        # the backing array to be reallocated — must show through it.
+        # counts delivered after the view was taken — even ones that
+        # force the backing array to be reallocated — must show through.
         channel = Channel()
-        channel.send(self._measurement(node=0))
+        self._deliver(channel, [0], 1)
         view = channel.stats.per_node_messages
-        channel.send(self._measurement(node=500))  # grows the array
-        channel.send(self._measurement(node=0))
+        self._deliver(channel, [500], 501)  # grows the array
+        self._deliver(channel, [0], 501)
         assert view[500] == 1
         assert view == {0: 2, 500: 1}
 
     def test_fleet_backed_counts_reject_foreign_nodes(self):
         fleet = FleetState(2, 1)
         channel = Channel(node_counts=fleet.message_counts)
-        channel.send(self._measurement(node=1))
+        self._deliver(channel, [1], 2)
         assert fleet.message_counts[1] == 1
         with pytest.raises(SimulationError):
-            channel.send(self._measurement(node=2))
+            self._deliver(channel, [2], 3)
 
-    def test_record_batch_matches_per_message_sends(self):
-        loop = Channel()
-        for t in range(4):
-            loop.send(self._measurement(node=0, time=t, dim=2))
-        loop.send(self._measurement(node=2, time=0, dim=2))
-        batched = Channel()
-        batched.record_batch(np.array([4, 0, 1]), floats_per_message=2)
-        assert batched.stats.messages == loop.stats.messages
-        assert batched.stats.payload_floats == loop.stats.payload_floats
-        assert (
-            batched.stats.per_node_messages == loop.stats.per_node_messages
+    def test_count_column_matches_per_slot_deliveries(self):
+        # Engine.run derives its stats from per-node counts; they must
+        # agree with counting each slot's deliveries, as a session does.
+        channel = Channel()
+        for ids in ([0, 2], [0], [0], [0]):
+            self._deliver(channel, ids, 3, dim=2)
+        counted = TransportStats.from_node_counts(
+            np.array([4, 0, 1], dtype=np.int64), floats_per_message=2
         )
+        assert counted.messages == channel.stats.messages
+        assert counted.payload_floats == channel.stats.payload_floats
+        assert counted.per_node_messages == channel.stats.per_node_messages
 
     def test_from_node_counts_derives_consistent_totals(self):
         counts = np.array([2, 0, 1], dtype=np.int64)

@@ -1,7 +1,9 @@
 """Tests for the component registries (repro.registry)."""
 
+import numpy as np
 import pytest
 
+from collection_oracle import POLICIES
 from repro.core.config import ForecastingConfig, PipelineConfig
 from repro.core.pipeline import default_forecaster_factory
 from repro.exceptions import ConfigurationError
@@ -9,10 +11,9 @@ from repro.registry import (
     COLLECTION_BACKENDS,
     FORECASTERS,
     SIMILARITY_MEASURES,
-    TRANSMISSION_POLICIES,
+    SLOT_KERNELS,
     Registry,
 )
-from repro.transmission.base import TransmissionPolicy
 
 
 class TestRegistryMechanics:
@@ -92,9 +93,11 @@ class TestBuiltinRegistries:
             assert expected in names
 
     def test_transmission_policies_available(self):
-        names = TRANSMISSION_POLICIES.available()
-        for expected in ("adaptive", "uniform", "deadband"):
+        # Every policy the per-node oracle models ships as a slot kernel.
+        names = SLOT_KERNELS.available()
+        for expected in ("adaptive", "uniform", "deadband", "perfect"):
             assert expected in names
+        assert set(POLICIES) <= set(names)
 
     def test_similarity_measures_available(self):
         assert set(SIMILARITY_MEASURES.available()) >= {
@@ -113,10 +116,18 @@ class TestBuiltinRegistries:
             assert hasattr(forecaster, "update"), name
 
     def test_every_transmission_policy_constructible_from_config(self):
+        # Each kernel built from a config decides a slot for a batch of
+        # nodes, and a node that has observed nothing always transmits.
         config = PipelineConfig().transmission
-        for name in TRANSMISSION_POLICIES.available():
-            policy = TRANSMISSION_POLICIES.create(name, config, 0)
-            assert isinstance(policy, TransmissionPolicy), name
+        x = np.full((3, 1), 0.5)
+        for name in SLOT_KERNELS.available():
+            kernel = SLOT_KERNELS.create(name, config)
+            transmit = kernel(
+                x, np.zeros_like(x), np.zeros(3, dtype=bool),
+                np.zeros(3), np.zeros(3, dtype=np.int64),
+            )
+            assert transmit.dtype == bool, name
+            assert transmit.tolist() == [True, True, True], name
 
     def test_unknown_model_rejected_by_config(self):
         with pytest.raises(ConfigurationError, match="unknown forecaster"):

@@ -2,9 +2,9 @@
 
 Pins the slot-kernel path **bit-identical** to two independent oracles
 on randomized traces (hypothesis) — the registered batch collection
-backends for full slots, and a per-node loop of ``LocalNode`` and
-registered policy objects for partial slots and multi-resource fleets
-— and covers the documented partial-slot and late-arrival semantics.
+backends for full slots, and the per-node object loop of
+``collection_oracle`` for partial slots and multi-resource fleets — and
+covers the documented partial-slot and late-arrival semantics.
 """
 
 import numpy as np
@@ -12,6 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import collection_oracle
 from repro.api import Engine
 from repro.checkpoint import state_equal
 from repro.core.config import (
@@ -28,14 +29,11 @@ from repro.exceptions import (
 from repro.registry import (
     COLLECTION_BACKENDS,
     SLOT_KERNELS,
-    TRANSMISSION_POLICIES,
     register_slot_kernel,
 )
 from repro.session import StreamSession
 from repro.simulation.collection import simulate_uniform_collection
-from repro.simulation.controller import CentralStore
-from repro.simulation.fleet import FleetState
-from repro.simulation.transport import Channel, TransportStats
+from repro.simulation.transport import TransportStats
 from repro.transmission.uniform import uniform_transmit_slot
 
 POLICIES = ("adaptive", "uniform", "deadband", "perfect")
@@ -77,42 +75,23 @@ def batch_collection(policy, trace, transmission):
     return COLLECTION_BACKENDS.create(policy, trace, transmission)
 
 
-class ObjectFleet:
-    """Per-node oracle: the object-level slot.  One registered policy
-    object per node decides through ``LocalNode.observe``; its messages
-    cross a ``Channel`` and a ``CentralStore`` applies them."""
+def object_fleet(policy, transmission, num_nodes, dims):
+    """Per-node oracle: the object-level slot.  One policy object per
+    node decides through ``LocalNode.observe``; its messages cross a
+    channel and a ``CentralStore`` applies them."""
+    build = collection_oracle.POLICIES[policy]
+    return collection_oracle.CollectionSimulation(
+        num_nodes, lambda i: build(transmission), dim=dims
+    )
 
-    def __init__(self, policy, transmission, num_nodes, dims):
-        self.fleet = FleetState(num_nodes, dims)
-        self.nodes = [
-            self.fleet.node_view(
-                i, TRANSMISSION_POLICIES.create(policy, transmission, i)
-            )
-            for i in range(num_nodes)
-        ]
-        self.channel = Channel(node_counts=self.fleet.message_counts)
-        self.store = CentralStore(fleet=self.fleet)
 
-    def ingest(self, values, ids, slot):
-        for row, i in enumerate(ids):
-            message = self.nodes[i].observe(values[row])
-            if message is not None:
-                self.channel.send(message)
-        self.store.apply(self.channel.drain(), now=slot)
-
-    def assert_matches(self, session):
-        fleet = session.fleet
-        for column in (
-            "stored", "observed", "times", "last_update", "message_counts"
-        ):
-            np.testing.assert_array_equal(
-                getattr(fleet, column), getattr(self.fleet, column),
-                err_msg=column,
-            )
-        np.testing.assert_array_equal(
-            fleet.policy_state,
-            [node.policy.fleet_scalar_state for node in self.nodes],
-        )
+def assert_fleet_matches(oracle, session):
+    fleet = session.fleet
+    collection_oracle.assert_same_columns(fleet, oracle.fleet)
+    np.testing.assert_array_equal(
+        fleet.policy_state,
+        [node.policy.fleet_scalar_state for node in oracle.nodes],
+    )
 
 
 class TestVectorizedObjectEquivalence:
@@ -149,25 +128,25 @@ class TestVectorizedObjectEquivalence:
         for policy in POLICIES:
             rng = np.random.default_rng(seed)
             session = StreamSession(cfg, 8, 1, policy=policy)
-            oracle = ObjectFleet(policy, cfg.transmission, 8, 1)
+            oracle = object_fleet(policy, cfg.transmission, 8, 1)
             for t in range(trace.shape[0]):
                 ids = np.flatnonzero(rng.random(8) < 0.7)
                 if ids.size == 0:
                     ids = np.asarray([int(rng.integers(8))])
                 session.ingest(trace[t][ids], node_ids=ids)
                 oracle.ingest(trace[t][ids][:, np.newaxis], ids, t)
-                oracle.assert_matches(session)
+                assert_fleet_matches(oracle, session)
 
     def test_multiresource_bit_identical(self):
         cfg = config()
         trace = walk_trace(steps=25, nodes=5, dims=3, seed=3)
         for policy in POLICIES:
             session = StreamSession(cfg, 5, 3, policy=policy)
-            oracle = ObjectFleet(policy, cfg.transmission, 5, 3)
+            oracle = object_fleet(policy, cfg.transmission, 5, 3)
             for t in range(trace.shape[0]):
                 session.ingest(trace[t])
                 oracle.ingest(trace[t], range(5), t)
-                oracle.assert_matches(session)
+                assert_fleet_matches(oracle, session)
 
 
 class TestSessionStreaming:

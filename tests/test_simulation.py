@@ -1,21 +1,25 @@
-"""Tests for the simulation substrate: nodes, store, transport, engines."""
+"""Tests for the collection backends and the per-node oracle they are
+pinned against (nodes, store, channel, object loop)."""
 
 import numpy as np
 import pytest
 
+from collection_oracle import (
+    AdaptiveTransmissionPolicy,
+    CentralStore,
+    CollectionSimulation,
+    LocalNode,
+    Measurement,
+    MessageChannel,
+    UniformTransmissionPolicy,
+)
 from repro.core.config import TransmissionConfig
-from repro.core.types import Measurement
 from repro.exceptions import ConfigurationError, DataError, SimulationError
 from repro.simulation.collection import (
-    CollectionSimulation,
     simulate_adaptive_collection,
     simulate_uniform_collection,
 )
-from repro.simulation.controller import CentralStore
-from repro.simulation.node import LocalNode
 from repro.simulation.transport import Channel
-from repro.transmission.adaptive import AdaptiveTransmissionPolicy
-from repro.transmission.uniform import UniformTransmissionPolicy
 
 
 class TestLocalNode:
@@ -61,16 +65,15 @@ class TestLocalNode:
 class TestChannel:
     def test_counts_messages_and_payload(self):
         channel = Channel()
-        channel.send(Measurement(node=0, time=0, value=np.zeros(2)))
-        channel.send(Measurement(node=1, time=0, value=np.zeros(2)))
-        channel.send(Measurement(node=0, time=1, value=np.zeros(2)))
+        channel.record_deliveries(np.array([0, 1]), 2, 2)
+        channel.record_deliveries(np.array([0]), 2, 2)
         assert channel.stats.messages == 3
         assert channel.stats.payload_floats == 6
         assert channel.stats.per_node_messages == {0: 2, 1: 1}
         assert channel.stats.payload_bytes() == 48
 
     def test_drain_empties_inbox(self):
-        channel = Channel()
+        channel = MessageChannel()
         channel.send(Measurement(node=0, time=0, value=np.zeros(1)))
         assert channel.pending == 1
         drained = channel.drain()

@@ -1,14 +1,32 @@
-"""Tests for transmission policies (Sec. V-A) and their budget behavior."""
+"""Tests for transmission policies (Sec. V-A) and their budget behavior.
+
+The per-node oracle policies pin the paper's decision rules; the
+``TestSlotKernelEdgeCases`` class pins the same boundary cases on the
+slot kernels the package runs.
+"""
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.config import TransmissionConfig
+from collection_oracle import (
+    AdaptiveTransmissionPolicy,
+    UniformTransmissionPolicy,
+)
+from repro.core.config import (
+    ClusteringConfig,
+    ForecastingConfig,
+    PipelineConfig,
+    TransmissionConfig,
+)
 from repro.exceptions import ConfigurationError, DataError
-from repro.transmission.adaptive import AdaptiveTransmissionPolicy
-from repro.transmission.uniform import UniformTransmissionPolicy
+from repro.session import StreamSession
+from repro.transmission import (
+    adaptive_transmit_slot,
+    deadband_transmit_slot,
+    uniform_transmit_slot,
+)
 
 
 class TestAdaptivePolicy:
@@ -165,3 +183,59 @@ class TestUniformPolicy:
         policy = UniformTransmissionPolicy(1.0)
         x = np.array([0.0])
         assert all(policy.decide(x, x) for _ in range(10))
+
+
+class TestSlotKernelEdgeCases:
+    """Ties and exact boundaries, on the kernels themselves."""
+
+    def test_adaptive_skips_on_tie_at_zero_queue(self):
+        # Q = 0 and F = 0: both objectives are 0, and the tie stays
+        # silent while still charging the budget's drift.
+        x = np.array([[0.4]])
+        queues = np.zeros(1)
+        transmit = adaptive_transmit_slot(
+            x, x.copy(), np.ones(1, dtype=bool), queues, 0, 0.3, 1.0, 0.0
+        )
+        assert not transmit[0]
+        assert queues[0] == -0.3
+
+    def test_uniform_sends_exactly_every_fourth_slot(self):
+        # B = 0.25 is binary-exact: the accumulator reaches exactly 1.0
+        # on every 4th slot, and reaching it is a crossing.
+        observed = np.ones(1, dtype=bool)
+        accumulators = np.zeros(1)
+        sent = [
+            bool(uniform_transmit_slot(observed, accumulators, 0.25)[0])
+            for _ in range(100)
+        ]
+        np.testing.assert_array_equal(
+            np.flatnonzero(sent), np.arange(3, 100, 4)
+        )
+        assert accumulators[0] == 0.0
+
+    def test_deadband_boundary_not_transmitted(self):
+        # (0.75 - 0.25)**2 == 0.5**2 exactly: a deviation equal to δ²
+        # stays silent.
+        transmit = deadband_transmit_slot(
+            np.array([[0.75]]),
+            np.array([[0.25]]),
+            np.ones(1, dtype=bool),
+            0.5**2,
+        )
+        assert not transmit[0]
+
+    def test_deadband_session_boundary_not_transmitted(self):
+        config = PipelineConfig(
+            transmission=TransmissionConfig(deadband_delta=0.5),
+            clustering=ClusteringConfig(num_clusters=1, seed=0),
+            forecasting=ForecastingConfig(
+                model="sample_hold", initial_collection=10
+            ),
+        )
+        session = StreamSession(config, 1, 1, policy="deadband")
+        session.ingest(np.array([0.25]))
+        output = session.ingest(np.array([0.75]))
+        np.testing.assert_array_equal(output.stored, [[0.25]])
+        assert output.transport.messages == 0
+        assert session.transport_stats.messages == 1
+

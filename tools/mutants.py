@@ -1,0 +1,160 @@
+#!/usr/bin/env python3
+"""Mutation ledger: deliberate faults, and the tests that must catch them.
+
+Each entry names a file, an exact piece of its text, the text that
+replaces it, and the test ids expected to fail once it is replaced.
+The script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
+temporary directory, checks that the named tests pass there unchanged,
+then applies one mutant at a time and runs only its named tests.  Each
+mutant is reported as:
+
+* ``killed`` — a named test failed;
+* ``survived`` — every named test passed, so nothing pins that line;
+* ``stale`` — the old text no longer occurs exactly once in the file,
+  so the entry must be updated to the code as it is now.
+
+It exits non-zero if any mutant survived or is stale.
+
+Run from the repository root:
+    python tools/mutants.py
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Sequence, Tuple
+
+ROOT = Path(__file__).resolve().parent.parent
+COPIED = ("src", "tests", "pyproject.toml")
+KERNEL_TESTS = "tests/test_transmission.py::TestSlotKernelEdgeCases"
+
+
+@dataclass(frozen=True)
+class Mutant:
+    name: str
+    path: str  #: File to mutate, relative to the repository root.
+    old: str  #: Exact text that must occur once in the file.
+    new: str
+    tests: Tuple[str, ...]  #: Test ids expected to kill the mutant.
+
+
+LEDGER: Tuple[Mutant, ...] = (
+    Mutant(
+        name="adaptive-kernel-tie-transmits",
+        path="src/repro/transmission/adaptive.py",
+        old="transmit = (objective_send < objective_skip) | ~observed",
+        new="transmit = (objective_send <= objective_skip) | ~observed",
+        tests=(f"{KERNEL_TESTS}::test_adaptive_skips_on_tie_at_zero_queue",),
+    ),
+    Mutant(
+        name="uniform-kernel-crossing-strict",
+        path="src/repro/transmission/uniform.py",
+        old="crossed = (accumulators >= 1.0) & observed",
+        new="crossed = (accumulators > 1.0) & observed",
+        tests=(
+            f"{KERNEL_TESTS}::test_uniform_sends_exactly_every_fourth_slot",
+        ),
+    ),
+    Mutant(
+        name="deadband-kernel-boundary-transmits",
+        path="src/repro/transmission/deadband.py",
+        old="return (deviation > threshold) | ~observed",
+        new="return (deviation >= threshold) | ~observed",
+        tests=(
+            f"{KERNEL_TESTS}::test_deadband_boundary_not_transmitted",
+            f"{KERNEL_TESTS}::test_deadband_session_boundary_not_transmitted",
+        ),
+    ),
+    Mutant(
+        name="adaptive-backend-stores-every-slot",
+        path="src/repro/simulation/collection.py",
+        old=(
+            "            data[t], stored_now, observed, queues, t, budgets, "
+            "v0s, gammas\n"
+            "        )\n"
+            "        stored_now = np.where(transmit[:, np.newaxis], data[t], "
+            "stored_now)\n"
+        ),
+        new=(
+            "            data[t], stored_now, observed, queues, t, budgets, "
+            "v0s, gammas\n"
+            "        )\n"
+            "        stored_now = data[t].copy()\n"
+        ),
+        tests=(
+            "tests/test_equivalence.py::TestBatchedCollectionEquivalence::"
+            "test_adaptive_backend_matches_oracle",
+        ),
+    ),
+)
+
+
+def run_tests(workdir: Path, tests: Sequence[str]) -> int:
+    """Run ``tests`` with pytest inside ``workdir``; return its exit code."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(workdir / "src")
+    # No bytecode: a mutant and the original text can share a size and
+    # an mtime second, which would let a stale .pyc stand in for either.
+    env["PYTHONDONTWRITEBYTECODE"] = "1"
+    completed = subprocess.run(
+        [sys.executable, "-m", "pytest", "-q", "-x",
+         "-p", "no:cacheprovider", *tests],
+        cwd=workdir,
+        env=env,
+        stdout=subprocess.PIPE,
+        stderr=subprocess.STDOUT,
+        text=True,
+    )
+    return completed.returncode
+
+
+def copy_tree(workdir: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+    for name in COPIED:
+        source = ROOT / name
+        if source.is_dir():
+            shutil.copytree(source, workdir / name, ignore=ignore)
+        else:
+            shutil.copy2(source, workdir / name)
+
+
+def run_mutant(workdir: Path, mutant: Mutant) -> str:
+    target = workdir / mutant.path
+    original = target.read_text()
+    if original.count(mutant.old) != 1:
+        return "stale"
+    target.write_text(original.replace(mutant.old, mutant.new))
+    try:
+        code = run_tests(workdir, mutant.tests)
+    finally:
+        target.write_text(original)
+    return "survived" if code == 0 else "killed"
+
+
+def main() -> int:
+    with tempfile.TemporaryDirectory(prefix="repro-mutants-") as tmp:
+        workdir = Path(tmp)
+        copy_tree(workdir)
+        named = sorted({test for m in LEDGER for test in m.tests})
+        if run_tests(workdir, named) != 0:
+            print("the named tests fail without any mutant; fix them "
+                  "first", file=sys.stderr)
+            return 1
+        outcomes = {}
+        for mutant in LEDGER:
+            outcomes[mutant.name] = run_mutant(workdir, mutant)
+            print(f"{outcomes[mutant.name]:<9} {mutant.name} "
+                  f"({mutant.path})", flush=True)
+    bad = [n for n, outcome in outcomes.items() if outcome != "killed"]
+    print(f"{len(outcomes) - len(bad)} of {len(outcomes)} mutants killed")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
