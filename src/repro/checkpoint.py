@@ -1003,9 +1003,9 @@ def encode_state(state: Any) -> Tuple[Any, Dict[str, np.ndarray]]:
     returns the JSON-able manifest form plus the extracted arrays, and
     raises :class:`CheckpointError` naming the offending path when the
     tree contains anything a checkpoint cannot carry.  The runtime
-    contract verifier (``repro lint --runtime``) uses this to prove
-    every registered component's ``get_state`` is serializable without
-    writing an artifact.
+    contract verifier (``python -m repro_lint --runtime``) uses this to
+    prove every registered component's ``get_state`` is serializable
+    without writing an artifact.
     """
     arrays: Dict[str, np.ndarray] = {}
     return _encode(state, arrays, "state"), arrays

@@ -19,11 +19,6 @@ Commands:
   a streaming session; supports the same ``--checkpoint`` /
   ``--checkpoint-every`` / ``--resume`` flags plus ``--steps``.
 * ``demo`` — run the quickstart pipeline on a synthetic trace.
-* ``lint [paths...]`` — run the repo-specific invariant checks
-  (state contracts, registry consistency, kernel purity, dtype
-  discipline) over the installed tree or the given paths, with
-  ``--runtime`` adding live contract verification and ``--format
-  json`` a machine-readable report.
 """
 
 from __future__ import annotations
@@ -149,43 +144,6 @@ def _build_parser() -> argparse.ArgumentParser:
     demo_parser.add_argument("--steps", type=int, default=500)
     demo_parser.add_argument("--budget", type=float, default=0.3)
     demo_parser.add_argument("--clusters", type=int, default=3)
-
-    lint_parser = commands.add_parser(
-        "lint", help="run the repo-specific invariant checks"
-    )
-    lint_parser.add_argument(
-        "paths", nargs="*",
-        help="files/directories to lint (default: the installed repro "
-             "package)",
-    )
-    lint_parser.add_argument(
-        "--format", choices=("text", "json", "github"), default="text",
-        help="report format (default: text; 'github' emits ::error "
-             "workflow commands for inline PR annotations)",
-    )
-    lint_parser.add_argument(
-        "--runtime", action="store_true",
-        help="also drive every registered component through the "
-             "checkpoint round-trip and determinism contracts",
-    )
-    lint_parser.add_argument(
-        "--rules", default=None, metavar="IDS",
-        help="comma-separated rule ids to run (default: all)",
-    )
-    lint_parser.add_argument(
-        "--show-waived", action="store_true",
-        help="also print findings suppressed by inline waivers",
-    )
-    lint_parser.add_argument(
-        "--cache", default=None, metavar="PATH",
-        help="incremental result cache file; unchanged files are "
-             "served from it instead of re-linted",
-    )
-    lint_parser.add_argument(
-        "--changed", default=None, metavar="REF",
-        help="only report file findings on files changed relative to "
-             "the given git ref (committed, staged or unstaged)",
-    )
     return parser
 
 
@@ -214,13 +172,6 @@ def _command_list() -> int:
         )
     )
     print(f"\ncheckpoint format: v{CHECKPOINT_FORMAT_VERSION}")
-    from repro.lint import LINT_RULES
-
-    print("\nlint rules (repro lint):")
-    for rule_id in LINT_RULES.available():
-        rule = LINT_RULES.get(rule_id)
-        scope = " [runtime]" if rule.scope == "runtime" else ""
-        print(f"  {rule_id:<12} {rule.description}{scope}")
     return 0
 
 
@@ -503,52 +454,6 @@ def _command_demo(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_lint(args: argparse.Namespace) -> int:
-    from pathlib import Path
-
-    from repro.lint import (
-        changed_files,
-        lint_paths,
-        render_github,
-        render_json,
-        render_text,
-    )
-
-    rules = None
-    if args.rules is not None:
-        rules = [r.strip() for r in args.rules.split(",") if r.strip()]
-    changed = None
-    if args.changed is not None:
-        try:
-            changed = changed_files(args.changed)
-        except Exception as exc:
-            print(
-                f"--changed {args.changed}: git diff failed: {exc}",
-                file=sys.stderr,
-            )
-            return 2
-    try:
-        result = lint_paths(
-            args.paths or None,
-            rules=rules,
-            runtime=args.runtime,
-            cache_path=Path(args.cache) if args.cache else None,
-            changed=changed,
-        )
-    except ReproError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    if args.format == "json":
-        print(render_json(result))
-    elif args.format == "github":
-        output = render_github(result)
-        if output:
-            print(output)
-    else:
-        print(render_text(result, show_waived=args.show_waived))
-    return result.exit_code
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
@@ -559,8 +464,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         return _command_run(args)
     if args.command == "demo":
         return _command_demo(args)
-    if args.command == "lint":
-        return _command_lint(args)
     parser.print_help()
     return 1
 

@@ -1,22 +1,24 @@
-"""Tests for ``repro lint`` — the AST-based invariant checker.
+"""Tests for ``repro_lint`` — the AST-based invariant checker.
 
-Each rule family gets a seeded-violation fixture (proving ``repro
-lint`` exits non-zero on it) and a clean fixture (proving no false
-positive), plus waiver semantics, the JSON/GitHub reporter schemas,
-the incremental result cache, the runtime contract verifier, and the
-meta-test that the shipped tree itself lints clean.
+Each rule family gets a seeded-violation fixture (proving the linter
+exits non-zero on it) and a clean fixture (proving no false positive),
+plus waiver semantics, the JSON/GitHub reporter schemas, the command
+line (in process and as CI runs it), the runtime contract verifier,
+and the meta-test that the shipped tree itself lints clean.
 """
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
-from repro.cli import main
-from repro.lint import (
+from repro_lint import (
     LINT_RULES,
     build_context,
-    default_target,
+    default_targets,
     lint_paths,
     parse_waivers,
     render_github,
@@ -24,7 +26,10 @@ from repro.lint import (
     render_text,
     run_runtime_checks,
 )
-from repro.lint.runner import LintResult
+from repro_lint.__main__ import main
+from repro_lint.runner import LintResult
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
 
 
 def write_pkg(root: Path, files: dict) -> Path:
@@ -619,85 +624,6 @@ def test_multi_rule_waiver_on_single_line(tmp_path):
 
 
 # ---------------------------------------------------------------------------
-# Incremental cache and --changed filtering
-# ---------------------------------------------------------------------------
-
-
-_CLEAN_MOD = "import numpy as np\ndef ok():\n    return np.float32(0)\n"
-
-
-def _cache_pkg(tmp_path):
-    return write_pkg(tmp_path, {
-        "ipkg/a.py": _CLEAN_MOD,
-        "ipkg/b.py": _CLEAN_MOD,
-    })
-
-
-def test_cache_reuses_unchanged_files(tmp_path):
-    pkg = _cache_pkg(tmp_path)
-    cache = tmp_path / "lint-cache.json"
-    first = lint_paths([pkg], cache_path=cache)
-    assert first.files_reused == 0
-    assert first.files_relinted > 0
-    second = lint_paths([pkg], cache_path=cache)
-    assert second.files_relinted == 0
-    assert second.files_reused == first.files_relinted
-    assert [str(f) for f in second.findings] == [
-        str(f) for f in first.findings
-    ]
-
-
-def test_cache_relints_only_the_changed_file(tmp_path):
-    pkg = _cache_pkg(tmp_path)
-    cache = tmp_path / "lint-cache.json"
-    lint_paths([pkg], cache_path=cache)
-    target = pkg / "ipkg" / "a.py"
-    target.write_text(target.read_text() + "# trailing comment\n")
-    result = lint_paths([pkg], cache_path=cache)
-    assert result.files_relinted == 1
-
-
-def test_cache_preserves_cached_findings_and_waivers(tmp_path):
-    pkg = write_pkg(tmp_path, {
-        "cpkg/core/ring.py": (
-            "import numpy as np\n"
-            "def make_buffer(n):\n"
-            "    return np.zeros((n, 4))\n"
-        ),
-        "cpkg/transmission/other.py": (
-            "import numpy as np\n"
-            "def make(n):\n"
-            "    return np.zeros(n)  # repro: noqa DT-001(fixture)\n"
-        ),
-    })
-    cache = tmp_path / "lint-cache.json"
-    first = lint_paths([pkg], cache_path=cache)
-    second = lint_paths([pkg], cache_path=cache)
-    assert second.files_relinted == 0
-    assert rule_ids(second) == rule_ids(first) == ["DT-001"]
-    assert len(second.waived) == len(first.waived) == 1
-
-
-def test_changed_filter_restricts_findings(tmp_path):
-    pkg = write_pkg(tmp_path, {
-        "cpkg/core/ring.py": (
-            "import numpy as np\n"
-            "def make_buffer(n):\n"
-            "    return np.zeros((n, 4))\n"
-        ),
-        "cpkg/transmission/slab.py": (
-            "import numpy as np\n"
-            "def make_slab(n):\n"
-            "    return np.zeros((n, 2))\n"
-        ),
-    })
-    changed = {(pkg / "cpkg" / "transmission" / "slab.py").resolve()}
-    result = lint_paths([pkg], changed=changed)
-    assert rule_ids(result) == ["DT-001"]
-    assert all(f.path.endswith("slab.py") for f in result.findings)
-
-
-# ---------------------------------------------------------------------------
 # Framework: parse failures, reporters, CLI
 # ---------------------------------------------------------------------------
 
@@ -732,51 +658,62 @@ def test_text_report_format(tmp_path):
     assert text.strip().endswith("(0 waived, 12 rules)")
 
 
-def test_rules_filter_restricts_scope(tmp_path):
-    write_pkg(tmp_path, {
-        "cpkg/core/ring.py": _DT_VIOLATION,
-        "pkg/comp.py": (
-            "class Broken:\n"
-            "    def get_state(self):\n"
-            "        return {}\n"
-        ),
-    })
-    result = lint_paths([tmp_path], rules=["STATE-001"])
-    assert rule_ids(result) == ["STATE-001"]
-    assert result.rules_run == ("STATE-001",)
-
-
 def test_cli_lint_exits_nonzero_on_violation(tmp_path, capsys):
     write_pkg(tmp_path, {"cpkg/core/ring.py": _DT_VIOLATION})
-    assert main(["lint", str(tmp_path)]) == 1
+    assert main([str(tmp_path)]) == 1
     out = capsys.readouterr().out
     assert "DT-001" in out
 
 
 def test_cli_lint_clean_tree_exits_zero(tmp_path, capsys):
     write_pkg(tmp_path, {"pkg/mod.py": "x = 1\n"})
-    assert main(["lint", str(tmp_path)]) == 0
+    assert main([str(tmp_path)]) == 0
 
 
 def test_cli_lint_json_format(tmp_path, capsys):
     write_pkg(tmp_path, {"pkg/mod.py": "x = 1\n"})
-    assert main(["lint", str(tmp_path), "--format", "json"]) == 0
+    assert main([str(tmp_path), "--format", "json"]) == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["ok"] is True
 
 
-def test_cli_lint_unknown_rule_exits_two(tmp_path, capsys):
+@pytest.mark.parametrize(
+    "missing", ["no_such_dir", "pkg/no_such_module.py"]
+)
+def test_cli_lint_missing_path_exits_two(tmp_path, capsys, missing):
+    # A mistyped path must not pass: a directory would lint 0 files,
+    # and a file's traceback would exit 1, the status for findings.
     write_pkg(tmp_path, {"pkg/mod.py": "x = 1\n"})
-    assert main(["lint", str(tmp_path), "--rules", "NOPE-999"]) == 2
-    assert "NOPE-999" in capsys.readouterr().err
+    assert main([str(tmp_path / missing)]) == 2
+    assert missing in capsys.readouterr().err
 
 
-def test_cli_list_shows_lint_rules(capsys):
-    assert main(["list"]) == 0
-    out = capsys.readouterr().out
-    assert "lint rules (repro lint):" in out
-    for rule_id in ("STATE-001", "REG-001", "KER-001", "DT-001", "RT-001"):
-        assert rule_id in out
+def _run_ci_command(*paths):
+    """``python -m repro_lint --format github`` as CI runs it."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(["src", "tools"]))
+    return subprocess.run(
+        [sys.executable, "-m", "repro_lint", "--format", "github", *paths],
+        cwd=REPO_ROOT,
+        env=env,
+        capture_output=True,
+        text=True,
+    )
+
+
+def test_ci_command_passes_on_shipped_tree():
+    completed = _run_ci_command()
+    assert completed.returncode == 0, completed.stderr
+    assert completed.stdout == ""
+    assert completed.stderr == ""
+
+
+def test_ci_command_annotates_a_violation(tmp_path):
+    write_pkg(tmp_path, {"cpkg/core/ring.py": _DT_VIOLATION})
+    completed = _run_ci_command(str(tmp_path))
+    assert completed.returncode == 1, completed.stderr
+    (line,) = completed.stdout.splitlines()
+    assert line.startswith("::error file=")
+    assert "title=DT-001" in line
 
 
 def test_github_report_format(tmp_path):
@@ -793,7 +730,7 @@ def test_github_report_format(tmp_path):
 
 
 def test_github_report_escapes_newlines():
-    from repro.lint.findings import Finding
+    from repro_lint.findings import Finding
 
     result = LintResult(
         findings=[
@@ -812,31 +749,14 @@ def test_github_report_escapes_newlines():
     assert "\n" not in out.split("::error", 2)[-1].rstrip("\n")
 
 
-def test_cli_lint_cache_and_changed_flags(tmp_path, capsys):
-    write_pkg(tmp_path, {"ipkg/a.py": _CLEAN_MOD})
-    cache = tmp_path / "cache.json"
-    assert main(["lint", str(tmp_path), "--cache", str(cache)]) == 0
-    assert cache.exists()
-    assert main(["lint", str(tmp_path), "--cache", str(cache)]) == 0
-    capsys.readouterr()
-
-
-def test_cli_lint_changed_bad_ref_exits_two(tmp_path, capsys):
-    write_pkg(tmp_path, {"ipkg/a.py": _CLEAN_MOD})
-    code = main([
-        "lint", str(tmp_path), "--changed", "no-such-ref-xyzzy",
-    ])
-    assert code == 2
-    assert "no-such-ref-xyzzy" in capsys.readouterr().err
-
-
 # ---------------------------------------------------------------------------
 # The shipped tree and the runtime contracts
 # ---------------------------------------------------------------------------
 
 
 def test_shipped_tree_lints_clean():
-    result = lint_paths([default_target()])
+    # The same two roots CI lints: the repro package and the linter.
+    result = lint_paths(default_targets())
     assert result.findings == [], "\n".join(
         str(f) for f in result.findings
     )
@@ -853,7 +773,6 @@ def test_every_rule_has_id_family_description():
         assert rule.family
         assert rule.description
         assert rule.scope in ("static", "runtime")
-        assert rule.granularity in ("file", "tree")
 
 
 @pytest.mark.slow
@@ -864,6 +783,6 @@ def test_runtime_contracts_hold_for_all_components():
 
 @pytest.mark.slow
 def test_cli_lint_runtime_flag(capsys):
-    assert main(["lint", "--runtime"]) == 0
+    assert main(["--runtime"]) == 0
     out = capsys.readouterr().out
     assert "15 rules" in out

@@ -3,9 +3,10 @@
 
 Each entry names a file, an exact piece of its text, the text that
 replaces it, and the test ids expected to fail once it is replaced.
-The script copies ``src/``, ``tests/`` and ``pyproject.toml`` into a
-temporary directory, checks that the named tests pass there unchanged,
-then applies one mutant at a time and runs only its named tests.  Each
+The script copies ``src/``, ``tests/``, ``tools/`` (the linter's
+tests lint the copied tree) and ``pyproject.toml`` into a temporary
+directory, checks that the named tests pass there unchanged, then
+applies one mutant at a time and runs only its named tests.  Each
 mutant is reported as:
 
 * ``killed`` — a named test failed;
@@ -31,8 +32,9 @@ from pathlib import Path
 from typing import Sequence, Tuple
 
 ROOT = Path(__file__).resolve().parent.parent
-COPIED = ("src", "tests", "pyproject.toml")
+COPIED = ("src", "tests", "tools", "pyproject.toml")
 KERNEL_TESTS = "tests/test_transmission.py::TestSlotKernelEdgeCases"
+LINT_CLEAN = "tests/test_lint.py::test_shipped_tree_lints_clean"
 
 
 @dataclass(frozen=True)
@@ -91,6 +93,56 @@ LEDGER: Tuple[Mutant, ...] = (
             "tests/test_equivalence.py::TestBatchedCollectionEquivalence::"
             "test_adaptive_backend_matches_oracle",
         ),
+    ),
+    # One mutant per bug class the linter (tools/repro_lint) exists
+    # for, each killed by the lint test over the shipped tree.
+    Mutant(
+        name="fleet-state-key-never-restored",  # STATE-002
+        path="src/repro/simulation/fleet.py",
+        old='        self.policy_state[...] = state["policy_state"]\n',
+        new="",
+        tests=(LINT_CLEAN,),
+    ),
+    Mutant(
+        name="tracker-attribute-outside-checkpoint",  # STATE-003
+        path="src/repro/clustering/dynamic.py",
+        old="        labels = result.labels\n",
+        new=(
+            "        labels = result.labels\n"
+            "        self._last_iterations = result.iterations\n"
+        ),
+        tests=(LINT_CLEAN,),
+    ),
+    Mutant(
+        name="slot-kernel-registration-unreachable",  # REG-002
+        path="src/repro/transmission/__init__.py",
+        old="from repro.transmission import perfect  # noqa: F401\n",
+        new="",
+        tests=(LINT_CLEAN,),
+    ),
+    Mutant(
+        name="collection-unseeded-rng",  # KER-001
+        path="src/repro/simulation/collection.py",
+        old="phases = np.zeros(num_nodes)",
+        new=(
+            "phases = np.random.default_rng()"
+            ".uniform(0.0, 1.0, size=num_nodes)"
+        ),
+        tests=(LINT_CLEAN,),
+    ),
+    Mutant(
+        name="uniform-kernel-dtypeless-budgets",  # DT-001
+        path="src/repro/transmission/uniform.py",
+        old="budgets = np.asarray(budgets, dtype=accumulators.dtype)",
+        new="budgets = np.asarray(budgets)",
+        tests=(LINT_CLEAN,),
+    ),
+    Mutant(
+        name="adaptive-kernel-float64-scalar",  # DT-002
+        path="src/repro/transmission/adaptive.py",
+        old="+ dtype.type(1.0)) ** gammas",
+        new="+ np.float64(1.0)) ** gammas",
+        tests=(LINT_CLEAN,),
     ),
 )
 

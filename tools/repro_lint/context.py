@@ -1,22 +1,24 @@
 """The shared static-analysis model every lint rule reads.
 
-A :class:`LintContext` is built once per ``repro lint`` invocation: it
-parses every Python file under the linted roots into a
-:class:`ModuleInfo` (dotted module name + AST), extracts the *registry
-model* — each ``VAR = Registry(kind, modules=(...))`` declaration, the
-``register_*`` helper → registry mapping, and every registration call
-site — and derives a static import graph so rules can reason about
-which modules a registry's lazy-load list actually reaches.  Rules are
-pure functions of this context; nothing here imports the code under
-analysis.
+A :class:`LintContext` is built once per lint run: it parses every
+Python file under the linted roots into a :class:`ModuleInfo` (dotted
+module name + AST), extracts the *registry model* — each ``VAR =
+Registry(kind, modules=(...))`` declaration, the ``register_*`` helper
+→ registry mapping, and every registration call site — and derives a
+static import graph so rules can reason about which modules a
+registry's lazy-load list actually reaches.  Rules are pure functions
+of this context; nothing here imports the code under analysis.
 """
 
 from __future__ import annotations
 
 import ast
+import os
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
+
+from repro.exceptions import ReproError
 
 #: Registry variables whose registrations mark a module as *kernel
 #: hosting*: the vectorized one-slot transmission kernels, the
@@ -118,10 +120,17 @@ def module_name_for(path: Path) -> str:
 
 
 def discover_files(paths: Iterable[Path]) -> List[Path]:
-    """All ``.py`` files under the given files/directories, sorted."""
+    """All ``.py`` files under the given files/directories, sorted.
+
+    Raises:
+        ReproError: A path does not exist (a mistyped path would
+            otherwise lint nothing and pass).
+    """
     found: Set[Path] = set()
     for entry in paths:
         entry = Path(entry)
+        if not entry.exists():
+            raise ReproError(f"lint path does not exist: {entry}")
         if entry.is_dir():
             for child in entry.rglob("*.py"):
                 if "__pycache__" not in child.parts:
@@ -348,10 +357,10 @@ def build_context(paths: Iterable[Path], root: Optional[Path] = None):
     findings by the runner) instead of aborting the whole run.
     """
     paths = [Path(p) for p in paths]
-    if root is None:
-        dirs = [p if p.is_dir() else p.parent for p in paths]
-        root = Path(min((str(d) for d in dirs), default=".")).resolve()
     files = discover_files(paths)
+    if root is None:
+        dirs = [(p if p.is_dir() else p.parent).resolve() for p in paths]
+        root = Path(os.path.commonpath(dirs)) if dirs else Path.cwd()
     modules: Dict[str, ModuleInfo] = {}
     failures: List[Tuple[str, int, str]] = []
     for file_path in files:

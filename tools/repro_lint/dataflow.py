@@ -1,6 +1,6 @@
 """The dataflow IR: array/dtype tags propagated through functions.
 
-PR 6's rules were purely syntactic — one AST node, one verdict.  The
+The other rules are syntactic — one AST node, one verdict.  The
 dtype rules need to know what a *value* is, not what an expression
 looks like: whether a local is an ndarray, and whether its dtype is
 parameterized (and therefore possibly float32).  This module is that
@@ -30,12 +30,10 @@ code.
 from __future__ import annotations
 
 import ast
-import hashlib
-import json
 from dataclasses import dataclass, field
 from typing import Dict, Iterator, List, Optional, Tuple
 
-from repro.lint.context import LintContext, ModuleInfo
+from repro_lint.context import LintContext, ModuleInfo
 
 #: Value tags, in increasing specificity rank (see module docstring).
 TAGS = ("ARRAY", "FLOAT64", "STATE")
@@ -424,7 +422,9 @@ class FunctionFlow:
                         lineno=getattr(site, "lineno", other_node.lineno),
                         detail=(
                             f"state-dtype array combined with bare float "
-                            f"literal {_describe(other_node)}"
+                            f"literal {_describe(other_node)}; NumPy 2 "
+                            "keeps the array's dtype here (NEP 50), but "
+                            "the scalar's dtype is left implicit"
                         ),
                     )
                 )
@@ -435,7 +435,9 @@ class FunctionFlow:
                         lineno=getattr(site, "lineno", other_node.lineno),
                         detail=(
                             "state-dtype array combined with float64-"
-                            f"typed value {_describe(other_node)}"
+                            f"typed value {_describe(other_node)}; the "
+                            "result promotes to float64 and breaks the "
+                            "float32-pipeline bit-identity pin"
                         ),
                     )
                 )
@@ -560,21 +562,6 @@ class ModuleSummaries:
             )
             results.append(flow.run())
         return results
-
-    def digest(self) -> str:
-        """Stable hash of the converged summaries (cache key input)."""
-        payload = {
-            qualname: {
-                "params": {
-                    k: v
-                    for k, v in sorted(summary.param_tags.items())
-                },
-                "return": summary.return_tag,
-            }
-            for qualname, summary in sorted(self.summaries.items())
-        }
-        encoded = json.dumps(payload, sort_keys=True).encode()
-        return hashlib.sha256(encoded).hexdigest()
 
 
 def module_summaries(context: LintContext) -> ModuleSummaries:

@@ -27,20 +27,15 @@ import json
 from typing import TYPE_CHECKING, Dict, List
 
 if TYPE_CHECKING:  # pragma: no cover - annotation-only import
-    from repro.lint.runner import LintResult
+    from repro_lint.runner import LintResult
 
 #: Bumped on any change to the JSON reporter's field layout.
 REPORT_SCHEMA_VERSION = 1
 
 
-def render_text(result: "LintResult", *, show_waived: bool = False) -> str:
+def render_text(result: "LintResult") -> str:
     """One diagnostic per line, plus a one-line summary."""
     lines: List[str] = [str(finding) for finding in result.findings]
-    if show_waived:
-        lines.extend(
-            f"{finding} [waived: {finding.waive_reason}]"
-            for finding in result.waived
-        )
     count = len(result.findings)
     noun = "finding" if count == 1 else "findings"
     summary = (

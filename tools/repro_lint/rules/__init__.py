@@ -3,60 +3,56 @@
 Rules self-register in the module that defines them, exactly like the
 engine's pluggable stages — :data:`LINT_RULES` is a
 :class:`repro.registry.Registry` keyed by rule id, loaded lazily from
-the rule modules, so ``repro lint`` and ``repro list`` discover rules
-the same way ``Engine`` discovers forecasters.
+the rule modules, so the linter discovers rules the same way
+``Engine`` discovers forecasters.
 
 Rule families:
 
 * ``state-contract`` — ``get_state``/``set_state`` symmetry (the
-  bit-identical checkpoint/resume contract of PR 5);
+  bit-identical checkpoint/resume contract);
 * ``registry`` — lazy-load module lists and ``@register_*`` call sites
   stay in sync (no dead entries, no orphan registrations);
 * ``kernel-purity`` — slot/collection/bank kernel modules stay pure,
   deterministic and loop-free over the node/series axis (what keeps
   the columnar paths exchangeable with the reference loops);
 * ``dtype`` — explicit dtypes at every fleet-scale allocation site
-  (the float32 threading of ROADMAP item 1 touches exactly these);
+  (the float32 lane runs through exactly these);
 * ``waivers`` — inline suppressions must carry a written reason;
 * ``runtime`` — contract checks that need live components
-  (``repro lint --runtime``).
+  (``python -m repro_lint --runtime``).
 """
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, List
+from typing import Iterator, List
 
-from repro.lint.findings import Finding
 from repro.registry import Registry
+from repro_lint.findings import Finding
 
 
 class LintRule:
     """One named invariant check.
 
     Attributes:
-        rule_id: Stable identifier (``FAMILY-NNN``) used in findings,
-            waivers and the CLI listing.
+        rule_id: Stable identifier (``FAMILY-NNN``) used in findings
+            and waivers.
         family: Rule family (see the module docstring).
-        description: One-line summary shown by ``repro list``.
+        description: One-line summary of the invariant.
         scope: ``"static"`` rules run over the AST context;
-            ``"runtime"`` rules run under ``repro lint --runtime``.
-        granularity: ``"file"`` rules derive every finding for a file
-            from that file alone (given the shared summary layer) and
-            participate in the incremental result cache; ``"tree"``
-            rules reason across files and always re-run.
+            ``"runtime"`` rules run under ``--runtime``.
     """
 
     rule_id: str = ""
     family: str = ""
     description: str = ""
     scope: str = "static"
-    granularity: str = "file"
 
     def check(self, context) -> Iterator[Finding]:
         """Yield findings against the given :class:`LintContext`.
 
-        File-granularity rules implement :meth:`check_module` instead;
-        this default fans out over every module.
+        Rules that judge one module at a time implement
+        :meth:`check_module` instead; this default fans out over every
+        module.
         """
         for info in context.iter_modules():
             yield from self.check_module(context, info)
@@ -71,14 +67,14 @@ class LintRule:
 LINT_RULES = Registry(
     "lint rule",
     modules=(
-        "repro.lint.rules.state_contract",
-        "repro.lint.rules.checkpoint_coverage",
-        "repro.lint.rules.registry_sync",
-        "repro.lint.rules.kernel_purity",
-        "repro.lint.rules.dtype_discipline",
-        "repro.lint.rules.dtype_flow",
-        "repro.lint.waivers",
-        "repro.lint.runtime",
+        "repro_lint.rules.state_contract",
+        "repro_lint.rules.checkpoint_coverage",
+        "repro_lint.rules.registry_sync",
+        "repro_lint.rules.kernel_purity",
+        "repro_lint.rules.dtype_discipline",
+        "repro_lint.rules.dtype_flow",
+        "repro_lint.waivers",
+        "repro_lint.runtime",
     ),
 )
 
@@ -117,17 +113,11 @@ def runtime_rules() -> List[LintRule]:
     ]
 
 
-def rules_by_id(rule_ids: Iterable[str]) -> List[LintRule]:
-    """Resolve explicit rule ids (unknown ids raise a friendly error)."""
-    return [LINT_RULES.get(rule_id) for rule_id in rule_ids]
-
-
 __all__ = [
     "LINT_RULES",
     "LintRule",
     "ParseRule",
     "register_lint_rule",
-    "rules_by_id",
     "runtime_rules",
     "static_rules",
 ]

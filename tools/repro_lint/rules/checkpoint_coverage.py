@@ -2,7 +2,7 @@
 
 ``STATE-002`` proves the getter and setter agree on keys; neither rule
 notices a *new mutable field* that never enters the state dict at all —
-today that is a bit-identity failure discovered three PRs later, when a
+without this rule that is a bit-identity failure discovered late, when a
 resumed session diverges because some counter silently restarted at
 its constructor value.  ``STATE-003`` closes the gap statically: for
 every class providing ``get_state``/``_state``, the set of attributes
@@ -29,10 +29,10 @@ from __future__ import annotations
 import ast
 from typing import Dict, Iterator, List, Set
 
-from repro.lint.context import LintContext, ModuleInfo
-from repro.lint.findings import Finding
-from repro.lint.rules import LintRule, register_lint_rule
-from repro.lint.rules.state_contract import (
+from repro_lint.context import LintContext, ModuleInfo
+from repro_lint.findings import Finding
+from repro_lint.rules import LintRule, register_lint_rule
+from repro_lint.rules.state_contract import (
     BASE_STATE_KEYS,
     STATE_PAIRS,
     written_keys,

@@ -1,13 +1,10 @@
 """Dtype-discipline rule for fleet-scale allocation sites.
 
-ROADMAP item 1 threads a ``dtype`` parameter through
-:class:`FleetState` so million-node fleets can run in float32.  That
-change touches exactly the allocation sites where dtype is currently
-implicit — every ``np.zeros(...)`` without a ``dtype=`` silently pins
-float64 and will either be missed by the refactor or flip behaviour
-under it.  ``DT-001`` makes the dtype explicit *now* in the modules the
-refactor will touch: the fleet columns, the slot ring, the transmission
-kernels and the forecaster banks.
+:class:`FleetState` takes a ``dtype`` parameter so million-node fleets
+can run in float32.  Every ``np.zeros(...)`` without a ``dtype=``
+silently pins float64, so ``DT-001`` keeps the dtype explicit in the
+modules the float32 lane runs through: the fleet columns, the slot
+ring, the transmission kernels and the forecaster banks.
 """
 
 from __future__ import annotations
@@ -16,9 +13,9 @@ import ast
 from fnmatch import fnmatch
 from typing import Iterator
 
-from repro.lint.context import LintContext, ModuleInfo, dotted_name
-from repro.lint.findings import Finding
-from repro.lint.rules import LintRule, register_lint_rule
+from repro_lint.context import LintContext, ModuleInfo, dotted_name
+from repro_lint.findings import Finding
+from repro_lint.rules import LintRule, register_lint_rule
 
 #: Modules where fleet-scale arrays are allocated (fnmatch on the
 #: dotted module name; ``*`` also matches the empty prefix so bare

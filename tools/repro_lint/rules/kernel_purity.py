@@ -1,7 +1,7 @@
 """Kernel-purity rules for slot/collection/bank kernel modules.
 
-The columnar hot paths (PRs 3–5) stay exchangeable with the reference
-per-node loops only because the kernels are pure array recurrences:
+The columnar hot paths stay exchangeable with the reference per-node
+loops only because the kernels are pure array recurrences:
 deterministic, mutation-disciplined and free of Python loops over the
 node/series axis.  These rules scope to the kernel-hosting modules
 (detected from the ``SLOT_KERNELS``/``COLLECTION_BACKENDS``/
@@ -25,9 +25,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set
 
-from repro.lint.context import LintContext, ModuleInfo, dotted_name
-from repro.lint.findings import Finding
-from repro.lint.rules import LintRule, register_lint_rule
+from repro_lint.context import LintContext, ModuleInfo, dotted_name
+from repro_lint.findings import Finding
+from repro_lint.rules import LintRule, register_lint_rule
 
 #: ``time`` module calls that read wall clocks (nondeterministic).
 _TIME_ATTRS = frozenset(

@@ -19,9 +19,9 @@ from __future__ import annotations
 
 from typing import Iterator
 
-from repro.lint.context import LintContext
-from repro.lint.findings import Finding
-from repro.lint.rules import LintRule, register_lint_rule
+from repro_lint.context import LintContext
+from repro_lint.findings import Finding
+from repro_lint.rules import LintRule, register_lint_rule
 
 
 class RegistrySeedRule(LintRule):
@@ -33,7 +33,6 @@ class RegistrySeedRule(LintRule):
         "every Registry(modules=...) entry must exist and reach a "
         "matching @register_* call"
     )
-    granularity = "tree"
 
     def check(self, context: LintContext) -> Iterator[Finding]:
         sites_by_var: dict = {}
@@ -81,7 +80,6 @@ class OrphanRegistrationRule(LintRule):
         "every @register_* call must be reachable from its registry's "
         "lazy-load module list"
     )
-    granularity = "tree"
 
     def check(self, context: LintContext) -> Iterator[Finding]:
         reachable_by_var = {

@@ -1,8 +1,8 @@
 """State-contract rules: ``get_state``/``set_state`` symmetry.
 
-Bit-identical checkpoint/resume (PR 5) rests on every stateful
-component writing and reading the *same* state keys.  These rules
-enforce the two statically checkable halves of that contract:
+Bit-identical checkpoint/resume rests on every stateful component
+writing and reading the *same* state keys.  These rules enforce the
+two statically checkable halves of that contract:
 
 * ``STATE-001`` — the methods come in pairs.  A class defining
   ``get_state`` without ``set_state`` (or ``_state`` without
@@ -25,9 +25,9 @@ from __future__ import annotations
 import ast
 from typing import Iterator, Optional, Set, Tuple
 
-from repro.lint.context import LintContext, ModuleInfo
-from repro.lint.findings import Finding
-from repro.lint.rules import LintRule, register_lint_rule
+from repro_lint.context import LintContext, ModuleInfo
+from repro_lint.findings import Finding
+from repro_lint.rules import LintRule, register_lint_rule
 
 #: Method pairs forming the checkpoint protocol (the public pair, and
 #: the subclass hook pair composed by the ``Forecaster``/

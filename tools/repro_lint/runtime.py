@@ -1,4 +1,4 @@
-"""Runtime contract verification: ``repro lint --runtime``.
+"""Runtime contract verification: ``python -m repro_lint --runtime``.
 
 Static rules prove the checkpoint methods exist and their literal keys
 agree; they cannot prove the state actually round-trips.  The runtime
@@ -22,10 +22,10 @@ sweep runs in seconds and belongs in CI next to the static pass.
 
 from __future__ import annotations
 
-from typing import Any, Callable, List, Optional, Tuple
+from typing import Any, Callable, List
 
-from repro.lint.findings import Finding
-from repro.lint.rules import LintRule, register_lint_rule
+from repro_lint.findings import Finding
+from repro_lint.rules import LintRule, register_lint_rule
 
 
 class RuntimeRule(LintRule):
@@ -315,13 +315,8 @@ def _check_similarity_measures() -> List[Finding]:
     return findings
 
 
-def run_runtime_checks(
-    only: Optional[Tuple[str, ...]] = None,
-) -> List[Finding]:
+def run_runtime_checks() -> List[Finding]:
     """Drive every registered component through the runtime contracts.
-
-    Args:
-        only: Restrict to these rule ids (``None`` runs all RT rules).
 
     Returns:
         One :class:`Finding` per violated contract, sorted by component
@@ -334,8 +329,6 @@ def run_runtime_checks(
     findings.extend(_check_slot_kernels())
     findings.extend(_check_collection_backends())
     findings.extend(_check_similarity_measures())
-    if only is not None:
-        findings = [f for f in findings if f.rule_id in only]
     return sorted(findings, key=lambda f: f.sort_key())
 
 

@@ -27,9 +27,9 @@ import re
 import tokenize
 from typing import Dict, List, Tuple
 
-from repro.lint.context import LintContext, ModuleInfo, WaiverProblem
-from repro.lint.findings import Finding
-from repro.lint.rules import LintRule, register_lint_rule
+from repro_lint.context import LintContext, ModuleInfo, WaiverProblem
+from repro_lint.findings import Finding
+from repro_lint.rules import LintRule, register_lint_rule
 
 #: Marks a waiver comment; everything after it is parsed as entries.
 _MARKER = re.compile(r"#\s*repro:\s*noqa\b(?P<entries>.*)", re.IGNORECASE)
