@@ -1,7 +1,7 @@
 """Fleet-scale hot-path scaling benchmark.
 
 Times the per-slot kernels against the implementations kept in
-`repro.reference_impl` — the per-node loops, and K-means in its
+`tests/reference_impl.py` — the per-node loops, and K-means in its
 ``(N, K, d)`` broadcast form — and asserts every output bit-identical.
 
 At growing fleet sizes N ∈ {100, 500, 1000} (d = 1, K = 10):
@@ -85,6 +85,12 @@ import pytest
 from scipy import optimize
 
 from collection_oracle import AdaptiveTransmissionPolicy, CollectionSimulation
+from reference_impl import (
+    estimate_offsets_reference,
+    forecast_membership_reference,
+    kmeans_reference,
+    reindex_weights_reference,
+)
 from repro.api import Engine
 from repro.checkpoint import _npy_header, state_equal
 from repro.clustering.dynamic import DynamicClusterTracker
@@ -96,18 +102,9 @@ from repro.core.config import (
     PipelineConfig,
     TransmissionConfig,
 )
-from repro.forecasting.exponential import (
-    SimpleExponentialSmoothing,
-    fit_ses_alpha,
-)
+from repro.forecasting.exponential import fit_ses_alpha, ses_sse
 from repro.forecasting.membership import forecast_membership
 from repro.forecasting.offsets import estimate_offsets
-from repro.reference_impl import (
-    estimate_offsets_reference,
-    forecast_membership_reference,
-    kmeans_reference,
-    reindex_weights_reference,
-)
 from repro.simulation.collection import collect
 
 FLEET_SIZES = (100, 500, 1000)
@@ -287,7 +284,7 @@ def _npy_headers(path):
 def _scipy_ses_alpha(series):
     """The oracle: scipy's bounded minimizer on the SES objective."""
     result = optimize.minimize_scalar(
-        lambda a: SimpleExponentialSmoothing._sse(a, series),
+        lambda a: ses_sse(a, series),
         bounds=(1e-4, 1.0),
         method="bounded",
     )

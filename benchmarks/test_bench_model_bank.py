@@ -7,7 +7,8 @@ centroid tensor:
 
 * **object bank** — the pre-refactor architecture: one scalar
   forecaster per (cluster, dim) series behind the :class:`ObjectBank`
-  adapter, fitted/updated/forecast one Python call at a time;
+  adapter, fitted/updated/forecast one Python call at a time (the
+  per-series ``YuleWalkerAR`` of ``tests/forecaster_oracle.py``);
 * **vectorized bank** — :class:`YuleWalkerBank`: one batched
   lag-matrix solve for all K·d series, one array op per update/forecast
   slot.
@@ -30,12 +31,9 @@ import time
 import numpy as np
 import pytest
 
+from forecaster_oracle import oracle_factory
 from repro.core.config import ForecastingConfig
-from repro.forecasting.bank import (
-    ObjectBank,
-    default_forecaster_factory,
-    resolve_bank,
-)
+from repro.forecasting.bank import ObjectBank, resolve_bank
 
 QUICK = bool(os.environ.get("REPRO_BENCH_QUICK"))
 NUM_CLUSTERS = (8,) if QUICK else (8, 32, 128)
@@ -97,11 +95,7 @@ def test_bench_model_bank(record_result):
 
             object_s, object_out = _timeit(
                 lambda: _stage(
-                    ObjectBank(
-                        default_forecaster_factory(config),
-                        num_clusters,
-                        dim,
-                    ),
+                    ObjectBank(oracle_factory(config), num_clusters, dim),
                     history,
                     slots,
                 ),

@@ -95,10 +95,10 @@ def decompose_error(
             f"horizon {horizon} outside [1, "
             f"{config.forecasting.max_horizon}]"
         )
-    adaptive = Engine(config, collection="adaptive").run(
+    adaptive = Engine(config, policy="adaptive").run(
         data, horizons=[0, horizon]
     )
-    perfect = Engine(config, collection="perfect").run(
+    perfect = Engine(config, policy="perfect").run(
         data, horizons=[horizon]
     )
     return ErrorDecomposition(

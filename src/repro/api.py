@@ -62,9 +62,9 @@ from repro.core.pipeline import (
     OnlinePipeline,
     PipelineResult,
 )
-from repro.forecasting.bank import resolved_bank_name
 from repro.core.types import validate_trace
 from repro.exceptions import CheckpointError, ConfigurationError
+from repro.forecasting.bank import ObjectBank
 from repro.registry import COLLECTION_BACKENDS, SLOT_KERNELS
 from repro.session import StreamSession
 from repro.simulation.collection import CollectionResult
@@ -86,11 +86,9 @@ class RunResult(PipelineResult):
             ``clustering``, ``training``, ``forecasting``, ``metrics``
             and ``total``.
         config: The resolved configuration the run used.
-        collection: The collection-backend name the run used.
-        bank: How the model layer actually executed: a vectorized bank
-            name from :data:`repro.registry.FORECASTER_BANKS`, or
-            ``"object"`` for the per-cluster adapter (always the case
-            with a custom ``forecaster_factory``).
+        collection: The policy whose collection backend the run used.
+        bank: How the model layer executed: the model's vectorized bank
+            name, or ``"object"`` for the per-cluster adapter.
         fleet: Columnar :class:`~repro.simulation.fleet.FleetState`
             snapshot after the last slot — final stored values, clocks,
             last-transmit slots and per-node message counters.
@@ -138,24 +136,21 @@ class Engine:
 
     Args:
         config: Full pipeline configuration.
-        collection: Collection backend for :meth:`run` — any name in
-            :data:`repro.registry.COLLECTION_BACKENDS`.
-        policy: Transmission policy of :meth:`session` — any name in
+        policy: Transmission policy of both modes — any name in
             :data:`repro.registry.SLOT_KERNELS` (a custom policy is a
-            :func:`~repro.registry.register_slot_kernel` registration).
+            :func:`~repro.registry.register_slot_kernel` registration);
+            :meth:`run` collects through its
+            :data:`repro.registry.COLLECTION_BACKENDS` entry.
         forecaster_factory: Override the forecasting model construction;
-            receives ``(cluster_id, group_index)``.  A custom factory
-            always runs through the :class:`~repro.forecasting.bank.
-            ObjectBank` adapter; otherwise ``config.forecasting.bank``
-            selects how the model layer executes (vectorized bank vs
-            per-cluster objects — numerically identical either way).
+            receives ``(cluster_id, group_index)`` and runs through the
+            :class:`~repro.forecasting.bank.ObjectBank` adapter (see
+            :func:`~repro.forecasting.bank.resolve_bank`).
     """
 
     def __init__(
         self,
         config: PipelineConfig = PipelineConfig(),
         *,
-        collection: str = "adaptive",
         policy: str = "adaptive",
         forecaster_factory: Optional[ForecasterFactory] = None,
     ) -> None:
@@ -165,9 +160,7 @@ class Engine:
                 f"for mappings and JSON files), got {type(config).__name__}"
             )
         self.config = config
-        self.collection = collection
         # Fail fast, with close-match suggestions, on unknown names.
-        COLLECTION_BACKENDS.get(collection)
         SLOT_KERNELS.get(policy)
         self.policy = policy
         self._forecaster_factory = forecaster_factory
@@ -184,8 +177,8 @@ class Engine:
             config: A :class:`PipelineConfig`, a mapping in
                 :meth:`PipelineConfig.to_dict` form, or a path to a JSON
                 file holding that mapping.
-            **kwargs: Forwarded to :class:`Engine` (``collection``,
-                ``policy``, ``forecaster_factory``).
+            **kwargs: Forwarded to :class:`Engine` (``policy``,
+                ``forecaster_factory``).
         """
         if isinstance(config, (str, Path)):
             path = config
@@ -354,7 +347,7 @@ class Engine:
         num_steps, num_nodes, dim = data.shape
         if shards == 1:
             collected = COLLECTION_BACKENDS.create(
-                self.collection, data, self.config.transmission
+                self.policy, data, self.config.transmission
             )
             fleet = FleetState.from_run(collected.stored, collected.decisions)
             # Engine-level transport provenance is always derived from
@@ -370,7 +363,7 @@ class Engine:
         # workers=None: the calling thread runs every shard itself.
         with ShardPool(min(workers or 1, shards)) as shard_pool:
             stored, decisions = shard_pool.collect(
-                self.collection, data, self.config.transmission, ranges
+                self.policy, data, self.config.transmission, ranges
             )
         fleet = FleetState.from_run(stored, decisions)
         # Transport-stats reduction over the fleet's own counter column
@@ -446,6 +439,8 @@ class Engine:
             raise ConfigurationError(
                 "workers only applies to sharded runs; pass shards > 1"
             )
+        # A policy registered as a slot kernel only has no batch mode.
+        COLLECTION_BACKENDS.get(self.policy)
 
         started = time.perf_counter()
         collected, fleet = self._collect_sharded(data, shards, workers)
@@ -541,11 +536,11 @@ class Engine:
             transport=collected.stats,
             timings=timings,
             config=config,
-            collection=self.collection,
+            collection=self.policy,
             bank=(
                 "object"
-                if self._forecaster_factory is not None
-                else resolved_bank_name(config.forecasting)
+                if isinstance(pipeline.bank(0), ObjectBank)
+                else config.forecasting.model
             ),
             fleet=fleet,
             shards=shards,

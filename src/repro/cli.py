@@ -75,11 +75,6 @@ def _build_parser() -> argparse.ArgumentParser:
              "(PipelineConfig.to_dict form) instead of experiments",
     )
     run_parser.add_argument(
-        "--collection", default="adaptive",
-        help="collection backend for --config runs "
-             f"(one of: {', '.join(COLLECTION_BACKENDS.available())})",
-    )
-    run_parser.add_argument(
         "--shards", type=int, default=1, metavar="K",
         help="partition the fleet into K contiguous node shards for the "
              "collection stage of --config runs (results are "
@@ -116,9 +111,10 @@ def _build_parser() -> argparse.ArgumentParser:
              f"(one of: {', '.join(SCENARIOS.available())})",
     )
     run_parser.add_argument(
-        "--policy", default="adaptive",
-        help="transmission policy for --stream runs "
-             f"(one of: {', '.join(SLOT_KERNELS.available())})",
+        "--policy", default=None,
+        help="transmission policy of --config and --stream runs "
+             f"(one of: {', '.join(SLOT_KERNELS.available())}; "
+             "default adaptive, or the checkpoint's with --resume)",
     )
     run_parser.add_argument(
         "--checkpoint", default=None, metavar="PATH",
@@ -188,8 +184,9 @@ def _command_run_config(args: argparse.Namespace) -> int:
     num_nodes = args.nodes if args.nodes is not None else 24
     num_steps = args.steps if args.steps is not None else 240
     try:
-        engine = Engine.from_config(args.config, collection=args.collection)
-        engine = _with_dtype(engine, args, collection=args.collection)
+        policy = args.policy or "adaptive"
+        engine = Engine.from_config(args.config, policy=policy)
+        engine = _with_dtype(engine, args, policy=policy)
     except OSError as exc:
         print(f"cannot read --config {args.config!r}: {exc}", file=sys.stderr)
         return 2
@@ -245,10 +242,12 @@ def _command_run_stream(args: argparse.Namespace) -> int:
                 f"slot={meta.get('time')}, policy={meta.get('policy')}"
             )
             if args.config is not None:
-                engine = Engine.from_config(args.config, policy=args.policy)
+                engine = Engine.from_config(
+                    args.config, policy=args.policy or "adaptive"
+                )
             else:
                 engine = Engine.from_config(
-                    checkpoint.config, policy=meta["policy"]
+                    checkpoint.config, policy=args.policy or meta["policy"]
                 )
             session = engine.resume(checkpoint)
             if args.nodes is not None and args.nodes != session.num_nodes:
@@ -261,8 +260,9 @@ def _command_run_stream(args: argparse.Namespace) -> int:
                 return 2
             num_nodes = session.num_nodes
         else:
-            engine = Engine.from_config(args.config, policy=args.policy)
-            engine = _with_dtype(engine, args, policy=args.policy)
+            policy = args.policy or "adaptive"
+            engine = Engine.from_config(args.config, policy=policy)
+            engine = _with_dtype(engine, args, policy=policy)
             session = engine.session(num_nodes, 1)
     except OSError as exc:
         print(f"cannot read configuration: {exc}", file=sys.stderr)
@@ -327,10 +327,11 @@ def _command_run_scenario(args: argparse.Namespace) -> int:
     from repro.scenarios import run_scenario
     from repro.scenarios.harness import resolve_scenario
 
-    if args.nodes is not None:
+    if args.nodes is not None or args.policy is not None:
         print(
-            "--nodes does not apply to --scenario runs (fleet size is "
-            "part of the scenario spec)", file=sys.stderr,
+            "--nodes and --policy do not apply to --scenario runs (fleet "
+            "size and policy are part of the scenario spec)",
+            file=sys.stderr,
         )
         return 2
     if args.checkpoint_every is not None and args.checkpoint is None:
@@ -394,9 +395,9 @@ def _command_run(args: argparse.Namespace) -> int:
             )
             return 2
         return _command_run_config(args)
-    if args.collection != "adaptive":
-        print("--collection only applies to --config runs; experiments "
-              "choose their own collection", file=sys.stderr)
+    if args.policy is not None:
+        print("--policy only applies to --config/--stream runs; "
+              "experiments choose their own policies", file=sys.stderr)
         return 2
     if args.shards != 1 or args.workers is not None:
         print("--shards/--workers only apply to --config runs",

@@ -14,7 +14,7 @@ labels of the narrowest integer type that holds K − 1 (8 bits for
 K <= 256).  The dimension ``d`` (1–2 in the paper's settings) and K
 (3–5) never form the innermost axis of a numpy loop.  Each
 floating-point operation keeps the order of the ``(N, K, d)`` broadcast
-form kept in :func:`repro.reference_impl.kmeans_reference`, so labels,
+form kept in ``kmeans_reference`` (``tests/reference_impl.py``), so labels,
 centroids, inertia, iteration counts and random draws are bit-identical
 to it:
 

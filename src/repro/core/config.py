@@ -72,8 +72,6 @@ class ClusteringConfig:
             :data:`repro.registry.SIMILARITY_MEASURES` —
             ``"intersection"`` for the paper's measure (Eq. 10),
             ``"jaccard"`` for the normalized alternative (Fig. 11).
-        window: Temporal clustering window length (Fig. 5); 1 means
-            clustering on single-time-step measurements (the paper's best).
         scalar_per_resource: If True, cluster each resource type
             independently on scalar values (Table I's winner); if False,
             cluster the full d-dimensional vectors jointly.
@@ -92,7 +90,6 @@ class ClusteringConfig:
     num_clusters: int = 3
     history_depth: int = 1
     similarity: str = "intersection"
-    window: int = 1
     scalar_per_resource: bool = True
     kmeans_restarts: int = 3
     warm_start: bool = False
@@ -111,8 +108,6 @@ class ClusteringConfig:
             raise ConfigurationError(
                 SIMILARITY_MEASURES.unknown_message(self.similarity)
             )
-        if self.window < 1:
-            raise ConfigurationError(f"window must be >= 1, got {self.window}")
         if self.kmeans_restarts < 1:
             raise ConfigurationError(
                 f"kmeans_restarts must be >= 1, got {self.kmeans_restarts}"
@@ -124,25 +119,13 @@ class ForecastingConfig:
     """Parameters of the temporal forecasting stage (Sec. V-C, VI-A3).
 
     Attributes:
-        model: Any name registered in
-            :data:`repro.registry.FORECASTERS`: ``"arima"``, ``"lstm"``,
-            ``"sample_hold"``, ``"mean"``, ``"ses"`` (simple exponential
-            smoothing), ``"holt"``, ``"holt_winters"``, or ``"ar"``
-            (Yule–Walker AR).  The paper evaluates the first three; the
-            rest are the "etc." of Sec. V-C.
-        bank: How the per-cluster models are executed.  ``"auto"``
-            (default) runs the model through its vectorized
-            :class:`~repro.forecasting.bank.ForecasterBank` when one is
-            registered in :data:`repro.registry.FORECASTER_BANKS`
-            (``"sample_hold"``, ``"mean"``, ``"ses"``, ``"ar"``) and
-            through the per-object :class:`~repro.forecasting.bank.
-            ObjectBank` adapter otherwise; ``"object"`` forces the
-            adapter; naming the model itself (``bank == model``)
-            *requires* the vectorized path, failing loudly when the
-            model has no registered bank instead of falling back.  A
-            bank name that contradicts ``model`` is rejected, so bank
-            choice never changes the numbers — vectorized banks are
-            pinned bit-identical to the object path.
+        model: Any name in :data:`repro.registry.FORECASTER_BANKS`
+            (``"sample_hold"``, ``"mean"``, ``"ses"``, ``"ar"``: one
+            vectorized bank per group) or :data:`repro.registry.
+            FORECASTERS` (``"arima"``, ``"lstm"``, ``"holt"``,
+            ``"holt_winters"``: one forecaster per series).  The paper
+            evaluates sample-and-hold, ARIMA and LSTM; the rest are the
+            "etc." of Sec. V-C.
         membership_lookback: Look-back ``M'`` for forecasting cluster
             membership and computing per-node offsets (Eq. 12).
         initial_collection: Number of initial steps with no forecasting
@@ -162,7 +145,6 @@ class ForecastingConfig:
     """
 
     model: str = "sample_hold"
-    bank: str = "auto"
     membership_lookback: int = 5
     initial_collection: int = 1000
     retrain_interval: int = 288
@@ -182,26 +164,13 @@ class ForecastingConfig:
     seed: Optional[int] = None
 
     def __post_init__(self) -> None:
-        if self.model not in FORECASTERS:
-            raise ConfigurationError(FORECASTERS.unknown_message(self.model))
-        if self.bank not in ("auto", "object"):
-            # The bank selects an execution path for the configured
-            # model, never a different model: the only explicit name
-            # allowed is the model's own (requiring its vectorized
-            # bank), so bank choice cannot change the numbers.
-            if self.bank != self.model:
-                raise ConfigurationError(
-                    f"bank {self.bank!r} contradicts model "
-                    f"{self.model!r}; use 'auto', 'object', or "
-                    f"{self.model!r} to require its vectorized bank"
-                )
-            if self.bank not in FORECASTER_BANKS:
-                raise ConfigurationError(
-                    f"model {self.model!r} has no vectorized forecaster "
-                    f"bank; available: "
-                    f"{', '.join(FORECASTER_BANKS.available())} "
-                    f"(use bank='auto' or 'object')"
-                )
+        names = FORECASTERS.available() + FORECASTER_BANKS.available()
+        if self.model not in names:
+            raise ConfigurationError(
+                f"unknown forecaster {self.model!r}"
+                f"{closest(self.model, names)}; available: "
+                f"{', '.join(sorted(names))}"
+            )
         if self.membership_lookback < 1:
             raise ConfigurationError(
                 f"membership_lookback (M') must be >= 1, got "
@@ -239,6 +208,36 @@ class ForecastingConfig:
             raise ConfigurationError("ar_order must be >= 1")
 
 
+def _without_removed_options(
+    section: str, mapping: Mapping
+) -> Dict[str, Any]:
+    """``mapping`` without ``forecasting.bank`` and ``clustering.window``,
+    which configs written before 5.2.0 carry.  A value naming what runs
+    today is dropped: ``bank`` set to ``"auto"`` or to the model's path
+    (its name when it has a vectorized bank, ``"object"`` otherwise),
+    and ``window`` set to 1.  Any other asks for a run that no longer
+    exists, so it raises."""
+    options = dict(mapping)
+    if section == "forecasting" and "bank" in options:
+        model = options.get("model", ForecastingConfig.model)
+        runs = model if model in FORECASTER_BANKS.available() else "object"
+        bank = options.pop("bank")
+        if bank not in ("auto", runs):
+            raise ConfigurationError(
+                f"forecasting option bank={bank!r} was removed: model "
+                f"{model!r} runs through the {runs!r} bank; to run other "
+                "forecasters, pass them as Engine(forecaster_factory=...)"
+            )
+    if section == "clustering" and "window" in options:
+        window = options.pop("window")
+        if window != 1:
+            raise ConfigurationError(
+                f"clustering option window={window!r} was removed: no "
+                "stage read it, so it never took effect"
+            )
+    return options
+
+
 def _section_from_mapping(cls: type, mapping: Mapping, section: str) -> Any:
     """Build one stage config from a mapping, rejecting unknown keys."""
     if not isinstance(mapping, Mapping):
@@ -246,14 +245,15 @@ def _section_from_mapping(cls: type, mapping: Mapping, section: str) -> Any:
             f"{section!r} section must be a mapping, got "
             f"{type(mapping).__name__}"
         )
+    options = _without_removed_options(section, mapping)
     allowed = {f.name for f in fields(cls)}
-    for key in mapping:
+    for key in options:
         if key not in allowed:
             raise ConfigurationError(
                 f"unknown {section} option {key!r}"
                 f"{closest(key, allowed)}"
             )
-    return cls(**dict(mapping))
+    return cls(**options)
 
 
 #: Column dtypes a pipeline can run with.  float64 is the default and
@@ -314,7 +314,9 @@ class PipelineConfig:
 
         Missing sections/options fall back to their defaults; unknown
         names raise :class:`~repro.exceptions.ConfigurationError` with a
-        close-match suggestion.
+        close-match suggestion.  The options removed in 5.2.0 load only
+        with a value that describes what runs today (see
+        :func:`_without_removed_options`).
         """
         if not isinstance(mapping, Mapping):
             raise ConfigurationError(

@@ -19,26 +19,21 @@ from repro.forecasting.bank import (
     YuleWalkerBank,
     default_forecaster_factory,
     resolve_bank,
-    resolved_bank_name,
 )
 from repro.forecasting.exponential import (
     HoltLinear,
     HoltWinters,
-    SimpleExponentialSmoothing,
     ewma_run,
     fit_ses_alpha,
 )
 from repro.forecasting.yule_walker import (
-    YuleWalkerAR,
     ar_forecast_batch,
-    fit_yule_walker,
     fit_yule_walker_batch,
 )
 from repro.forecasting.lstm import LstmForecaster, StackedLSTMNetwork
 from repro.forecasting.membership import forecast_membership, membership_stability
 from repro.forecasting.offsets import alpha_clip, estimate_offsets
 from repro.forecasting.sample_hold import (
-    MeanForecaster,
     SampleHoldForecaster,
     hold_forecast,
     running_mean,
@@ -70,17 +65,13 @@ __all__ = [
     "YuleWalkerBank",
     "default_forecaster_factory",
     "resolve_bank",
-    "resolved_bank_name",
     "HoltLinear",
     "HoltWinters",
-    "SimpleExponentialSmoothing",
     "ewma_run",
     "fit_ses_alpha",
     "hold_forecast",
     "running_mean",
-    "YuleWalkerAR",
     "ar_forecast_batch",
-    "fit_yule_walker",
     "fit_yule_walker_batch",
     "LstmForecaster",
     "StackedLSTMNetwork",
@@ -88,7 +79,6 @@ __all__ = [
     "membership_stability",
     "alpha_clip",
     "estimate_offsets",
-    "MeanForecaster",
     "SampleHoldForecaster",
     "acf",
     "aicc",

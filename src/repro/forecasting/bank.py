@@ -15,23 +15,22 @@ a single structure-of-arrays model:
   one call.
 
 Vectorized banks exist for the closed-form models — sample-and-hold,
-long-term mean, exponential smoothing and Yule–Walker AR — built on the
-batched kernels their scalar classes share
+long-term mean, exponential smoothing and Yule–Walker AR — built on
+batched kernels
 (:func:`~repro.forecasting.sample_hold.hold_forecast`,
 :func:`~repro.forecasting.sample_hold.running_mean`,
 :func:`~repro.forecasting.exponential.ewma_run`,
 :func:`~repro.forecasting.yule_walker.fit_yule_walker_batch`,
-:func:`~repro.forecasting.yule_walker.ar_forecast_batch`), so a bank is
-bit-identical to a loop of scalar forecasters by construction.  Every
-other model (ARIMA grid search, LSTM, user-registered forecasters)
-keeps working through :class:`ObjectBank`, the generic adapter that
-wraps one scalar forecaster per ``(cluster, dim)`` series.
+:func:`~repro.forecasting.yule_walker.ar_forecast_batch`); the tests pin
+each bank bit-identical to a loop of per-series forecasters running the
+same kernels.  Every other model (ARIMA grid search, LSTM, Holt,
+user-registered forecasters) runs through :class:`ObjectBank`, the
+generic adapter that wraps one scalar forecaster per ``(cluster, dim)``
+series.
 
 Banks self-register in :data:`repro.registry.FORECASTER_BANKS` under
-the model names they accelerate; :func:`resolve_bank` picks the
-registered bank for ``ForecastingConfig.model`` and falls back to
-:class:`ObjectBank` for everything else (``ForecastingConfig.bank``
-overrides the choice explicitly).
+the model names they run; :func:`resolve_bank` gives each model its one
+path.
 """
 
 from __future__ import annotations
@@ -78,7 +77,7 @@ def default_forecaster_factory(config: "ForecastingConfig") -> ForecasterFactory
 
     The returned factory receives ``(cluster, group)`` and delegates to
     the builder registered under ``config.model`` in
-    :data:`repro.registry.FORECASTERS`.
+    :data:`repro.registry.FORECASTERS` (the models without a bank).
     """
 
     def factory(cluster: int, group: int) -> object:
@@ -277,10 +276,8 @@ class SampleHoldBank(ForecasterBank):
 
 class MeanBank(ForecasterBank):
     """Long-term mean of every series, recomputed over the full history
-    on update — matching :class:`~repro.forecasting.sample_hold.
-    MeanForecaster` exactly.  The history is one growing ``(t, S)``
-    array in the bank dtype, so an update appends one row and reduces
-    the array."""
+    on update.  The history is one growing ``(t, S)`` array in the bank
+    dtype, so an update appends one row and reduces the array."""
 
     def __init__(self, num_clusters: int, dim: int) -> None:
         super().__init__(num_clusters, dim)
@@ -321,10 +318,9 @@ class ExponentialBank(ForecasterBank):
     The level recurrence and forecasts are fully batched
     (:func:`~repro.forecasting.exponential.ewma_run`); the per-series
     smoothing weight, when not fixed, is fitted by
-    :func:`~repro.forecasting.exponential.fit_ses_alpha`, the bounded
-    Brent minimizer that :class:`~repro.forecasting.exponential.
-    SimpleExponentialSmoothing` uses too (no scipy) — one optimization
-    per series, since each series has its own objective landscape.
+    :func:`~repro.forecasting.exponential.fit_ses_alpha`, a bounded
+    Brent minimizer (no scipy) — one optimization per series, since
+    each series has its own objective landscape.
 
     Args:
         alpha: Fixed smoothing weight in (0, 1]; fitted per series from
@@ -588,20 +584,6 @@ def _build_ar_bank(config, num_clusters: int, dim: int) -> YuleWalkerBank:
     return YuleWalkerBank(num_clusters, dim, order=config.ar_order)
 
 
-def resolved_bank_name(config: "ForecastingConfig") -> str:
-    """The bank a config resolves to: a registered name or ``"object"``.
-
-    ``config.bank == "auto"`` picks the bank registered under
-    ``config.model`` in :data:`repro.registry.FORECASTER_BANKS` when one
-    exists, the :class:`ObjectBank` adapter otherwise; any other value
-    of ``config.bank`` is taken literally.
-    """
-    choice = getattr(config, "bank", "auto")
-    if choice == "auto":
-        return config.model if config.model in FORECASTER_BANKS else "object"
-    return choice
-
-
 def resolve_bank(
     config: "ForecastingConfig",
     *,
@@ -613,42 +595,30 @@ def resolve_bank(
 ) -> ForecasterBank:
     """Build the forecaster bank of one resource group.
 
+    Each model runs one way: a custom ``factory`` behind
+    :class:`ObjectBank`; otherwise the bank registered under
+    ``config.model`` in :data:`repro.registry.FORECASTER_BANKS`, or,
+    for a model without one, :class:`ObjectBank` around its
+    :data:`repro.registry.FORECASTERS` builder.
+
     Args:
-        config: The forecasting configuration (``model``, ``bank`` and
-            model hyperparameters).
+        config: The forecasting configuration (``model`` and the model
+            hyperparameters).
         num_clusters: Number of clusters M.
         dim: Centroid dimensionality d of the group.
         group: The group index (forwarded to object factories).
-        factory: Custom :data:`ForecasterFactory` override — runs
-            behind :class:`ObjectBank`, since a vectorized bank cannot
-            represent arbitrary user models.  Combining it with a
-            config that *requires* the vectorized path
-            (``config.bank == config.model``) is a contradiction and
-            raises instead of silently falling back.
+        factory: Custom :data:`ForecasterFactory` override.
         dtype: Floating dtype of the bank's series state (the
             pipeline's configured column dtype; default float64).
     """
+    bank: ForecasterBank
     if factory is not None:
-        if getattr(config, "bank", "auto") not in ("auto", "object"):
-            raise ConfigurationError(
-                f"bank {config.bank!r} requires the vectorized path, "
-                "which a custom forecaster_factory cannot provide; "
-                "drop the factory or use bank='auto'/'object'"
-            )
-        bank: ForecasterBank = ObjectBank(
-            factory, num_clusters, dim, group=group
-        )
+        bank = ObjectBank(factory, num_clusters, dim, group=group)
+    elif config.model in FORECASTER_BANKS:
+        bank = FORECASTER_BANKS.create(config.model, config, num_clusters, dim)
     else:
-        name = resolved_bank_name(config)
-        if name == "object":
-            bank = ObjectBank(
-                default_forecaster_factory(config),
-                num_clusters,
-                dim,
-                group=group,
-            )
-        else:
-            bank = FORECASTER_BANKS.create(name, config, num_clusters, dim)
+        default = default_forecaster_factory(config)
+        bank = ObjectBank(default, num_clusters, dim, group=group)
     bank.dtype = np.dtype(dtype)
     return bank
 
@@ -664,5 +634,4 @@ __all__ = [
     "YuleWalkerBank",
     "default_forecaster_factory",
     "resolve_bank",
-    "resolved_bank_name",
 ]

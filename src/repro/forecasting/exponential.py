@@ -4,7 +4,8 @@ Sec. V-C notes the per-cluster forecasting model "can include ARIMA,
 LSTM, etc.".  This module adds the classical exponential-smoothing
 family, which sits between sample-and-hold and ARIMA in cost:
 
-* :class:`SimpleExponentialSmoothing` — level only.
+* ``ses`` — level only, run by :class:`~repro.forecasting.bank.
+  ExponentialBank` on the kernels below.
 * :class:`HoltLinear` — level + trend (damped optional).
 * :class:`HoltWinters` — level + trend + additive seasonality, suitable
   for the diurnal structure of cluster workloads.
@@ -17,9 +18,8 @@ first Holt or Holt–Winters fit, never at an SES fit.
 
 The EWMA level recurrence is exposed as the batched kernel
 :func:`ewma_run` (and the fitted weight as :func:`fit_ses_alpha`),
-shared between :class:`SimpleExponentialSmoothing` and the
-:class:`~repro.forecasting.bank.ExponentialBank`, so a bank over
-``S = K·d`` series is bit-identical to a loop of ``S`` scalar models.
+which the :class:`~repro.forecasting.bank.ExponentialBank` runs over
+``S = K·d`` series at once.
 """
 
 from __future__ import annotations
@@ -156,6 +156,17 @@ def _bounded_brent(
     return xf
 
 
+def ses_sse(alpha: float, series: np.ndarray) -> float:
+    """In-sample one-step SSE of SES weight ``alpha`` on a 1-D series:
+    the objective :func:`fit_ses_alpha` minimizes."""
+    level = series[0]
+    sse = 0.0
+    for value in series[1:]:
+        sse += (value - level) ** 2
+        level = alpha * value + (1.0 - alpha) * level
+    return sse
+
+
 def fit_ses_alpha(series: np.ndarray) -> float:
     """The SES weight minimizing the in-sample one-step SSE (1-D input).
 
@@ -165,54 +176,7 @@ def fit_ses_alpha(series: np.ndarray) -> float:
     :func:`ewma_run`.  The minimizer is :func:`_bounded_brent`, so an
     SES fit loads no scipy.
     """
-    return float(_bounded_brent(
-        lambda a: SimpleExponentialSmoothing._sse(a, series), 1e-4, 1.0
-    ))
-
-
-class SimpleExponentialSmoothing(Forecaster):
-    """Level-only exponential smoothing: ``l_t = α·y_t + (1−α)·l_{t−1}``.
-
-    Args:
-        alpha: Fixed smoothing weight in (0, 1]; fitted from data when
-            None.
-    """
-
-    def __init__(self, alpha: Optional[float] = None) -> None:
-        super().__init__()
-        if alpha is not None and not 0.0 < alpha <= 1.0:
-            raise ConfigurationError(f"alpha must be in (0, 1], got {alpha}")
-        self._fixed_alpha = alpha
-        self.alpha = alpha if alpha is not None else 0.5
-        self._level = 0.0
-
-    @staticmethod
-    def _sse(alpha: float, series: np.ndarray) -> float:
-        level = series[0]
-        sse = 0.0
-        for value in series[1:]:
-            sse += (value - level) ** 2
-            level = alpha * value + (1.0 - alpha) * level
-        return sse
-
-    def _fit(self, series: np.ndarray) -> None:
-        if self._fixed_alpha is None and series.size >= 3:
-            self.alpha = fit_ses_alpha(series)
-        self._level = ewma_run(series[:, np.newaxis], self.alpha)[0]
-
-    def _update(self, value: float) -> None:
-        if self.is_fitted:
-            self._level = self.alpha * value + (1.0 - self.alpha) * self._level
-
-    def _forecast(self, horizon: int) -> np.ndarray:
-        return np.full(horizon, self._level)
-
-    def _state(self) -> dict:
-        return {"alpha": float(self.alpha), "level": float(self._level)}
-
-    def _load_state(self, state: dict) -> None:
-        self.alpha = float(state["alpha"])
-        self._level = float(state["level"])
+    return float(_bounded_brent(lambda a: ses_sse(a, series), 1e-4, 1.0))
 
 
 class HoltLinear(Forecaster):
@@ -434,11 +398,6 @@ class HoltWinters(Forecaster):
             None if seasonal is None else np.asarray(seasonal, dtype=float)
         )
         self._season_index = int(state["season_index"])
-
-
-@register_forecaster("ses")
-def _build_ses(config, cluster: int, group: int) -> SimpleExponentialSmoothing:
-    return SimpleExponentialSmoothing()
 
 
 @register_forecaster("holt")

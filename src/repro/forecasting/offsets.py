@@ -21,7 +21,8 @@ right, which is how numpy sums a trailing axis of fewer than
 :data:`~repro.clustering.kmeans.PAIRWISE_SUM_MIN` (8) terms; from 8
 coordinates on numpy sums pairwise, so there a ``(K, N, d)``
 broadcast and its trailing-axis sums are kept.  Either way the offsets
-are bit-identical to :func:`repro.reference_impl.estimate_offsets_reference`.
+are bit-identical to the per-node loop ``estimate_offsets_reference``
+that ``tests/reference_impl.py`` keeps.
 Offsets are computed in float64 whatever ``PipelineConfig.dtype`` is.
 
 A slot's terms depend on the node's target cluster only through the

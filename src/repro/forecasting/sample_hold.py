@@ -5,9 +5,9 @@ the most recent observation.  The paper uses it both as a baseline and as
 the default forecaster for parameter studies (Tables III, Figs. 10–11),
 noting it is cheap enough to run per node (K = N).
 
-The hold/mean computations are exposed as the batched kernels
-:func:`hold_forecast` and :func:`running_mean`, shared between the
-scalar classes and the banks in :mod:`repro.forecasting.bank`.
+The hold/mean computations are the batched kernels :func:`hold_forecast`
+and :func:`running_mean` that the banks in :mod:`repro.forecasting.bank`
+run; :class:`SampleHoldForecaster` is the per-series form Fig. 8 walks.
 """
 
 from __future__ import annotations
@@ -16,7 +16,6 @@ import numpy as np
 
 from repro.exceptions import DataError
 from repro.forecasting.base import Forecaster
-from repro.registry import register_forecaster
 
 
 def hold_forecast(last: np.ndarray, horizon: int) -> np.ndarray:
@@ -59,41 +58,3 @@ class SampleHoldForecaster(Forecaster):
     def _forecast(self, horizon: int) -> np.ndarray:
         last = self.history[-1]
         return hold_forecast(np.asarray([float(last)]), horizon)[:, 0]
-
-
-class MeanForecaster(Forecaster):
-    """Predicts every horizon with the long-term mean of the history.
-
-    This is the offline "long-term statistics" mechanism whose error the
-    paper upper-bounds by the standard deviation (Sec. VI-D1).
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self._mean = 0.0
-
-    def _fit(self, series: np.ndarray) -> None:
-        self._mean = float(running_mean(series[:, np.newaxis])[0])
-
-    def _update(self, value: float) -> None:
-        # Keep the running mean consistent with the full history.
-        self._mean = float(running_mean(self.history[:, np.newaxis])[0])
-
-    def _forecast(self, horizon: int) -> np.ndarray:
-        return hold_forecast(np.asarray([self._mean]), horizon)[:, 0]
-
-    def _state(self) -> dict:
-        return {"mean": self._mean}
-
-    def _load_state(self, state: dict) -> None:
-        self._mean = float(state["mean"])
-
-
-@register_forecaster("sample_hold")
-def _build_sample_hold(config, cluster: int, group: int) -> SampleHoldForecaster:
-    return SampleHoldForecaster()
-
-
-@register_forecaster("mean")
-def _build_mean(config, cluster: int, group: int) -> MeanForecaster:
-    return MeanForecaster()

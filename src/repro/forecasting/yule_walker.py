@@ -8,10 +8,10 @@ cost of full ARIMA matters.
 
 The module exposes *batched* kernels — :func:`fit_yule_walker_batch`
 and :func:`ar_forecast_batch` — that fit and forecast ``S`` independent
-series at once.  :class:`YuleWalkerAR` and the :class:`~repro.
-forecasting.bank.YuleWalkerBank` both run on these kernels, so a bank
-over ``S = K·d`` series is bit-identical to a loop of ``S`` scalar
-forecasters by construction.
+series at once.  The :class:`~repro.forecasting.bank.YuleWalkerBank`
+runs on them, and so does the per-series oracle its tests pin it to,
+so a bank over ``S = K·d`` series is bit-identical to a loop of ``S``
+scalar forecasters by construction.
 """
 
 from __future__ import annotations
@@ -19,8 +19,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DataError
-from repro.forecasting.base import Forecaster
-from repro.registry import register_forecaster
 
 
 def _as_columns(series: np.ndarray) -> np.ndarray:
@@ -50,8 +48,7 @@ def fit_yule_walker_batch(series: np.ndarray, order: int) -> np.ndarray:
 
     Returns:
         Coefficients ``φ_1..φ_p`` per series, shape ``(order, S)``.
-        Constant columns and singular systems yield zero coefficients
-        (the conventions of :func:`fit_yule_walker`).
+        Constant columns and singular systems yield zero coefficients.
     """
     cols = _as_columns(series)
     num_series, length = cols.shape
@@ -137,72 +134,3 @@ def ar_forecast_batch(
         window[:-1] = window[1:]
         window[-1] = value
     return out
-
-
-def fit_yule_walker(series: np.ndarray, order: int) -> np.ndarray:
-    """Solve the Yule–Walker equations for AR coefficients.
-
-    Args:
-        series: 1-D observations.
-        order: AR order p >= 1.
-
-    Returns:
-        Coefficients ``φ_1..φ_p`` of ``y_t = μ + Σ φ_i (y_{t−i} − μ)``.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise DataError(f"series must be 1-D, got shape {x.shape}")
-    return fit_yule_walker_batch(x[:, np.newaxis], order)[:, 0]
-
-
-class YuleWalkerAR(Forecaster):
-    """AR(p) forecaster fitted by Yule–Walker.
-
-    Args:
-        order: AR order p.
-    """
-
-    def __init__(self, order: int = 2) -> None:
-        super().__init__()
-        if order < 1:
-            raise ConfigurationError(f"order must be >= 1, got {order}")
-        self.order = order
-        self._coefficients = np.zeros(order)
-        self._mean = 0.0
-
-    @property
-    def coefficients(self) -> np.ndarray:
-        return self._coefficients.copy()
-
-    @property
-    def mean(self) -> float:
-        return self._mean
-
-    def _fit(self, series: np.ndarray) -> None:
-        self._mean = float(series.mean())
-        self._coefficients = fit_yule_walker(series, self.order)
-
-    def _forecast(self, horizon: int) -> np.ndarray:
-        history = self.history
-        if history.size < self.order:
-            raise DataError(
-                f"need at least {self.order} observations to forecast"
-            )
-        return ar_forecast_batch(
-            self._coefficients[:, np.newaxis],
-            np.asarray([self._mean]),
-            history[-self.order :][:, np.newaxis],
-            horizon,
-        )[:, 0]
-
-    def _state(self) -> dict:
-        return {"coefficients": self._coefficients.copy(), "mean": self._mean}
-
-    def _load_state(self, state: dict) -> None:
-        self._coefficients = np.asarray(state["coefficients"], dtype=float)
-        self._mean = float(state["mean"])
-
-
-@register_forecaster("ar")
-def _build_ar(config, cluster: int, group: int) -> YuleWalkerAR:
-    return YuleWalkerAR(order=config.ar_order)

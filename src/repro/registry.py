@@ -7,12 +7,11 @@ the concrete implementations self-register in the module that defines
 them, so adding a backend never means editing the engine:
 
 * :data:`FORECASTERS` — builders ``(config, cluster, group) ->
-  Forecaster`` keyed by ``ForecastingConfig.model`` names
-  (``"arima"``, ``"lstm"``, ``"sample_hold"``, …);
+  Forecaster`` for the models without a bank (``"arima"``, ``"lstm"``,
+  ``"holt"``, ``"holt_winters"``), one per series behind ``ObjectBank``;
 * :data:`FORECASTER_BANKS` — builders ``(config, num_clusters, dim) ->
   ForecasterBank`` vectorizing all of a group's per-cluster models at
-  once (``"sample_hold"``, ``"mean"``, ``"ses"``, ``"ar"``); models
-  without an entry fall back to the ``ObjectBank`` adapter;
+  once (``"sample_hold"``, ``"mean"``, ``"ses"``, ``"ar"``);
 * :data:`SLOT_KERNELS` — builders ``(transmission_config) -> kernel``
   producing a transmission policy's vectorized one-slot form
   (``"adaptive"``, ``"uniform"``, ``"deadband"``, ``"perfect"``) — the
@@ -20,7 +19,8 @@ them, so adding a backend never means editing the engine:
   array call per slot;
 * :data:`COLLECTION_BACKENDS` — callables ``(trace,
   transmission_config) -> CollectionResult`` (``"adaptive"``,
-  ``"uniform"``, ``"perfect"``, ``"deadband"``);
+  ``"uniform"``, ``"perfect"``, ``"deadband"``), the batch collection of
+  ``Engine(policy=name).run``;
 * :data:`SIMILARITY_MEASURES` — :class:`~repro.clustering.similarity.
   SimilarityMeasure` instances (``"intersection"``, ``"jaccard"``).
 
@@ -167,14 +167,15 @@ class Registry:
         return f"Registry({self.kind!r}, entries={list(self._entries)})"
 
 
-#: ``ForecastingConfig.model`` name → builder ``(config, cluster, group)``.
+#: ``ForecastingConfig.model`` name → builder ``(config, cluster, group)``
+#: for the models without a :data:`FORECASTER_BANKS` entry.
 FORECASTERS = Registry("forecaster", modules=("repro.forecasting",))
 
 #: Bank name → builder ``(forecasting_config, num_clusters, dim)``
 #: returning a :class:`~repro.forecasting.bank.ForecasterBank`.  Keyed
-#: by the forecaster model names they accelerate; models without an
-#: entry run through the :class:`~repro.forecasting.bank.ObjectBank`
-#: adapter (see :func:`~repro.forecasting.bank.resolve_bank`).
+#: by the forecaster model names they run; models without an entry run
+#: through the :class:`~repro.forecasting.bank.ObjectBank` adapter (see
+#: :func:`~repro.forecasting.bank.resolve_bank`).
 FORECASTER_BANKS = Registry(
     "forecaster bank", modules=("repro.forecasting.bank",)
 )
@@ -193,7 +194,9 @@ SLOT_KERNELS = Registry(
     "transmission policy slot kernel", modules=("repro.transmission",)
 )
 
-#: Collection backend name → ``(trace, transmission_config) -> CollectionResult``.
+#: Policy name → whole-trace collection backend ``(trace,
+#: transmission_config) -> CollectionResult``, the collection stage of
+#: ``Engine(policy=name).run``.
 COLLECTION_BACKENDS = Registry(
     "collection backend",
     modules=("repro.simulation.collection", "repro.transmission.deadband"),
@@ -230,8 +233,9 @@ def register_forecaster_bank(
     The builder receives ``(forecasting_config, num_clusters, dim)`` and
     returns a fresh :class:`~repro.forecasting.bank.ForecasterBank`
     covering all ``num_clusters × dim`` series of one resource group.
-    Register under the forecaster model name the bank accelerates so
-    ``ForecastingConfig(bank="auto")`` picks it up.
+    Register under a forecaster model name: ``ForecastingConfig(
+    model=name)`` then runs through the bank, and the name needs no
+    :data:`FORECASTERS` builder.
     """
     return FORECASTER_BANKS.register(name, override=override)
 

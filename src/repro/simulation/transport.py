@@ -35,7 +35,8 @@ class PerNodeMessages(Mapping):
     equal to plain dicts with the same contents, and — like that dict —
     it is *live*: it reads the owning stats' current column on every
     access (not a snapshot), so holding the mapping across sends stays
-    correct even when the growable counter array is reallocated.
+    correct even when fleet churn reallocates the column (see
+    :meth:`TransportStats.adopt_column`).
     """
 
     def __init__(self, stats: "TransportStats") -> None:
@@ -87,11 +88,10 @@ class TransportStats:
             over the int64 count column).
 
     Args:
-        node_counts: Optional pre-allocated int64 per-node counter array
-            to adopt *without copying* — pass a fleet's
-            ``message_counts`` column so transport and fleet share one
-            array.  Without it, a small array is allocated and grown on
-            demand (node ids are then unbounded, as with the old dict).
+        node_counts: The int64 per-node counter column, adopted
+            *without copying* — a fleet's ``message_counts`` column, so
+            transport and fleet share one array.  Its length bounds the
+            node ids the stats can count.
         floats_per_message: Payload floats each already-counted message
             carried (``d``).  Required when adopting an array with
             non-zero counts, so ``messages`` and ``payload_floats``
@@ -100,39 +100,30 @@ class TransportStats:
 
     def __init__(
         self,
-        node_counts: Optional[np.ndarray] = None,
+        node_counts: np.ndarray,
         *,
         floats_per_message: Optional[int] = None,
     ) -> None:
-        self._messages = 0
+        if node_counts.dtype != np.int64:
+            raise SimulationError(
+                f"node_counts must be int64, got {node_counts.dtype}"
+            )
+        self._node_counts = node_counts
+        self._messages = int(node_counts.sum())
         self._payload_floats = 0
         # Messages once counted for nodes whose counters have since left
         # the column (fleet compaction): totals stay cumulative, so
-        # ``messages == column.sum() + retired`` is the fixed-mode
-        # invariant.
+        # ``messages == column.sum() + retired`` is the invariant.
         self._retired = 0
-        if node_counts is None:
-            self._node_counts = np.zeros(16, dtype=np.int64)
-            self._fixed = False
-        else:
-            if node_counts.dtype != np.int64:
+        if self._messages:
+            if floats_per_message is None:
                 raise SimulationError(
-                    f"node_counts must be int64, got {node_counts.dtype}"
+                    "adopting non-zero counters needs "
+                    "floats_per_message (use "
+                    "TransportStats.from_node_counts) so payload "
+                    "accounting stays consistent"
                 )
-            self._node_counts = node_counts
-            self._fixed = True
-            self._messages = int(node_counts.sum())
-            if self._messages:
-                if floats_per_message is None:
-                    raise SimulationError(
-                        "adopting non-zero counters needs "
-                        "floats_per_message (use "
-                        "TransportStats.from_node_counts) so payload "
-                        "accounting stays consistent"
-                    )
-                self._payload_floats = self._messages * int(
-                    floats_per_message
-                )
+            self._payload_floats = self._messages * int(floats_per_message)
 
     @property
     def messages(self) -> int:
@@ -165,27 +156,16 @@ class TransportStats:
 
     # -- mutation: called by Channel (and shard reduction) only ---------
 
-    def _ensure_node(self, node: int) -> None:
-        if node < 0:
-            raise SimulationError(f"negative node id {node}")
-        if node >= self._node_counts.shape[0]:
-            if self._fixed:
-                raise SimulationError(
-                    f"node id {node} outside the fleet's "
-                    f"{self._node_counts.shape[0]} counters"
-                )
-            grown = np.zeros(
-                max(2 * self._node_counts.shape[0], node + 1), dtype=np.int64
-            )
-            grown[: self._node_counts.shape[0]] = self._node_counts
-            self._node_counts = grown
-
     def _count_batch(
         self, per_node: np.ndarray, floats_per_message: int
     ) -> None:
         """Account a whole batch of deliveries at once (channel-internal)."""
         per_node = np.asarray(per_node, dtype=np.int64)
-        self._ensure_node(per_node.shape[0] - 1)
+        if per_node.shape[0] > self._node_counts.shape[0]:
+            raise SimulationError(
+                f"node id {per_node.shape[0] - 1} outside the fleet's "
+                f"{self._node_counts.shape[0]} counters"
+            )
         messages = int(per_node.sum())
         self._messages += messages
         self._payload_floats += messages * int(floats_per_message)
@@ -199,7 +179,7 @@ class TransportStats:
         Fleet churn (:meth:`FleetState.grow
         <repro.simulation.fleet.FleetState.grow>` /
         :meth:`~repro.simulation.fleet.FleetState.compact`) reallocates
-        ``message_counts``; fixed stats must follow the new array so
+        ``message_counts``; the stats must follow the new array so
         fleet and transport stay one memory.  Cumulative totals are
         preserved: counts that left the column (departed nodes) move
         into :attr:`retired_messages`, keeping the invariant
@@ -208,10 +188,6 @@ class TransportStats:
         Args:
             node_counts: The fleet's new int64 ``message_counts`` column.
         """
-        if not self._fixed:
-            raise SimulationError(
-                "adopt_column applies to fleet-backed (fixed) stats only"
-            )
         if node_counts.dtype != np.int64:
             raise SimulationError(
                 f"node_counts must be int64, got {node_counts.dtype}"
@@ -225,10 +201,11 @@ class TransportStats:
                 "column after grow/compact, not an unrelated array"
             )
         self._retired += live_total - new_total
+        # repro: noqa STATE-003(the column belongs to the fleet; FleetState's state carries it)
         self._node_counts = node_counts
 
     def rebind_column(self, node_counts: np.ndarray) -> None:
-        """Point fixed stats at a *restored* counter column.
+        """Point the stats at a *restored* counter column.
 
         Unlike :meth:`adopt_column` (churn: cumulative totals preserved,
         counts can only leave the column), this accompanies a whole-state
@@ -243,10 +220,6 @@ class TransportStats:
             node_counts: The fleet's adopted int64 ``message_counts``
                 column.
         """
-        if not self._fixed:
-            raise SimulationError(
-                "rebind_column applies to fleet-backed (fixed) stats only"
-            )
         if node_counts.dtype != np.int64:
             raise SimulationError(
                 f"node_counts must be int64, got {node_counts.dtype}"
@@ -258,41 +231,33 @@ class TransportStats:
     def get_state(self) -> dict:
         """Serializable aggregate counters.
 
-        The per-node column is *not* included: when the stats are fixed
-        over a fleet's ``message_counts`` column, the fleet's own state
-        carries it (one array, one owner); growable standalone stats
-        include it explicitly.
+        The per-node column is *not* included: it is the fleet's
+        ``message_counts`` column, which the fleet's own state carries
+        (one array, one owner).
         """
-        state = {
+        return {
             "messages": self._messages,
             "payload_floats": self._payload_floats,
             "retired_messages": self._retired,
         }
-        if not self._fixed:
-            state["node_counts"] = self._node_counts.copy()
-        return state
 
     def set_state(self, state: dict) -> None:
         """Restore counters captured by :meth:`get_state`.
 
-        For fleet-backed stats the node-count column must already hold
-        the restored fleet state (restore the fleet first); the totals
-        are validated against it so a torn restore fails loudly.
+        The node-count column must already hold the restored fleet state
+        (restore the fleet first); the totals are validated against it
+        so a torn restore fails loudly.
         """
         messages = int(state["messages"])
         retired = int(state.get("retired_messages", 0))
-        if self._fixed:
-            column_total = int(self._node_counts.sum())
-            if messages != column_total + retired:
-                raise SimulationError(
-                    f"transport state claims {messages} messages "
-                    f"({retired} retired) but the fleet's counter column "
-                    f"sums to {column_total}; restore the fleet state "
-                    "first"
-                )
-        else:
-            counts = np.asarray(state["node_counts"], dtype=np.int64)
-            self._node_counts = counts.copy()
+        column_total = int(self._node_counts.sum())
+        if messages != column_total + retired:
+            raise SimulationError(
+                f"transport state claims {messages} messages "
+                f"({retired} retired) but the fleet's counter column "
+                f"sums to {column_total}; restore the fleet state "
+                "first"
+            )
         self._messages = messages
         self._retired = retired
         self._payload_floats = int(state["payload_floats"])
@@ -326,11 +291,11 @@ class Channel:
     counts one slot's delivered messages.
 
     Args:
-        node_counts: Optional per-node counter column to adopt (see
+        node_counts: The fleet's per-node counter column to adopt (see
             :class:`TransportStats`).
     """
 
-    def __init__(self, node_counts: Optional[np.ndarray] = None) -> None:
+    def __init__(self, node_counts: np.ndarray) -> None:
         self.stats = TransportStats(node_counts=node_counts)
 
     def record_deliveries(

@@ -400,10 +400,10 @@ class MessageChannel(Channel):
     through ``record_deliveries``, as a streaming session's do.
 
     Args:
-        node_counts: Optional per-node counter column to adopt.
+        node_counts: The per-node counter column to adopt.
     """
 
-    def __init__(self, node_counts: Optional[np.ndarray] = None) -> None:
+    def __init__(self, node_counts: np.ndarray) -> None:
         super().__init__(node_counts=node_counts)
         self._inbox: List[Measurement] = []
 

@@ -4,14 +4,15 @@ These are the straightforward per-node Python-loop versions of the
 fleet-scale hot path: α-clipped offset estimation (Eq. 12), the
 similarity re-indexing contingency (Eq. 10–11), and the majority-vote
 membership forecast (Sec. V-C), plus the K-means of Sec. V-B in its
-``(N, K, d)`` broadcast form.  The production implementations in
+``(N, K, d)`` broadcast form.  The package's implementations in
 :mod:`repro.forecasting.offsets`, :mod:`repro.clustering.similarity`,
 :mod:`repro.forecasting.membership` and :mod:`repro.clustering.kmeans`
 are rewrites of these; the property tests in
 ``tests/test_equivalence.py`` assert the rewrites are *bit-identical*
 on randomized inputs, and the scaling benchmark in
 ``benchmarks/test_bench_hot_path.py`` measures the speedup against
-them.
+them.  Only those two import this module; it is not part of the
+package.
 
 They are intentionally kept simple and obviously-correct; do not
 optimize this module.

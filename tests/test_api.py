@@ -16,7 +16,7 @@ from repro.core.metrics import instantaneous_rmse, time_averaged_rmse
 from repro.core.pipeline import OnlinePipeline, PipelineResult
 from repro.core.types import validate_trace
 from repro.exceptions import ConfigurationError, DataError
-from repro.registry import COLLECTION_BACKENDS
+from repro.registry import COLLECTION_BACKENDS, SLOT_KERNELS
 
 
 def config(budget=0.3, initial=20, horizon=2, clusters=2):
@@ -80,14 +80,12 @@ def run_pipeline(trace, cfg, collection):
 class TestEngineBatchEquivalence:
     """Engine.run's batched scoring against the slot-by-slot reference."""
 
-    @pytest.mark.parametrize(
-        "collection", ["adaptive", "uniform", "perfect"]
-    )
-    def test_run_matches_run_pipeline(self, collection):
+    @pytest.mark.parametrize("policy", ["adaptive", "uniform", "perfect"])
+    def test_run_matches_run_pipeline(self, policy):
         trace = walk_trace(seed=7)
         cfg = config()
-        old = run_pipeline(trace, cfg, collection)
-        new = Engine(cfg, collection=collection).run(trace)
+        old = run_pipeline(trace, cfg, policy)
+        new = Engine(cfg, policy=policy).run(trace)
         assert sorted(old["rmse_by_horizon"]) == sorted(new.rmse_by_horizon)
         for h, rmse in old["rmse_by_horizon"].items():
             assert new.rmse_by_horizon[h] == pytest.approx(rmse, rel=1e-12)
@@ -114,12 +112,28 @@ class TestEngineBatchEquivalence:
             Engine(config(horizon=2)).run(walk_trace(), horizons=[5])
 
     def test_perfect_collection_zero_staleness(self):
-        result = Engine(config(), collection="perfect").run(walk_trace())
+        result = Engine(config(), policy="perfect").run(walk_trace())
         assert result.rmse_by_horizon[0] == 0.0
 
     def test_unknown_collection_fails_fast_with_suggestion(self):
         with pytest.raises(ConfigurationError, match="adaptive"):
-            Engine(config(), collection="adaptve")
+            Engine(config(), policy="adaptve")
+
+    def test_policy_without_batch_backend_runs_sessions_only(
+        self, monkeypatch
+    ):
+        # A custom policy is a slot-kernel registration; without a
+        # collection backend of the same name it has no batch mode.
+        kernel = SLOT_KERNELS.get("adaptive")
+        monkeypatch.setitem(SLOT_KERNELS._entries, "session_only", kernel)
+        engine = Engine(config(), policy="session_only")
+        session = engine.session(6, 1)
+        session.ingest(walk_trace()[0])
+        assert session.policy == "session_only"
+        with pytest.raises(
+            ConfigurationError, match="unknown collection backend"
+        ):
+            engine.run(walk_trace())
 
     def test_runs_are_independent(self):
         engine = Engine(config())
@@ -132,7 +146,7 @@ class TestEngineBatchEquivalence:
 class TestRunResult:
     def test_carries_provenance(self):
         cfg = config()
-        result = Engine(cfg, collection="uniform").run(walk_trace())
+        result = Engine(cfg, policy="uniform").run(walk_trace())
         assert result.config is cfg
         assert result.collection == "uniform"
         # Vectorized backends do not account transport themselves; the
@@ -232,10 +246,10 @@ class TestEngineFromConfig:
 
     def test_from_mapping(self):
         engine = Engine.from_config(
-            {"forecasting": {"model": "ses"}}, collection="perfect"
+            {"forecasting": {"model": "ses"}}, policy="perfect"
         )
         assert engine.config.forecasting.model == "ses"
-        assert engine.collection == "perfect"
+        assert engine.policy == "perfect"
 
     def test_from_json_file(self, tmp_path):
         cfg = PipelineConfig.small(initial_collection=25, retrain_interval=25)

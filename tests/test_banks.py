@@ -1,10 +1,11 @@
 """The columnar model layer: banks vs loops of scalar forecasters.
 
 Every vectorized bank is pinned **bit-identical** to a loop of the
-existing scalar forecasters over random ``(T, M, d)`` centroid tensors
-— fit, transient updates and multi-horizon forecasts — via hypothesis.
-The ObjectBank adapter, the pipeline's hold-last-centroid fallback and
-the registry/config resolution rules are covered alongside.
+per-series oracles in ``forecaster_oracle`` over random ``(T, M, d)``
+centroid tensors — fit, transient updates and multi-horizon forecasts —
+via hypothesis.  The ObjectBank adapter, the pipeline's
+hold-last-centroid fallback and the registry/config resolution rules
+are covered alongside.
 """
 
 import logging
@@ -13,6 +14,12 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from forecaster_oracle import (
+    MeanForecaster,
+    SimpleExponentialSmoothing,
+    YuleWalkerAR,
+    oracle_factory,
+)
 from repro.core.config import (
     ClusteringConfig,
     ForecastingConfig,
@@ -35,12 +42,9 @@ from repro.forecasting.bank import (
     YuleWalkerBank,
     default_forecaster_factory,
     resolve_bank,
-    resolved_bank_name,
 )
-from repro.forecasting.exponential import SimpleExponentialSmoothing
-from repro.forecasting.sample_hold import MeanForecaster, SampleHoldForecaster
-from repro.forecasting.yule_walker import YuleWalkerAR
-from repro.registry import FORECASTER_BANKS
+from repro.forecasting.sample_hold import SampleHoldForecaster
+from repro.registry import FORECASTERS, FORECASTER_BANKS
 
 
 def centroid_tensor(seed, steps, clusters, dim):
@@ -205,9 +209,7 @@ class TestObjectBank:
     def test_matches_vectorized_bank(self):
         series = centroid_tensor(3, 10, 4, 2)
         updates = centroid_tensor(4, 3, 4, 2)
-        factory = default_forecaster_factory(
-            ForecastingConfig(model="sample_hold")
-        )
+        factory = oracle_factory(ForecastingConfig(model="sample_hold"))
         object_forecast = drive_bank(
             ObjectBank(factory, 4, 2), series, updates, 3
         )
@@ -251,7 +253,7 @@ class TestObjectBank:
         )
 
     def test_models_property_shape(self):
-        factory = default_forecaster_factory(ForecastingConfig())
+        factory = default_forecaster_factory(ForecastingConfig(model="holt"))
         bank = ObjectBank(factory, 2, 3)
         models = bank.models
         assert len(models) == 2 and all(len(m) == 3 for m in models)
@@ -301,37 +303,26 @@ class TestBankValidation:
             YuleWalkerBank(2, 1, order=3).fit(np.zeros((4, 2, 1)))
 
 
+def legacy_config(**forecasting):
+    """A config mapping as written before ``ForecastingConfig.bank``
+    was removed (every golden archive carries ``"bank": "auto"``)."""
+    mapping = PipelineConfig(
+        forecasting=ForecastingConfig(model=forecasting.pop("model"))
+    ).to_dict()
+    mapping["forecasting"].update(forecasting)
+    return mapping
+
+
 class TestResolution:
     def test_auto_picks_vectorized_bank(self):
         config = ForecastingConfig(model="sample_hold")
-        assert resolved_bank_name(config) == "sample_hold"
         bank = resolve_bank(config, num_clusters=3, dim=1)
         assert isinstance(bank, SampleHoldBank)
 
     def test_auto_falls_back_to_object_bank(self):
         config = ForecastingConfig(model="arima")
-        assert resolved_bank_name(config) == "object"
         bank = resolve_bank(config, num_clusters=2, dim=1)
         assert isinstance(bank, ObjectBank)
-
-    def test_object_forced(self):
-        config = ForecastingConfig(model="sample_hold", bank="object")
-        bank = resolve_bank(config, num_clusters=2, dim=1)
-        assert isinstance(bank, ObjectBank)
-
-    def test_bank_requiring_vectorized_path(self):
-        config = ForecastingConfig(model="ar", bank="ar")
-        bank = resolve_bank(config, num_clusters=2, dim=1)
-        assert isinstance(bank, YuleWalkerBank)
-
-    def test_bank_contradicting_model_rejected(self):
-        # The bank selects an execution path, never a different model.
-        with pytest.raises(ConfigurationError, match="contradicts"):
-            ForecastingConfig(model="arima", bank="sample_hold")
-
-    def test_bank_requirement_fails_without_vectorized_bank(self):
-        with pytest.raises(ConfigurationError, match="no vectorized"):
-            ForecastingConfig(model="arima", bank="arima")
 
     def test_custom_factory_forces_object_bank(self):
         config = ForecastingConfig(model="sample_hold")
@@ -343,37 +334,84 @@ class TestResolution:
         )
         assert isinstance(bank, ObjectBank)
 
-    def test_custom_factory_with_required_vectorized_bank_rejected(self):
-        # bank == model means "require the vectorized path"; a custom
-        # factory cannot satisfy that, so it must not silently fall
-        # back to the object path.
-        config = ForecastingConfig(model="ar", bank="ar")
-        with pytest.raises(ConfigurationError, match="vectorized path"):
-            resolve_bank(
-                config,
-                num_clusters=2,
-                dim=1,
-                factory=lambda cluster, group: SampleHoldForecaster(),
-            )
-
-    def test_unknown_bank_rejected_by_config(self):
-        with pytest.raises(ConfigurationError, match="contradicts model"):
-            ForecastingConfig(bank="nope")
-
-    def test_bank_round_trips_through_dict(self):
-        config = PipelineConfig(
-            forecasting=ForecastingConfig(model="ar", bank="object")
-        )
-        rebuilt = PipelineConfig.from_dict(config.to_dict())
-        assert rebuilt.forecasting.bank == "object"
-
     def test_expected_banks_registered(self):
         for name in ("sample_hold", "mean", "ses", "ar"):
             assert name in FORECASTER_BANKS
 
+    def test_config_accepts_every_registered_model(self):
+        for name in FORECASTERS.available() + FORECASTER_BANKS.available():
+            assert ForecastingConfig(model=name).model == name
+
+    def test_unknown_model_lists_both_registries(self):
+        with pytest.raises(ConfigurationError) as excinfo:
+            ForecastingConfig(model="sample_hld")
+        message = str(excinfo.value)
+        assert "did you mean 'sample_hold'" in message
+        assert message.split("available: ")[1].split(", ") == sorted(
+            FORECASTERS.available() + FORECASTER_BANKS.available()
+        )
+
+    # Configs written before ``ForecastingConfig.bank`` was removed:
+    # ``from_dict`` drops a ``bank`` that names the path the model runs
+    # today and rejects any other.
+    @pytest.mark.parametrize(
+        "model, bank",
+        [("sample_hold", "auto"), ("ar", "auto"), ("arima", "auto"),
+         ("sample_hold", "sample_hold"), ("ses", "ses"),
+         ("arima", "object"), ("lstm", "object")],
+    )
+    def test_values_naming_todays_path_load(self, model, bank):
+        loaded = PipelineConfig.from_dict(
+            legacy_config(model=model, bank=bank)
+        )
+        assert loaded == PipelineConfig(
+            forecasting=ForecastingConfig(model=model)
+        )
+        assert "bank" not in loaded.to_dict()["forecasting"]
+
+    def test_object_bank_for_a_banked_model_rejected(self):
+        # Such a checkpoint holds ObjectBank state, which the bank the
+        # model runs through today cannot restore.
+        for model in ("sample_hold", "mean", "ses", "ar"):
+            with pytest.raises(
+                ConfigurationError, match="forecaster_factory"
+            ):
+                PipelineConfig.from_dict(
+                    legacy_config(model=model, bank="object")
+                )
+
+    def test_bank_requiring_vectorized_path(self):
+        loaded = PipelineConfig.from_dict(
+            legacy_config(model="ar", bank="ar")
+        )
+        bank = resolve_bank(loaded.forecasting, num_clusters=2, dim=1)
+        assert isinstance(bank, YuleWalkerBank)
+
+    def test_bank_contradicting_model_rejected(self):
+        with pytest.raises(ConfigurationError, match="bank='sample_hold'"):
+            PipelineConfig.from_dict(
+                legacy_config(model="arima", bank="sample_hold")
+            )
+
+    def test_bank_requirement_fails_without_vectorized_bank(self):
+        with pytest.raises(ConfigurationError, match="bank='arima'"):
+            PipelineConfig.from_dict(
+                legacy_config(model="arima", bank="arima")
+            )
+
+    def test_unknown_bank_rejected_by_config(self):
+        with pytest.raises(ConfigurationError, match="bank='nope'"):
+            PipelineConfig.from_dict(
+                legacy_config(model="sample_hold", bank="nope")
+            )
+
+    def test_bank_is_not_a_field(self):
+        with pytest.raises(TypeError):
+            ForecastingConfig(bank="auto")
+
 
 class TestEngineUnchanged:
-    """Bank choice never changes Engine.run numbers."""
+    """The per-series oracles behind ObjectBank give the banks' numbers."""
 
     @pytest.mark.parametrize("model", ["sample_hold", "mean", "ses", "ar"])
     def test_run_identical_auto_vs_object(self, model):
@@ -383,20 +421,20 @@ class TestEngineUnchanged:
         trace = np.clip(
             0.5 + np.cumsum(rng.normal(0, 0.02, (60, 6, 2)), axis=0), 0, 1
         )
-        results = {}
-        for bank in ("auto", "object"):
-            config = PipelineConfig(
-                clustering=ClusteringConfig(num_clusters=2, seed=0),
-                forecasting=ForecastingConfig(
-                    model=model,
-                    bank=bank,
-                    max_horizon=2,
-                    initial_collection=20,
-                    retrain_interval=20,
-                ),
-            )
-            results[bank] = Engine(config).run(trace)
-        auto, obj = results["auto"], results["object"]
+        config = PipelineConfig(
+            clustering=ClusteringConfig(num_clusters=2, seed=0),
+            forecasting=ForecastingConfig(
+                model=model,
+                max_horizon=2,
+                initial_collection=20,
+                retrain_interval=20,
+            ),
+        )
+        auto = Engine(config).run(trace)
+        obj = Engine(
+            config, forecaster_factory=oracle_factory(config.forecasting)
+        ).run(trace)
+        assert (auto.bank, obj.bank) == (model, "object")
         assert auto.rmse_by_horizon == obj.rmse_by_horizon
         assert auto.intermediate_rmse == obj.intermediate_rmse
 

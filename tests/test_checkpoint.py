@@ -34,6 +34,12 @@ from hypothesis import strategies as st
 
 import repro
 import repro.checkpoint as checkpoint_module
+from forecaster_oracle import (
+    MeanForecaster,
+    SimpleExponentialSmoothing,
+    YuleWalkerAR,
+    oracle_factory,
+)
 from repro.api import Engine
 from repro.checkpoint import (
     _NPY_DTYPES,
@@ -58,9 +64,10 @@ from repro.forecasting.base import Forecaster
 
 FORMAT1 = Path(__file__).parent / "data" / "format1"
 POLICIES = ("adaptive", "uniform", "deadband", "perfect")
-#: (model, bank) pairs covering every vectorized bank plus the object
-#: bank adapter (sample_hold forced through ObjectBank, and holt which
-#: has no vectorized bank at all).
+#: (model, path) pairs covering every vectorized bank plus the object
+#: bank adapter ("object": sample_hold's per-series oracle passed as the
+#: forecaster_factory, so it runs behind ObjectBank; and holt, which has
+#: no vectorized bank at all).
 BANKS = (
     ("sample_hold", "auto"),
     ("mean", "auto"),
@@ -71,18 +78,24 @@ BANKS = (
 )
 
 
-def config(model="sample_hold", bank="auto", initial=12, horizon=2):
+def config(model="sample_hold", initial=12, horizon=2):
     return PipelineConfig(
         transmission=TransmissionConfig(budget=0.3),
         clustering=ClusteringConfig(num_clusters=2, seed=0),
         forecasting=ForecastingConfig(
             model=model,
-            bank=bank,
             max_horizon=horizon,
             initial_collection=initial,
             retrain_interval=initial,
         ),
     )
+
+
+def bank_kwargs(cfg, bank):
+    """Engine keywords running ``cfg``'s model on the ``BANKS`` path."""
+    if bank == "object":
+        return {"forecaster_factory": oracle_factory(cfg.forecasting)}
+    return {}
 
 
 def walk_trace(steps=36, nodes=6, seed=0):
@@ -189,9 +202,11 @@ class TestRoundTripBitIdentity:
     @settings(max_examples=4, deadline=None)
     def test_every_bank(self, model, bank, tmp_path_factory, seed, cut):
         tmp_path = tmp_path_factory.mktemp("ck")
-        cfg = config(model=model, bank=bank)
+        cfg = config(model=model)
         trace = walk_trace(seed=seed)
-        roundtrip_is_bit_identical(cfg, trace, cut, tmp_path)
+        roundtrip_is_bit_identical(
+            cfg, trace, cut, tmp_path, **bank_kwargs(cfg, bank)
+        )
 
     def test_object_loop_session_roundtrip(self, tmp_path):
         """Archives written by 1.x sessions carry slot-path flags and,
@@ -396,13 +411,9 @@ class TestScalarForecasterProtocol:
         self.roundtrip(SampleHoldForecaster)
 
     def test_mean(self):
-        from repro.forecasting.sample_hold import MeanForecaster
-
         self.roundtrip(MeanForecaster)
 
     def test_ses(self):
-        from repro.forecasting.exponential import SimpleExponentialSmoothing
-
         self.roundtrip(SimpleExponentialSmoothing)
 
     def test_holt(self):
@@ -416,8 +427,6 @@ class TestScalarForecasterProtocol:
         self.roundtrip(lambda: HoltWinters(period=12))
 
     def test_yule_walker(self):
-        from repro.forecasting.yule_walker import YuleWalkerAR
-
         self.roundtrip(lambda: YuleWalkerAR(order=2))
 
     def test_auto_arima(self):
@@ -621,7 +630,8 @@ class TestOnePassWriter:
 
     @pytest.mark.parametrize("model,bank", BANKS)
     def test_sessions_of_every_bank(self, model, bank, tmp_path):
-        session = Engine(config(model=model, bank=bank)).session(6, 1)
+        cfg = config(model=model)
+        session = Engine(cfg, **bank_kwargs(cfg, bank)).session(6, 1)
         for row in walk_trace(steps=30, seed=37):
             session.ingest(row)
         self.saved_both_ways(session.snapshot(), tmp_path)

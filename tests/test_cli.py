@@ -3,6 +3,8 @@
 import json
 import zipfile
 
+import pytest
+
 from repro.cli import main
 from repro.core.config import PipelineConfig
 
@@ -64,6 +66,32 @@ class TestCli:
         assert "RMSE(h=0)" in out
         assert "timings" in out
         assert "model=sample_hold" in out
+
+    def test_run_config_collects_with_the_policy(self, capsys, tmp_path):
+        config = PipelineConfig.small(
+            initial_collection=30, retrain_interval=30, max_horizon=2
+        )
+        path = tmp_path / "config.json"
+        path.write_text(json.dumps(config.to_dict()))
+        for policy in ("uniform", "perfect"):
+            code = main([
+                "run", "--config", str(path), "--nodes", "8",
+                "--steps", "60", "--policy", policy,
+            ])
+            assert code == 0
+            out = capsys.readouterr().out
+            assert f"collection={policy} " in out
+        assert "RMSE(h=0) = 0.0000" in out
+
+    def test_policy_with_experiments_rejected(self, capsys):
+        assert main(["run", "fig3", "--policy", "uniform"]) == 2
+        assert "--policy only applies" in capsys.readouterr().err
+
+    def test_collection_option_removed(self, capsys):
+        with pytest.raises(SystemExit) as excinfo:
+            main(["run", "fig3", "--collection", "uniform"])
+        assert excinfo.value.code == 2
+        assert "--collection" in capsys.readouterr().err
 
     def test_run_config_missing_file(self, capsys, tmp_path):
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2

@@ -41,7 +41,6 @@ class TestClusteringConfig:
         assert config.num_clusters == 3
         assert config.history_depth == 1
         assert config.similarity == "intersection"
-        assert config.window == 1
         assert config.scalar_per_resource is True
 
     def test_invalid_num_clusters(self):
@@ -57,8 +56,19 @@ class TestClusteringConfig:
             ClusteringConfig(history_depth=0)
 
     def test_invalid_window(self):
-        with pytest.raises(ConfigurationError):
-            ClusteringConfig(window=0)
+        # ``window`` was accepted and checkpointed but never read, so it
+        # is gone.  Configs written before carry ``window: 1`` (every
+        # golden archive does), which loads; any other value never took
+        # effect, so it raises.
+        legacy = PipelineConfig().to_dict()
+        legacy["clustering"]["window"] = 1
+        assert PipelineConfig.from_dict(legacy) == PipelineConfig()
+        for window in (0, 5, 30):
+            legacy["clustering"]["window"] = window
+            with pytest.raises(ConfigurationError, match="never took"):
+                PipelineConfig.from_dict(legacy)
+        with pytest.raises(TypeError):
+            ClusteringConfig(window=1)
 
     def test_jaccard_accepted(self):
         assert ClusteringConfig(similarity="jaccard").similarity == "jaccard"

@@ -9,7 +9,7 @@ changes any engine's semantics relative to the others fails here.
 The vectorized hot-path kernels (K-means, α-clipped offsets,
 contingency-based similarity re-indexing, membership forecasting) are
 additionally pinned **bit-identical** to the earlier implementations
-kept in `repro.reference_impl`, on randomized inputs.
+kept in `tests/reference_impl.py`, on randomized inputs.
 """
 
 import numpy as np
@@ -22,6 +22,14 @@ from collection_oracle import (
     CollectionSimulation,
     UniformTransmissionPolicy,
     assert_same_columns,
+)
+from reference_impl import (
+    _kmeans_plus_plus_init,
+    alpha_clip_reference,
+    estimate_offsets_reference,
+    forecast_membership_reference,
+    kmeans_reference,
+    reindex_weights_reference,
 )
 from repro.api import Engine
 from repro.clustering.kmeans import (
@@ -47,14 +55,6 @@ from repro.forecasting.offsets import (
     alpha_clip,
     alpha_clip_batch,
     estimate_offsets,
-)
-from repro.reference_impl import (
-    _kmeans_plus_plus_init,
-    alpha_clip_reference,
-    estimate_offsets_reference,
-    forecast_membership_reference,
-    kmeans_reference,
-    reindex_weights_reference,
 )
 from repro.simulation.collection import (
     simulate_adaptive_collection,
@@ -729,7 +729,7 @@ class TestBatchedCollectionEquivalence:
     @given(st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
     def test_staggered_uniform_backend_matches_oracle(self, seed):
-        # The staggered backend is what Engine(collection="uniform") and
+        # The staggered backend is what Engine(policy="uniform").run and
         # Fig. 4 run: node i starts its accumulator at the i-th draw of
         # the seeded phase generator.
         trace = walk_trace(steps=60, nodes=6, seed=seed)

@@ -1,4 +1,8 @@
-"""Tests for exponential-smoothing forecasters and Yule–Walker AR."""
+"""Tests for exponential-smoothing forecasters and Yule–Walker AR.
+
+SES and AR run through their banks in the engine; their per-series
+forms live in ``forecaster_oracle``.
+"""
 
 from unittest import mock
 
@@ -9,14 +13,19 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy import optimize
 
+from forecaster_oracle import (
+    SimpleExponentialSmoothing,
+    YuleWalkerAR,
+    fit_yule_walker,
+)
 from repro.exceptions import ConfigurationError, DataError
+from repro.forecasting import exponential
 from repro.forecasting.exponential import (
     HoltLinear,
     HoltWinters,
-    SimpleExponentialSmoothing,
     fit_ses_alpha,
+    ses_sse,
 )
-from repro.forecasting.yule_walker import YuleWalkerAR, fit_yule_walker
 
 
 class TestSimpleExponentialSmoothing:
@@ -56,7 +65,7 @@ class TestSimpleExponentialSmoothing:
 def scipy_ses_alpha(series):
     """The oracle: the SES weight as scipy's bounded minimizer finds it."""
     result = optimize.minimize_scalar(
-        lambda a: SimpleExponentialSmoothing._sse(a, series),
+        lambda a: exponential.ses_sse(a, series),
         bounds=(1e-4, 1.0),
         method="bounded",
     )
@@ -66,16 +75,13 @@ def scipy_ses_alpha(series):
 def evaluations(fit, series):
     """Every alpha at which ``fit`` evaluates the SES objective on
     ``series``, as (type, bits), and the bits of the alpha it returns."""
-    sse = SimpleExponentialSmoothing._sse
     seen = []
 
     def recording(alpha, values):
         seen.append((type(alpha), float(alpha).hex()))
-        return sse(alpha, values)
+        return ses_sse(alpha, values)
 
-    with mock.patch.object(
-        SimpleExponentialSmoothing, "_sse", staticmethod(recording)
-    ):
+    with mock.patch.object(exponential, "ses_sse", recording):
         alpha = fit(series)
     return seen, alpha.hex()
 

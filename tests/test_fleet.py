@@ -316,7 +316,7 @@ class TestChannelEdgeCases:
         )
 
     def test_zero_message_slot(self):
-        channel = Channel()
+        channel = Channel(np.zeros(3, dtype=np.int64))
         counts = self._deliver(channel, [], 3)
         np.testing.assert_array_equal(counts, [0, 0, 0])
         assert channel.stats.messages == 0
@@ -325,7 +325,7 @@ class TestChannelEdgeCases:
         assert dict(channel.stats.per_node_messages) == {}
 
     def test_payload_bytes_custom_width(self):
-        channel = Channel()
+        channel = Channel(np.zeros(2, dtype=np.int64))
         self._deliver(channel, [0, 1], 2, dim=3)
         assert channel.stats.payload_floats == 6
         assert channel.stats.payload_bytes() == 48          # 8 bytes/float
@@ -333,7 +333,7 @@ class TestChannelEdgeCases:
         assert channel.stats.payload_bytes(bytes_per_float=2) == 12
 
     def test_per_node_counts_after_silence(self):
-        channel = Channel()
+        channel = Channel(np.zeros(2, dtype=np.int64))
         for _ in range(3):
             self._deliver(channel, [0], 2)
         # Node 0 goes silent; node 1 speaks once.
@@ -344,7 +344,7 @@ class TestChannelEdgeCases:
         assert channel.stats.messages == 4
 
     def test_per_node_view_mapping_semantics(self):
-        channel = Channel()
+        channel = Channel(np.zeros(3, dtype=np.int64))
         self._deliver(channel, [2], 3)
         view = channel.stats.per_node_messages
         assert isinstance(view, PerNodeMessages)
@@ -364,7 +364,7 @@ class TestChannelEdgeCases:
     def test_counters_advance_only_in_channel(self):
         # The public counters are read-only: a second accounting site
         # (the historical double-counting risk) is an AttributeError.
-        stats = Channel().stats
+        stats = Channel(np.zeros(1, dtype=np.int64)).stats
         with pytest.raises(AttributeError):
             stats.messages = 5
         with pytest.raises(AttributeError):
@@ -372,22 +372,23 @@ class TestChannelEdgeCases:
         with pytest.raises(AttributeError):
             stats.per_node_messages = {}
 
-    def test_growable_counts_for_unbounded_node_ids(self):
-        channel = Channel()
-        self._deliver(channel, [1000], 1001)
-        assert channel.stats.per_node_messages == {1000: 1}
-
     def test_per_node_view_is_live_across_growth(self):
         # Like the dict it replaces, the mapping is a live reference:
-        # counts delivered after the view was taken — even ones that
-        # force the backing array to be reallocated — must show through.
-        channel = Channel()
+        # counts delivered after the view was taken — even after fleet
+        # growth reallocates the column the stats adopt — show through.
+        fleet = FleetState(1, 1)
+        channel = Channel(fleet.message_counts)
         self._deliver(channel, [0], 1)
         view = channel.stats.per_node_messages
-        self._deliver(channel, [500], 501)  # grows the array
+        fleet.grow(500)  # reallocates message_counts
+        channel.stats.adopt_column(fleet.message_counts)
+        self._deliver(channel, [500], 501)
         self._deliver(channel, [0], 501)
         assert view[500] == 1
         assert view == {0: 2, 500: 1}
+        np.testing.assert_array_equal(
+            fleet.message_counts[[0, 500]], [2, 1]
+        )
 
     def test_fleet_backed_counts_reject_foreign_nodes(self):
         fleet = FleetState(2, 1)
@@ -400,7 +401,7 @@ class TestChannelEdgeCases:
     def test_count_column_matches_per_slot_deliveries(self):
         # Engine.run derives its stats from per-node counts; they must
         # agree with counting each slot's deliveries, as a session does.
-        channel = Channel()
+        channel = Channel(np.zeros(3, dtype=np.int64))
         for ids in ([0, 2], [0], [0], [0]):
             self._deliver(channel, ids, 3, dim=2)
         counted = TransportStats.from_node_counts(

@@ -6,13 +6,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from forecaster_oracle import MeanForecaster
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.forecasting.membership import (
     forecast_membership,
     membership_stability,
 )
 from repro.forecasting.offsets import alpha_clip, estimate_offsets
-from repro.forecasting.sample_hold import MeanForecaster, SampleHoldForecaster
+from repro.forecasting.sample_hold import SampleHoldForecaster
 
 
 class TestSampleHold:

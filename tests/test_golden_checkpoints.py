@@ -19,6 +19,7 @@ import pytest
 import repro.forecasting.bank
 from repro.api import Engine
 from repro.checkpoint import as_checkpoint
+from repro.exceptions import CheckpointError
 from repro.scenarios import run_scenario
 
 DATA = Path(__file__).parent / "data"
@@ -82,6 +83,26 @@ def test_session_archive_resumes_bit_identically(
         assert ses_fits
     else:
         assert not ses_fits
+
+
+@pytest.mark.parametrize("section,option,value", [
+    ("forecasting", "bank", "object"),
+    ("clustering", "window", 5),
+])
+def test_removed_option_with_another_value_does_not_resume(
+    section, option, value
+):
+    # Every golden config carries ``bank: "auto"`` and ``window: 1``,
+    # written before both options were removed; those values load.  Any
+    # other asks for a run this build no longer has.
+    checkpoint = as_checkpoint(FORMAT2 / "adaptive.ckpt")
+    engine = Engine.from_config(
+        checkpoint.config, policy=checkpoint.session["policy"]
+    )
+    assert checkpoint.config[section][option] in ("auto", 1)
+    checkpoint.config[section][option] = value
+    with pytest.raises(CheckpointError, match=f"{option}={value!r}"):
+        engine.resume(checkpoint)
 
 
 def test_format1_archive_restores_only_the_label_window():

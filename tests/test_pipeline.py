@@ -54,8 +54,11 @@ def grouped_trace(steps=80, seed=0):
 
 class TestDefaultForecasterFactory:
     def test_sample_hold(self):
+        # sample_hold runs through its bank, so FORECASTERS holds no
+        # builder for it.
         factory = default_forecaster_factory(ForecastingConfig())
-        assert isinstance(factory(0, 0), SampleHoldForecaster)
+        with pytest.raises(ConfigurationError, match="unknown forecaster"):
+            factory(0, 0)
 
     def test_arima(self):
         factory = default_forecaster_factory(
@@ -178,18 +181,18 @@ class TestRunPipeline:
 
     def test_uniform_collection_mode(self):
         trace = grouped_trace()
-        result = Engine(small_config(), collection="uniform").run(trace)
+        result = Engine(small_config(), policy="uniform").run(trace)
         assert 0 in result.rmse_by_horizon
 
     def test_perfect_collection_mode(self):
         trace = grouped_trace()
-        result = Engine(small_config(), collection="perfect").run(trace)
+        result = Engine(small_config(), policy="perfect").run(trace)
         assert result.decisions.all()
         assert result.rmse_by_horizon[0] == 0.0
 
     def test_unknown_collection_mode(self):
         with pytest.raises(ConfigurationError):
-            Engine(small_config(), collection="xyz")
+            Engine(small_config(), policy="xyz")
 
     def test_horizon_subset(self):
         trace = grouped_trace()

@@ -348,7 +348,7 @@ class TestRecordDeliveries:
     def test_counts_match_count_column_stats(self):
         # The session counts through record_deliveries, Engine.run
         # through a count column: the two must agree.
-        channel = Channel()
+        channel = Channel(np.zeros(6, dtype=np.int64))
         ids = np.asarray([0, 2, 5])
         counts = channel.record_deliveries(
             ids, num_nodes=6, floats_per_message=3
@@ -363,7 +363,7 @@ class TestRecordDeliveries:
         assert channel.stats.per_node_messages == column.per_node_messages
 
     def test_empty_delivery(self):
-        channel = Channel()
+        channel = Channel(np.zeros(4, dtype=np.int64))
         counts = channel.record_deliveries(
             np.empty(0, dtype=np.int64), num_nodes=4, floats_per_message=2
         )
@@ -721,7 +721,7 @@ class TestHarness:
             num_nodes=spec.total_nodes, num_steps=spec.num_steps
         ).resource(spec.resource)
         result = Engine(
-            spec.pipeline_config, collection=spec.policy
+            spec.pipeline_config, policy=spec.policy
         ).run(trace)
         horizons = [h for h in result.rmse_by_horizon if h >= 1]
         assert sorted(report.rmse_by_horizon) == horizons

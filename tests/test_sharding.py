@@ -43,8 +43,8 @@ class TestShardedEquivalence:
     def test_bit_identical_to_single_shard(self, backend, shards):
         trace = walk_trace(seed=3)
         cfg = small_config()
-        single = Engine(cfg, collection=backend).run(trace)
-        sharded = Engine(cfg, collection=backend).run(trace, shards=shards)
+        single = Engine(cfg, policy=backend).run(trace)
+        sharded = Engine(cfg, policy=backend).run(trace, shards=shards)
         np.testing.assert_array_equal(single.stored, sharded.stored)
         np.testing.assert_array_equal(single.decisions, sharded.decisions)
         assert single.rmse_by_horizon == sharded.rmse_by_horizon
@@ -78,8 +78,8 @@ class TestShardedEquivalence:
     def test_workers_never_change_a_bit(self, workers, backend, dtype):
         trace = walk_trace(seed=19)
         cfg = small_config(dtype=dtype)
-        single = Engine(cfg, collection=backend).run(trace)
-        sharded = Engine(cfg, collection=backend).run(
+        single = Engine(cfg, policy=backend).run(trace)
+        sharded = Engine(cfg, policy=backend).run(
             trace, shards=5, workers=workers
         )
         assert sharded.stored.dtype == np.dtype(dtype)

@@ -64,7 +64,7 @@ class TestLocalNode:
 
 class TestChannel:
     def test_counts_messages_and_payload(self):
-        channel = Channel()
+        channel = Channel(np.zeros(2, dtype=np.int64))
         channel.record_deliveries(np.array([0, 1]), 2, 2)
         channel.record_deliveries(np.array([0]), 2, 2)
         assert channel.stats.messages == 3
@@ -73,7 +73,7 @@ class TestChannel:
         assert channel.stats.payload_bytes() == 48
 
     def test_drain_empties_inbox(self):
-        channel = MessageChannel()
+        channel = MessageChannel(np.zeros(1, dtype=np.int64))
         channel.send(Measurement(node=0, time=0, value=np.zeros(1)))
         assert channel.pending == 1
         drained = channel.drain()

@@ -94,6 +94,42 @@ LEDGER: Tuple[Mutant, ...] = (
             "test_adaptive_backend_matches_oracle",
         ),
     ),
+    # Configs written before ForecastingConfig.bank and
+    # ClusteringConfig.window were removed load only with a value that
+    # describes what runs today.
+    Mutant(
+        name="from-dict-drops-any-bank",
+        path="src/repro/core/config.py",
+        old='        if bank not in ("auto", runs):\n',
+        new="        if False:\n",
+        tests=(
+            "tests/test_banks.py::TestResolution::"
+            "test_object_bank_for_a_banked_model_rejected",
+        ),
+    ),
+    Mutant(
+        name="from-dict-drops-any-window",
+        path="src/repro/core/config.py",
+        old="        if window != 1:\n",
+        new="        if False:\n",
+        tests=(
+            "tests/test_core_config.py::TestClusteringConfig::"
+            "test_invalid_window",
+        ),
+    ),
+    Mutant(
+        name="registered-bank-overrides-factory",
+        path="src/repro/forecasting/bank.py",
+        old="    if factory is not None:\n",
+        new=(
+            "    if factory is not None and "
+            "config.model not in FORECASTER_BANKS:\n"
+        ),
+        tests=(
+            "tests/test_banks.py::TestResolution::"
+            "test_custom_factory_forces_object_bank",
+        ),
+    ),
     # One mutant per bug class the linter (tools/repro_lint) exists
     # for, each killed by the lint test over the shipped tree.
     Mutant(

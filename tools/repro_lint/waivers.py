@@ -108,9 +108,10 @@ class WaiverReasonRule(LintRule):
         "inline waivers must carry a reason: # repro: noqa RULE-ID(why)"
     )
 
-    def check_module(self, context: LintContext, info: ModuleInfo):
-        _, problems = parse_waivers(info)
-        for problem in problems:
+    def check(self, context: LintContext):
+        # The runner parses every module's waivers once, before any rule
+        # runs (collect_waivers); the malformed ones wait on the context.
+        for problem in context.waiver_problems:
             yield Finding(
                 path=problem.rel_path,
                 line=problem.lineno,
