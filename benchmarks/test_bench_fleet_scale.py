@@ -95,26 +95,22 @@ def test_bench_fleet_scale(record_result):
             lambda: collect(trace, config), repeats=repeats
         )
 
-        sharded_s, sharded = _timeit(
+        sharded_s, (stored, decisions) = _timeit(
             lambda: engine._collect_sharded(data, SHARDS, None),
             repeats=repeats,
         )
-        np.testing.assert_array_equal(
-            columnar.decisions, sharded[0].decisions
-        )
-        np.testing.assert_array_equal(columnar.stored, sharded[0].stored)
+        np.testing.assert_array_equal(columnar.decisions, decisions)
+        np.testing.assert_array_equal(columnar.stored, stored)
 
         # Worker threads (pool startup included — that's the real cost
         # an Engine.run caller pays).
-        threads_s, threaded = _timeit(
+        threads_s, (stored, decisions) = _timeit(
             lambda: engine._collect_sharded(data, SHARDS, WORKERS),
             repeats=repeats,
         )
-        assert threaded[0].decisions.dtype == columnar.decisions.dtype
-        np.testing.assert_array_equal(
-            columnar.decisions, threaded[0].decisions
-        )
-        np.testing.assert_array_equal(columnar.stored, threaded[0].stored)
+        assert decisions.dtype == columnar.decisions.dtype
+        np.testing.assert_array_equal(columnar.decisions, decisions)
+        np.testing.assert_array_equal(columnar.stored, stored)
 
         if num_nodes <= OBJECT_LOOP_MAX_N:
 

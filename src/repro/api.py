@@ -65,9 +65,8 @@ from repro.core.pipeline import (
 from repro.core.types import validate_trace
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.forecasting.bank import ObjectBank
-from repro.registry import COLLECTION_BACKENDS, SLOT_KERNELS
+from repro.registry import SLOT_KERNELS
 from repro.session import StreamSession
-from repro.simulation.collection import CollectionResult
 from repro.simulation.fleet import FleetState, shard_slices
 from repro.simulation.shard_pool import ShardPool
 from repro.simulation.transport import TransportStats
@@ -78,10 +77,8 @@ class RunResult(PipelineResult):
     """A :class:`~repro.core.pipeline.PipelineResult` plus provenance.
 
     Attributes (beyond the inherited metrics):
-        transport: Message/byte counters — the backend's own accounting
-            when it produces one, otherwise derived from the decision
-            matrix over the fleet's counter column (so batch runs always
-            carry transport provenance).
+        transport: Message/byte counters over the fleet's counter
+            column, the per-node sums of the decision matrix.
         timings: Wall-clock seconds per stage: ``collection``,
             ``clustering``, ``training``, ``forecasting``, ``metrics``
             and ``total``.
@@ -333,46 +330,22 @@ class Engine:
         data: np.ndarray,
         shards: int,
         workers: Optional[int],
-    ) -> Tuple[CollectionResult, FleetState]:
+    ) -> Tuple[np.ndarray, np.ndarray]:
         """Run the collection stage over ``shards`` contiguous node
-        ranges and merge into global arrays plus a fleet snapshot.
+        ranges (one shard is one range) and merge the global
+        ``(stored, decisions)``.
 
         Every registered backend's recurrence is independent per node
         column (fleet-global state like the uniform stagger phases is
-        handled via the shard-aware kwargs), so the merged ``stored``
-        and ``decisions`` are bit-identical to a single-shard run —
-        clustering and forecasting downstream see exactly the same
-        ``z_t`` matrix.
+        handled via the shard-aware kwargs), so the merged arrays are
+        bit-identical whatever the shard count.
         """
-        num_steps, num_nodes, dim = data.shape
-        if shards == 1:
-            collected = COLLECTION_BACKENDS.create(
-                self.policy, data, self.config.transmission
-            )
-            fleet = FleetState.from_run(collected.stored, collected.decisions)
-            # Engine-level transport provenance is always derived from
-            # the decisions over the fleet's counter column — the same
-            # reduction the sharded path performs, so RunResult.transport
-            # is identical whatever the shard count (a backend's own
-            # accounting, if any, stays visible on direct backend calls).
-            collected.stats = TransportStats.from_node_counts(
-                fleet.message_counts, dim
-            )
-            return collected, fleet
-        ranges = shard_slices(num_nodes, shards)
+        ranges = shard_slices(data.shape[1], shards)
         # workers=None: the calling thread runs every shard itself.
         with ShardPool(min(workers or 1, shards)) as shard_pool:
-            stored, decisions = shard_pool.collect(
+            return shard_pool.collect(
                 self.policy, data, self.config.transmission, ranges
             )
-        fleet = FleetState.from_run(stored, decisions)
-        # Transport-stats reduction over the fleet's own counter column
-        # (shared array, not a copy).
-        stats = TransportStats.from_node_counts(fleet.message_counts, dim)
-        return (
-            CollectionResult(stored=stored, decisions=decisions, stats=stats),
-            fleet,
-        )
 
     def run(
         self,
@@ -439,11 +412,9 @@ class Engine:
             raise ConfigurationError(
                 "workers only applies to sharded runs; pass shards > 1"
             )
-        # A policy registered as a slot kernel only has no batch mode.
-        COLLECTION_BACKENDS.get(self.policy)
-
         started = time.perf_counter()
-        collected, fleet = self._collect_sharded(data, shards, workers)
+        stored, decisions = self._collect_sharded(data, shards, workers)
+        fleet = FleetState.from_run(stored, decisions)
         collection_seconds = time.perf_counter() - started
 
         pipeline = OnlinePipeline(
@@ -469,13 +440,13 @@ class Engine:
         )
         # Per-slot centroid-of-assigned-cluster estimates, accumulated so
         # the intermediate RMSE is one batched operation at the end.
-        centers_series = np.empty_like(collected.stored)
+        centers_series = np.empty_like(stored)
         groups = pipeline.groups
         forecast_start = -1
         metrics_seconds = 0.0
 
         for t in range(num_steps):
-            output = pipeline.step(collected.stored[t])
+            output = pipeline.step(stored[t])
             for g, assignment in enumerate(output.assignments):
                 centers_series[t][:, groups[g]] = assignment.centroids[
                     assignment.labels
@@ -505,12 +476,12 @@ class Engine:
         # definition exactly.
         started = time.perf_counter()
         if 0 in sq_sums:
-            errors = instantaneous_rmse_batch(collected.stored, data)
+            errors = instantaneous_rmse_batch(stored, data)
             sq_sums[0] = float(np.sum(errors**2))
             sq_counts[0] = num_steps
         group_sq = np.stack([
             instantaneous_rmse_batch(
-                centers_series[:, :, group], collected.stored[:, :, group]
+                centers_series[:, :, group], stored[:, :, group]
             )
             ** 2
             for group in groups
@@ -528,12 +499,14 @@ class Engine:
         timings["metrics"] = metrics_seconds
         timings["total"] = time.perf_counter() - run_started
         return RunResult(
-            stored=collected.stored,
-            decisions=collected.decisions,
+            stored=stored,
+            decisions=decisions,
             rmse_by_horizon=rmse_by_horizon,
             intermediate_rmse=float(np.sqrt(np.mean(intermediate_sq))),
             forecast_start=forecast_start,
-            transport=collected.stats,
+            transport=TransportStats.from_node_counts(
+                fleet.message_counts, num_resources
+            ),
             timings=timings,
             config=config,
             collection=self.policy,

@@ -302,10 +302,11 @@ def _command_run_stream(args: argparse.Namespace) -> int:
     print(
         f"stream session: {num_nodes} nodes, slots {start}..{num_steps - 1}"
     )
+    stats = session.transport_stats
     print(
         f"transmission frequency: {session.empirical_frequency:.3f} "
-        f"({session.transport_stats.messages} messages, "
-        f"{session.transport_stats.payload_bytes()} payload bytes)"
+        f"({stats.messages} messages, "
+        f"{stats.payload_bytes(session.fleet.dtype.itemsize)} payload bytes)"
     )
     if session.late_applied or session.late_dropped:
         print(

@@ -15,11 +15,8 @@ from repro.clustering.matching import (
 from repro.clustering.minimum_distance import MinimumDistanceClustering
 from repro.clustering.similarity import (
     intersection_similarity_from_labels,
-    intersection_similarity_matrix,
     jaccard_similarity_from_labels,
-    jaccard_similarity_matrix,
     persistent_labels,
-    similarity_matrix,
     similarity_matrix_from_labels,
 )
 from repro.clustering.static import StaticClustering
@@ -35,11 +32,8 @@ __all__ = [
     "minimum_cost_assignment",
     "MinimumDistanceClustering",
     "intersection_similarity_from_labels",
-    "intersection_similarity_matrix",
     "jaccard_similarity_from_labels",
-    "jaccard_similarity_matrix",
     "persistent_labels",
-    "similarity_matrix",
     "similarity_matrix_from_labels",
     "StaticClustering",
     "WindowedFeatureBuilder",

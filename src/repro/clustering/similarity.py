@@ -9,135 +9,22 @@ the last ``M`` steps:
 A normalized Jaccard-index variant (used by Greene et al. for community
 matching, and compared against in Fig. 11) is also provided.
 
-Two equivalent formulations exist side by side:
-
-* the set-based functions (:func:`intersection_similarity_matrix`,
-  :func:`jaccard_similarity_matrix`) operate on explicit node-id sets —
-  the direct transcription of Eq. 10, kept as the readable reference;
-* the label-based functions (:func:`similarity_matrix_from_labels` and
-  friends) operate on ``(N,)`` label arrays and build the full ``(K, K)``
-  contingency through one :func:`numpy.bincount` — no per-node Python
-  work, which is what the per-slot re-indexing of a fleet-scale tracker
-  uses.  Property tests pin both formulations bit-identical.
+Both operate on ``(N,)`` label arrays and build the full ``(K, K)``
+contingency through one :func:`numpy.bincount`, with no per-node Python
+work, which is what the per-slot re-indexing of a fleet-scale tracker
+uses.  The test suite keeps the direct transcription of Eq. 10 on
+explicit node-id sets (``tests/reference_impl.py``) and pins these
+functions bit-identical to it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Sequence, Set, Tuple
+from typing import Sequence, Tuple
 
 import numpy as np
 
 from repro.exceptions import ConfigurationError, DataError
 from repro.registry import SIMILARITY_MEASURES, register_similarity
-
-
-def history_intersection(history: Sequence[Sequence[Set[int]]], cluster: int) -> Set[int]:
-    """Intersect cluster ``cluster`` across all partitions in ``history``.
-
-    Args:
-        history: The most recent partitions, ordered oldest → newest; each
-            partition is a sequence of node-id sets indexed by cluster id.
-        cluster: Historical cluster index ``j``.
-
-    Returns:
-        ``⋂_m history[m][cluster]`` — nodes that stayed in cluster ``j``
-        through every remembered step.
-    """
-    if not history:
-        raise DataError("history must contain at least one partition")
-    result = set(history[0][cluster])
-    for partition in history[1:]:
-        result &= partition[cluster]
-    return result
-
-
-def intersection_similarity_matrix(
-    new_clusters: Sequence[Set[int]],
-    history: Sequence[Sequence[Set[int]]],
-) -> np.ndarray:
-    """Build the paper's similarity matrix ``w`` (Eq. 10).
-
-    Args:
-        new_clusters: The K clusters from this step's K-means run,
-            indexed by ``k``.
-        history: Up to ``M`` previous (re-indexed) partitions, oldest
-            first; each partition is indexed by the historical id ``j``.
-
-    Returns:
-        Matrix of shape ``(K, K)`` with ``w[k, j]``.
-    """
-    num_clusters = len(new_clusters)
-    if any(len(p) != num_clusters for p in history):
-        raise DataError("all partitions must have the same number of clusters")
-    weights = np.zeros((num_clusters, num_clusters))
-    persistent = [
-        history_intersection(history, j) for j in range(num_clusters)
-    ]
-    for k, new in enumerate(new_clusters):
-        new_set = set(new)
-        for j in range(num_clusters):
-            weights[k, j] = len(new_set & persistent[j])
-    return weights
-
-
-def jaccard_similarity_matrix(
-    new_clusters: Sequence[Set[int]],
-    history: Sequence[Sequence[Set[int]]],
-) -> np.ndarray:
-    """Jaccard-index similarity matrix (the Fig. 11 alternative).
-
-    ``w[k, j] = |C'_k ∩ P_j| / |C'_k ∪ P_j|`` where ``P_j`` is the
-    intersection of historical cluster ``j`` over the remembered steps.
-    """
-    num_clusters = len(new_clusters)
-    if any(len(p) != num_clusters for p in history):
-        raise DataError("all partitions must have the same number of clusters")
-    weights = np.zeros((num_clusters, num_clusters))
-    persistent = [
-        history_intersection(history, j) for j in range(num_clusters)
-    ]
-    for k, new in enumerate(new_clusters):
-        new_set = set(new)
-        for j in range(num_clusters):
-            union = new_set | persistent[j]
-            if union:
-                weights[k, j] = len(new_set & persistent[j]) / len(union)
-    return weights
-
-
-@dataclass(frozen=True)
-class SimilarityMeasure:
-    """A registered cluster-similarity measure.
-
-    Both formulations of the same measure travel together so every
-    consumer (readable set-based reference, vectorized label-based hot
-    path) resolves through one registry name.
-
-    Attributes:
-        name: Registry key.
-        from_sets: ``(new_clusters, history) -> (K, K)`` on node-id sets.
-        from_labels: ``(new_labels, label_history, num_clusters) ->
-            (K, K)`` on label arrays.
-    """
-
-    name: str
-    from_sets: Callable[..., np.ndarray]
-    from_labels: Callable[..., np.ndarray]
-
-
-def similarity_matrix(
-    kind: str,
-    new_clusters: Sequence[Set[int]],
-    history: Sequence[Sequence[Set[int]]],
-) -> np.ndarray:
-    """Dispatch on a similarity name registered in SIMILARITY_MEASURES."""
-    return SIMILARITY_MEASURES.get(kind).from_sets(new_clusters, history)
-
-
-# ----------------------------------------------------------------------
-# Label-array formulation (vectorized re-indexing hot path)
-# ----------------------------------------------------------------------
 
 
 def _stack_label_history(
@@ -215,10 +102,6 @@ def intersection_similarity_from_labels(
 ) -> np.ndarray:
     """Eq. 10 similarity matrix from label arrays via one bincount.
 
-    Equivalent to building the node-id sets and calling
-    :func:`intersection_similarity_matrix`, without any per-node Python
-    work.
-
     Args:
         new_labels: This step's raw K-means labels, shape ``(N,)``.
         label_history: Up to ``M`` previous re-indexed label arrays,
@@ -291,23 +174,11 @@ def similarity_matrix_from_labels(
     label_history: Sequence[np.ndarray],
     num_clusters: int,
 ) -> np.ndarray:
-    """Label-array twin of :func:`similarity_matrix`."""
-    return SIMILARITY_MEASURES.get(kind).from_labels(
+    """Dispatch on a similarity name registered in SIMILARITY_MEASURES."""
+    return SIMILARITY_MEASURES.get(kind)(
         new_labels, label_history, num_clusters
     )
 
 
-register_similarity("intersection")(
-    SimilarityMeasure(
-        name="intersection",
-        from_sets=intersection_similarity_matrix,
-        from_labels=intersection_similarity_from_labels,
-    )
-)
-register_similarity("jaccard")(
-    SimilarityMeasure(
-        name="jaccard",
-        from_sets=jaccard_similarity_matrix,
-        from_labels=jaccard_similarity_from_labels,
-    )
-)
+register_similarity("intersection")(intersection_similarity_from_labels)
+register_similarity("jaccard")(jaccard_similarity_from_labels)

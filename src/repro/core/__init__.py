@@ -25,7 +25,6 @@ from repro.core.types import (
     ClusterAssignment,
     Forecast,
     TransmissionRecord,
-    partition_from_labels,
     validate_trace,
 )
 
@@ -48,6 +47,5 @@ __all__ = [
     "ClusterAssignment",
     "Forecast",
     "TransmissionRecord",
-    "partition_from_labels",
     "validate_trace",
 ]

@@ -10,7 +10,7 @@ using bare tuples.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Sequence
+from typing import List, Sequence
 
 import numpy as np
 
@@ -70,10 +70,6 @@ class ClusterAssignment:
     def members(self, cluster: ClusterId) -> np.ndarray:
         """Return the node ids belonging to ``cluster`` (paper's C_{j,t})."""
         return np.flatnonzero(self.labels == cluster)
-
-    def member_sets(self) -> List[set]:
-        """Return the partition as a list of ``set`` objects, one per cluster."""
-        return [set(self.members(j).tolist()) for j in range(self.num_clusters)]
 
 
 @dataclass
@@ -167,20 +163,3 @@ def validate_trace(
     if not np.isfinite(arr).all():
         raise DataError("trace contains NaN or infinite values")
     return arr
-
-
-def partition_from_labels(labels: np.ndarray, num_clusters: int) -> Dict[int, set]:
-    """Convert a label array into ``{cluster_id: set(node_ids)}``.
-
-    Empty clusters are represented with empty sets so that every cluster id
-    in ``range(num_clusters)`` is a key.
-    """
-    labels = np.asarray(labels, dtype=int)
-    partition: Dict[int, set] = {j: set() for j in range(num_clusters)}
-    for node, label in enumerate(labels):
-        if label < 0 or label >= num_clusters:
-            raise DataError(
-                f"label {label} for node {node} outside [0, {num_clusters})"
-            )
-        partition[int(label)].add(node)
-    return partition

@@ -220,7 +220,6 @@ def run_ablation_deadband(
 ) -> DeadbandAblationResult:
     """Calibrate a deadband on one dataset, apply it everywhere."""
     from repro.experiments.common import load_cluster_datasets
-    from repro.transmission.deadband import simulate_deadband_collection
 
     datasets = load_cluster_datasets(num_nodes, num_steps)
     if calibration_dataset not in datasets:
@@ -234,8 +233,10 @@ def run_ablation_deadband(
     delta = 0.05
     for _ in range(40):
         delta = 0.5 * (low + high)
-        freq = simulate_deadband_collection(
-            calibration_trace, delta
+        freq = collect(
+            calibration_trace,
+            TransmissionConfig(deadband_delta=delta),
+            backend="deadband",
         ).empirical_frequency
         if freq > target:
             low = delta
@@ -246,8 +247,8 @@ def run_ablation_deadband(
     adaptive_freq: Dict[str, float] = {}
     for name, dataset in datasets.items():
         trace = dataset.resource("cpu")
-        deadband_freq[name] = simulate_deadband_collection(
-            trace, delta
+        deadband_freq[name] = collect(
+            trace, TransmissionConfig(deadband_delta=delta), backend="deadband"
         ).empirical_frequency
         adaptive_freq[name] = collect(
             trace, TransmissionConfig(budget=target)

@@ -21,8 +21,9 @@ them, so adding a backend never means editing the engine:
   transmission_config) -> CollectionResult`` (``"adaptive"``,
   ``"uniform"``, ``"perfect"``, ``"deadband"``), the batch collection of
   ``Engine(policy=name).run``;
-* :data:`SIMILARITY_MEASURES` — :class:`~repro.clustering.similarity.
-  SimilarityMeasure` instances (``"intersection"``, ``"jaccard"``).
+* :data:`SIMILARITY_MEASURES` — label functions ``(new_labels,
+  label_history, num_clusters) -> (K, K)`` weights
+  (``"intersection"``, ``"jaccard"``).
 
 Registries load lazily: the defining modules are imported on first
 lookup, so importing :mod:`repro.registry` itself is dependency-free and
@@ -198,11 +199,12 @@ SLOT_KERNELS = Registry(
 #: transmission_config) -> CollectionResult``, the collection stage of
 #: ``Engine(policy=name).run``.
 COLLECTION_BACKENDS = Registry(
-    "collection backend",
-    modules=("repro.simulation.collection", "repro.transmission.deadband"),
+    "collection backend", modules=("repro.simulation.collection",)
 )
 
-#: Similarity name → :class:`~repro.clustering.similarity.SimilarityMeasure`.
+#: Similarity name → label function ``(new_labels, label_history,
+#: num_clusters) -> (K, K)`` (see
+#: :func:`~repro.clustering.similarity.similarity_matrix_from_labels`).
 SIMILARITY_MEASURES = Registry(
     "similarity measure", modules=("repro.clustering.similarity",)
 )
@@ -273,7 +275,11 @@ def register_collection_backend(
 def register_similarity(
     name: str, *, override: bool = False
 ) -> Callable[[Any], Any]:
-    """Decorator registering a cluster-similarity measure."""
+    """Decorator registering a cluster-similarity measure.
+
+    The measure is a function ``(new_labels, label_history,
+    num_clusters) -> (K, K)`` weights, the re-indexing's Eq. 10 matrix.
+    """
     return SIMILARITY_MEASURES.register(name, override=override)
 
 

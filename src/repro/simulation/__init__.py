@@ -3,8 +3,7 @@
 from repro.simulation.collection import (
     CollectionResult,
     collect,
-    simulate_adaptive_collection,
-    simulate_uniform_collection,
+    run_slot_kernel,
 )
 from repro.simulation.fleet import FleetState, merge_collection_shards, shard_slices
 from repro.simulation.transport import Channel, PerNodeMessages, TransportStats
@@ -12,8 +11,7 @@ from repro.simulation.transport import Channel, PerNodeMessages, TransportStats
 __all__ = [
     "CollectionResult",
     "collect",
-    "simulate_adaptive_collection",
-    "simulate_uniform_collection",
+    "run_slot_kernel",
     "FleetState",
     "Channel",
     "PerNodeMessages",

@@ -109,47 +109,6 @@ class FleetState:
         return self.stored
 
     # ------------------------------------------------------------------
-    # Whole-fleet (columnar) updates
-    # ------------------------------------------------------------------
-
-    def advance_batch(
-        self, decisions: np.ndarray, final_stored: np.ndarray
-    ) -> None:
-        """Fast-forward the whole fleet past a vectorized batch run.
-
-        Advances every clock by the batch length, and sets each node
-        that transmitted to observed, with its last transmitted value
-        and the exact slot of its last transmission, recovered from the
-        decision matrix.  Message counters are *not* advanced here —
-        transport accounting stays with the channel.
-
-        Args:
-            decisions: Binary ``(T, N)`` transmission decisions of the
-                batch, aligned with each node's current clock.
-            final_stored: ``(N, d)`` stored values after the last slot.
-        """
-        decisions = np.asarray(decisions, dtype=bool)
-        num_steps, num_nodes = decisions.shape
-        if num_nodes != self.num_nodes:
-            raise SimulationError(
-                f"decisions cover {num_nodes} nodes, fleet has "
-                f"{self.num_nodes}"
-            )
-        final = np.asarray(final_stored, dtype=self.dtype)
-        if final.ndim == 1:
-            final = final[:, np.newaxis]
-        stored = self.ensure_dim(final.shape[1])
-        sent_any = decisions.any(axis=0)
-        # Index of each node's last 1 in the decision matrix.
-        last_rel = num_steps - 1 - np.argmax(decisions[::-1], axis=0)
-        self.last_update[sent_any] = (
-            self.times[sent_any] + last_rel[sent_any]
-        )
-        self.times += num_steps
-        stored[sent_any] = final[sent_any]
-        self.observed |= sent_any
-
-    # ------------------------------------------------------------------
     # Fleet churn (geometry changes)
     # ------------------------------------------------------------------
 
@@ -354,9 +313,10 @@ class FleetState:
     ) -> "FleetState":
         """Snapshot the fleet state a whole-trace collection run implies.
 
-        The message counters are the per-node decision sums (transport
-        stats then adopt this column — see
-        :meth:`TransportStats.from_node_counts
+        Clocks read the trace length, and each node that transmitted
+        holds its last value and slot.  The message counters are the
+        per-node decision sums (transport stats then adopt this column
+        — see :meth:`TransportStats.from_node_counts
         <repro.simulation.transport.TransportStats.from_node_counts>` —
         so fleet and transport stay one array).  Policy accumulators are
         not recoverable from a trace-level result (backends do not
@@ -370,7 +330,14 @@ class FleetState:
         num_steps, num_nodes, dim = stored.shape
         dtype = stored.dtype if stored.dtype.kind == "f" else np.float64
         fleet = cls(num_nodes, dim, dtype=dtype)
-        fleet.advance_batch(decisions, stored[-1])
+        sent = np.asarray(decisions, dtype=bool)
+        sent_any = sent.any(axis=0)
+        # Index of each node's last 1 in the decision matrix.
+        last = num_steps - 1 - np.argmax(sent[::-1], axis=0)
+        fleet.last_update[sent_any] = last[sent_any]
+        fleet.times.fill(num_steps)
+        fleet.stored[sent_any] = stored[-1][sent_any]
+        fleet.observed[...] = sent_any
         fleet.message_counts = decisions.sum(axis=0).astype(np.int64)
         fleet.policy_state.fill(np.nan)
         return fleet
@@ -403,7 +370,8 @@ def merge_collection_shards(
     Shards hold contiguous node ranges in order, so the merge is one
     concatenation along the node axis per array — the resulting
     ``stored`` matrix is bit-identical to a single-shard run because
-    every backend's recurrence is independent per node column.
+    every backend's recurrence is independent per node column.  A lone
+    shard's arrays are returned as they are, without a copy.
 
     Args:
         shard_results: Per-shard ``(stored, decisions)`` pairs (or
@@ -420,6 +388,8 @@ def merge_collection_shards(
             stored, decisions = result.stored, result.decisions
         stored_parts.append(stored)
         decision_parts.append(decisions)
+    if len(stored_parts) == 1:
+        return stored_parts[0], decision_parts[0]
     return (
         np.concatenate(stored_parts, axis=1),
         np.concatenate(decision_parts, axis=1),

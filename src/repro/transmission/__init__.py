@@ -8,23 +8,20 @@ ablation, and the perfect (always-transmit) reference.
 Each policy is one vectorized *slot kernel* (``*_transmit_slot``)
 evaluating one slot's decisions for a whole fleet in one array
 operation, with its per-node state in the fleet's ``policy_state``
-column.  The kernels are registered in
-:data:`repro.registry.SLOT_KERNELS`; streaming sessions call them per
-slot, and the whole-trace collection backends loop them over a trace.
+column.  Each module's ``*_slot_kernel(config)`` is registered in
+:data:`repro.registry.SLOT_KERNELS` and returns that kernel; streaming
+sessions call it per slot, and the whole-trace collection backends
+(:mod:`repro.simulation.collection`) loop it over a trace.
 """
 
 # perfect.py defines only its SLOT_KERNELS registration.
 from repro.transmission import perfect  # noqa: F401
 from repro.transmission.adaptive import adaptive_transmit_slot
-from repro.transmission.deadband import (
-    deadband_transmit_slot,
-    simulate_deadband_collection,
-)
+from repro.transmission.deadband import deadband_transmit_slot
 from repro.transmission.uniform import uniform_transmit_slot
 
 __all__ = [
     "adaptive_transmit_slot",
     "deadband_transmit_slot",
-    "simulate_deadband_collection",
     "uniform_transmit_slot",
 ]

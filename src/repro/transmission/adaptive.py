@@ -49,8 +49,7 @@ def adaptive_transmit_slot(
     like any other send.  The queue stays signed: negative values are
     credit from quiet slots, which lets the long-run frequency meet the
     budget with equality (Fig. 3) instead of quantizing to
-    ``1/ceil(1/B)``.  Shared by the whole-trace collection recurrence
-    and the streaming session's slot.
+    ``1/ceil(1/B)``.
 
     Args:
         x: Fresh measurements ``x_t``, shape ``(n, d)``.
@@ -87,7 +86,7 @@ def adaptive_transmit_slot(
 
 
 @register_slot_kernel("adaptive")
-def _adaptive_slot_kernel(config: TransmissionConfig) -> Callable:
+def adaptive_slot_kernel(config: TransmissionConfig) -> Callable:
     budget, v0, gamma = config.budget, config.v0, config.gamma
 
     def kernel(x, stored, observed, state, times):

@@ -16,7 +16,7 @@ from repro.registry import register_slot_kernel
 
 
 @register_slot_kernel("perfect")
-def _perfect_slot_kernel(config) -> Callable:
+def perfect_slot_kernel(config) -> Callable:
     def kernel(x, stored, observed, state, times):
         return np.ones(x.shape[0], dtype=bool)
 

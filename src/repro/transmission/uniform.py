@@ -25,8 +25,7 @@ def uniform_transmit_slot(
     Nodes past their forced first transmission add ``B`` to their
     accumulator and transmit when it reaches 1, which then drops by 1;
     fresh nodes transmit without touching it.  The decision ignores the
-    data, which is what Fig. 4 contrasts against.  Shared by the
-    whole-trace collection recurrence and the streaming session's slot.
+    data, which is what Fig. 4 contrasts against.
 
     Args:
         observed: Bool ``(n,)`` — False forces the initial transmission.
@@ -48,7 +47,7 @@ def uniform_transmit_slot(
 
 
 @register_slot_kernel("uniform")
-def _uniform_slot_kernel(config) -> Callable:
+def uniform_slot_kernel(config) -> Callable:
     budget = config.budget
 
     def kernel(x, stored, observed, state, times):

@@ -3,60 +3,32 @@
 The package implements each transmission policy once, as a vectorized
 slot kernel (``repro.transmission.*_transmit_slot``): a streaming
 session calls it per slot through ``SLOT_KERNELS`` and the whole-trace
-backends loop it over a trace.  This module keeps the paper's system
-(Sec. IV-V) as plain objects instead: one :class:`TransmissionPolicy`
-per node deciding through :meth:`LocalNode.observe`, each transmission
-a :class:`Measurement` crossing a :class:`MessageChannel`, and a
+backends loop it over a trace (``run_slot_kernel``).  This module keeps
+the paper's system (Sec. IV-V) as plain objects instead: one
+:class:`TransmissionPolicy` per node deciding through
+:meth:`LocalNode.observe`, each slot's messages counted by a
+:class:`~repro.simulation.transport.Channel`, and a
 :class:`CentralStore` applying the staleness rule.
 :class:`CollectionSimulation` runs it slot by slot and node by node.
 Tests drive the kernels and this model through the same traces and
 require identical decisions, stored values, counters and fleet
-columns.  Do not optimize this module.
+columns.  The model assumes valid input (the package's configs and
+traces validate it).  Do not optimize this module.
 """
 
 from __future__ import annotations
 
 import abc
-from dataclasses import dataclass
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.core.config import TransmissionConfig
 from repro.core.types import NodeId, validate_trace
-from repro.exceptions import ConfigurationError, DataError, SimulationError
+from repro.exceptions import ConfigurationError
 from repro.simulation.collection import CollectionResult
 from repro.simulation.fleet import FleetState
 from repro.simulation.transport import Channel
-
-
-@dataclass(frozen=True)
-class Measurement:
-    """A single measurement produced by one node at one time step.
-
-    Attributes:
-        node: Index of the producing node.
-        time: Time-slot index at which the value was *measured* (this can
-            lag behind the current slot when transmissions are skipped).
-        value: The ``d``-dimensional utilization vector, values in [0, 1].
-    """
-
-    node: NodeId
-    time: int
-    value: np.ndarray
-
-    def __post_init__(self) -> None:
-        value = np.asarray(self.value, dtype=float)
-        if value.ndim != 1:
-            raise DataError(
-                f"measurement value must be 1-D, got shape {value.shape}"
-            )
-        object.__setattr__(self, "value", value)
-
-    @property
-    def dimension(self) -> int:
-        """Number of resource types in this measurement."""
-        return int(self.value.shape[0])
 
 
 # ----------------------------------------------------------------------
@@ -120,10 +92,6 @@ class TransmissionPolicy(abc.ABC):
             return 0.0
         return float(np.mean(self._decisions))
 
-    def reset(self) -> None:
-        """Clear decision history and any internal state."""
-        self._decisions.clear()
-
 
 class AdaptiveTransmissionPolicy(TransmissionPolicy):
     """Drift-plus-penalty transmission controller for one node.
@@ -137,7 +105,6 @@ class AdaptiveTransmissionPolicy(TransmissionPolicy):
         self.config = config
         self._queue = 0.0
         self._time = 0
-        self._queue_history: List[float] = []
 
     @property
     def queue_length(self) -> float:
@@ -148,25 +115,14 @@ class AdaptiveTransmissionPolicy(TransmissionPolicy):
     def fleet_scalar_state(self) -> float:
         return self._queue
 
-    @property
-    def queue_history(self) -> np.ndarray:
-        """``Q_i(t)`` sampled before every decision."""
-        return np.asarray(self._queue_history, dtype=float)
-
     def penalty(self, current: np.ndarray, stored: np.ndarray) -> float:
         """The no-transmit penalty ``F_{i,t}(0) = (1/d)·||z − x||²``."""
         cur = np.atleast_1d(np.asarray(current, dtype=float))
         sto = np.atleast_1d(np.asarray(stored, dtype=float))
-        if cur.shape != sto.shape:
-            raise DataError(
-                f"current shape {cur.shape} != stored shape {sto.shape}"
-            )
-        dim = cur.shape[0]
-        return float(np.sum((sto - cur) ** 2) / dim)
+        return float(np.sum((sto - cur) ** 2) / cur.shape[0])
 
     def first_transmission(self) -> None:
         """Charge the forced initial send against the virtual queue."""
-        self._queue_history.append(self._queue)
         self._queue += 1.0 - self.config.budget
         self._time += 1
         self._record(True)
@@ -180,7 +136,6 @@ class AdaptiveTransmissionPolicy(TransmissionPolicy):
 
         Transmit when the β = 1 objective is strictly smaller.
         """
-        self._queue_history.append(self._queue)
         v_t = self.config.v0 * (self._time + 1) ** self.config.gamma
         budget = self.config.budget
         objective_skip = v_t * self.penalty(current, stored) - self._queue * budget
@@ -196,12 +151,6 @@ class AdaptiveTransmissionPolicy(TransmissionPolicy):
         self._record(transmit)
         return transmit
 
-    def reset(self) -> None:
-        super().reset()
-        self._queue = 0.0
-        self._time = 0
-        self._queue_history.clear()
-
 
 class UniformTransmissionPolicy(TransmissionPolicy):
     """Fixed-rate transmission at frequency ``B``.
@@ -214,12 +163,7 @@ class UniformTransmissionPolicy(TransmissionPolicy):
 
     def __init__(self, budget: float, *, phase: float = 0.0) -> None:
         super().__init__()
-        if not 0.0 < budget <= 1.0:
-            raise ConfigurationError(f"budget must be in (0, 1], got {budget}")
-        if not 0.0 <= phase < 1.0:
-            raise ConfigurationError(f"phase must be in [0, 1), got {phase}")
         self.budget = budget
-        self.phase = phase
         self._accumulator = phase
 
     @property
@@ -239,10 +183,6 @@ class UniformTransmissionPolicy(TransmissionPolicy):
         self._record(transmit)
         return transmit
 
-    def reset(self) -> None:
-        super().reset()
-        self._accumulator = self.phase
-
 
 class DeadbandTransmissionPolicy(TransmissionPolicy):
     """Transmit when ``(1/d)·||z − x||² > delta²``.
@@ -254,17 +194,11 @@ class DeadbandTransmissionPolicy(TransmissionPolicy):
 
     def __init__(self, delta: float) -> None:
         super().__init__()
-        if delta <= 0:
-            raise ConfigurationError(f"delta must be positive, got {delta}")
         self.delta = delta
 
     def decide(self, current: np.ndarray, stored: np.ndarray) -> bool:
         cur = np.atleast_1d(np.asarray(current, dtype=float))
         sto = np.atleast_1d(np.asarray(stored, dtype=float))
-        if cur.shape != sto.shape:
-            raise DataError(
-                f"current shape {cur.shape} != stored shape {sto.shape}"
-            )
         deviation = float(np.mean((sto - cur) ** 2))
         transmit = deviation > self.delta**2
         self._record(transmit)
@@ -302,52 +236,33 @@ class LocalNode:
     The node mirrors the value the central node stores for it
     (``z_{i,t}``) without feedback, because it knows what it last
     transmitted.  It holds no arrays of its own: reads and writes go to
-    its column of a :class:`~repro.simulation.fleet.FleetState`.
+    column ``node_id`` of a :class:`~repro.simulation.fleet.FleetState`.
 
     Args:
         node_id: The node's index ``i``.
         policy: Its transmission policy.
-        fleet: The fleet this node is a view of.  When omitted the node
-            owns a private single-node fleet; when given, ``node_id``
-            must index one of its columns.
+        fleet: The fleet this node is a view of.
     """
 
     def __init__(
-        self,
-        node_id: NodeId,
-        policy: TransmissionPolicy,
-        *,
-        fleet: Optional[FleetState] = None,
+        self, node_id: NodeId, policy: TransmissionPolicy, fleet: FleetState
     ) -> None:
         self.node_id = node_id
         self.policy = policy
-        if fleet is None:
-            self.fleet = FleetState(1)
-            self._index = 0
-        else:
-            if not 0 <= node_id < fleet.num_nodes:
-                raise SimulationError(
-                    f"node id {node_id} outside fleet of {fleet.num_nodes}"
-                )
-            self.fleet = fleet
-            self._index = int(node_id)
+        self.fleet = fleet
 
     @property
     def stored_value(self) -> np.ndarray:
         """A read-only view of what the central node stores for this node."""
-        if not self.fleet.observed[self._index]:
-            raise SimulationError(
-                f"node {self.node_id} has not observed any measurement yet"
-            )
-        view = self.fleet.stored[self._index].view()
+        view = self.fleet.stored[self.node_id].view()
         view.flags.writeable = False
         return view
 
     @property
     def time(self) -> int:
-        return int(self.fleet.times[self._index])
+        return int(self.fleet.times[self.node_id])
 
-    def observe(self, value: np.ndarray) -> Optional[Measurement]:
+    def observe(self, value: np.ndarray) -> Optional[np.ndarray]:
         """Process one slot's fresh measurement.
 
         The very first measurement is always transmitted and is charged
@@ -357,13 +272,11 @@ class LocalNode:
             value: The measurement ``x_{i,t}`` (d-vector).
 
         Returns:
-            The transmitted :class:`Measurement`, or None if the node
-            stayed silent this slot.
+            A copy of the transmitted value, or None if the node stayed
+            silent this slot.
         """
         x = np.atleast_1d(np.asarray(value, dtype=float))
-        if not np.isfinite(x).all():
-            raise DataError(f"node {self.node_id}: non-finite measurement")
-        fleet, i = self.fleet, self._index
+        fleet, i = self.fleet, self.node_id
         if not fleet.observed[i]:
             self.policy.first_transmission()
             transmit = True
@@ -377,49 +290,8 @@ class LocalNode:
             fleet.stored[i] = x
             fleet.observed[i] = True
             fleet.last_update[i] = time
-            return Measurement(node=self.node_id, time=time, value=x.copy())
+            return x.copy()
         return None
-
-    def reset(self) -> None:
-        """Clear this node's fleet columns and the policy's history."""
-        fleet, i = self.fleet, self._index
-        fleet.observed[i] = False
-        fleet.times[i] = 0
-        fleet.last_update[i] = -1
-        fleet.policy_state[i] = 0.0
-        if fleet.stored is not None:
-            fleet.stored[i] = 0.0
-        self.policy.reset()
-
-
-class MessageChannel(Channel):
-    """A :class:`~repro.simulation.transport.Channel` that carries each
-    transmission as a :class:`Measurement` through an inbox.
-
-    Sending only queues a message; the counters advance once per slot
-    through ``record_deliveries``, as a streaming session's do.
-
-    Args:
-        node_counts: The per-node counter column to adopt.
-    """
-
-    def __init__(self, node_counts: np.ndarray) -> None:
-        super().__init__(node_counts=node_counts)
-        self._inbox: List[Measurement] = []
-
-    def send(self, measurement: Measurement) -> None:
-        """Queue one measurement for the controller."""
-        self._inbox.append(measurement)
-
-    def drain(self) -> List[Measurement]:
-        """Remove and return all pending measurements (one slot's worth)."""
-        pending = self._inbox
-        self._inbox = []
-        return pending
-
-    @property
-    def pending(self) -> int:
-        return len(self._inbox)
 
 
 class CentralStore:
@@ -432,46 +304,11 @@ class CentralStore:
     its ``last_update`` column.
 
     Args:
-        num_nodes: Number of local nodes N (omit when ``fleet`` given).
-        dimension: Resource dimensionality d (omit when ``fleet`` given
-            and already dimensioned).
-        fleet: Fleet state to view instead of owning arrays.
+        fleet: Fleet state to view.
     """
 
-    def __init__(
-        self,
-        num_nodes: Optional[int] = None,
-        dimension: Optional[int] = None,
-        *,
-        fleet: Optional[FleetState] = None,
-    ) -> None:
-        if fleet is None:
-            if num_nodes is None or dimension is None:
-                raise SimulationError(
-                    "pass num_nodes and dimension, or a fleet"
-                )
-            if num_nodes < 1 or dimension < 1:
-                raise SimulationError(
-                    "num_nodes and dimension must be >= 1"
-                )
-            fleet = FleetState(num_nodes, dimension)
-        else:
-            if num_nodes is not None and num_nodes != fleet.num_nodes:
-                raise SimulationError(
-                    f"num_nodes {num_nodes} disagrees with the fleet's "
-                    f"{fleet.num_nodes}"
-                )
-            if dimension is None:
-                if fleet.dim is None:
-                    raise SimulationError(
-                        "the fleet is not dimensioned yet; pass dimension"
-                    )
-            else:
-                fleet.ensure_dim(dimension)
+    def __init__(self, fleet: FleetState) -> None:
         self.fleet = fleet
-        self.num_nodes = fleet.num_nodes
-        self.dimension = fleet.dim
-        self._time = -1
 
     @property
     def values(self) -> np.ndarray:
@@ -483,42 +320,14 @@ class CentralStore:
         """Per-node slot index of the last received measurement."""
         return self.fleet.last_update.copy()
 
-    @property
-    def initialized(self) -> bool:
-        """True once every node has transmitted at least once."""
-        return bool((self.fleet.last_update >= 0).all())
-
-    def staleness(self, now: int) -> np.ndarray:
-        """Per-node age ``p`` such that ``z_{i,now} = x_{i,now−p}``."""
-        if not self.initialized:
-            raise SimulationError(
-                "staleness undefined before every node has reported once"
-            )
-        return now - self.fleet.last_update
-
-    def apply(self, measurements: Iterable[Measurement], now: int) -> None:
-        """Ingest one slot's received measurements.
-
-        Args:
-            measurements: Messages delivered at slot ``now``.
-            now: The current slot index (must be non-decreasing).
-        """
-        if now < self._time:
-            raise SimulationError(
-                f"time went backwards: {now} after {self._time}"
-            )
-        self._time = now
+    def apply(
+        self, messages: Iterable[Tuple[NodeId, np.ndarray]], now: int
+    ) -> None:
+        """Ingest one slot's received ``(node, value)`` messages at slot
+        ``now``."""
         fleet = self.fleet
-        for measurement in measurements:
-            i = measurement.node
-            if not 0 <= i < self.num_nodes:
-                raise SimulationError(f"unknown node id {i}")
-            if measurement.value.shape != (self.dimension,):
-                raise SimulationError(
-                    f"node {i} sent dimension {measurement.value.shape}, "
-                    f"store expects ({self.dimension},)"
-                )
-            fleet.stored[i] = measurement.value
+        for i, value in messages:
+            fleet.stored[i] = value
             fleet.observed[i] = True
             fleet.last_update[i] = now
 
@@ -544,15 +353,13 @@ class CollectionSimulation:
         policy_factory: Callable[[int], TransmissionPolicy],
         dim: Optional[int] = None,
     ) -> None:
-        if num_nodes < 1:
-            raise ConfigurationError("num_nodes must be >= 1")
         self.fleet = FleetState(num_nodes, dim)
-        self.channel = MessageChannel(node_counts=self.fleet.message_counts)
+        self.channel = Channel(node_counts=self.fleet.message_counts)
         self.nodes = [
-            LocalNode(i, policy_factory(i), fleet=self.fleet)
+            LocalNode(i, policy_factory(i), self.fleet)
             for i in range(num_nodes)
         ]
-        self.store: Optional[CentralStore] = None
+        self.store = CentralStore(self.fleet)
 
     def ingest(
         self, values: np.ndarray, ids: Sequence[int], now: int
@@ -563,22 +370,18 @@ class CollectionSimulation:
         Returns:
             The ids of the nodes that transmitted.
         """
-        if self.store is None:
-            self.store = CentralStore(
-                dimension=values.shape[1], fleet=self.fleet
-            )
-        sent = []
+        messages = []
         for row, i in enumerate(ids):
-            message = self.nodes[i].observe(values[row])
-            if message is not None:
-                self.channel.send(message)
-                sent.append(i)
+            value = self.nodes[i].observe(values[row])
+            if value is not None:
+                messages.append((i, value))
+        sent = [i for i, _ in messages]
         self.channel.record_deliveries(
             np.asarray(sent, dtype=np.int64),
             self.fleet.num_nodes,
             values.shape[1],
         )
-        self.store.apply(self.channel.drain(), now=now)
+        self.store.apply(messages, now=now)
         return sent
 
     def run(self, trace: np.ndarray) -> CollectionResult:
@@ -588,8 +391,8 @@ class CollectionSimulation:
             trace: Shape ``(T, N)`` or ``(T, N, d)`` true measurements.
 
         Returns:
-            The :class:`CollectionResult` with stored values per slot
-            and the channel's counters.
+            The :class:`CollectionResult` with stored values and
+            decisions per slot; the counters are on :attr:`channel`.
         """
         data = validate_trace(trace)
         num_steps, num_nodes, _ = data.shape
@@ -606,9 +409,7 @@ class CollectionSimulation:
             sent = self.ingest(data[t], range(num_nodes), base + t)
             decisions[t, sent] = 1
             stored[t] = self.store.values
-        return CollectionResult(
-            stored=stored, decisions=decisions, stats=self.channel.stats
-        )
+        return CollectionResult(stored=stored, decisions=decisions)
 
 
 def assert_same_columns(fleet: FleetState, other: FleetState) -> None:

@@ -2,17 +2,17 @@
 
 These are the straightforward per-node Python-loop versions of the
 fleet-scale hot path: α-clipped offset estimation (Eq. 12), the
-similarity re-indexing contingency (Eq. 10–11), and the majority-vote
-membership forecast (Sec. V-C), plus the K-means of Sec. V-B in its
-``(N, K, d)`` broadcast form.  The package's implementations in
-:mod:`repro.forecasting.offsets`, :mod:`repro.clustering.similarity`,
-:mod:`repro.forecasting.membership` and :mod:`repro.clustering.kmeans`
-are rewrites of these; the property tests in
-``tests/test_equivalence.py`` assert the rewrites are *bit-identical*
-on randomized inputs, and the scaling benchmark in
-``benchmarks/test_bench_hot_path.py`` measures the speedup against
-them.  Only those two import this module; it is not part of the
-package.
+similarity re-indexing contingency (Eq. 10–11) over explicit node-id
+sets, and the majority-vote membership forecast (Sec. V-C), plus the
+K-means of Sec. V-B in its ``(N, K, d)`` broadcast form.  The
+package's implementations in :mod:`repro.forecasting.offsets`,
+:mod:`repro.clustering.similarity`, :mod:`repro.forecasting.membership`
+and :mod:`repro.clustering.kmeans` are rewrites of these; the property
+tests in ``tests/test_equivalence.py`` assert the rewrites are
+*bit-identical* on randomized inputs, ``tests/test_clustering_similarity.py``
+pins the set transcription of Eq. 10 itself, and the scaling benchmark
+in ``benchmarks/test_bench_hot_path.py`` measures the speedup against
+them.  It is not part of the package.
 
 They are intentionally kept simple and obviously-correct; do not
 optimize this module.
@@ -25,8 +25,8 @@ from typing import List, Optional, Sequence, Set, Tuple
 import numpy as np
 
 from repro.clustering.kmeans import KMeansResult
-from repro.clustering.similarity import similarity_matrix
 from repro.exceptions import ConfigurationError, DataError
+from repro.registry import SIMILARITY_MEASURES
 
 
 def alpha_clip_reference(
@@ -107,6 +107,99 @@ def estimate_offsets_reference(
             offsets[i] += alpha * diff
     offsets /= window
     return offsets
+
+
+def history_intersection(
+    history: Sequence[Sequence[Set[int]]], cluster: int
+) -> Set[int]:
+    """Intersect cluster ``cluster`` across all partitions in ``history``.
+
+    Args:
+        history: The most recent partitions, ordered oldest → newest; each
+            partition is a sequence of node-id sets indexed by cluster id.
+        cluster: Historical cluster index ``j``.
+
+    Returns:
+        ``⋂_m history[m][cluster]`` — nodes that stayed in cluster ``j``
+        through every remembered step.
+    """
+    if not history:
+        raise DataError("history must contain at least one partition")
+    result = set(history[0][cluster])
+    for partition in history[1:]:
+        result &= partition[cluster]
+    return result
+
+
+def intersection_similarity_matrix(
+    new_clusters: Sequence[Set[int]],
+    history: Sequence[Sequence[Set[int]]],
+) -> np.ndarray:
+    """Build the paper's similarity matrix ``w`` (Eq. 10).
+
+    Args:
+        new_clusters: The K clusters from this step's K-means run,
+            indexed by ``k``.
+        history: Up to ``M`` previous (re-indexed) partitions, oldest
+            first; each partition is indexed by the historical id ``j``.
+
+    Returns:
+        Matrix of shape ``(K, K)`` with ``w[k, j]``.
+    """
+    num_clusters = len(new_clusters)
+    if any(len(p) != num_clusters for p in history):
+        raise DataError("all partitions must have the same number of clusters")
+    weights = np.zeros((num_clusters, num_clusters))
+    persistent = [
+        history_intersection(history, j) for j in range(num_clusters)
+    ]
+    for k, new in enumerate(new_clusters):
+        new_set = set(new)
+        for j in range(num_clusters):
+            weights[k, j] = len(new_set & persistent[j])
+    return weights
+
+
+def jaccard_similarity_matrix(
+    new_clusters: Sequence[Set[int]],
+    history: Sequence[Sequence[Set[int]]],
+) -> np.ndarray:
+    """Jaccard-index similarity matrix (the Fig. 11 alternative).
+
+    ``w[k, j] = |C'_k ∩ P_j| / |C'_k ∪ P_j|`` where ``P_j`` is the
+    intersection of historical cluster ``j`` over the remembered steps.
+    """
+    num_clusters = len(new_clusters)
+    if any(len(p) != num_clusters for p in history):
+        raise DataError("all partitions must have the same number of clusters")
+    weights = np.zeros((num_clusters, num_clusters))
+    persistent = [
+        history_intersection(history, j) for j in range(num_clusters)
+    ]
+    for k, new in enumerate(new_clusters):
+        new_set = set(new)
+        for j in range(num_clusters):
+            union = new_set | persistent[j]
+            if union:
+                weights[k, j] = len(new_set & persistent[j]) / len(union)
+    return weights
+
+
+#: Similarity name → its set-based transcription.
+SET_MEASURES = {
+    "intersection": intersection_similarity_matrix,
+    "jaccard": jaccard_similarity_matrix,
+}
+
+
+def similarity_matrix(
+    kind: str,
+    new_clusters: Sequence[Set[int]],
+    history: Sequence[Sequence[Set[int]]],
+) -> np.ndarray:
+    """Dispatch on a similarity name registered in SIMILARITY_MEASURES."""
+    SIMILARITY_MEASURES.get(kind)  # an unknown name raises here
+    return SET_MEASURES[kind](new_clusters, history)
 
 
 def reindex_weights_reference(

@@ -118,6 +118,31 @@ class TestCli:
         assert "RMSE(h=0)" in out
         assert "transmission frequency" in out
 
+    @pytest.mark.parametrize("dtype,width", [("float64", 8), ("float32", 4)])
+    def test_stream_payload_bytes_follow_the_dtype(
+        self, capsys, tmp_path, dtype, width
+    ):
+        config = PipelineConfig.small(
+            initial_collection=10, retrain_interval=10, max_horizon=2
+        )
+        config_path = tmp_path / "config.json"
+        config_path.write_text(json.dumps(config.to_dict()))
+        path = tmp_path / "mid.ckpt"
+        assert main([
+            "run", "--config", str(config_path), "--stream", "--nodes",
+            "10", "--steps", "20", "--dtype", dtype,
+            "--checkpoint", str(path),
+        ]) == 0
+        # One float per message (d = 1): 60 messages at B = 0.3.
+        assert f"(60 messages, {60 * width} payload bytes)" in (
+            capsys.readouterr().out
+        )
+        # A resumed checkpoint counts in its own dtype too.
+        assert main(["run", "--resume", str(path), "--steps", "30"]) == 0
+        assert f"(91 messages, {91 * width} payload bytes)" in (
+            capsys.readouterr().out
+        )
+
     def test_resume_of_a_corrupt_checkpoint_fails_loudly(
         self, capsys, tmp_path
     ):

@@ -1,9 +1,11 @@
-"""Tests for the Eq. 10 similarity measure and the Jaccard variant."""
+"""Tests for the Eq. 10 similarity measure and the Jaccard variant, in
+the set transcription the package's label functions are pinned
+against (``tests/test_equivalence.py``)."""
 
 import numpy as np
 import pytest
 
-from repro.clustering.similarity import (
+from reference_impl import (
     history_intersection,
     intersection_similarity_matrix,
     jaccard_similarity_matrix,

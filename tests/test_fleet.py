@@ -22,7 +22,7 @@ from collection_oracle import (
 )
 from repro.core.config import TransmissionConfig
 from repro.exceptions import SimulationError
-from repro.simulation.collection import simulate_adaptive_collection
+from repro.simulation.collection import collect
 from repro.simulation.fleet import (
     FleetState,
     merge_collection_shards,
@@ -50,15 +50,15 @@ class TestFleetState:
         with pytest.raises(SimulationError):
             fleet.ensure_dim(3)
 
-    def test_advance_batch_columns(self):
-        fleet = FleetState(4)
+    def test_from_run_columns(self):
         decisions = np.array([
             [1, 1, 1, 0],
             [0, 1, 0, 0],
             [1, 0, 0, 0],
         ])
-        final = np.array([[0.1], [0.2], [0.3], [0.4]])
-        fleet.advance_batch(decisions, final)
+        stored = np.zeros((3, 4, 1))
+        stored[-1] = [[0.1], [0.2], [0.3], [0.4]]
+        fleet = FleetState.from_run(stored, decisions)
         np.testing.assert_array_equal(fleet.times, [3, 3, 3, 3])
         np.testing.assert_array_equal(fleet.observed, [True, True, True, False])
         # Last slot with a 1, per node; -1 for the silent node.
@@ -67,29 +67,8 @@ class TestFleetState:
         np.testing.assert_array_equal(
             fleet.stored, [[0.1], [0.2], [0.3], [0.0]]
         )
-
-    def test_advance_batch_accumulates_clocks(self):
-        fleet = FleetState(2, 1)
-        ones = np.ones((5, 2), dtype=int)
-        fleet.advance_batch(ones, np.zeros((2, 1)))
-        fleet.advance_batch(ones, np.ones((2, 1)))
-        np.testing.assert_array_equal(fleet.times, [10, 10])
-        np.testing.assert_array_equal(fleet.last_update, [9, 9])
-
-    def test_advance_batch_node_count_mismatch(self):
-        fleet = FleetState(3, 1)
-        with pytest.raises(SimulationError):
-            fleet.advance_batch(np.ones((4, 2), dtype=int), np.zeros((2, 1)))
-
-    def test_reset_single_node(self):
-        # Resetting the oracle's node view clears only its own column.
-        fleet = FleetState(2, 1)
-        fleet.advance_batch(np.ones((3, 2), dtype=int), np.ones((2, 1)))
-        LocalNode(0, UniformTransmissionPolicy(1.0), fleet=fleet).reset()
-        assert fleet.times[0] == 0 and fleet.times[1] == 3
-        assert not fleet.observed[0] and fleet.observed[1]
-        assert fleet.last_update[0] == -1 and fleet.last_update[1] == 2
-        assert fleet.stored[0, 0] == 0.0 and fleet.stored[1, 0] == 1.0
+        np.testing.assert_array_equal(fleet.message_counts, [2, 2, 1, 0])
+        assert np.isnan(fleet.policy_state).all()
 
     def test_from_run_snapshot(self):
         rng = np.random.default_rng(0)
@@ -122,6 +101,11 @@ class TestShardHelpers:
             assert hi > lo
             sizes.append(hi - lo)
         assert max(sizes) - min(sizes) <= 1
+
+    def test_merge_returns_a_lone_shard_uncopied(self):
+        stored, decisions = np.zeros((4, 2, 1)), np.zeros((4, 2), dtype=int)
+        merged = merge_collection_shards([(stored, decisions)])
+        assert merged[0] is stored and merged[1] is decisions
 
     def test_merge_accepts_tuples_and_results(self):
         a = (np.zeros((4, 2, 1)), np.zeros((4, 2), dtype=int))
@@ -177,7 +161,7 @@ class TestLocalNodeViewEquivalence:
 
         fleet = FleetState(num_nodes)
         view_nodes = [
-            LocalNode(i, make_policy(), fleet=fleet)
+            LocalNode(i, make_policy(), fleet)
             for i in range(num_nodes)
         ]
         for i, node in enumerate(view_nodes):
@@ -205,21 +189,22 @@ class TestLocalNodeViewEquivalence:
         values = rng.random((num_steps, 1))
 
         standalone = LocalNode(
-            0, AdaptiveTransmissionPolicy(TransmissionConfig(budget=budget))
+            0,
+            AdaptiveTransmissionPolicy(TransmissionConfig(budget=budget)),
+            FleetState(1),
         )
         fleet = FleetState(3)
         backed = LocalNode(
             1,
             AdaptiveTransmissionPolicy(TransmissionConfig(budget=budget)),
-            fleet=fleet,
+            fleet,
         )
         for t in range(num_steps):
             a = standalone.observe(values[t])
             b = backed.observe(values[t])
             assert (a is None) == (b is None)
             if a is not None:
-                assert a.time == b.time
-                np.testing.assert_array_equal(a.value, b.value)
+                np.testing.assert_array_equal(a, b)
         np.testing.assert_array_equal(
             standalone.stored_value, backed.stored_value
         )
@@ -230,32 +215,18 @@ class TestLocalNodeViewEquivalence:
         # Only the backed node's column moved.
         assert fleet.observed[1] and not fleet.observed[0]
 
-    def test_node_id_outside_fleet_rejected(self):
-        fleet = FleetState(2)
-        with pytest.raises(SimulationError):
-            LocalNode(2, UniformTransmissionPolicy(1.0), fleet=fleet)
-
     def test_policy_state_column_mirrors_queue(self):
         fleet = FleetState(1)
         policy = AdaptiveTransmissionPolicy(TransmissionConfig(budget=0.4))
-        node = LocalNode(0, policy, fleet=fleet)
+        node = LocalNode(0, policy, fleet)
         for x in (0.1, 0.5, 0.9, 0.2):
             node.observe(np.array([x]))
             assert fleet.policy_state[0] == policy.queue_length
 
-    def test_store_rejects_dims_disagreeing_with_fleet(self):
-        fleet = FleetState(5, 2)
-        with pytest.raises(SimulationError):
-            CentralStore(10, 2, fleet=fleet)
-        with pytest.raises(SimulationError):
-            CentralStore(5, 3, fleet=fleet)
-        store = CentralStore(5, 2, fleet=fleet)  # agreeing dims are fine
-        assert store.num_nodes == 5 and store.dimension == 2
-
     def test_store_and_nodes_share_one_fleet(self):
         fleet = FleetState(2, 1)
-        store = CentralStore(fleet=fleet)
-        node = LocalNode(0, UniformTransmissionPolicy(1.0), fleet=fleet)
+        store = CentralStore(fleet)
+        node = LocalNode(0, UniformTransmissionPolicy(1.0), fleet)
         node.observe(np.array([0.7]))
         # The node's transmission is already the store's value: one array.
         assert store.values[0, 0] == 0.7
@@ -278,9 +249,11 @@ class TestLocalNodeViewEquivalence:
         for i in range(3):
             sent = np.flatnonzero(decisions[:, i])
             assert sim.fleet.last_update[i] == sent[-1]
+        # Every node reported, and no report is newer than the last
+        # slot, so staleness now - last_update is defined and >= 0.
         now = int(sim.fleet.times.max()) - 1
-        store = CentralStore(fleet=sim.fleet)
-        assert (store.staleness(now) >= 0).all()
+        assert (sim.fleet.last_update >= 0).all()
+        assert (sim.fleet.last_update <= now).all()
 
     def test_batched_collection_fills_columns(self):
         # The fleet Engine.run derives from a backend's result
@@ -292,7 +265,7 @@ class TestLocalNodeViewEquivalence:
             5, lambda i: AdaptiveTransmissionPolicy(config)
         )
         result = sim.run(trace)
-        batched = simulate_adaptive_collection(trace, config)
+        batched = collect(trace, config)
         fleet = FleetState.from_run(batched.stored, batched.decisions)
         assert fleet.dim == sim.fleet.dim == 1
         assert_same_columns(fleet, sim.fleet)

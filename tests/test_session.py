@@ -32,7 +32,7 @@ from repro.registry import (
     register_slot_kernel,
 )
 from repro.session import StreamSession
-from repro.simulation.collection import simulate_uniform_collection
+from repro.simulation.collection import run_slot_kernel
 from repro.simulation.transport import TransportStats
 from repro.transmission.uniform import uniform_transmit_slot
 
@@ -66,11 +66,11 @@ def batch_collection(policy, trace, transmission):
 
     The session starts every uniform accumulator at phase 0, while the
     ``uniform`` backend staggers phases, so uniform compares against
-    the unstaggered recurrence.
+    the slot-kernel loop from the zero state.
     """
     if policy == "uniform":
-        return simulate_uniform_collection(
-            trace, transmission.budget, stagger=False
+        return run_slot_kernel(
+            SLOT_KERNELS.create(policy, transmission), trace
         )
     return COLLECTION_BACKENDS.create(policy, trace, transmission)
 
@@ -119,6 +119,31 @@ class TestVectorizedObjectEquivalence:
         assert session.transport_stats.messages == int(
             batch.decisions.sum()
         )
+
+    @pytest.mark.parametrize("policy", POLICIES)
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_slot_kernel_loop_matches_session(self, policy, dtype):
+        # A session and run_slot_kernel from the zero state make the
+        # same kernel call per slot, so they agree bit for bit.
+        cfg = PipelineConfig(
+            transmission=TransmissionConfig(budget=0.3, deadband_delta=0.03),
+            clustering=config().clustering,
+            forecasting=config().forecasting,
+            dtype=dtype,
+        )
+        trace = walk_trace(steps=30, nodes=7, dims=2, seed=11).astype(dtype)
+        loop = run_slot_kernel(
+            SLOT_KERNELS.create(policy, cfg.transmission), trace
+        )
+        session = StreamSession(cfg, 7, 2, policy=policy)
+        for t in range(trace.shape[0]):
+            output = session.ingest(trace[t])
+            assert output.stored.dtype == loop.stored.dtype
+            np.testing.assert_array_equal(output.stored, loop.stored[t])
+            np.testing.assert_array_equal(
+                output.transport.per_node_messages.as_array(),
+                loop.decisions[t],
+            )
 
     @given(seed=st.integers(0, 10_000))
     @settings(max_examples=8, deadline=None)

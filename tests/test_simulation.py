@@ -1,65 +1,19 @@
-"""Tests for the collection backends and the per-node oracle they are
-pinned against (nodes, store, channel, object loop)."""
+"""Tests for the collection backends, the slot-kernel loop they share,
+and the per-node oracle loop they are pinned against."""
 
 import numpy as np
 import pytest
 
 from collection_oracle import (
     AdaptiveTransmissionPolicy,
-    CentralStore,
     CollectionSimulation,
-    LocalNode,
-    Measurement,
-    MessageChannel,
     UniformTransmissionPolicy,
 )
 from repro.core.config import TransmissionConfig
-from repro.exceptions import ConfigurationError, DataError, SimulationError
-from repro.simulation.collection import (
-    simulate_adaptive_collection,
-    simulate_uniform_collection,
-)
+from repro.exceptions import ConfigurationError, SimulationError
+from repro.registry import SLOT_KERNELS
+from repro.simulation.collection import collect, run_slot_kernel
 from repro.simulation.transport import Channel
-
-
-class TestLocalNode:
-    def test_first_observation_always_transmits(self):
-        node = LocalNode(0, AdaptiveTransmissionPolicy())
-        message = node.observe(np.array([0.5]))
-        assert message is not None
-        assert message.node == 0
-        assert message.time == 0
-
-    def test_stored_value_mirrors_transmissions(self):
-        node = LocalNode(1, UniformTransmissionPolicy(1.0))
-        node.observe(np.array([0.5]))
-        node.observe(np.array([0.7]))
-        assert node.stored_value[0] == 0.7
-
-    def test_stored_value_stale_when_silent(self):
-        # Budget so small the node stays silent after the first send.
-        node = LocalNode(0, UniformTransmissionPolicy(0.01))
-        node.observe(np.array([0.5]))
-        for _ in range(5):
-            node.observe(np.array([0.9]))
-        assert node.stored_value[0] == 0.5
-
-    def test_non_finite_rejected(self):
-        node = LocalNode(0, UniformTransmissionPolicy(1.0))
-        with pytest.raises(DataError):
-            node.observe(np.array([np.nan]))
-
-    def test_stored_before_observe_raises(self):
-        node = LocalNode(0, UniformTransmissionPolicy(1.0))
-        with pytest.raises(SimulationError):
-            node.stored_value
-
-    def test_reset(self):
-        node = LocalNode(0, UniformTransmissionPolicy(1.0))
-        node.observe(np.array([0.5]))
-        node.reset()
-        assert node.time == 0
-        assert node.policy.decisions.size == 0
 
 
 class TestChannel:
@@ -71,60 +25,6 @@ class TestChannel:
         assert channel.stats.payload_floats == 6
         assert channel.stats.per_node_messages == {0: 2, 1: 1}
         assert channel.stats.payload_bytes() == 48
-
-    def test_drain_empties_inbox(self):
-        channel = MessageChannel(np.zeros(1, dtype=np.int64))
-        channel.send(Measurement(node=0, time=0, value=np.zeros(1)))
-        assert channel.pending == 1
-        drained = channel.drain()
-        assert len(drained) == 1
-        assert channel.pending == 0
-        assert channel.drain() == []
-
-
-class TestCentralStore:
-    def test_staleness_rule(self):
-        store = CentralStore(2, 1)
-        store.apply([Measurement(node=0, time=0, value=np.array([0.1])),
-                     Measurement(node=1, time=0, value=np.array([0.2]))], 0)
-        store.apply([Measurement(node=0, time=1, value=np.array([0.3]))], 1)
-        values = store.values
-        assert values[0, 0] == 0.3
-        assert values[1, 0] == 0.2  # z_{1,1} = x_{1,0}
-        np.testing.assert_array_equal(store.staleness(1), [0, 1])
-
-    def test_initialized_flag(self):
-        store = CentralStore(2, 1)
-        assert not store.initialized
-        store.apply([Measurement(node=0, time=0, value=np.array([0.1]))], 0)
-        assert not store.initialized
-        store.apply([Measurement(node=1, time=1, value=np.array([0.1]))], 1)
-        assert store.initialized
-
-    def test_staleness_before_initialized(self):
-        store = CentralStore(2, 1)
-        with pytest.raises(SimulationError):
-            store.staleness(0)
-
-    def test_time_monotonicity(self):
-        store = CentralStore(1, 1)
-        store.apply([], 5)
-        with pytest.raises(SimulationError):
-            store.apply([], 3)
-
-    def test_unknown_node(self):
-        store = CentralStore(1, 1)
-        with pytest.raises(SimulationError):
-            store.apply([Measurement(node=5, time=0, value=np.zeros(1))], 0)
-
-    def test_dimension_mismatch(self):
-        store = CentralStore(1, 2)
-        with pytest.raises(SimulationError):
-            store.apply([Measurement(node=0, time=0, value=np.zeros(1))], 0)
-
-    def test_invalid_construction(self):
-        with pytest.raises(SimulationError):
-            CentralStore(0, 1)
 
 
 class TestCollectionSimulation:
@@ -139,7 +39,7 @@ class TestCollectionSimulation:
         result = sim.run(trace)
         assert result.stored.shape == (60, 8, 1)
         assert result.decisions[0].sum() == 8  # forced initial sends
-        assert result.stats.messages == result.decisions.sum()
+        assert sim.channel.stats.messages == result.decisions.sum()
 
     def test_node_count_mismatch(self):
         sim = CollectionSimulation(
@@ -151,7 +51,7 @@ class TestCollectionSimulation:
     def test_vectorized_adaptive_matches_object_engine(self):
         trace = self._trace(steps=120, nodes=6, seed=1)
         config = TransmissionConfig(budget=0.3)
-        vectorized = simulate_adaptive_collection(trace, config)
+        vectorized = collect(trace, config)
         sim = CollectionSimulation(
             6, lambda i: AdaptiveTransmissionPolicy(config)
         )
@@ -165,8 +65,9 @@ class TestCollectionSimulation:
 
     def test_vectorized_uniform_matches_object_engine(self):
         trace = self._trace(steps=80, nodes=5, seed=2)
-        vectorized = simulate_uniform_collection(
-            trace, 0.25, stagger=False
+        vectorized = run_slot_kernel(
+            SLOT_KERNELS.create("uniform", TransmissionConfig(budget=0.25)),
+            trace,
         )
         sim = CollectionSimulation(
             5, lambda i: UniformTransmissionPolicy(0.25, phase=0.0)
@@ -183,21 +84,21 @@ class TestCollectionSimulation:
         steps = np.cumsum(rng.normal(0, 0.02, size=(2000, 10)), axis=0)
         trace = np.clip(0.5 + steps, 0, 1)
         for budget in (0.1, 0.3, 0.5):
-            result = simulate_adaptive_collection(
-                trace, TransmissionConfig(budget=budget)
-            )
+            result = collect(trace, TransmissionConfig(budget=budget))
             assert result.empirical_frequency == pytest.approx(
                 budget, abs=0.01
             )
 
     def test_uniform_frequency_exact(self):
         trace = self._trace(steps=1000, nodes=4)
-        result = simulate_uniform_collection(trace, 0.2, stagger=True)
+        result = collect(
+            trace, TransmissionConfig(budget=0.2), backend="uniform"
+        )
         assert result.empirical_frequency == pytest.approx(0.2, abs=0.01)
 
     def test_adaptive_stored_error_bounded_by_staleness(self):
         trace = self._trace(steps=200, nodes=6, seed=4)
-        result = simulate_adaptive_collection(trace, TransmissionConfig())
+        result = collect(trace, TransmissionConfig())
         # Wherever a transmission happened, stored == truth.
         sent = result.decisions.astype(bool)
         for t in range(200):
@@ -207,16 +108,27 @@ class TestCollectionSimulation:
 
     def test_budget_one_stores_everything(self):
         trace = self._trace(steps=50, nodes=4)
-        result = simulate_adaptive_collection(
-            trace, TransmissionConfig(budget=1.0)
-        )
+        result = collect(trace, TransmissionConfig(budget=1.0))
         np.testing.assert_allclose(result.stored[:, :, 0], trace)
 
     def test_per_node_frequency_shape(self):
         trace = self._trace()
-        result = simulate_uniform_collection(trace, 0.5)
+        result = collect(
+            trace, TransmissionConfig(budget=0.5), backend="uniform"
+        )
         assert result.per_node_frequency().shape == (8,)
 
     def test_uniform_invalid_budget(self):
         with pytest.raises(ConfigurationError):
-            simulate_uniform_collection(self._trace(), 0.0)
+            collect(
+                self._trace(), TransmissionConfig(budget=0.0),
+                backend="uniform",
+            )
+
+    def test_state_is_copied_and_shape_checked(self):
+        kernel = SLOT_KERNELS.create("uniform", TransmissionConfig(0.5))
+        phases = np.full(8, 0.5)
+        run_slot_kernel(kernel, self._trace(), phases)
+        np.testing.assert_array_equal(phases, 0.5)
+        with pytest.raises(SimulationError, match="shape"):
+            run_slot_kernel(kernel, self._trace(), phases[:7])

@@ -20,7 +20,6 @@ from repro.core.config import (
     PipelineConfig,
     TransmissionConfig,
 )
-from repro.exceptions import ConfigurationError, DataError
 from repro.session import StreamSession
 from repro.transmission import (
     adaptive_transmit_slot,
@@ -85,31 +84,12 @@ class TestAdaptivePolicy:
         value = policy.penalty(np.array([0.2, 0.4]), np.array([0.4, 0.8]))
         assert value == pytest.approx((0.04 + 0.16) / 2)
 
-    def test_penalty_shape_mismatch(self):
-        policy = AdaptiveTransmissionPolicy()
-        with pytest.raises(DataError):
-            policy.penalty(np.zeros(2), np.zeros(3))
-
-    def test_queue_history_recorded(self):
-        policy = AdaptiveTransmissionPolicy()
-        same = np.array([0.1])
-        for _ in range(5):
-            policy.decide(same, same)
-        assert policy.queue_history.shape == (5,)
-
     def test_first_transmission_charges_queue(self):
         config = TransmissionConfig(budget=0.3)
         policy = AdaptiveTransmissionPolicy(config)
         policy.first_transmission()
         assert policy.queue_length == pytest.approx(0.7)
         assert policy.decisions.tolist() == [1]
-
-    def test_reset(self):
-        policy = AdaptiveTransmissionPolicy()
-        policy.first_transmission()
-        policy.reset()
-        assert policy.queue_length == 0.0
-        assert policy.decisions.size == 0
 
     def test_credit_enables_bursts(self):
         # After a long quiet period the policy should transmit several
@@ -160,24 +140,6 @@ class TestUniformPolicy:
         d0 = [p0.decide(x, x) for _ in range(4)]
         d1 = [p1.decide(x, x) for _ in range(4)]
         assert d0 != d1
-
-    def test_invalid_budget(self):
-        with pytest.raises(ConfigurationError):
-            UniformTransmissionPolicy(0.0)
-        with pytest.raises(ConfigurationError):
-            UniformTransmissionPolicy(1.2)
-
-    def test_invalid_phase(self):
-        with pytest.raises(ConfigurationError):
-            UniformTransmissionPolicy(0.5, phase=1.0)
-
-    def test_reset_restores_phase(self):
-        policy = UniformTransmissionPolicy(0.5, phase=0.25)
-        x = np.array([0.0])
-        first = [policy.decide(x, x) for _ in range(8)]
-        policy.reset()
-        second = [policy.decide(x, x) for _ in range(8)]
-        assert first == second
 
     def test_budget_one_transmits_always(self):
         policy = UniformTransmissionPolicy(1.0)

@@ -34,6 +34,7 @@ from typing import Sequence, Tuple
 ROOT = Path(__file__).resolve().parent.parent
 COPIED = ("src", "tests", "tools", "pyproject.toml")
 KERNEL_TESTS = "tests/test_transmission.py::TestSlotKernelEdgeCases"
+SESSION_PINS = "tests/test_session.py::TestVectorizedObjectEquivalence"
 LINT_CLEAN = "tests/test_lint.py::test_shipped_tree_lints_clean"
 
 
@@ -73,25 +74,42 @@ LEDGER: Tuple[Mutant, ...] = (
             f"{KERNEL_TESTS}::test_deadband_session_boundary_not_transmitted",
         ),
     ),
+    # The one whole-trace loop every collection backend runs.
     Mutant(
         name="adaptive-backend-stores-every-slot",
         path="src/repro/simulation/collection.py",
         old=(
-            "            data[t], stored_now, observed, queues, t, budgets, "
-            "v0s, gammas\n"
-            "        )\n"
             "        stored_now = np.where(transmit[:, np.newaxis], data[t], "
             "stored_now)\n"
         ),
-        new=(
-            "            data[t], stored_now, observed, queues, t, budgets, "
-            "v0s, gammas\n"
-            "        )\n"
-            "        stored_now = data[t].copy()\n"
-        ),
+        new="        stored_now = data[t].copy()\n",
         tests=(
             "tests/test_equivalence.py::TestBatchedCollectionEquivalence::"
             "test_adaptive_backend_matches_oracle",
+            f"{SESSION_PINS}::test_slot_kernel_loop_matches_session",
+        ),
+    ),
+    Mutant(
+        name="slot-loop-never-marks-observed",
+        path="src/repro/simulation/collection.py",
+        old="        observed |= transmit\n",
+        new="",
+        tests=(
+            "tests/test_equivalence.py::TestBatchedCollectionEquivalence::"
+            "test_adaptive_backend_matches_oracle",
+            f"{SESSION_PINS}::test_slot_kernel_loop_matches_session",
+        ),
+    ),
+    Mutant(
+        name="collection-unseeded-rng",
+        path="src/repro/simulation/collection.py",
+        old="phases = np.random.default_rng(0).uniform(",
+        new="phases = np.random.default_rng().uniform(",
+        tests=(
+            "tests/test_equivalence.py::TestBatchedCollectionEquivalence::"
+            "test_uniform_backend_matches_oracle",
+            "tests/test_lint.py::"
+            "test_runtime_contracts_hold_for_all_components",
         ),
     ),
     # Configs written before ForecastingConfig.bank and
@@ -131,7 +149,9 @@ LEDGER: Tuple[Mutant, ...] = (
         ),
     ),
     # One mutant per bug class the linter (tools/repro_lint) exists
-    # for, each killed by the lint test over the shipped tree.
+    # for, each killed by the lint test over the shipped tree.  KER-001
+    # has none: its one site, the uniform backend's seeded draw, carries
+    # a waiver, so collection-unseeded-rng above is killed by a pin.
     Mutant(
         name="fleet-state-key-never-restored",  # STATE-002
         path="src/repro/simulation/fleet.py",
@@ -149,21 +169,17 @@ LEDGER: Tuple[Mutant, ...] = (
         ),
         tests=(LINT_CLEAN,),
     ),
+    # The collection backends also import every *_slot_kernel
+    # function, so each SLOT_KERNELS registration has two routes; the
+    # LSTM forecaster's has one.
     Mutant(
-        name="slot-kernel-registration-unreachable",  # REG-002
-        path="src/repro/transmission/__init__.py",
-        old="from repro.transmission import perfect  # noqa: F401\n",
-        new="",
-        tests=(LINT_CLEAN,),
-    ),
-    Mutant(
-        name="collection-unseeded-rng",  # KER-001
-        path="src/repro/simulation/collection.py",
-        old="phases = np.zeros(num_nodes)",
-        new=(
-            "phases = np.random.default_rng()"
-            ".uniform(0.0, 1.0, size=num_nodes)"
+        name="forecaster-registration-unreachable",  # REG-002
+        path="src/repro/forecasting/__init__.py",
+        old=(
+            "from repro.forecasting.lstm import LstmForecaster, "
+            "StackedLSTMNetwork\n"
         ),
+        new="",
         tests=(LINT_CLEAN,),
     ),
     Mutant(
