@@ -62,7 +62,7 @@ import weakref
 import zipfile
 import zlib
 from pathlib import Path
-from typing import Any, Dict, List, Mapping, Optional, Tuple, Union
+from typing import Any, Dict, List, Mapping, Optional, Set, Tuple, Union
 
 import numpy as np
 
@@ -77,13 +77,16 @@ def _library_version() -> str:
 
 #: Format version written into every manifest; bumped on any change to
 #: the artifact layout or the component state contracts.
-CHECKPOINT_FORMAT_VERSION = 2
+CHECKPOINT_FORMAT_VERSION = 3
 
 #: Format versions :meth:`Checkpoint.load` accepts.  Format 1 (repro
 #: 2.0.0 and earlier) also stores every slot's tracker labels and the
 #: pipeline's stage timings; restoring reads the last ``M`` label rows
-#: and ignores the timings.
-_READABLE_VERSIONS = (1, 2)
+#: and ignores the timings.  Formats 1 and 2 (up to repro 5.3.0) store
+#: labels as int64 and the latest forecasts composed, as ``values``;
+#: format 3 stores labels in their narrowest integer type and the
+#: forecasts as the factors of Eq. 12.
+_READABLE_VERSIONS = (1, 2, 3)
 
 #: Archive member holding the JSON manifest.
 _MANIFEST_MEMBER = "manifest.json"
@@ -312,6 +315,20 @@ def _hold(path: Path) -> Optional[int]:
         return os.open(path, os.O_RDONLY)
     except OSError:
         return None
+
+
+#: Absolute paths whose directory this process has already searched
+#: for stale temp files (:func:`_remove_stale_scratch`).  One search per
+#: path is enough for a killed save's leftovers, and a search lists the
+#: whole directory (about 0.1 ms of a 0.7 ms save).  A save that raises
+#: removes its path: a full disk, say, may be what dead writers' files
+#: filled.  Emptied once it holds :data:`_SCANNED_CAP` paths and in a
+#: forked child; that, like two threads racing to the first save, costs
+#: only another search.
+_SCANNED: Set[str] = set()
+_SCANNED_CAP = 1024
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_SCANNED.clear)
 
 
 def _remove_stale_scratch(path: Path) -> None:
@@ -888,7 +905,10 @@ class Checkpoint:
         The write is atomic: the archive is assembled in a sibling
         temporary file and renamed over ``path``, so a crash mid-save
         (the very failure checkpoints exist to survive) can never
-        destroy a previous good checkpoint at the same path.
+        destroy a previous good checkpoint at the same path.  The temp
+        files of saves killed before their rename are removed by this
+        process's first save to ``path``, and by the first after a save
+        to ``path`` raised.
 
         Array members are written ``ZIP_STORED`` (uncompressed) so a
         later :meth:`load` with ``mmap=True`` can map them off disk
@@ -926,7 +946,12 @@ class Checkpoint:
             json.dumps(manifest, separators=(",", ":")).encode(), arrays
         )
         path = Path(path)
-        _remove_stale_scratch(path)
+        searched = os.path.abspath(path)
+        if searched not in _SCANNED:
+            _remove_stale_scratch(path)
+            if len(_SCANNED) >= _SCANNED_CAP:
+                _SCANNED.clear()
+            _SCANNED.add(searched)
         scratch = path.with_name(path.name + f".tmp-{os.getpid()}")
         try:
             fd = os.open(scratch, _SCRATCH_FLAGS, 0o666)
@@ -943,6 +968,7 @@ class Checkpoint:
         except BaseException:
             # After the rename there is no temp file left to remove.
             scratch.unlink(missing_ok=True)
+            _SCANNED.discard(searched)
             raise
         return path
 

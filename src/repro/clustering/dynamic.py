@@ -73,6 +73,10 @@ class DynamicClusterTracker:
         self.restarts = restarts
         self.warm_start = warm_start
         self._rng = np.random.default_rng(seed)
+        #: The narrowest integer type holding every label in [0, K):
+        #: the dtype of the label window and of its checkpoint (uint8
+        #: for K <= 256).  Returned labels stay int64.
+        self.label_dtype = np.min_scalar_type(num_clusters - 1)
         # Re-indexed labels of the last `history_depth` slots — the raw
         # material of the Eq. 10 similarity (kept as arrays so the
         # contingency is one bincount, not per-node set building).
@@ -193,7 +197,7 @@ class DynamicClusterTracker:
         centroids = self._value_centroids(data, labels)
 
         self._centroids.append(centroids)
-        self._label_window.append(np.asarray(labels, dtype=int).copy())
+        self._label_window.append(labels.astype(self.label_dtype))
         self._dim = data.shape[1]
         if features is None:
             self._previous_centroids = centroids
@@ -248,11 +252,11 @@ class DynamicClusterTracker:
 
         Captures everything a future :meth:`update` depends on: the
         re-indexed labels of the last ``M`` slots (the similarity
-        window, at most ``M`` rows), the full centroid series (the
-        forecasters' training data), the previous centroids used for
-        empty-cluster fallback and warm starts, and the *exact*
-        internal RNG state — K-means restarts draw from it, so
-        bit-identical resumption requires the generator to continue
+        window, at most ``M`` rows, in :attr:`label_dtype`), the full
+        centroid series (the forecasters' training data), the previous
+        centroids used for empty-cluster fallback and warm starts, and
+        the *exact* internal RNG state — K-means restarts draw from it,
+        so bit-identical resumption requires the generator to continue
         mid-stream.
         """
         return {
@@ -276,7 +280,9 @@ class DynamicClusterTracker:
 
         The centroid series is copied in, so the tracker never shares
         it with ``state``.  Format-1 checkpoints carry every slot's
-        labels; only the last ``M`` rows are read.
+        labels; only the last ``M`` rows are read.  Labels are read
+        into :attr:`label_dtype` (format-1 and format-2 archives hold
+        them as int64).
         """
         if int(state["num_clusters"]) != self.num_clusters:
             raise ConfigurationError(
@@ -293,7 +299,7 @@ class DynamicClusterTracker:
             self._centroids.load(np.asarray(centroids, dtype=float))
         self._label_window = deque(
             [] if labels is None else [
-                np.asarray(row, dtype=int).copy()
+                np.array(row, dtype=self.label_dtype)
                 for row in labels[-self.history_depth:]
             ],
             maxlen=self.history_depth,
@@ -315,7 +321,7 @@ class DynamicClusterTracker:
         else:
             centroids = self._value_centroids(data, labels)
         self._centroids.append(centroids)
-        self._label_window.append(np.asarray(labels, dtype=int).copy())
+        self._label_window.append(labels.astype(self.label_dtype))
         self._dim = data.shape[1]
         self._previous_centroids = centroids
         # A copy, as in update().

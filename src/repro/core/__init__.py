@@ -16,6 +16,7 @@ from repro.core.metrics import (
     transmission_frequency,
 )
 from repro.core.pipeline import (
+    ForecastFactors,
     OnlinePipeline,
     PipelineResult,
     StepOutput,
@@ -40,6 +41,7 @@ __all__ = [
     "standard_deviation_bound",
     "time_averaged_rmse",
     "transmission_frequency",
+    "ForecastFactors",
     "OnlinePipeline",
     "PipelineResult",
     "StepOutput",

@@ -51,6 +51,55 @@ from repro.forecasting.offsets import estimate_offsets
 logger = logging.getLogger(__name__)
 
 
+@dataclass(frozen=True, eq=False)
+class ForecastFactors:
+    """One slot's per-node forecasts in the factored form of Eq. 12.
+
+    ``x̂_{i,t+h} = ĉ_{m_i,t+h} + ŝ_i``: a node's forecast is its
+    forecasted cluster's forecasted centroid plus its offset.  This is
+    what a checkpoint stores instead of the ``H`` materialized
+    ``(N, d)`` forecasts.
+
+    Attributes:
+        horizons: The horizons ``h``, one per row of ``centroids``.
+        centroids: ``(H, K, d)`` float64 per-cluster forecasts, exactly
+            as the bank (or the hold-last-centroid fallback) produced
+            them.
+        memberships: ``(groups, N)`` forecasted cluster per resource
+            group and node, in the trackers' label dtype.
+        offsets: ``(N, d)`` float64 per-node offsets.
+    """
+
+    horizons: Tuple[int, ...]
+    centroids: np.ndarray
+    memberships: np.ndarray
+    offsets: np.ndarray
+
+    def compose(
+        self, groups: Sequence[Sequence[int]], dtype: np.dtype
+    ) -> Dict[int, np.ndarray]:
+        """The per-node forecasts ``{h: (N, d)}`` in ``dtype``.
+
+        ``groups`` are the pipeline's resource groups (runs of adjacent
+        resources), one per row of :attr:`memberships`.  Both factors
+        are float64, so each sum is taken in float64 and cast to
+        ``dtype`` once: the step and a resumed session compose the same
+        bits.
+        """
+        num_nodes, dim = self.offsets.shape
+        forecasts = {}
+        for i, h in enumerate(self.horizons):
+            forecast = np.empty((num_nodes, dim), dtype=dtype)
+            for g, group in enumerate(groups):
+                columns = slice(group[0], group[-1] + 1)
+                forecast[:, columns] = (
+                    self.centroids[i, :, columns][self.memberships[g]]
+                    + self.offsets[:, columns]
+                )
+            forecasts[h] = forecast
+        return forecasts
+
+
 @dataclass
 class StepOutput:
     """What the pipeline emits after processing one slot.
@@ -70,7 +119,11 @@ class StepOutput:
             ``x̂_{i,t+h}``, or None before forecasting starts.
         centroid_forecasts: ``{h: (K, d) array}`` of forecasted centroids.
         memberships: Forecasted cluster per node and resource group,
-            shape ``(groups, N)``; None before forecasting starts.
+            shape ``(groups, N)``, int64; None before forecasting
+            starts.
+        forecast_factors: The :class:`ForecastFactors`
+            ``node_forecasts`` were composed from; None before
+            forecasting starts.
         transport: *This slot's* message/byte counters (not cumulative)
             — a :class:`~repro.simulation.transport.TransportStats`
             delta.  None when the pipeline ran outside a session.
@@ -93,6 +146,7 @@ class StepOutput:
     node_forecasts: Optional[Dict[int, np.ndarray]] = None
     centroid_forecasts: Optional[Dict[int, np.ndarray]] = None
     memberships: Optional[np.ndarray] = None
+    forecast_factors: Optional[ForecastFactors] = None
     transport: Optional["TransportStats"] = None
     timings: Optional[Dict[str, float]] = None
     late_applied: Optional[int] = None
@@ -168,8 +222,11 @@ class OnlinePipeline:
         # (K · d floats per slot), which model training reads whole.
         window = config.forecasting.membership_lookback + 1
         self._stored_history = SlotRing(window)
+        # Labels lie in [0, K): the rings keep them in the trackers'
+        # narrowest integer type, as the trackers' own windows do.
         self._label_history: List[SlotRing] = [
-            SlotRing(window) for _ in self._groups
+            SlotRing(window, dtype=tracker.label_dtype)
+            for tracker in self._trackers
         ]
         # Per group, each window slot's Eq. 12 terms for every target
         # cluster (see estimate_offsets' memo), aligned with the stored
@@ -393,27 +450,27 @@ class OnlinePipeline:
         self, output: StepOutput, assignments: Sequence[ClusterAssignment]
     ) -> None:
         forecasting = self.config.forecasting
-        clustering = self.config.clustering
+        num_clusters = self.config.clustering.num_clusters
         horizon = forecasting.max_horizon
         lookback = forecasting.membership_lookback
 
-        node_forecasts = {
-            h: np.zeros((self.num_nodes, self.num_resources), dtype=self._dtype)
-            for h in range(1, horizon + 1)
-        }
-        centroid_forecasts = {
-            h: np.zeros(
-                (clustering.num_clusters, self.num_resources),
-                dtype=self._dtype,
-            )
-            for h in range(1, horizon + 1)
-        }
-        memberships_all = np.zeros((self.num_groups, self.num_nodes), dtype=int)
+        # The factors of Eq. 12, filled group by group; float64 holds
+        # each group's per-cluster forecasts whatever dtype they come in.
+        centroids = np.empty((horizon, num_clusters, self.num_resources))
+        memberships = np.empty(
+            (self.num_groups, self.num_nodes),
+            dtype=self._label_history[0].dtype,
+        )
+        offsets = np.empty((self.num_nodes, self.num_resources))
         # The ring's maxlen is exactly lookback + 1 (set in __init__), so
         # the whole window is the whole ring.
         window = len(self._stored_history)
 
         for g, group in enumerate(self._groups):
+            # A group is a run of adjacent resources, so its columns
+            # are views of the ring's rows: nothing is copied, and the
+            # memo reads only the slots it has not computed yet.
+            columns = slice(group[0], group[-1] + 1)
             # Forecast all clusters of this group in one bank call.
             # Failed clusters fall back to holding their last centroid:
             # per cluster when the bank reports partial failure, for
@@ -433,37 +490,30 @@ class OnlinePipeline:
                     "forecast failed for group %d: %s; "
                     "holding last centroids", g, exc,
                 )
-                per_cluster = np.broadcast_to(
-                    assignments[g].centroids,
-                    (horizon, clustering.num_clusters, len(group)),
-                ).copy()
+                per_cluster = assignments[g].centroids
+            centroids[:, :, columns] = per_cluster
 
-            memberships = forecast_membership(
+            memberships[g] = forecast_membership(
                 self._label_history[g].ordered(), lookback
             )
-            memberships_all[g] = memberships
-
-            # A group is a run of adjacent resources, so its columns
-            # are views of the ring's rows: nothing is copied, and the
-            # memo reads only the slots it has not computed yet.
-            columns = slice(group[0], group[-1] + 1)
-            offsets = estimate_offsets(
+            offsets[:, columns] = estimate_offsets(
                 [stored[:, columns] for stored in self._stored_history],
                 self._trackers[g].recent_centroids(window),
-                memberships,
+                memberships[g],
                 lookback,
                 memo=self._offset_memo[g],
             )
 
-            for h in range(1, horizon + 1):
-                centroid_forecasts[h][:, group] = per_cluster[h - 1]
-                node_forecasts[h][:, group] = (
-                    per_cluster[h - 1][memberships] + offsets
-                )
-
-        output.node_forecasts = node_forecasts
-        output.centroid_forecasts = centroid_forecasts
-        output.memberships = memberships_all
+        factors = ForecastFactors(
+            tuple(range(1, horizon + 1)), centroids, memberships, offsets
+        )
+        output.node_forecasts = factors.compose(self._groups, self._dtype)
+        output.centroid_forecasts = {
+            h: centroids[i].astype(self._dtype)
+            for i, h in enumerate(factors.horizons)
+        }
+        output.memberships = memberships.astype(int)
+        output.forecast_factors = factors
 
 
 @dataclass

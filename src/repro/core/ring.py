@@ -34,14 +34,20 @@ class SlotRing:
 
     Args:
         maxlen: Window size (slots retained), >= 1.
+        dtype: The buffer's dtype: appended slots and restored windows
+            are cast to it.  None (the default) takes the first
+            appended slot's dtype, or a restored window's.
     """
 
-    __slots__ = ("maxlen", "_buffer", "_length", "_cursor")
+    __slots__ = ("maxlen", "dtype", "_buffer", "_length", "_cursor")
 
-    def __init__(self, maxlen: int) -> None:
+    def __init__(
+        self, maxlen: int, dtype: Optional[np.typing.DTypeLike] = None
+    ) -> None:
         if maxlen < 1:
             raise ConfigurationError(f"maxlen must be >= 1, got {maxlen}")
         self.maxlen = int(maxlen)
+        self.dtype = None if dtype is None else np.dtype(dtype)
         self._buffer: Optional[np.ndarray] = None
         self._length = 0
         self._cursor = 0
@@ -52,7 +58,8 @@ class SlotRing:
         arr = np.asarray(value)
         if self._buffer is None:
             self._buffer = np.empty(
-                (self.maxlen,) + arr.shape, dtype=arr.dtype
+                (self.maxlen,) + arr.shape,
+                dtype=arr.dtype if self.dtype is None else self.dtype,
             )
         elif arr.shape != self._buffer.shape[1:]:
             raise DataError(
@@ -165,6 +172,10 @@ class SlotRing:
             return
         # repro: noqa DT-001(keeps the checkpoint array's dtype)
         window = np.asarray(window)
+        if self.dtype is not None and window.dtype != self.dtype:
+            # A fresh array of the ring's dtype, so adopting it aliases
+            # nothing (format-1/2 archives hold int64 label windows).
+            window = window.astype(self.dtype)
         if adopt and window.shape[0] == self.maxlen:
             # ordered() returned oldest→newest, so cursor 0 with a full
             # length reproduces the same logical order over this buffer.

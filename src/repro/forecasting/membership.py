@@ -28,7 +28,8 @@ def forecast_membership(
         lookback: The look-back ``M'``.
 
     Returns:
-        Array of shape ``(N,)``: the forecasted cluster of each node.
+        Array of shape ``(N,)``: the forecasted cluster of each node,
+        in the window's integer dtype (int64 for anything else).
     """
     if lookback < 0:
         raise ConfigurationError(f"lookback must be >= 0, got {lookback}")
@@ -38,7 +39,11 @@ def forecast_membership(
     num_nodes = np.shape(recent[0])[0]
     if any(np.shape(l) != (num_nodes,) for l in recent):
         raise DataError("label arrays in history have inconsistent shapes")
-    window = np.asarray(recent, dtype=int)  # (W, N)
+    # (W, N), in the labels' own integer dtype: the pipeline's uint8
+    # windows compare and gather at an eighth of int64's bytes.
+    window = np.asarray(recent)
+    if window.dtype.kind not in "iu":
+        window = window.astype(int)
     num_steps = window.shape[0]
     # counts[w, n]: how often node n's label at slot w occurs in the
     # window — a (W, W, N) equality with the node axis innermost, so the

@@ -82,6 +82,7 @@ import numpy as np
 from repro.checkpoint import CHECKPOINT_FORMAT_VERSION, Checkpoint
 from repro.core.config import PipelineConfig
 from repro.core.pipeline import (
+    ForecastFactors,
     ForecasterFactory,
     OnlinePipeline,
     StepOutput,
@@ -172,10 +173,12 @@ class StreamSession:
         self._time = 0
         self.late_applied = 0
         self.late_dropped = 0
-        # Latest per-node forecasts {h: (N, d)} — the forecast() surface.
-        # Checkpointed, so a resumed session answers forecast queries
-        # immediately instead of waiting for the next ingest.
+        # Latest per-node forecasts {h: (N, d)} — the forecast() surface
+        # — and the factors they were composed from, which is what a
+        # checkpoint stores: a resumed session composes its forecasts
+        # at its first forecast() instead of waiting for the next ingest.
         self._forecasts: Optional[Dict[int, np.ndarray]] = None
+        self._factors: Optional[ForecastFactors] = None
 
     # ------------------------------------------------------------------
     # Introspection
@@ -281,12 +284,17 @@ class StreamSession:
 
         output = self.pipeline.step(self.fleet.stored.copy())
         self._time += 1
-        if output.node_forecasts is not None:
+        factors = output.forecast_factors
+        if factors is not None:
             # The session keeps these for forecast() and the next
             # snapshot, so the caller gets them read-only.
-            for forecast in output.node_forecasts.values():
-                forecast.flags.writeable = False
+            for array in (
+                *output.node_forecasts.values(),
+                factors.centroids, factors.memberships, factors.offsets,
+            ):
+                array.flags.writeable = False
         self._forecasts = output.node_forecasts
+        self._factors = factors
 
         output.transport = TransportStats.from_node_counts(
             counts, self.num_resources
@@ -375,10 +383,11 @@ class StreamSession:
         """Current per-node forecasts ``{h: (N, d)}``.
 
         Available as soon as forecasting starts, including immediately
-        after a resume (the latest forecasts travel in the checkpoint).
-        The arrays are read-only, as are ``StepOutput.node_forecasts``:
-        the session keeps them for its next snapshot.  Copy one to
-        write into it.
+        after a resume (the latest forecasts travel in the checkpoint,
+        as the factors of Eq. 12; the first call after a resume
+        composes them).  The arrays are read-only, as are
+        ``StepOutput.node_forecasts``: the session keeps them.  Copy
+        one to write into it.
 
         Args:
             horizons: Horizons to return, each in ``1..max_horizon``;
@@ -388,6 +397,12 @@ class StreamSession:
             NotFittedError: Before forecasting starts (no slot closed
                 yet, or still inside the initial collection phase).
         """
+        if self._forecasts is None and self._factors is not None:
+            self._forecasts = self._factors.compose(
+                self.pipeline.groups, self.config.np_dtype
+            )
+            for forecast in self._forecasts.values():
+                forecast.flags.writeable = False
         available = self._forecasts
         if available is None:
             raise NotFittedError(
@@ -499,16 +514,8 @@ class StreamSession:
             "transport": self.channel.stats.get_state(),
             "pipeline": self.pipeline.get_state(),
             # The latest forecasts, so a resumed session serves
-            # forecast() immediately (JSON keys must be strings, hence
-            # the parallel horizon/value lists).
-            "forecasts": (
-                None if self._forecasts is None else {
-                    "horizons": sorted(self._forecasts),
-                    "values": [
-                        self._forecasts[h] for h in sorted(self._forecasts)
-                    ],
-                }
-            ),
+            # forecast() immediately.
+            "forecasts": self._forecast_state(),
             # Link models serialize their queues and RNG mid-stream, so
             # snapshotting with messages in flight is fine — they mature
             # identically after resume.
@@ -531,6 +538,27 @@ class StreamSession:
             state=state,
             version=CHECKPOINT_FORMAT_VERSION,
         )
+
+    def _forecast_state(self) -> Optional[Dict[str, object]]:
+        """The latest forecasts as checkpoint state: their factors (JSON
+        keys must be strings, hence the horizon list beside the
+        arrays), or, for a session resumed from a format-1 or format-2
+        archive that has not ingested since, the archived ``values``."""
+        factors = self._factors
+        if factors is not None:
+            return {
+                "horizons": list(factors.horizons),
+                "centroids": factors.centroids,
+                "memberships": factors.memberships,
+                "offsets": factors.offsets,
+            }
+        if self._forecasts is not None:
+            horizons = sorted(self._forecasts)
+            return {
+                "horizons": horizons,
+                "values": [self._forecasts[h] for h in horizons],
+            }
+        return None
 
     def save(self, path: Union[str, Path]) -> Path:
         """Convenience: :meth:`snapshot` and write it to ``path``."""
@@ -588,14 +616,22 @@ class StreamSession:
         self.late_applied = int(meta["late_applied"])
         self.late_dropped = int(meta["late_dropped"])
         forecasts = state.get("forecasts")
-        self._forecasts = (
-            None if forecasts is None else {
+        self._forecasts = self._factors = None
+        if forecasts is not None and "values" in forecasts:
+            # Formats 1 and 2 store the forecasts composed.
+            self._forecasts = {
                 int(h): _read_only(values)
                 for h, values in zip(
                     forecasts["horizons"], forecasts["values"]
                 )
             }
-        )
+        elif forecasts is not None:
+            self._factors = ForecastFactors(
+                tuple(int(h) for h in forecasts["horizons"]),
+                _read_only(forecasts["centroids"]),
+                _read_only(forecasts["memberships"]),
+                _read_only(forecasts["offsets"]),
+            )
 
 
 def _read_only(values: np.ndarray) -> np.ndarray:

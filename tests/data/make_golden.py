@@ -13,8 +13,11 @@ The archives in ``format1/`` were written by repro 2.0.0, the last
 build that wrote checkpoint format 1, before the ``ses`` session was
 added here.  Those in ``format2/`` were written by repro 4.9.0, the
 last build that fitted SES weights with scipy, so the ``ses``
-continuation pins the in-module minimizer to scipy's output.  To pin
-another build, run this script with that build's ``src`` on the path::
+continuation pins the in-module minimizer to scipy's output.  Those in
+``format3/`` were written by repro 5.4.0, the first build that stored
+labels in their narrowest integer type and forecasts as the factors of
+Eq. 12.  To pin another build, run this script with that build's
+``src`` on the path::
 
     PYTHONPATH=<checkout>/src python tests/data/make_golden.py \
         tests/data/formatN
@@ -34,7 +37,8 @@ from repro.core.config import (
     PipelineConfig,
     TransmissionConfig,
 )
-from repro.scenarios import run_scenario
+from repro.scenarios import build_link, run_scenario
+from repro.scenarios.harness import resolve_scenario
 
 POLICIES = ("adaptive", "uniform", "deadband", "perfect")
 #: Slot at which every session archive is cut.
@@ -107,6 +111,17 @@ def write_session(out, name, cfg, policy, churn, seed):
     np.savez(out / f"{name}.npz", **continuation(session, rows))
 
 
+def scenario_forecasts(path):
+    """The forecasts a session resumed from the scenario archive at
+    ``path`` serves, ``(H, N, 1)``."""
+    spec = resolve_scenario(SCENARIO)
+    checkpoint = as_checkpoint(path)
+    link = build_link(spec.link, int(checkpoint.session["num_nodes"]))
+    engine = Engine(spec.pipeline_config, policy=spec.policy)
+    forecasts = engine.resume(checkpoint, link=link).forecast()
+    return np.stack([forecasts[h] for h in sorted(forecasts)])
+
+
 def write_scenario(out):
     run_scenario(
         SCENARIO, until=SCENARIO_CUT,
@@ -117,6 +132,7 @@ def write_scenario(out):
         path = Path(workdir) / "final.ckpt"
         report = run_scenario(SCENARIO, until=end, checkpoint_path=path)
         final = as_checkpoint(path).state
+        forecasts = scenario_forecasts(path)
     trackers = final["pipeline"]["trackers"]
     saved = as_checkpoint(out / f"{SCENARIO}.ckpt")
     depth = saved.config["clustering"]["history_depth"]
@@ -125,7 +141,7 @@ def write_scenario(out):
         for key, series in report.per_slot.items()
     }
     expected.update(
-        forecasts=np.stack(final["forecasts"]["values"]),
+        forecasts=forecasts,
         stored=final["fleet"]["stored"],
         labels=np.stack([t["labels"][-depth:] for t in trackers]),
         centroids=np.stack([t["centroids"] for t in trackers]),

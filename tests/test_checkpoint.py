@@ -58,9 +58,11 @@ from repro.core.config import (
     PipelineConfig,
     TransmissionConfig,
 )
+from repro.core.pipeline import ForecastFactors
 from repro.core.ring import SlotSeries
-from repro.exceptions import CheckpointError
+from repro.exceptions import CheckpointError, DataError, ReproError
 from repro.forecasting.base import Forecaster
+from repro.forecasting.sample_hold import SampleHoldForecaster
 
 FORMAT1 = Path(__file__).parent / "data" / "format1"
 POLICIES = ("adaptive", "uniform", "deadband", "perfect")
@@ -244,7 +246,7 @@ class TestRoundTripBitIdentity:
         session = Engine(config()).session(4, 1)
         session.ingest(walk_trace(steps=1, nodes=4)[0])
         checkpoint = session.snapshot()
-        assert checkpoint.version == CHECKPOINT_FORMAT_VERSION == 2
+        assert checkpoint.version == CHECKPOINT_FORMAT_VERSION == 3
         for key in ("vectorized", "custom_policy_factory"):
             assert key not in checkpoint.session
         assert "policies" not in checkpoint.state
@@ -1340,6 +1342,41 @@ class TestKilledSave:
             assert_outputs_equal(outputs[t], again.ingest(trace[t]))
 
 
+class TestStaleScratchSearch:
+    def test_searches_once_per_path_and_again_after_a_failed_save(
+        self, tmp_path, monkeypatch
+    ):
+        """The directory is listed for dead writers' temp files at the
+        first save to a path, and again only after a save to it raised."""
+        session = Engine(config()).session(4, 1)
+        session.ingest(walk_trace(steps=1, nodes=4)[0])
+        checkpoint = session.snapshot()
+        path = tmp_path / "session.ckpt"
+        scandir = os.scandir
+        listed = []
+
+        def counted(directory="."):
+            listed.append(Path(directory))
+            return scandir(directory)
+
+        def write_fails(fd, members):
+            raise OSError(errno.ENOSPC, os.strerror(errno.ENOSPC))
+
+        monkeypatch.setattr(os, "scandir", counted)
+        for _ in range(3):
+            checkpoint.save(path)
+        assert listed == [tmp_path]
+        with monkeypatch.context() as patch:
+            patch.setattr(checkpoint_module, "_write_all", write_fails)
+            with pytest.raises(OSError):
+                checkpoint.save(path)
+        assert listed == [tmp_path]
+        checkpoint.save(path)
+        assert listed == [tmp_path, tmp_path]
+        assert list(tmp_path.glob("session.ckpt.tmp-*")) == []
+        assert Engine(config()).resume(path).time == 1
+
+
 @needs_proc
 class TestReleaseThread:
     """Replaced archives are freed on the release thread, never in the
@@ -1624,3 +1661,241 @@ class TestSeriesCapacityBoundaries:
         ):
             assert a["labels"].tobytes() == b["labels"].tobytes()
             assert a["centroids"].tobytes() == b["centroids"].tobytes()
+
+
+def factored_config(dtype="float64", scalar=True, clusters=3, initial=8):
+    return PipelineConfig(
+        transmission=TransmissionConfig(budget=0.3),
+        clustering=ClusteringConfig(
+            num_clusters=clusters,
+            scalar_per_resource=scalar,
+            kmeans_restarts=1,
+            seed=0,
+        ),
+        forecasting=ForecastingConfig(
+            model="sample_hold",
+            max_horizon=3,
+            initial_collection=initial,
+            retrain_interval=8,
+            membership_lookback=3,
+        ),
+        dtype=dtype,
+    )
+
+
+def walk_2d(steps=20, nodes=30, seed=0):
+    rng = np.random.default_rng(seed)
+    return np.clip(
+        0.5 + np.cumsum(rng.normal(0, 0.04, (steps, nodes, 2)), axis=0), 0, 1
+    )
+
+
+class ClusterOneFails(SampleHoldForecaster):
+    def _forecast(self, horizon):
+        raise DataError("cluster down")
+
+
+def cluster_one_fails(cluster, group):
+    return ClusterOneFails() if cluster == 1 else SampleHoldForecaster()
+
+
+def assert_forecasts_identical(a, b):
+    assert sorted(a) == sorted(b)
+    for h in a:
+        assert a[h].dtype == b[h].dtype
+        assert a[h].shape == b[h].shape
+        assert a[h].tobytes() == b[h].tobytes()
+
+
+class TestFactoredForecasts:
+    """Checkpoints store the latest forecasts as the factors of Eq. 12
+    (per-cluster forecasts, memberships, offsets); a resumed session
+    composes them at its first forecast() call."""
+
+    @pytest.mark.parametrize("failure", ["none", "cluster", "group"])
+    @pytest.mark.parametrize("scalar", [True, False], ids=["scalar", "joint"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_resumed_forecasts_match_the_live_session(
+        self, dtype, scalar, failure, tmp_path
+    ):
+        cfg = factored_config(dtype, scalar)
+        kwargs = (
+            {"forecaster_factory": cluster_one_fails}
+            if failure == "cluster" else {}
+        )
+        session = Engine(cfg, **kwargs).session(30, 2)
+        if failure == "group":
+            # Group 0's bank fails outright: the pipeline holds the
+            # group's float64 centroids at every horizon.
+            def bank_down(horizon):
+                raise ReproError("bank down")
+
+            session.pipeline.bank(0)._forecast = bank_down
+        trace = walk_2d(seed=3)
+        for row in trace:
+            output = session.ingest(row)
+        live = session.forecast()
+        factors = output.forecast_factors
+        assert factors.centroids.dtype == np.float64
+        assert factors.offsets.dtype == np.float64
+        if failure == "group" and dtype == "float32":
+            # The held centroids are no float32 values, so a rebuild
+            # from the dtype-cast centroid forecasts would differ.
+            cast = np.stack([
+                output.centroid_forecasts[h] for h in factors.horizons
+            ])
+            assert not np.array_equal(cast, factors.centroids)
+        path = session.save(tmp_path / "session.ckpt")
+        for source in (path, session.snapshot(), Checkpoint.load(path)):
+            resumed = Engine(cfg, **kwargs).resume(source)
+            assert_forecasts_identical(resumed.forecast(), live)
+
+    def test_forecasts_are_composed_at_the_first_call(
+        self, tmp_path, monkeypatch
+    ):
+        cfg = factored_config()
+        session = Engine(cfg).session(30, 2)
+        for row in walk_2d(seed=4):
+            session.ingest(row)
+        path = session.save(tmp_path / "session.ckpt")
+        compose = ForecastFactors.compose
+        calls = []
+
+        def counted(self, groups, dtype):
+            calls.append(dtype)
+            return compose(self, groups, dtype)
+
+        monkeypatch.setattr(ForecastFactors, "compose", counted)
+        resumed = Engine(cfg).resume(path)
+        assert calls == []
+        first = resumed.forecast()
+        second = resumed.forecast(horizons=[2])
+        assert calls == [np.dtype(np.float64)]
+        assert second[2] is first[2]
+        for forecast in first.values():
+            with pytest.raises(ValueError):
+                forecast += 1.0
+        assert_forecasts_identical(first, session.forecast())
+
+    def test_archive_stores_the_factors(self, tmp_path):
+        cfg = factored_config(clusters=3)
+        session = Engine(cfg).session(30, 2)
+        for row in walk_2d(seed=5):
+            session.ingest(row)
+        state = Checkpoint.load(session.save(tmp_path / "s.ckpt")).state
+        forecasts = state["forecasts"]
+        assert set(forecasts) == {
+            "horizons", "centroids", "memberships", "offsets"
+        }
+        assert forecasts["horizons"] == [1, 2, 3]
+        assert forecasts["centroids"].shape == (3, 3, 2)
+        assert forecasts["centroids"].dtype == np.float64
+        assert forecasts["memberships"].shape == (2, 30)
+        assert forecasts["memberships"].dtype == np.uint8
+        assert forecasts["offsets"].shape == (30, 2)
+        assert forecasts["offsets"].dtype == np.float64
+
+    @pytest.mark.parametrize("churn", ["grow", "compact"])
+    def test_forecast_after_churn_serves_the_last_slots(self, churn, tmp_path):
+        """Churn between slots leaves the latest forecasts as they were
+        (the fleet's old size) until the next ingest, resumed or not."""
+        cfg = factored_config()
+        session = Engine(cfg).session(30, 2)
+        for row in walk_2d(seed=6):
+            session.ingest(row)
+        before = session.forecast()
+        if churn == "grow":
+            session.grow(2)
+        else:
+            session.compact(np.arange(0, 30, 2))
+        assert_forecasts_identical(session.forecast(), before)
+        resumed = Engine(cfg).resume(session.save(tmp_path / "s.ckpt"))
+        assert resumed.num_nodes == session.num_nodes
+        assert_forecasts_identical(resumed.forecast(), before)
+        row = walk_2d(steps=1, nodes=resumed.num_nodes, seed=7)[0]
+        assert_forecasts_identical(
+            resumed.ingest(row).node_forecasts,
+            session.ingest(row).node_forecasts,
+        )
+
+
+class TestLabelDtype:
+    """Node-aligned label state lies in [0, K): it is kept in
+    ``np.min_scalar_type(K - 1)`` in the trackers' windows, the
+    pipeline's rings and the checkpoint, while the labels a slot
+    returns stay int64."""
+
+    @staticmethod
+    def label_arrays(session):
+        pipeline = session.pipeline
+        for g in range(pipeline.num_groups):
+            yield from pipeline.tracker(g)._label_window
+            yield pipeline._label_history[g].ordered()
+        state = session.snapshot().state
+        for tracker in state["pipeline"]["trackers"]:
+            yield tracker["labels"]
+        for ring in state["pipeline"]["label_history"]:
+            yield ring["window"]
+        # A session resumed from a format-1 or format-2 archive keeps
+        # the archived composed forecasts until it ingests.
+        forecasts = state["forecasts"]
+        if forecasts is not None and "memberships" in forecasts:
+            yield forecasts["memberships"]
+
+    @pytest.mark.parametrize("clusters,expected", [
+        (3, np.uint8), (256, np.uint8), (257, np.uint16), (300, np.uint16),
+    ])
+    def test_label_state_has_the_narrowest_dtype(
+        self, clusters, expected, tmp_path
+    ):
+        # At N = 300, K = 300 takes the tracker's identity path.  Few
+        # slots: re-indexing solves a K x K assignment per slot.
+        nodes = 300
+        cfg = factored_config(clusters=clusters, initial=1)
+        session = Engine(cfg).session(nodes, 1)
+        rng = np.random.default_rng(clusters)
+        trace = rng.uniform(0, 1, (2, nodes))
+        for row in trace:
+            output = session.ingest(row)
+        assert output.node_forecasts is not None
+        for assignment in output.assignments:
+            assert assignment.labels.dtype == np.int64
+        assert output.memberships.dtype == np.int64
+        # The newest window row holds the slot's labels unwrapped.
+        window = session.pipeline.tracker(0)._label_window
+        np.testing.assert_array_equal(
+            window[-1], output.assignments[0].labels
+        )
+        for labels in self.label_arrays(session):
+            assert labels.dtype == expected
+        resumed = Engine(cfg).resume(session.save(tmp_path / "s.ckpt"))
+        for labels in self.label_arrays(resumed):
+            assert labels.dtype == expected
+        row = rng.uniform(0, 1, nodes)
+        assert_outputs_equal(session.ingest(row), resumed.ingest(row))
+
+    def test_int64_labels_of_a_format2_archive_are_narrowed(self):
+        path = Path(__file__).parent / "data" / "format2" / "adaptive.ckpt"
+        checkpoint = Checkpoint.load(path)
+        archived = checkpoint.state["pipeline"]
+        assert archived["trackers"][0]["labels"].dtype == np.int64
+        assert archived["label_history"][0]["window"].dtype == np.int64
+        for mmap in (False, True):
+            engine = Engine.from_config(
+                checkpoint.config, policy=checkpoint.session["policy"]
+            )
+            resumed = engine.resume(path, mmap=mmap)
+            arrays = list(self.label_arrays(resumed))
+            assert arrays
+            for labels in arrays:
+                assert labels.dtype == np.uint8
+            restored = resumed.snapshot().state["pipeline"]
+            np.testing.assert_array_equal(
+                restored["trackers"][0]["labels"],
+                archived["trackers"][0]["labels"],
+            )
+            np.testing.assert_array_equal(
+                restored["label_history"][0]["window"],
+                archived["label_history"][0]["window"],
+            )
+

@@ -96,6 +96,23 @@ class TestForecastMembership:
         with pytest.raises(ConfigurationError):
             forecast_membership([np.array([0])], -1)
 
+    @pytest.mark.parametrize("num_clusters", [2, 3, 256])
+    @pytest.mark.parametrize("stacked", [True, False])
+    def test_uint8_window_votes_as_int64(self, num_clusters, stacked):
+        """The pipeline's uint8 label windows vote as int64 ones do;
+        the result keeps the window's dtype."""
+        rng = np.random.default_rng(num_clusters)
+        wide = rng.integers(0, num_clusters, size=(6, 500))
+        narrow = wide.astype(np.uint8)
+        if not stacked:
+            wide, narrow = list(wide), list(narrow)
+        for lookback in (0, 2, 5):
+            expected = forecast_membership(wide, lookback)
+            out = forecast_membership(narrow, lookback)
+            np.testing.assert_array_equal(out, expected)
+            assert expected.dtype == np.int64
+            assert out.dtype == np.uint8
+
     @given(
         st.lists(
             arrays(int, 5, elements=st.integers(0, 2)),

@@ -1,8 +1,9 @@
 """Golden archives: checkpoints written by earlier builds still resume.
 
 ``tests/data/format1/`` holds checkpoints written by repro 2.0.0
-(checkpoint format 1) and ``tests/data/format2/`` checkpoints written
-by repro 4.9.0 (format 2), each together with what the session that
+(checkpoint format 1), ``tests/data/format2/`` checkpoints written by
+repro 4.9.0 (format 2) and ``tests/data/format3/`` checkpoints written
+by repro 5.4.0 (format 3), each together with what the session that
 never stopped produced next (see ``tests/data/make_golden.py``): one
 session per transmission policy with a grow and a compact just before
 the cut, a float32 AR session, and a linked ``lossy_churn`` replay cut
@@ -20,17 +21,20 @@ import repro.forecasting.bank
 from repro.api import Engine
 from repro.checkpoint import as_checkpoint
 from repro.exceptions import CheckpointError
-from repro.scenarios import run_scenario
+from repro.scenarios import build_link, run_scenario
+from repro.scenarios.harness import resolve_scenario
 
 DATA = Path(__file__).parent / "data"
 FORMAT1 = DATA / "format1"
 FORMAT2 = DATA / "format2"
+FORMAT3 = DATA / "format3"
 SESSIONS = ("adaptive", "uniform", "deadband", "perfect", "float32_ar")
 #: (directory, checkpoint format, sessions archived there, id prefix);
 #: the format-1 cases keep the ids they had before format 2 was added.
 FORMATS = (
     (FORMAT1, 1, SESSIONS, ""),
     (FORMAT2, 2, SESSIONS + ("ses",), "format2-"),
+    (FORMAT3, 3, SESSIONS + ("ses",), "format3-"),
 )
 
 
@@ -85,6 +89,27 @@ def test_session_archive_resumes_bit_identically(
         assert not ses_fits
 
 
+@pytest.mark.parametrize("directory,name", [
+    pytest.param(directory, name, id=f"format{version}-{name}")
+    for directory, version, names, _ in FORMATS if version < 3
+    for name in names
+])
+def test_composed_forecasts_resume_as_archived(directory, name, tmp_path):
+    """Formats 1 and 2 store the forecasts composed: a resumed session
+    serves them as archived, and a snapshot it takes before its next
+    ingest carries them on."""
+    checkpoint, session = resume(directory / f"{name}.ckpt")
+    archived = checkpoint.state["forecasts"]
+    expected = dict(zip(archived["horizons"], archived["values"]))
+    for _ in range(2):
+        forecasts = session.forecast()
+        assert sorted(forecasts) == sorted(expected)
+        for h, values in expected.items():
+            assert forecasts[h].dtype == values.dtype
+            assert forecasts[h].tobytes() == values.tobytes()
+        _, session = resume(session.save(tmp_path / f"{name}.ckpt"))
+
+
 @pytest.mark.parametrize("section,option,value", [
     ("forecasting", "bank", "object"),
     ("clustering", "window", 5),
@@ -127,6 +152,21 @@ def test_format2_scenario_archive_resumes_bit_identically(tmp_path):
     check_scenario_archive(FORMAT2, 2, tmp_path)
 
 
+def test_format3_scenario_archive_resumes_bit_identically(tmp_path):
+    check_scenario_archive(FORMAT3, 3, tmp_path)
+
+
+def scenario_forecasts(path):
+    """The forecasts a session resumed from the ``lossy_churn`` archive
+    at ``path`` serves, ``(H, N, 1)``."""
+    spec = resolve_scenario("lossy_churn")
+    checkpoint = as_checkpoint(path)
+    link = build_link(spec.link, int(checkpoint.session["num_nodes"]))
+    engine = Engine(spec.pipeline_config, policy=spec.policy)
+    forecasts = engine.resume(checkpoint, link=link).forecast()
+    return np.stack([forecasts[h] for h in sorted(forecasts)])
+
+
 def check_scenario_archive(directory, version, tmp_path):
     expected = np.load(directory / "lossy_churn.npz")
     slots = expected["per_slot_fleet_size"].size
@@ -142,10 +182,10 @@ def check_scenario_archive(directory, version, tmp_path):
     assert report.slots == slots
     for key, series in report.per_slot.items():
         np.testing.assert_array_equal(series, expected[f"per_slot_{key}"])
-    state = as_checkpoint(final).state
     np.testing.assert_array_equal(
-        np.stack(state["forecasts"]["values"]), expected["forecasts"]
+        scenario_forecasts(final), expected["forecasts"]
     )
+    state = as_checkpoint(final).state
     np.testing.assert_array_equal(
         state["fleet"]["stored"], expected["stored"]
     )

@@ -503,9 +503,13 @@ class TestReturnedArraysDoNotAliasState:
 
     def test_step_forecasts_are_read_only(self):
         pair, outputs, rest = self.twins()
-        for forecast in outputs[0].node_forecasts.values():
+        factors = outputs[0].forecast_factors
+        for forecast in (
+            *outputs[0].node_forecasts.values(),
+            factors.centroids, factors.memberships, factors.offsets,
+        ):
             with pytest.raises(ValueError):
-                forecast += 5.0
+                forecast += 5
         self.assert_same_state(pair, rest)
 
     def test_session_forecasts_are_read_only(self, tmp_path):

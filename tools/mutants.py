@@ -148,6 +148,48 @@ LEDGER: Tuple[Mutant, ...] = (
             "test_custom_factory_forces_object_bank",
         ),
     ),
+    # Checkpoints keep labels in their narrowest integer type and the
+    # latest forecasts as the factors of Eq. 12.
+    Mutant(
+        name="label-dtype-always-uint8",
+        path="src/repro/clustering/dynamic.py",
+        old="self.label_dtype = np.min_scalar_type(num_clusters - 1)",
+        new="self.label_dtype = np.dtype(np.uint8)",
+        tests=(
+            "tests/test_checkpoint.py::TestLabelDtype::"
+            "test_label_state_has_the_narrowest_dtype",
+        ),
+    ),
+    Mutant(
+        name="snapshot-stores-cast-centroid-forecasts",
+        path="src/repro/session.py",
+        old='                "centroids": factors.centroids,\n',
+        new=(
+            '                "centroids": factors.centroids.astype(\n'
+            "                    self.config.np_dtype\n"
+            "                ),\n"
+        ),
+        tests=(
+            "tests/test_checkpoint.py::TestFactoredForecasts::"
+            "test_resumed_forecasts_match_the_live_session",
+        ),
+    ),
+    Mutant(
+        name="resumed-format2-session-snapshots-no-forecasts",
+        path="src/repro/session.py",
+        old=(
+            "        if self._forecasts is not None:\n"
+            "            horizons = sorted(self._forecasts)\n"
+        ),
+        new=(
+            "        if False:\n"
+            "            horizons = sorted(self._forecasts)\n"
+        ),
+        tests=(
+            "tests/test_golden_checkpoints.py::"
+            "test_composed_forecasts_resume_as_archived",
+        ),
+    ),
     # One mutant per bug class the linter (tools/repro_lint) exists
     # for, each killed by the lint test over the shipped tree.  KER-001
     # has none: its one site, the uniform backend's seeded draw, carries
