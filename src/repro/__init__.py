@@ -66,7 +66,7 @@ from repro.registry import (
 from repro.session import StreamSession
 from repro.simulation.fleet import FleetState
 
-__version__ = "5.4.0"
+__version__ = "5.5.0"
 
 __all__ = [
     "Engine",

@@ -435,58 +435,55 @@ class Engine:
 
         sq_sums: Dict[int, float] = {h: 0.0 for h in eval_horizons}
         sq_counts: Dict[int, int] = {h: 0 for h in eval_horizons}
-        forecast_horizons = np.asarray(
-            [h for h in eval_horizons if h != 0], dtype=int
-        )
-        # Per-slot centroid-of-assigned-cluster estimates, accumulated so
-        # the intermediate RMSE is one batched operation at the end.
-        centers_series = np.empty_like(stored)
-        groups = pipeline.groups
+        forecast_horizons = sorted(h for h in eval_horizons if h != 0)
+        # Each slot is scored as it closes (Eq. 3), so the run holds
+        # per-slot errors, never a (T, N, d) estimate series.  Every
+        # call scores a one-slot stack of views, and the batch scorer
+        # reduces each slot of a stack on its own: the values are
+        # those of scoring the whole trajectory at once.
+        h0_errors = np.empty(num_steps) if 0 in sq_sums else None
+        # A group is a run of adjacent resources, so a slice of columns.
+        columns = [slice(group[0], group[-1] + 1) for group in pipeline.groups]
+        group_errors = np.empty((len(columns), num_steps))
         forecast_start = -1
         metrics_seconds = 0.0
 
         for t in range(num_steps):
             output = pipeline.step(stored[t])
+            started = time.perf_counter()
+            if h0_errors is not None:
+                h0_errors[t] = instantaneous_rmse_batch(
+                    stored[t][np.newaxis], data[t][np.newaxis]
+                )[0]
             for g, assignment in enumerate(output.assignments):
-                centers_series[t][:, groups[g]] = assignment.centroids[
-                    assignment.labels
-                ]
+                # The estimate is the float64 centroid in the stored
+                # dtype: a float32 run scores it rounded.
+                centers = assignment.centroids[assignment.labels].astype(
+                    stored.dtype, copy=False
+                )
+                group_errors[g, t] = instantaneous_rmse_batch(
+                    centers[np.newaxis], stored[t][:, columns[g]][np.newaxis]
+                )[0]
 
             if output.node_forecasts is not None:
                 if forecast_start < 0:
                     forecast_start = t
-                started = time.perf_counter()
-                live = forecast_horizons[t + forecast_horizons < num_steps]
-                if live.size:
-                    # All horizons of this slot in one array op.
-                    estimates = np.stack(
-                        [output.node_forecasts[h] for h in live.tolist()]
-                    )
-                    errors = instantaneous_rmse_batch(
-                        estimates, data[t + live]
-                    )
-                    for h, err in zip(live.tolist(), errors.tolist()):
-                        sq_sums[h] += err**2
-                        sq_counts[h] += 1
-                metrics_seconds += time.perf_counter() - started
+                for h in forecast_horizons:
+                    if t + h >= num_steps:
+                        break
+                    err = float(instantaneous_rmse_batch(
+                        output.node_forecasts[h][np.newaxis],
+                        data[t + h][np.newaxis],
+                    )[0])
+                    sq_sums[h] += err**2
+                    sq_counts[h] += 1
+            metrics_seconds += time.perf_counter() - started
 
-        # Batched accumulation over all slots at once: the pure
-        # collection error (h = 0) and the intermediate RMSE — the
-        # per-slot values match the streaming instantaneous_rmse
-        # definition exactly.
         started = time.perf_counter()
-        if 0 in sq_sums:
-            errors = instantaneous_rmse_batch(stored, data)
-            sq_sums[0] = float(np.sum(errors**2))
+        if h0_errors is not None:
+            sq_sums[0] = float(np.sum(h0_errors**2))
             sq_counts[0] = num_steps
-        group_sq = np.stack([
-            instantaneous_rmse_batch(
-                centers_series[:, :, group], stored[:, :, group]
-            )
-            ** 2
-            for group in groups
-        ])  # (groups, T)
-        intermediate_sq = group_sq.mean(axis=0)
+        intermediate_sq = (group_errors**2).mean(axis=0)
 
         rmse_by_horizon = {}
         for h in eval_horizons:

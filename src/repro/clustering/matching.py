@@ -39,27 +39,32 @@ def minimum_cost_assignment(cost: np.ndarray) -> np.ndarray:
         return np.empty(0, dtype=int)
 
     # Jonker–Volgenant style shortest augmenting path algorithm with
-    # 1-based sentinel row/column 0.
-    u = np.zeros(n + 1)
-    v = np.zeros(n + 1)
+    # 1-based sentinel row/column 0.  The loops index Python lists of
+    # Python floats: the same IEEE double arithmetic as numpy scalars,
+    # without a numpy scalar object per element access.
+    rows = matrix.tolist()
+    u = [0.0] * (n + 1)
+    v = [0.0] * (n + 1)
     # way[j] = predecessor column of column j on the augmenting path
-    match = np.zeros(n + 1, dtype=int)  # match[j] = row matched to column j
+    match = [0] * (n + 1)  # match[j] = row matched to column j
 
     for i in range(1, n + 1):
         match[0] = i
         j0 = 0
-        minv = np.full(n + 1, _INF)
-        way = np.zeros(n + 1, dtype=int)
-        used = np.zeros(n + 1, dtype=bool)
+        minv = [_INF] * (n + 1)
+        way = [0] * (n + 1)
+        used = [False] * (n + 1)
         while True:
             used[j0] = True
             i0 = match[j0]
+            row = rows[i0 - 1]
+            u_i0 = u[i0]
             delta = _INF
             j1 = 0
             for j in range(1, n + 1):
                 if used[j]:
                     continue
-                cur = matrix[i0 - 1, j - 1] - u[i0] - v[j]
+                cur = row[j - 1] - u_i0 - v[j]
                 if cur < minv[j]:
                     minv[j] = cur
                     way[j] = j0
@@ -81,10 +86,10 @@ def minimum_cost_assignment(cost: np.ndarray) -> np.ndarray:
             match[j0] = match[j1]
             j0 = j1
 
-    assignment = np.zeros(n, dtype=int)
+    assignment = [0] * n
     for j in range(1, n + 1):
         assignment[match[j] - 1] = j - 1
-    return assignment
+    return np.array(assignment, dtype=int)
 
 
 def maximum_weight_assignment(weights: np.ndarray) -> np.ndarray:

@@ -4,10 +4,12 @@ These are the straightforward per-node Python-loop versions of the
 fleet-scale hot path: α-clipped offset estimation (Eq. 12), the
 similarity re-indexing contingency (Eq. 10–11) over explicit node-id
 sets, and the majority-vote membership forecast (Sec. V-C), plus the
-K-means of Sec. V-B in its ``(N, K, d)`` broadcast form.  The
+K-means of Sec. V-B in its ``(N, K, d)`` broadcast form and the
+Hungarian assignment of Eq. 11 over numpy scalars.  The
 package's implementations in :mod:`repro.forecasting.offsets`,
-:mod:`repro.clustering.similarity`, :mod:`repro.forecasting.membership`
-and :mod:`repro.clustering.kmeans` are rewrites of these; the property
+:mod:`repro.clustering.similarity`, :mod:`repro.forecasting.membership`,
+:mod:`repro.clustering.kmeans` and :mod:`repro.clustering.matching`
+are rewrites of these; the property
 tests in ``tests/test_equivalence.py`` assert the rewrites are
 *bit-identical* on randomized inputs, ``tests/test_clustering_similarity.py``
 pins the set transcription of Eq. 10 itself, and the scaling benchmark
@@ -27,6 +29,8 @@ import numpy as np
 from repro.clustering.kmeans import KMeansResult
 from repro.exceptions import ConfigurationError, DataError
 from repro.registry import SIMILARITY_MEASURES
+
+_INF = float("inf")
 
 
 def alpha_clip_reference(
@@ -422,3 +426,63 @@ def kmeans_reference(
             best = result
     assert best is not None
     return best
+
+
+def minimum_cost_assignment_reference(cost: np.ndarray) -> np.ndarray:
+    """The Hungarian assignment of Eq. 11 over numpy scalar indexing."""
+    matrix = np.asarray(cost, dtype=float)
+    if matrix.ndim != 2 or matrix.shape[0] != matrix.shape[1]:
+        raise DataError(f"cost matrix must be square, got shape {matrix.shape}")
+    if not np.isfinite(matrix).all():
+        raise DataError("cost matrix contains NaN or infinite entries")
+    n = matrix.shape[0]
+    if n == 0:
+        return np.empty(0, dtype=int)
+
+    # Jonker–Volgenant style shortest augmenting path algorithm with
+    # 1-based sentinel row/column 0.
+    u = np.zeros(n + 1)
+    v = np.zeros(n + 1)
+    # way[j] = predecessor column of column j on the augmenting path
+    match = np.zeros(n + 1, dtype=int)  # match[j] = row matched to column j
+
+    for i in range(1, n + 1):
+        match[0] = i
+        j0 = 0
+        minv = np.full(n + 1, _INF)
+        way = np.zeros(n + 1, dtype=int)
+        used = np.zeros(n + 1, dtype=bool)
+        while True:
+            used[j0] = True
+            i0 = match[j0]
+            delta = _INF
+            j1 = 0
+            for j in range(1, n + 1):
+                if used[j]:
+                    continue
+                cur = matrix[i0 - 1, j - 1] - u[i0] - v[j]
+                if cur < minv[j]:
+                    minv[j] = cur
+                    way[j] = j0
+                if minv[j] < delta:
+                    delta = minv[j]
+                    j1 = j
+            for j in range(n + 1):
+                if used[j]:
+                    u[match[j]] += delta
+                    v[j] -= delta
+                else:
+                    minv[j] -= delta
+            j0 = j1
+            if match[j0] == 0:
+                break
+        # Augment along the path back to the sentinel.
+        while j0 != 0:
+            j1 = way[j0]
+            match[j0] = match[j1]
+            j0 = j1
+
+    assignment = np.zeros(n, dtype=int)
+    for j in range(1, n + 1):
+        assignment[match[j] - 1] = j - 1
+    return assignment

@@ -1,6 +1,7 @@
 """Tests for the unified Engine API (repro.api) and config round-trips."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -12,7 +13,11 @@ from repro.core.config import (
     PipelineConfig,
     TransmissionConfig,
 )
-from repro.core.metrics import instantaneous_rmse, time_averaged_rmse
+from repro.core.metrics import (
+    instantaneous_rmse,
+    instantaneous_rmse_batch,
+    time_averaged_rmse,
+)
 from repro.core.pipeline import OnlinePipeline, PipelineResult
 from repro.core.types import validate_trace
 from repro.exceptions import ConfigurationError, DataError
@@ -141,6 +146,149 @@ class TestEngineBatchEquivalence:
         a = engine.run(trace)
         b = engine.run(trace)
         assert a.rmse_by_horizon == b.rmse_by_horizon
+
+
+def batched_scores(result, trace, horizons=None):
+    """Score a run as Engine.run did before it scored slot by slot.
+
+    Re-runs the pipeline over ``result.stored``, keeps every slot's
+    centroid estimate in a ``(T, N, d)`` series of the stored dtype,
+    and scores the whole trajectory with one stacked call per horizon
+    slot, h = 0 and resource group."""
+    cfg = result.config
+    data = validate_trace(trace, dtype=cfg.np_dtype)
+    stored = result.stored
+    num_steps, num_nodes, num_resources = stored.shape
+    pipeline = OnlinePipeline(num_nodes, num_resources, cfg)
+    max_h = cfg.forecasting.max_horizon
+    eval_horizons = (
+        list(horizons) if horizons is not None else list(range(max_h + 1))
+    )
+    sq_sums = {h: 0.0 for h in eval_horizons}
+    sq_counts = {h: 0 for h in eval_horizons}
+    forecast_horizons = np.asarray(
+        [h for h in eval_horizons if h != 0], dtype=int
+    )
+    centers_series = np.empty_like(stored)
+    groups = pipeline.groups
+    for t in range(num_steps):
+        output = pipeline.step(stored[t])
+        for g, assignment in enumerate(output.assignments):
+            centers_series[t][:, groups[g]] = assignment.centroids[
+                assignment.labels
+            ]
+        if output.node_forecasts is None:
+            continue
+        live = forecast_horizons[t + forecast_horizons < num_steps]
+        if live.size:
+            estimates = np.stack(
+                [output.node_forecasts[h] for h in live.tolist()]
+            )
+            errors = instantaneous_rmse_batch(estimates, data[t + live])
+            for h, err in zip(live.tolist(), errors.tolist()):
+                sq_sums[h] += err**2
+                sq_counts[h] += 1
+    if 0 in sq_sums:
+        errors = instantaneous_rmse_batch(stored, data)
+        sq_sums[0] = float(np.sum(errors**2))
+        sq_counts[0] = num_steps
+    group_sq = np.stack([
+        instantaneous_rmse_batch(
+            centers_series[:, :, group], stored[:, :, group]
+        )
+        ** 2
+        for group in groups
+    ])
+    rmse_by_horizon = {
+        h: float(np.sqrt(sq_sums[h] / sq_counts[h]))
+        for h in eval_horizons
+        if sq_counts[h] > 0
+    }
+    return rmse_by_horizon, float(np.sqrt(np.mean(group_sq.mean(axis=0))))
+
+
+def scorer_config(dtype, joint, model):
+    return PipelineConfig(
+        transmission=TransmissionConfig(budget=0.3),
+        clustering=ClusteringConfig(
+            num_clusters=3, scalar_per_resource=not joint, seed=0
+        ),
+        forecasting=ForecastingConfig(
+            model=model,
+            max_horizon=3,
+            initial_collection=15,
+            retrain_interval=15,
+        ),
+        dtype=dtype,
+    )
+
+
+class TestSlotScorer:
+    """Engine.run scores each slot as it closes; its figures equal the
+    whole-trajectory scoring bit for bit."""
+
+    @pytest.mark.parametrize("model", ["sample_hold", "ses"])
+    @pytest.mark.parametrize("horizons", [None, (1, 3)], ids=["all", "h1h3"])
+    @pytest.mark.parametrize(
+        "shards", [(1, None), (3, 2)], ids=["1shard", "3shards"]
+    )
+    @pytest.mark.parametrize("joint", [False, True], ids=["scalar", "joint"])
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    def test_matches_batched_scoring(
+        self, dtype, joint, shards, horizons, model
+    ):
+        rng = np.random.default_rng(5)
+        trace = np.clip(
+            0.5 + np.cumsum(rng.normal(0, 0.03, (45, 12, 2)), axis=0), 0, 1
+        )
+        cfg = scorer_config(dtype, joint, model)
+        num_shards, workers = shards
+        result = Engine(cfg).run(
+            trace, horizons=horizons, shards=num_shards, workers=workers
+        )
+        rmse_by_horizon, intermediate = batched_scores(
+            result, trace, horizons
+        )
+        assert {h: r.hex() for h, r in result.rmse_by_horizon.items()} == {
+            h: r.hex() for h, r in rmse_by_horizon.items()
+        }
+        assert result.intermediate_rmse.hex() == intermediate.hex()
+
+
+class TestRunMemory:
+    """A run holds the trace, its collection and per-slot scores, never
+    a whole-trace estimate series: counted allocations, not time."""
+
+    @pytest.mark.parametrize(
+        "shards", [(1, None), (2, 2)], ids=["1shard", "2shards"]
+    )
+    def test_peak_is_bounded_by_the_trace(self, shards):
+        cfg = PipelineConfig(
+            transmission=TransmissionConfig(budget=0.3),
+            clustering=ClusteringConfig(
+                num_clusters=5, scalar_per_resource=False, seed=0
+            ),
+            forecasting=ForecastingConfig(
+                model="ses", max_horizon=5, initial_collection=10,
+                retrain_interval=288,
+            ),
+        )
+        rng = np.random.default_rng(0)
+        trace = np.clip(
+            0.5 + np.cumsum(rng.normal(0, 0.03, (40, 2000, 2)), axis=0), 0, 1
+        )
+        num_shards, workers = shards
+        engine = Engine(cfg)
+        # Warm up lazy imports and caches outside the traced run.
+        engine.run(trace[:12], shards=num_shards, workers=workers)
+        tracemalloc.start()
+        try:
+            engine.run(trace, shards=num_shards, workers=workers)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        ratio = peak / trace.nbytes
+        assert ratio <= 4.0, f"peak {ratio:.2f}x the trace"
 
 
 class TestRunResult:

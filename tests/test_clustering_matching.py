@@ -1,4 +1,5 @@
-"""Tests for the Hungarian assignment implementation (vs scipy)."""
+"""Tests for the Hungarian assignment implementation (vs scipy and the
+numpy-scalar reference it was ported from)."""
 
 import itertools
 
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
+from reference_impl import minimum_cost_assignment_reference
 from scipy.optimize import linear_sum_assignment
 
 from repro.clustering.matching import (
@@ -97,6 +99,32 @@ class TestMinimumCost:
         rows, cols = linear_sum_assignment(cost)
         assert assignment_total(cost, assignment) == pytest.approx(
             cost[rows, cols].sum(), rel=1e-9, abs=1e-9
+        )
+
+
+class TestReferenceIdentity:
+    """The list-indexed loop makes the reference's choices exactly:
+    same comparisons, same first-minimum tie-break."""
+
+    @given(
+        st.integers(1, 12).flatmap(
+            lambda n: arrays(
+                float, (n, n), elements=st.sampled_from([0.0, 1.0, 2.0, 3.0])
+            )
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_tied_integer_matrices(self, cost):
+        ours = minimum_cost_assignment(cost)
+        reference = minimum_cost_assignment_reference(cost)
+        assert ours.dtype == reference.dtype
+        np.testing.assert_array_equal(ours, reference)
+
+    def test_k64(self):
+        cost = np.random.default_rng(64).integers(0, 20, (64, 64))
+        np.testing.assert_array_equal(
+            minimum_cost_assignment(cost),
+            minimum_cost_assignment_reference(cost),
         )
 
 

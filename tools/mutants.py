@@ -36,6 +36,7 @@ COPIED = ("src", "tests", "tools", "pyproject.toml")
 KERNEL_TESTS = "tests/test_transmission.py::TestSlotKernelEdgeCases"
 SESSION_PINS = "tests/test_session.py::TestVectorizedObjectEquivalence"
 LINT_CLEAN = "tests/test_lint.py::test_shipped_tree_lints_clean"
+SLOT_SCORER = "tests/test_api.py::TestSlotScorer::test_matches_batched_scoring"
 
 
 @dataclass(frozen=True)
@@ -188,6 +189,51 @@ LEDGER: Tuple[Mutant, ...] = (
         tests=(
             "tests/test_golden_checkpoints.py::"
             "test_composed_forecasts_resume_as_archived",
+        ),
+    ),
+    # Engine.run scores each slot as it closes, and holds no
+    # whole-trace estimate series.
+    Mutant(
+        name="intermediate-estimate-uncast",
+        path="src/repro/api.py",
+        old=(
+            "                centers = assignment.centroids[assignment.labels]"
+            ".astype(\n"
+            "                    stored.dtype, copy=False\n"
+            "                )\n"
+        ),
+        new=(
+            "                centers = assignment.centroids"
+            "[assignment.labels]\n"
+        ),
+        tests=(
+            f"{SLOT_SCORER}[float32-scalar-1shard-all-sample_hold]",
+            f"{SLOT_SCORER}[float32-joint-3shards-h1h3-ses]",
+        ),
+    ),
+    Mutant(
+        name="run-keeps-a-whole-trace-estimate-series",
+        path="src/repro/api.py",
+        old="        group_errors = np.empty((len(columns), num_steps))\n",
+        new=(
+            "        group_errors = np.empty((len(columns), num_steps))\n"
+            "        centers_series = np.empty_like(stored)\n"
+        ),
+        tests=(
+            "tests/test_api.py::TestRunMemory::"
+            "test_peak_is_bounded_by_the_trace[1shard]",
+        ),
+    ),
+    # The re-indexing assignment keeps the reference's first-minimum
+    # tie-break.
+    Mutant(
+        name="assignment-tie-takes-last-minimum",
+        path="src/repro/clustering/matching.py",
+        old="                if minv[j] < delta:\n",
+        new="                if minv[j] <= delta:\n",
+        tests=(
+            "tests/test_clustering_matching.py::TestReferenceIdentity::"
+            "test_tied_integer_matrices",
         ),
     ),
     # One mutant per bug class the linter (tools/repro_lint) exists
