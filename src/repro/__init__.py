@@ -42,13 +42,11 @@ from repro.core import (
     ForecastingConfig,
     OnlinePipeline,
     PipelineConfig,
-    PipelineResult,
     TransmissionConfig,
 )
 from repro.exceptions import (
     CheckpointError,
     ConfigurationError,
-    ConvergenceError,
     DataError,
     NotFittedError,
     ReproError,
@@ -66,7 +64,7 @@ from repro.registry import (
 from repro.session import StreamSession
 from repro.simulation.fleet import FleetState
 
-__version__ = "5.5.0"
+__version__ = "6.0.0"
 
 __all__ = [
     "Engine",
@@ -79,7 +77,6 @@ __all__ = [
     "ForecastingConfig",
     "OnlinePipeline",
     "PipelineConfig",
-    "PipelineResult",
     "TransmissionConfig",
     "ForecasterBank",
     "ObjectBank",
@@ -91,7 +88,6 @@ __all__ = [
     "SIMILARITY_MEASURES",
     "CheckpointError",
     "ConfigurationError",
-    "ConvergenceError",
     "DataError",
     "NotFittedError",
     "ReproError",

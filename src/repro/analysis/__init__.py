@@ -2,23 +2,14 @@
 
 from repro.analysis.correlation import (
     cdf_at,
-    empirical_cdf,
     fraction_above,
-    median_absolute_correlation,
     pairwise_correlations,
 )
-from repro.analysis.decomposition import ErrorDecomposition, decompose_error
-from repro.analysis.reporting import format_mapping, format_series, format_table
+from repro.analysis.reporting import format_table
 
 __all__ = [
     "cdf_at",
-    "empirical_cdf",
     "fraction_above",
-    "median_absolute_correlation",
     "pairwise_correlations",
-    "ErrorDecomposition",
-    "decompose_error",
-    "format_mapping",
-    "format_series",
     "format_table",
 ]

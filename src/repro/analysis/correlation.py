@@ -8,8 +8,6 @@ correlated) and compute-cluster data (weakly correlated).
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.exceptions import DataError
@@ -41,19 +39,6 @@ def pairwise_correlations(trace: np.ndarray) -> np.ndarray:
     return corr[upper]
 
 
-def empirical_cdf(values: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
-    """Empirical CDF support points and probabilities.
-
-    Returns:
-        ``(x, F)`` where ``F[i]`` is the fraction of values ≤ ``x[i]``.
-    """
-    v = np.sort(np.asarray(values, dtype=float))
-    if v.size == 0:
-        raise DataError("values is empty")
-    probabilities = np.arange(1, v.size + 1) / v.size
-    return v, probabilities
-
-
 def cdf_at(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     """Evaluate the empirical CDF of ``values`` at arbitrary ``points``."""
     v = np.sort(np.asarray(values, dtype=float))
@@ -61,12 +46,6 @@ def cdf_at(values: np.ndarray, points: np.ndarray) -> np.ndarray:
     if v.size == 0:
         raise DataError("values is empty")
     return np.searchsorted(v, pts, side="right") / v.size
-
-
-def median_absolute_correlation(trace: np.ndarray) -> float:
-    """Median |correlation| across node pairs — a one-number summary of
-    how spatially correlated a dataset is (Fig. 1's takeaway)."""
-    return float(np.median(np.abs(pairwise_correlations(trace))))
 
 
 def fraction_above(trace: np.ndarray, threshold: float) -> float:

@@ -8,7 +8,7 @@ bench output.
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence, Union
+from typing import Sequence, Union
 
 Number = Union[int, float]
 
@@ -48,28 +48,4 @@ def format_table(
         lines.append(
             "  ".join(cell.ljust(widths[i]) for i, cell in enumerate(row))
         )
-    return "\n".join(lines)
-
-
-def format_series(
-    name: str, xs: Sequence[Number], ys: Sequence[Number], *, precision: int = 4
-) -> str:
-    """Render one figure series as ``name: (x, y) (x, y) ...``."""
-    pairs = " ".join(
-        f"({x:g}, {y:.{precision}f})" for x, y in zip(xs, ys)
-    )
-    return f"{name}: {pairs}"
-
-
-def format_mapping(
-    title: str, mapping: Mapping[str, Number], *, precision: int = 4
-) -> str:
-    """Render a ``{label: value}`` result block."""
-    lines = [title]
-    width = max((len(k) for k in mapping), default=0)
-    for key, value in mapping.items():
-        if isinstance(value, float):
-            lines.append(f"  {key.ljust(width)}  {value:.{precision}f}")
-        else:
-            lines.append(f"  {key.ljust(width)}  {value}")
     return "\n".join(lines)

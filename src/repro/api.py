@@ -57,11 +57,7 @@ import numpy as np
 from repro.checkpoint import Checkpoint, as_checkpoint, config_mismatch
 from repro.core.config import PipelineConfig
 from repro.core.metrics import instantaneous_rmse_batch
-from repro.core.pipeline import (
-    ForecasterFactory,
-    OnlinePipeline,
-    PipelineResult,
-)
+from repro.core.pipeline import ForecasterFactory, OnlinePipeline
 from repro.core.types import validate_trace
 from repro.exceptions import CheckpointError, ConfigurationError
 from repro.forecasting.bank import ObjectBank
@@ -73,10 +69,18 @@ from repro.simulation.transport import TransportStats
 
 
 @dataclass
-class RunResult(PipelineResult):
-    """A :class:`~repro.core.pipeline.PipelineResult` plus provenance.
+class RunResult:
+    """Batch-run outcome: the paper's metrics plus provenance.
 
-    Attributes (beyond the inherited metrics):
+    Attributes:
+        stored: Central-store trajectory ``(T, N, d)``.
+        decisions: Transmission decisions ``(T, N)``.
+        rmse_by_horizon: ``{h: RMSE(T, h)}`` time-averaged per Eq. 4,
+            evaluated over all slots where both forecast and truth exist
+            (``h = 0`` is the pure collection error ``z`` vs ``x``).
+        intermediate_rmse: Time-averaged centroid-vs-data RMSE per
+            resource group (Sec. VI-C), averaged across groups.
+        forecast_start: First slot index with forecasts available.
         transport: Message/byte counters over the fleet's counter
             column, the per-node sums of the decision matrix.
         timings: Wall-clock seconds per stage: ``collection``,
@@ -90,13 +94,13 @@ class RunResult(PipelineResult):
             snapshot after the last slot — final stored values, clocks,
             last-transmit slots and per-node message counters.
         shards: How many node shards the collection stage ran as.
-        late_applied: Late arrivals applied under the reorder window
-            (session-backed runs; batch collection is always in-order,
-            so 0 there).
-        late_dropped: Late arrivals dropped (superseded or beyond the
-            reorder window).
     """
 
+    stored: np.ndarray
+    decisions: np.ndarray
+    rmse_by_horizon: Dict[int, float]
+    intermediate_rmse: float
+    forecast_start: int
     transport: Optional[TransportStats]
     timings: Dict[str, float]
     config: PipelineConfig
@@ -104,8 +108,6 @@ class RunResult(PipelineResult):
     bank: str = "object"
     fleet: Optional[FleetState] = None
     shards: int = 1
-    late_applied: int = 0
-    late_dropped: int = 0
 
     def summary(self) -> str:
         """Human-readable run summary (CLI/report friendly)."""

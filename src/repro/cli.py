@@ -2,9 +2,10 @@
 
 Commands:
 
-* ``list`` — show the experiment registry (one entry per table/figure)
-  and the pluggable-component registries (forecasters, collection
-  backends, transmission policies, similarity measures).
+* ``list`` — show the experiment registry (one entry per table/figure),
+  the pluggable-component registries (forecasters, forecaster banks,
+  collection backends, slot kernels, similarity measures, scenarios),
+  the fleet dtypes and the checkpoint format.
 * ``run <experiment> [...]`` — run one or more experiments and print
   their formatted results, with ``--nodes/--steps`` scale overrides.
 * ``run --config <json>`` — build an :class:`~repro.api.Engine` from a
@@ -19,6 +20,10 @@ Commands:
   a streaming session; supports the same ``--checkpoint`` /
   ``--checkpoint-every`` / ``--resume`` flags plus ``--steps``.
 * ``demo`` — run the quickstart pipeline on a synthetic trace.
+
+A library error (any :class:`~repro.exceptions.ReproError`) ends the
+command with one ``ErrorType: message`` line on stderr and exit code 2,
+as do flags that the chosen kind of run does not apply.
 """
 
 from __future__ import annotations
@@ -32,7 +37,7 @@ from repro.api import Engine
 from repro.checkpoint import CHECKPOINT_FORMAT_VERSION, as_checkpoint
 from repro.core.config import SUPPORTED_DTYPES, PipelineConfig
 from repro.datasets import load_alibaba_like
-from repro.exceptions import CheckpointError, ReproError
+from repro.exceptions import ReproError
 from repro.experiments import EXPERIMENTS
 from repro.registry import (
     COLLECTION_BACKENDS,
@@ -43,8 +48,18 @@ from repro.registry import (
     SLOT_KERNELS,
 )
 
-#: Parameter names accepted by every experiment runner for scaling.
-_SCALE_KEYS = ("num_nodes", "num_steps")
+
+def _positive_int(text: str) -> int:
+    """argparse type of every count option: an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(
+            f"must be a positive integer, got {text!r}"
+        )
+    return value
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -75,13 +90,13 @@ def _build_parser() -> argparse.ArgumentParser:
              "(PipelineConfig.to_dict form) instead of experiments",
     )
     run_parser.add_argument(
-        "--shards", type=int, default=1, metavar="K",
+        "--shards", type=_positive_int, default=1, metavar="K",
         help="partition the fleet into K contiguous node shards for the "
              "collection stage of --config runs (results are "
              "bit-identical to a single shard)",
     )
     run_parser.add_argument(
-        "--workers", type=int, default=None, metavar="W",
+        "--workers", type=_positive_int, default=None, metavar="W",
         help="run the shards on W threads, the calling one included "
              "(default: the calling thread alone)",
     )
@@ -92,11 +107,11 @@ def _build_parser() -> argparse.ArgumentParser:
              "million-node fleets)",
     )
     run_parser.add_argument(
-        "--nodes", type=int, default=None,
+        "--nodes", type=_positive_int, default=None,
         help="override the number of simulated machines",
     )
     run_parser.add_argument(
-        "--steps", type=int, default=None,
+        "--steps", type=_positive_int, default=None,
         help="override the number of time slots",
     )
     run_parser.add_argument(
@@ -123,7 +138,7 @@ def _build_parser() -> argparse.ArgumentParser:
              "slots)",
     )
     run_parser.add_argument(
-        "--checkpoint-every", type=int, default=None, metavar="N",
+        "--checkpoint-every", type=_positive_int, default=None, metavar="N",
         help="also checkpoint every N slots (requires --checkpoint)",
     )
     run_parser.add_argument(
@@ -136,10 +151,10 @@ def _build_parser() -> argparse.ArgumentParser:
     demo_parser = commands.add_parser(
         "demo", help="run the quickstart pipeline"
     )
-    demo_parser.add_argument("--nodes", type=int, default=60)
-    demo_parser.add_argument("--steps", type=int, default=500)
+    demo_parser.add_argument("--nodes", type=_positive_int, default=60)
+    demo_parser.add_argument("--steps", type=_positive_int, default=500)
     demo_parser.add_argument("--budget", type=float, default=0.3)
-    demo_parser.add_argument("--clusters", type=int, default=3)
+    demo_parser.add_argument("--clusters", type=_positive_int, default=3)
     return parser
 
 
@@ -171,38 +186,35 @@ def _command_list() -> int:
     return 0
 
 
-def _with_dtype(engine: Engine, args: argparse.Namespace, **kwargs) -> Engine:
-    """Rebuild ``engine`` with ``--dtype`` applied (no-op otherwise)."""
-    if args.dtype is None or args.dtype == engine.config.dtype:
-        return engine
-    overridden = dict(engine.config.to_dict())
-    overridden["dtype"] = args.dtype
-    return Engine.from_config(overridden, **kwargs)
+def _engine(
+    args: argparse.Namespace, source: object, policy: str
+) -> Optional[Engine]:
+    """``Engine.from_config(source)`` with ``--dtype`` applied, or None
+    once an unreadable or invalid configuration has been reported."""
+    try:
+        engine = Engine.from_config(source, policy=policy)
+        if args.dtype is None or args.dtype == engine.config.dtype:
+            return engine
+        overridden = dict(engine.config.to_dict())
+        overridden["dtype"] = args.dtype
+        return Engine.from_config(overridden, policy=policy)
+    except OSError as exc:
+        print(f"cannot read --config {source!r}: {exc}", file=sys.stderr)
+    except (TypeError, ValueError, ReproError) as exc:
+        print(f"invalid configuration: {exc}", file=sys.stderr)
+    return None
 
 
 def _command_run_config(args: argparse.Namespace) -> int:
     num_nodes = args.nodes if args.nodes is not None else 24
     num_steps = args.steps if args.steps is not None else 240
-    try:
-        policy = args.policy or "adaptive"
-        engine = Engine.from_config(args.config, policy=policy)
-        engine = _with_dtype(engine, args, policy=policy)
-    except OSError as exc:
-        print(f"cannot read --config {args.config!r}: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError, ReproError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
+    engine = _engine(args, args.config, args.policy or "adaptive")
+    if engine is None:
         return 2
     dataset = load_alibaba_like(num_nodes=num_nodes, num_steps=num_steps)
-    try:
-        result = engine.run(
-            dataset.resource("cpu"),
-            shards=args.shards,
-            workers=args.workers,
-        )
-    except ReproError as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+    result = engine.run(
+        dataset.resource("cpu"), shards=args.shards, workers=args.workers
+    )
     shard_part = (
         f", {args.shards} shards" if args.shards != 1 else ""
     )
@@ -224,55 +236,53 @@ def _command_run_stream(args: argparse.Namespace) -> int:
     """
     num_nodes = args.nodes if args.nodes is not None else 24
     num_steps = args.steps if args.steps is not None else 240
-    if args.checkpoint_every is not None and args.checkpoint is None:
-        print("--checkpoint-every requires --checkpoint", file=sys.stderr)
-        return 2
-    try:
-        if args.resume is not None:
+    if args.resume is None:
+        engine = _engine(args, args.config, args.policy or "adaptive")
+        if engine is None:
+            return 2
+        session = engine.session(num_nodes, 1)
+    else:
+        try:
             # mmap=True: array members are mapped copy-on-write and
             # adopted as the session's live columns (zero-copy resume).
             checkpoint = as_checkpoint(args.resume, mmap=True)
-            meta = checkpoint.session
+        except OSError as exc:
+            print(f"cannot read checkpoint: {exc}", file=sys.stderr)
+            return 2
+        meta = checkpoint.session
+        dtype = checkpoint.config.get("dtype", "float64")
+        print(
+            f"resuming {args.resume}: format "
+            f"v{checkpoint.version}, written by repro "
+            f"{checkpoint.library_version}, dtype={dtype}, "
+            f"N={meta.get('num_nodes')}, d={meta.get('num_resources')}, "
+            f"slot={meta.get('time')}, policy={meta.get('policy')}"
+        )
+        if args.dtype is not None and args.dtype != dtype:
             print(
-                f"resuming {args.resume}: format "
-                f"v{checkpoint.version}, written by repro "
-                f"{checkpoint.library_version}, "
-                f"dtype={checkpoint.config.get('dtype', 'float64')}, "
-                f"N={meta.get('num_nodes')}, d={meta.get('num_resources')}, "
-                f"slot={meta.get('time')}, policy={meta.get('policy')}"
+                f"--dtype {args.dtype} contradicts the checkpoint's "
+                f"{dtype} session; a resumed session keeps its dtype",
+                file=sys.stderr,
             )
-            if args.config is not None:
-                engine = Engine.from_config(
-                    args.config, policy=args.policy or "adaptive"
-                )
-            else:
-                engine = Engine.from_config(
-                    checkpoint.config, policy=args.policy or meta["policy"]
-                )
-            session = engine.resume(checkpoint)
-            if args.nodes is not None and args.nodes != session.num_nodes:
-                print(
-                    f"--nodes {args.nodes} contradicts the checkpoint's "
-                    f"{session.num_nodes}-node session; a resumed session "
-                    "keeps its fleet size",
-                    file=sys.stderr,
-                )
-                return 2
-            num_nodes = session.num_nodes
+            return 2
+        if args.config is not None:
+            engine = _engine(args, args.config, args.policy or "adaptive")
         else:
-            policy = args.policy or "adaptive"
-            engine = Engine.from_config(args.config, policy=policy)
-            engine = _with_dtype(engine, args, policy=policy)
-            session = engine.session(num_nodes, 1)
-    except OSError as exc:
-        print(f"cannot read configuration: {exc}", file=sys.stderr)
-        return 2
-    except CheckpointError as exc:
-        print(f"CheckpointError: {exc}", file=sys.stderr)
-        return 2
-    except (TypeError, ValueError, ReproError) as exc:
-        print(f"invalid configuration: {exc}", file=sys.stderr)
-        return 2
+            engine = _engine(
+                args, checkpoint.config, args.policy or meta["policy"]
+            )
+        if engine is None:
+            return 2
+        session = engine.resume(checkpoint)
+        if args.nodes is not None and args.nodes != session.num_nodes:
+            print(
+                f"--nodes {args.nodes} contradicts the checkpoint's "
+                f"{session.num_nodes}-node session; a resumed session "
+                "keeps its fleet size",
+                file=sys.stderr,
+            )
+            return 2
+        num_nodes = session.num_nodes
 
     trace = load_alibaba_like(
         num_nodes=num_nodes, num_steps=num_steps
@@ -328,21 +338,22 @@ def _command_run_scenario(args: argparse.Namespace) -> int:
     from repro.scenarios import run_scenario
     from repro.scenarios.harness import resolve_scenario
 
-    if args.nodes is not None or args.policy is not None:
+    if (
+        args.nodes is not None
+        or args.policy is not None
+        or args.dtype is not None
+    ):
         print(
-            "--nodes and --policy do not apply to --scenario runs (fleet "
-            "size and policy are part of the scenario spec)",
+            "--nodes, --policy and --dtype do not apply to --scenario runs "
+            "(fleet size, policy and dtype are part of the scenario spec)",
             file=sys.stderr,
         )
         return 2
-    if args.checkpoint_every is not None and args.checkpoint is None:
-        print("--checkpoint-every requires --checkpoint", file=sys.stderr)
-        return 2
+    spec = resolve_scenario(args.scenario)
+    if args.steps is not None:
+        spec = spec.with_steps(args.steps)
+    started = time.perf_counter()
     try:
-        spec = resolve_scenario(args.scenario)
-        if args.steps is not None:
-            spec = spec.with_steps(args.steps)
-        started = time.perf_counter()
         report = run_scenario(
             spec,
             checkpoint_path=args.checkpoint,
@@ -351,9 +362,6 @@ def _command_run_scenario(args: argparse.Namespace) -> int:
         )
     except OSError as exc:
         print(f"cannot read checkpoint: {exc}", file=sys.stderr)
-        return 2
-    except ReproError as exc:
-        print(f"scenario failed: {exc}", file=sys.stderr)
         return 2
     elapsed = time.perf_counter() - started
     print(report.summary())
@@ -366,6 +374,19 @@ def _command_run_scenario(args: argparse.Namespace) -> int:
 
 
 def _command_run(args: argparse.Namespace) -> int:
+    batch_config = (
+        args.config is not None
+        and not args.stream
+        and args.resume is None
+        and args.scenario is None
+    )
+    if (args.shards != 1 or args.workers is not None) and not batch_config:
+        print("--shards/--workers only apply to --config runs "
+              "without --stream, --resume or --scenario", file=sys.stderr)
+        return 2
+    if args.checkpoint_every is not None and args.checkpoint is None:
+        print("--checkpoint-every requires --checkpoint", file=sys.stderr)
+        return 2
     if args.scenario is not None:
         if args.experiments or args.config is not None or args.stream:
             print(
@@ -385,7 +406,7 @@ def _command_run(args: argparse.Namespace) -> int:
             print("--stream needs --config or --resume", file=sys.stderr)
             return 2
         return _command_run_stream(args)
-    if args.checkpoint is not None or args.checkpoint_every is not None:
+    if args.checkpoint is not None:
         print("--checkpoint only applies to --stream runs", file=sys.stderr)
         return 2
     if args.config is not None:
@@ -399,10 +420,6 @@ def _command_run(args: argparse.Namespace) -> int:
     if args.policy is not None:
         print("--policy only applies to --config/--stream runs; "
               "experiments choose their own policies", file=sys.stderr)
-        return 2
-    if args.shards != 1 or args.workers is not None:
-        print("--shards/--workers only apply to --config runs",
-              file=sys.stderr)
         return 2
     if args.dtype is not None:
         print("--dtype only applies to --config/--stream runs; "
@@ -460,12 +477,16 @@ def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "list":
-        return _command_list()
-    if args.command == "run":
-        return _command_run(args)
-    if args.command == "demo":
-        return _command_demo(args)
+    try:
+        if args.command == "list":
+            return _command_list()
+        if args.command == "run":
+            return _command_run(args)
+        if args.command == "demo":
+            return _command_demo(args)
+    except ReproError as exc:
+        print(f"{type(exc).__name__}: {exc}", file=sys.stderr)
+        return 2
     parser.print_help()
     return 1
 

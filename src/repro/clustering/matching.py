@@ -109,10 +109,3 @@ def maximum_weight_assignment(weights: np.ndarray) -> np.ndarray:
             f"weight matrix must be square, got shape {matrix.shape}"
         )
     return minimum_cost_assignment(matrix.max() - matrix)
-
-
-def assignment_total(weights: np.ndarray, assignment: np.ndarray) -> float:
-    """Total weight of an assignment ``Σ_k weights[k, assignment[k]]``."""
-    matrix = np.asarray(weights, dtype=float)
-    idx = np.asarray(assignment, dtype=int)
-    return float(matrix[np.arange(matrix.shape[0]), idx].sum())

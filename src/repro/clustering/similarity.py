@@ -54,30 +54,11 @@ def _stack_label_history(
 
 
 def _persistent_from_stack(stacked: np.ndarray) -> np.ndarray:
+    """Each node's persistent cluster ``j`` (``P_j = ⋂_m C_{j,t−m}``):
+    its label in every row of ``stacked``, or ``-1`` if it changed."""
     base = stacked[0]
     stable = (stacked == base).all(axis=0)
     return np.where(stable, base, -1)
-
-
-def persistent_labels(label_history: Sequence[np.ndarray]) -> np.ndarray:
-    """Per-node persistent cluster over a window of label arrays.
-
-    Node ``i`` belongs to the persistent set ``P_j = ⋂_m C_{j,t−m}``
-    exactly when its label equals ``j`` in *every* remembered partition —
-    so each node has at most one persistent cluster.
-
-    Args:
-        label_history: The most recent re-indexed label arrays (each of
-            shape ``(N,)``), ordered oldest → newest.  Arrays may differ
-            in length when the fleet size changed; a node missing from
-            any slot is not persistent.
-
-    Returns:
-        The persistent cluster of each node, or ``-1`` for nodes whose
-        cluster changed (or that were absent) within the window; length
-        is the widest partition in the window.
-    """
-    return _persistent_from_stack(_stack_label_history(label_history))
 
 
 def _contingency(

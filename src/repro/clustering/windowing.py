@@ -64,24 +64,3 @@ class WindowedFeatureBuilder:
     def reset(self) -> None:
         """Drop all buffered history."""
         self._buffer.clear()
-
-
-def windowed_features(trace: np.ndarray, window: int) -> np.ndarray:
-    """Vectorized batch version over a full trace.
-
-    Args:
-        trace: Shape ``(T, N)`` or ``(T, N, d)``.
-        window: Window length ``w``.
-
-    Returns:
-        Array of shape ``(T, N, w * d)`` where entry ``t`` holds the
-        features a :class:`WindowedFeatureBuilder` would emit at slot
-        ``t``.
-    """
-    arr = np.asarray(trace, dtype=float)
-    if arr.ndim == 2:
-        arr = arr[:, :, np.newaxis]
-    if arr.ndim != 3:
-        raise DataError(f"trace must be (T, N[, d]), got {arr.shape}")
-    builder = WindowedFeatureBuilder(window)
-    return np.stack([builder.push(arr[t]) for t in range(arr.shape[0])])

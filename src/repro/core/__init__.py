@@ -7,25 +7,20 @@ from repro.core.config import (
     TransmissionConfig,
 )
 from repro.core.metrics import (
-    horizon_averaged_rmse,
     instantaneous_rmse,
     instantaneous_rmse_batch,
     intermediate_rmse,
     standard_deviation_bound,
     time_averaged_rmse,
-    transmission_frequency,
 )
 from repro.core.pipeline import (
     ForecastFactors,
     OnlinePipeline,
-    PipelineResult,
     StepOutput,
     default_forecaster_factory,
 )
 from repro.core.types import (
     ClusterAssignment,
-    Forecast,
-    TransmissionRecord,
     validate_trace,
 )
 
@@ -34,20 +29,15 @@ __all__ = [
     "ForecastingConfig",
     "PipelineConfig",
     "TransmissionConfig",
-    "horizon_averaged_rmse",
     "instantaneous_rmse",
     "instantaneous_rmse_batch",
     "intermediate_rmse",
     "standard_deviation_bound",
     "time_averaged_rmse",
-    "transmission_frequency",
     "ForecastFactors",
     "OnlinePipeline",
-    "PipelineResult",
     "StepOutput",
     "default_forecaster_factory",
     "ClusterAssignment",
-    "Forecast",
-    "TransmissionRecord",
     "validate_trace",
 ]

@@ -345,11 +345,6 @@ class PipelineConfig:
         )
 
     @staticmethod
-    def paper_defaults() -> "PipelineConfig":
-        """The exact default parameterization of Sec. VI-A2."""
-        return PipelineConfig()
-
-    @staticmethod
     def small(
         num_clusters: int = 3,
         budget: float = 0.3,

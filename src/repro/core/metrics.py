@@ -14,7 +14,7 @@ The paper defines three related quantities:
 
 from __future__ import annotations
 
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
@@ -96,18 +96,6 @@ def time_averaged_rmse(instantaneous: Iterable[float]) -> float:
     return float(np.sqrt(np.mean(values**2)))
 
 
-def horizon_averaged_rmse(per_horizon: Sequence[float]) -> float:
-    """Average RMSE across forecast horizons, per the objective in Eq. 5.
-
-    Args:
-        per_horizon: ``RMSE(T, h)`` for each ``h`` in ``0..H``.
-    """
-    values = np.asarray(per_horizon, dtype=float)
-    if values.size == 0:
-        raise DataError("need at least one per-horizon RMSE value")
-    return float(np.sqrt(np.mean(values**2)))
-
-
 def intermediate_rmse(
     measurements: np.ndarray, labels: np.ndarray, centroids: np.ndarray
 ) -> float:
@@ -134,19 +122,6 @@ def intermediate_rmse(
         )
     assigned = cents[labels]
     return instantaneous_rmse(assigned, data)
-
-
-def transmission_frequency(decisions: np.ndarray) -> float:
-    """Empirical transmission frequency ``(1/T) * Σ_t β_{i,t}``.
-
-    Args:
-        decisions: Binary array; 1-D for a single node or 2-D ``(T, N)``
-            (the mean is then taken over all entries).
-    """
-    arr = np.asarray(decisions, dtype=float)
-    if arr.size == 0:
-        raise DataError("decisions array is empty")
-    return float(arr.mean())
 
 
 def standard_deviation_bound(trace: np.ndarray) -> float:

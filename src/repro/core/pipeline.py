@@ -514,25 +514,3 @@ class OnlinePipeline:
         }
         output.memberships = memberships.astype(int)
         output.forecast_factors = factors
-
-
-@dataclass
-class PipelineResult:
-    """Batch-run outcome with the paper's metrics.
-
-    Attributes:
-        stored: Central-store trajectory ``(T, N, d)``.
-        decisions: Transmission decisions ``(T, N)``.
-        rmse_by_horizon: ``{h: RMSE(T, h)}`` time-averaged per Eq. 4,
-            evaluated over all slots where both forecast and truth exist
-            (``h = 0`` is the pure collection error ``z`` vs ``x``).
-        intermediate_rmse: Time-averaged centroid-vs-data RMSE per
-            resource group (Sec. VI-C), averaged across groups.
-        forecast_start: First slot index with forecasts available.
-    """
-
-    stored: np.ndarray
-    decisions: np.ndarray
-    rmse_by_horizon: Dict[int, float]
-    intermediate_rmse: float
-    forecast_start: int

@@ -9,8 +9,7 @@ using bare tuples.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import List, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -21,9 +20,6 @@ NodeId = int
 
 #: Index of a cluster, ``0 <= cluster < K``.
 ClusterId = int
-
-#: A cluster partition: ``labels[i]`` is the cluster id of node ``i``.
-Labels = np.ndarray
 
 
 @dataclass(frozen=True)
@@ -70,61 +66,6 @@ class ClusterAssignment:
     def members(self, cluster: ClusterId) -> np.ndarray:
         """Return the node ids belonging to ``cluster`` (paper's C_{j,t})."""
         return np.flatnonzero(self.labels == cluster)
-
-
-@dataclass
-class Forecast:
-    """A multi-horizon forecast made at one time step.
-
-    Attributes:
-        made_at: The time slot ``t`` the forecast was issued.
-        horizons: The forecast steps ``h`` (e.g. ``[1, 2, ..., H]``).
-        node_values: Array of shape ``(len(horizons), N, d)`` with the
-            forecasted per-node utilizations ``x̂_{i,t+h}``.
-        centroid_values: Array of shape ``(len(horizons), K, d)`` with the
-            forecasted centroids ``ĉ_{j,t+h}``.
-        memberships: Array of shape ``(N,)`` with the forecasted cluster of
-            each node (the paper forecasts a single membership used for all
-            horizons).
-    """
-
-    made_at: int
-    horizons: Sequence[int]
-    node_values: np.ndarray
-    centroid_values: np.ndarray
-    memberships: np.ndarray
-
-    def for_horizon(self, h: int) -> np.ndarray:
-        """Return the ``(N, d)`` per-node forecast for horizon ``h``."""
-        try:
-            idx = list(self.horizons).index(h)
-        except ValueError:
-            raise DataError(f"horizon {h} not in forecast horizons {self.horizons}")
-        return self.node_values[idx]
-
-
-@dataclass
-class TransmissionRecord:
-    """Bookkeeping of transmission decisions for one node.
-
-    Attributes:
-        node: Node id.
-        decisions: ``decisions[t]`` is 1 if the node transmitted in slot t.
-    """
-
-    node: NodeId
-    decisions: List[int] = field(default_factory=list)
-
-    @property
-    def count(self) -> int:
-        return int(sum(self.decisions))
-
-    @property
-    def frequency(self) -> float:
-        """Empirical transmission frequency (fraction of slots transmitted)."""
-        if not self.decisions:
-            return 0.0
-        return self.count / len(self.decisions)
 
 
 def validate_trace(

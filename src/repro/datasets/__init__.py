@@ -1,4 +1,4 @@
-"""Datasets: synthetic stand-ins for the paper's traces + CSV ingestion.
+"""Datasets: synthetic stand-ins for the paper's traces.
 
 ``load_alibaba_like``, ``load_bitbrains_like`` and ``load_google_like``
 mirror the three computing-cluster traces of Sec. VI-A1;
@@ -10,14 +10,7 @@ rationale.
 from repro.datasets.alibaba import load_alibaba_like
 from repro.datasets.base import TraceDataset
 from repro.datasets.bitbrains import load_bitbrains_like
-from repro.datasets.describe import (
-    ResourceSummary,
-    describe,
-    describe_resource,
-    format_description,
-)
 from repro.datasets.google import load_google_like
-from repro.datasets.loader import load_trace_csv, read_matrix_csv
 from repro.datasets.sensor import load_sensor_like
 from repro.datasets.synthetic import (
     ProfileTraceSpec,
@@ -27,29 +20,15 @@ from repro.datasets.synthetic import (
     generate_resource_trace,
 )
 
-#: The three cluster datasets the paper evaluates on, by name.
-CLUSTER_DATASETS = {
-    "alibaba": load_alibaba_like,
-    "bitbrains": load_bitbrains_like,
-    "google": load_google_like,
-}
-
 __all__ = [
     "TraceDataset",
     "load_alibaba_like",
     "load_bitbrains_like",
     "load_google_like",
     "load_sensor_like",
-    "load_trace_csv",
-    "ResourceSummary",
-    "describe",
-    "describe_resource",
-    "format_description",
-    "read_matrix_csv",
     "ProfileTraceSpec",
     "generate_bursts",
     "generate_memberships",
     "generate_profile_paths",
     "generate_resource_trace",
-    "CLUSTER_DATASETS",
 ]

@@ -77,20 +77,3 @@ class TraceDataset:
             resource_names=self.resource_names,
             period_minutes=self.period_minutes,
         )
-
-    def subsample_nodes(
-        self, count: int, *, seed: int = 0
-    ) -> "TraceDataset":
-        """Randomly select ``count`` nodes (as the paper does in Sec. VI-E)."""
-        if count > self.num_nodes:
-            raise DataError(
-                f"cannot sample {count} nodes from {self.num_nodes}"
-            )
-        rng = np.random.default_rng(seed)
-        chosen = np.sort(rng.choice(self.num_nodes, size=count, replace=False))
-        return TraceDataset(
-            name=f"{self.name}[{count} nodes]",
-            data=self.data[:, chosen, :],
-            resource_names=self.resource_names,
-            period_minutes=self.period_minutes,
-        )

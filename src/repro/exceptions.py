@@ -21,10 +21,6 @@ class NotFittedError(ReproError):
     """A model method requiring a fitted model was called before ``fit``."""
 
 
-class ConvergenceError(ReproError):
-    """An iterative numerical procedure failed to converge."""
-
-
 class DataError(ReproError):
     """Input data is malformed (wrong shape, NaNs, empty series, ...)."""
 

@@ -63,6 +63,7 @@ __all__ = [
     "run_ablation_offsets",
     "run_ablation_reindexing",
     "run_ablation_warm_start",
+    "DeadbandAblationResult",
     "OffsetAblationResult",
     "ReindexingAblationResult",
     "WarmStartAblationResult",

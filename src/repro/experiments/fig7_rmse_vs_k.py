@@ -41,15 +41,6 @@ class Fig7Result:
             ["dataset", "resource", "method", "K", "intermediate RMSE"], rows
         )
 
-    def small_k_gap(self, dataset: str, resource: str, k_small: int = 3) -> float:
-        """RMSE(K = k_small) − min over the sweep, for the proposed method.
-
-        Near-zero values confirm the "few clusters suffice" finding.
-        """
-        values = self.rmse[(dataset, resource, "proposed")]
-        at_small = values[list(self.cluster_counts).index(k_small)]
-        return at_small - min(values)
-
 
 def run_fig7(
     num_nodes: int = 60,

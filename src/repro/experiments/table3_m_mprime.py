@@ -48,13 +48,6 @@ class Table3Result:
             blocks.append(format_table(headers, rows))
         return "\n\n".join(blocks)
 
-    def best_m_prime(self, h: int, m: int = 1) -> int:
-        """The M' minimizing RMSE at horizon h (for fixed M)."""
-        best = min(
-            self.m_prime_values, key=lambda mp: self.rmse[(h, m, mp)]
-        )
-        return best
-
 
 def run_table3(
     num_nodes: int = 60,

@@ -31,20 +31,17 @@ from repro.forecasting.yule_walker import (
     fit_yule_walker_batch,
 )
 from repro.forecasting.lstm import LstmForecaster, StackedLSTMNetwork
-from repro.forecasting.membership import forecast_membership, membership_stability
-from repro.forecasting.offsets import alpha_clip, estimate_offsets
+from repro.forecasting.membership import forecast_membership
+from repro.forecasting.offsets import estimate_offsets
 from repro.forecasting.sample_hold import (
     SampleHoldForecaster,
     hold_forecast,
     running_mean,
 )
 from repro.forecasting.stattools import (
-    acf,
     aicc,
     difference,
     differencing_polynomial,
-    ljung_box,
-    pacf,
     undifference_forecasts,
 )
 
@@ -76,15 +73,10 @@ __all__ = [
     "LstmForecaster",
     "StackedLSTMNetwork",
     "forecast_membership",
-    "membership_stability",
-    "alpha_clip",
     "estimate_offsets",
     "SampleHoldForecaster",
-    "acf",
     "aicc",
     "difference",
     "differencing_polynomial",
-    "ljung_box",
-    "pacf",
     "undifference_forecasts",
 ]

@@ -7,7 +7,7 @@ from repro.forecasting.lstm.forecaster import (
 )
 from repro.forecasting.lstm.layers import DenseLayer, LSTMLayer, sigmoid
 from repro.forecasting.lstm.network import StackedLSTMNetwork
-from repro.forecasting.lstm.optimizers import SGD, Adam, clip_gradients
+from repro.forecasting.lstm.optimizers import Adam, clip_gradients
 
 __all__ = [
     "LstmForecaster",
@@ -17,7 +17,6 @@ __all__ = [
     "LSTMLayer",
     "sigmoid",
     "StackedLSTMNetwork",
-    "SGD",
     "Adam",
     "clip_gradients",
 ]

@@ -89,36 +89,3 @@ class Adam:
                 m_hat = m / bias1
                 v_hat = v / bias2
                 param -= self.learning_rate * m_hat / (np.sqrt(v_hat) + self.epsilon)
-
-
-class SGD:
-    """Plain (optionally momentum) stochastic gradient descent."""
-
-    def __init__(
-        self,
-        layers: Sequence[Layer],
-        learning_rate: float = 1e-2,
-        momentum: float = 0.0,
-    ) -> None:
-        if learning_rate <= 0:
-            raise ConfigurationError("learning_rate must be positive")
-        if not 0 <= momentum < 1:
-            raise ConfigurationError("momentum must be in [0, 1)")
-        self.layers = list(layers)
-        self.learning_rate = learning_rate
-        self.momentum = momentum
-        self._velocity: List[Dict[str, np.ndarray]] = [
-            {k: np.zeros_like(v) for k, v in layer.parameters.items()}
-            for layer in self.layers
-        ]
-
-    def step(self) -> None:
-        """Apply one (momentum) SGD update."""
-        for layer, velocity in zip(self.layers, self._velocity):
-            params = layer.parameters
-            grads = layer.gradients
-            for key, param in params.items():
-                vel = velocity[key]
-                vel *= self.momentum
-                vel -= self.learning_rate * grads[key]
-                param += vel

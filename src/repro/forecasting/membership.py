@@ -62,16 +62,3 @@ def forecast_membership(
         np.maximum(winner, (counts[w] >= best) * w, out=winner)
         np.maximum(best, counts[w], out=best)
     return np.take_along_axis(window, winner[np.newaxis], axis=0)[0]
-
-
-def membership_stability(label_history: Sequence[np.ndarray]) -> float:
-    """Fraction of nodes whose cluster did not change across the window.
-
-    A diagnostic used in tests and ablations: values near 1 mean cluster
-    identities persist, which is when centroid forecasting is meaningful.
-    """
-    if len(label_history) < 2:
-        return 1.0
-    stacked = np.stack([np.asarray(l, dtype=int) for l in label_history])
-    stable = np.all(stacked == stacked[0], axis=0)
-    return float(np.mean(stable))

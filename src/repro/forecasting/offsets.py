@@ -61,8 +61,10 @@ def alpha_clip_batch(
     """Vectorized α-clipping for many nodes against one centroid set.
 
     For every node ``i`` this computes the largest ``α ∈ (0, 1]`` keeping
-    ``c_j + α(z_i − c_j)`` closest to centroid ``j = clusters[i]`` — the
-    same rule as :func:`alpha_clip`, evaluated for all nodes at once.
+    ``c_j + α(z_i − c_j)`` closest to centroid ``j = clusters[i]``: α = 1
+    when ``z_i`` already lies in cluster ``j`` (or exactly on its
+    centroid), otherwise the boundary-crossing α, floored at a small
+    positive value so the offset never flips sign.
 
     Args:
         values: Stored measurements ``z``, shape ``(N, d)`` or ``(N,)``.
@@ -172,27 +174,6 @@ def _target_terms(
         if clip:
             block *= _clipped_alphas(block, cents, own)
     return terms
-
-
-def alpha_clip(
-    value: np.ndarray, centroids: np.ndarray, cluster: int
-) -> float:
-    """Largest α ∈ (0, 1] keeping ``c_j + α(z − c_j)`` in cluster ``j``.
-
-    Args:
-        value: The node's stored measurement ``z`` (d-vector or scalar).
-        centroids: All centroids, shape ``(K, d)`` or ``(K,)``.
-        cluster: Target cluster index ``j``.
-
-    Returns:
-        α = 1 when the point already lies in cluster ``j`` (or exactly on
-        its centroid); otherwise the boundary-crossing α, floored at a
-        small positive value so the offset never flips sign.
-    """
-    z = np.atleast_1d(np.asarray(value, dtype=float))
-    return float(
-        alpha_clip_batch(z[np.newaxis, :], centroids, np.asarray([cluster]))[0]
-    )
 
 
 def estimate_offsets(

@@ -1,79 +1,16 @@
 """Time-series statistics supporting ARIMA order selection (Sec. VI-A3).
 
-Provides autocorrelation (ACF), partial autocorrelation (PACF via
-Durbin–Levinson), differencing operators (regular and seasonal, with an
-exact polynomial-based inverse used for multi-step forecast integration),
+Provides the differencing operators (regular and seasonal, with an
+exact polynomial-based inverse used for multi-step forecast integration)
 and the corrected Akaike information criterion (AICc) used by the paper's
 grid search.
 """
 
 from __future__ import annotations
 
-from typing import Tuple
-
 import numpy as np
 
 from repro.exceptions import DataError
-
-
-def acf(series: np.ndarray, num_lags: int) -> np.ndarray:
-    """Sample autocorrelation function.
-
-    Args:
-        series: 1-D array.
-        num_lags: Largest lag; returns lags ``0..num_lags``.
-
-    Returns:
-        Array of shape ``(num_lags + 1,)`` with ``acf[0] == 1``.
-    """
-    x = np.asarray(series, dtype=float)
-    if x.ndim != 1:
-        raise DataError(f"series must be 1-D, got shape {x.shape}")
-    n = x.size
-    if n < 2:
-        raise DataError("need at least 2 observations for ACF")
-    if num_lags >= n:
-        raise DataError(f"num_lags={num_lags} must be < series length {n}")
-    centered = x - x.mean()
-    denom = float(np.dot(centered, centered))
-    if denom == 0.0:
-        # Constant series: autocorrelation undefined; by convention return
-        # 1 at lag 0 and 0 elsewhere.
-        out = np.zeros(num_lags + 1)
-        out[0] = 1.0
-        return out
-    out = np.empty(num_lags + 1)
-    for lag in range(num_lags + 1):
-        out[lag] = float(np.dot(centered[: n - lag], centered[lag:])) / denom
-    return out
-
-
-def pacf(series: np.ndarray, num_lags: int) -> np.ndarray:
-    """Partial autocorrelation via the Durbin–Levinson recursion.
-
-    Returns:
-        Array of shape ``(num_lags + 1,)`` with ``pacf[0] == 1``.
-    """
-    rho = acf(series, num_lags)
-    out = np.zeros(num_lags + 1)
-    out[0] = 1.0
-    if num_lags == 0:
-        return out
-    phi_prev = np.zeros(num_lags + 1)
-    phi_curr = np.zeros(num_lags + 1)
-    phi_prev[1] = rho[1]
-    out[1] = rho[1]
-    for k in range(2, num_lags + 1):
-        num = rho[k] - float(np.dot(phi_prev[1:k], rho[1:k][::-1]))
-        den = 1.0 - float(np.dot(phi_prev[1:k], rho[1:k]))
-        phi_kk = num / den if den != 0 else 0.0
-        phi_curr[:] = 0.0
-        phi_curr[k] = phi_kk
-        for j in range(1, k):
-            phi_curr[j] = phi_prev[j] - phi_kk * phi_prev[k - j]
-        out[k] = phi_kk
-        phi_prev, phi_curr = phi_curr, phi_prev
-    return out
 
 
 def differencing_polynomial(d: int, seasonal_d: int, period: int) -> np.ndarray:
@@ -186,20 +123,3 @@ def aicc(sse: float, num_observations: int, num_parameters: int) -> float:
     if denom <= 0:
         return float("inf")
     return float(aic + (2.0 * k * (k + 1.0)) / denom)
-
-
-def ljung_box(series: np.ndarray, num_lags: int) -> Tuple[float, int]:
-    """Ljung–Box portmanteau statistic for residual whiteness.
-
-    Returns:
-        Tuple ``(Q, dof)``; under the null of white noise ``Q`` is
-        approximately chi-squared with ``dof = num_lags`` degrees of
-        freedom.  Useful for diagnostic tests of ARIMA residuals.
-    """
-    x = np.asarray(series, dtype=float)
-    n = x.size
-    rho = acf(x, num_lags)
-    q = 0.0
-    for lag in range(1, num_lags + 1):
-        q += rho[lag] ** 2 / (n - lag)
-    return float(n * (n + 2) * q), num_lags

@@ -6,7 +6,7 @@ interpreted from the cited work.
 """
 
 from repro.gaussian.covariance import GaussianModel, estimate_gaussian
-from repro.gaussian.inference import infer_unobserved, posterior_variance
+from repro.gaussian.inference import infer_unobserved
 from repro.gaussian.monitor import (
     BatchSelectionScheme,
     MinimumDistanceScheme,
@@ -27,7 +27,6 @@ __all__ = [
     "GaussianModel",
     "estimate_gaussian",
     "infer_unobserved",
-    "posterior_variance",
     "BatchSelectionScheme",
     "MinimumDistanceScheme",
     "MonitoringEvaluation",

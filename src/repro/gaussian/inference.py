@@ -62,30 +62,3 @@ def infer_unobserved(
     solved = np.linalg.solve(sigma_ss, residual)
     out[unobserved_idx] = model.mean[unobserved_idx] + sigma_us @ solved
     return out
-
-
-def posterior_variance(
-    model: GaussianModel, monitors: Sequence[int]
-) -> np.ndarray:
-    """Per-node posterior variance given the monitor set.
-
-    ``var(x_U | x_S) = diag(Σ_UU − Σ_US Σ_SS⁻¹ Σ_SU)``; monitors have
-    zero posterior variance.  Used by the Batch Selection objective.
-    """
-    num_nodes = model.num_nodes
-    monitor_idx = np.asarray(list(monitors), dtype=int)
-    variances = np.diag(model.covariance).copy()
-    if monitor_idx.size == 0:
-        return variances
-    mask = np.zeros(num_nodes, dtype=bool)
-    mask[monitor_idx] = True
-    unobserved_idx = np.flatnonzero(~mask)
-    variances[monitor_idx] = 0.0
-    if unobserved_idx.size == 0:
-        return variances
-    sigma_ss = model.covariance[np.ix_(monitor_idx, monitor_idx)]
-    sigma_us = model.covariance[np.ix_(unobserved_idx, monitor_idx)]
-    solved = np.linalg.solve(sigma_ss, sigma_us.T)
-    explained = np.einsum("ij,ji->i", sigma_us, solved)
-    variances[unobserved_idx] = variances[unobserved_idx] - explained
-    return np.maximum(variances, 0.0)

@@ -19,7 +19,7 @@ that honest:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, List, Sequence, Tuple
+from typing import Iterable, Sequence, Tuple
 
 import numpy as np
 
@@ -74,33 +74,6 @@ class ChurnSchedule:
     def before(self, slot: int) -> Tuple[ChurnEvent, ...]:
         """Events strictly before ``slot`` (the resume replay set)."""
         return tuple(e for e in self.events if e.slot < int(slot))
-
-    @classmethod
-    def periodic(
-        cls,
-        kind: str,
-        *,
-        every: int,
-        start: int,
-        until: int,
-        count: int = 1,
-    ) -> "ChurnSchedule":
-        """One ``kind`` event of ``count`` nodes every ``every`` slots
-        in ``[start, until)``."""
-        if every < 1:
-            raise ConfigurationError(f"every must be >= 1, got {every}")
-        return cls(
-            ChurnEvent(slot=slot, kind=kind, count=count)
-            for slot in range(int(start), int(until), int(every))
-        )
-
-    @classmethod
-    def merge(cls, *schedules: "ChurnSchedule") -> "ChurnSchedule":
-        """Combine schedules (stable slot order)."""
-        merged: List[ChurnEvent] = []
-        for schedule in schedules:
-            merged.extend(schedule.events)
-        return cls(merged)
 
     def __len__(self) -> int:
         return len(self.events)

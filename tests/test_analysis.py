@@ -5,12 +5,10 @@ import pytest
 
 from repro.analysis.correlation import (
     cdf_at,
-    empirical_cdf,
     fraction_above,
-    median_absolute_correlation,
     pairwise_correlations,
 )
-from repro.analysis.reporting import format_mapping, format_series, format_table
+from repro.analysis.reporting import format_table
 from repro.exceptions import DataError
 
 
@@ -50,21 +48,10 @@ class TestPairwiseCorrelations:
 
 
 class TestEmpiricalCdf:
-    def test_monotone_to_one(self):
-        values = np.random.default_rng(4).random(100)
-        x, probabilities = empirical_cdf(values)
-        assert (np.diff(x) >= 0).all()
-        assert (np.diff(probabilities) >= 0).all()
-        assert probabilities[-1] == pytest.approx(1.0)
-
     def test_cdf_at_known_points(self):
         values = np.array([1.0, 2.0, 3.0, 4.0])
         out = cdf_at(values, np.array([0.0, 2.5, 10.0]))
         np.testing.assert_allclose(out, [0.0, 0.5, 1.0])
-
-    def test_empty_rejected(self):
-        with pytest.raises(DataError):
-            empirical_cdf(np.array([]))
 
 
 class TestSummaries:
@@ -73,11 +60,6 @@ class TestSummaries:
         trace = np.stack([base, base, -base], axis=1)
         # pairs: (0,1)=+1, (0,2)=-1, (1,2)=-1 -> one of three above 0.5
         assert fraction_above(trace, 0.5) == pytest.approx(1 / 3)
-
-    def test_median_absolute(self):
-        base = np.random.default_rng(6).random(200)
-        trace = np.stack([base, base], axis=1)
-        assert median_absolute_correlation(trace) == pytest.approx(1.0)
 
 
 class TestReporting:
@@ -93,14 +75,3 @@ class TestReporting:
     def test_format_table_precision(self):
         text = format_table(["v"], [[0.123456]], precision=2)
         assert "0.12" in text
-
-    def test_format_series(self):
-        text = format_series("rmse", [1, 2], [0.5, 0.25])
-        assert text.startswith("rmse:")
-        assert "(1, 0.5000)" in text
-
-    def test_format_mapping(self):
-        text = format_mapping("results", {"a": 0.1, "b": 2})
-        assert "results" in text
-        assert "0.1000" in text
-        assert "b" in text

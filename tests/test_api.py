@@ -18,7 +18,7 @@ from repro.core.metrics import (
     instantaneous_rmse_batch,
     time_averaged_rmse,
 )
-from repro.core.pipeline import OnlinePipeline, PipelineResult
+from repro.core.pipeline import OnlinePipeline
 from repro.core.types import validate_trace
 from repro.exceptions import ConfigurationError, DataError
 from repro.registry import COLLECTION_BACKENDS, SLOT_KERNELS
@@ -104,7 +104,6 @@ class TestEngineBatchEquivalence:
     def test_run_pipeline_returns_runresult(self):
         result = Engine(config()).run(walk_trace(steps=30))
         assert isinstance(result, RunResult)
-        assert isinstance(result, PipelineResult)
 
     def test_run_with_horizons_subset(self):
         trace = walk_trace(seed=1)

@@ -173,3 +173,98 @@ class TestCli:
         err = capsys.readouterr().err
         assert "CheckpointError" in err
         assert "CRC-32" in err
+
+
+def _exit_code(argv):
+    """``main``'s exit code, also when argparse rejects ``argv``."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    config = PipelineConfig.small(
+        initial_collection=10, retrain_interval=10, max_horizon=2
+    )
+    path = tmp_path_factory.mktemp("cli") / "config.json"
+    path.write_text(json.dumps(config.to_dict()))
+    return str(path)
+
+
+@pytest.fixture(scope="module")
+def float64_checkpoint(config_path, tmp_path_factory):
+    path = tmp_path_factory.mktemp("cli") / "a.ckpt"
+    assert main([
+        "run", "--config", config_path, "--stream", "--nodes", "6",
+        "--steps", "12", "--checkpoint", str(path),
+    ]) == 0
+    return str(path)
+
+
+class TestCountsAndUnappliedFlags:
+    @pytest.mark.parametrize("argv", [
+        pytest.param(["run", "--config", "CONFIG", "--stream", "--checkpoint",
+                      "CKPT", "--checkpoint-every", "0"],
+                     id="stream-checkpoint-every-0"),
+        pytest.param(["run", "--config", "CONFIG", "--stream", "--checkpoint",
+                      "CKPT", "--checkpoint-every", "-5"],
+                     id="stream-checkpoint-every-negative"),
+        pytest.param(["run", "--config", "CONFIG", "--steps", "0"],
+                     id="config-steps-0"),
+        pytest.param(["run", "--config", "CONFIG", "--stream", "--steps", "0"],
+                     id="stream-steps-0"),
+        pytest.param(["run", "--config", "CONFIG", "--nodes", "0"],
+                     id="config-nodes-0"),
+        pytest.param(["run", "--config", "CONFIG", "--shards", "0"],
+                     id="config-shards-0"),
+        pytest.param(["run", "--config", "CONFIG", "--workers", "0"],
+                     id="config-workers-0"),
+        pytest.param(["run", "fig3", "--nodes", "0"], id="fig3-nodes-0"),
+        pytest.param(["demo", "--nodes", "0"], id="demo-nodes-0"),
+        pytest.param(["demo", "--steps", "0"], id="demo-steps-0"),
+        pytest.param(["demo", "--clusters", "0"], id="demo-clusters-0"),
+    ])
+    def test_counts_below_one_are_usage_errors(
+        self, capsys, tmp_path, config_path, argv
+    ):
+        paths = {"CONFIG": config_path, "CKPT": str(tmp_path / "x.ckpt")}
+        argv = [paths.get(arg, arg) for arg in argv]
+        assert _exit_code(argv) == 2
+        assert "must be a positive integer" in capsys.readouterr().err
+
+    def test_a_library_error_is_one_line_and_exit_two(self, capsys):
+        assert _exit_code(["demo", "--budget", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("ConfigurationError: ")
+        assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("argv,flag", [
+        (["run", "--resume", "CKPT", "--dtype", "float32"], "--dtype"),
+        (["run", "--resume", "CKPT", "--shards", "3"], "--shards"),
+        (["run", "--scenario", "ideal", "--steps", "40", "--dtype",
+          "float32"], "--dtype"),
+        (["run", "--scenario", "ideal", "--steps", "40", "--shards", "2"],
+         "--shards"),
+        (["run", "--config", "CONFIG", "--stream", "--steps", "12",
+          "--shards", "2", "--workers", "2"], "--shards"),
+    ], ids=["resume-dtype", "resume-shards", "scenario-dtype",
+            "scenario-shards", "stream-shards"])
+    def test_flags_the_run_does_not_apply_are_rejected(
+        self, capsys, config_path, float64_checkpoint, argv, flag
+    ):
+        paths = {"CONFIG": config_path, "CKPT": float64_checkpoint}
+        argv = [paths.get(arg, arg) for arg in argv]
+        capsys.readouterr()
+        assert _exit_code(argv) == 2
+        assert flag in capsys.readouterr().err
+
+    def test_resume_accepts_the_checkpoints_own_dtype(
+        self, capsys, float64_checkpoint
+    ):
+        assert main([
+            "run", "--resume", float64_checkpoint, "--dtype", "float64",
+            "--steps", "16",
+        ]) == 0
+        assert "slots 12..15" in capsys.readouterr().out

@@ -5,7 +5,7 @@ import pytest
 
 from repro.clustering.minimum_distance import MinimumDistanceClustering
 from repro.clustering.static import StaticClustering
-from repro.clustering.windowing import WindowedFeatureBuilder, windowed_features
+from repro.clustering.windowing import WindowedFeatureBuilder
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 
 
@@ -144,15 +144,3 @@ class TestWindowing:
     def test_invalid_window(self):
         with pytest.raises(ConfigurationError):
             WindowedFeatureBuilder(0)
-
-    def test_batch_matches_incremental(self):
-        trace = np.random.default_rng(1).random((6, 3))
-        batch = windowed_features(trace, 3)
-        builder = WindowedFeatureBuilder(3)
-        for t in range(6):
-            np.testing.assert_array_equal(batch[t], builder.push(trace[t]))
-
-    def test_batch_output_shape(self):
-        trace = np.random.default_rng(2).random((5, 4, 2))
-        batch = windowed_features(trace, 2)
-        assert batch.shape == (5, 4, 4)

@@ -106,11 +106,6 @@ class TestForecastingConfig:
 
 
 class TestPipelineConfig:
-    def test_paper_defaults_factory(self):
-        config = PipelineConfig.paper_defaults()
-        assert config.transmission.budget == 0.3
-        assert config.clustering.num_clusters == 3
-
     def test_small_factory(self):
         config = PipelineConfig.small(num_clusters=2, budget=0.5)
         assert config.clustering.num_clusters == 2

@@ -7,12 +7,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.core.metrics import (
-    horizon_averaged_rmse,
     instantaneous_rmse,
     intermediate_rmse,
     standard_deviation_bound,
     time_averaged_rmse,
-    transmission_frequency,
 )
 from repro.exceptions import DataError
 
@@ -125,17 +123,6 @@ class TestTimeAveragedRmse:
         assert time_averaged_rmse(values) >= np.mean(values) - 1e-9
 
 
-class TestHorizonAveragedRmse:
-    def test_matches_objective_form(self):
-        per_h = [0.1, 0.2, 0.3]
-        expected = np.sqrt(np.mean(np.square(per_h)))
-        assert horizon_averaged_rmse(per_h) == pytest.approx(expected)
-
-    def test_empty_raises(self):
-        with pytest.raises(DataError):
-            horizon_averaged_rmse([])
-
-
 class TestIntermediateRmse:
     def test_zero_when_on_centroids(self):
         centroids = np.array([[0.2], [0.8]])
@@ -152,16 +139,6 @@ class TestIntermediateRmse:
     def test_label_count_mismatch(self):
         with pytest.raises(DataError):
             intermediate_rmse(np.zeros(3), np.zeros(2, dtype=int), np.zeros((1, 1)))
-
-
-class TestTransmissionFrequency:
-    def test_mean_of_matrix(self):
-        decisions = np.array([[1, 0], [0, 0]])
-        assert transmission_frequency(decisions) == pytest.approx(0.25)
-
-    def test_empty_raises(self):
-        with pytest.raises(DataError):
-            transmission_frequency(np.array([]))
 
 
 class TestStandardDeviationBound:

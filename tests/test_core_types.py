@@ -3,12 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core.types import (
-    ClusterAssignment,
-    Forecast,
-    TransmissionRecord,
-    validate_trace,
-)
+from repro.core.types import ClusterAssignment, validate_trace
 from repro.exceptions import DataError
 
 
@@ -54,41 +49,6 @@ class TestClusterAssignment:
             time=0, labels=np.array([0, 0]), centroids=np.zeros((2, 1))
         )
         assert list(a.members(1)) == []
-
-
-class TestForecast:
-    def test_for_horizon(self):
-        f = Forecast(
-            made_at=10,
-            horizons=[1, 2],
-            node_values=np.arange(12).reshape(2, 3, 2),
-            centroid_values=np.zeros((2, 1, 2)),
-            memberships=np.zeros(3, dtype=int),
-        )
-        np.testing.assert_array_equal(
-            f.for_horizon(2), np.arange(6, 12).reshape(3, 2)
-        )
-
-    def test_unknown_horizon_raises(self):
-        f = Forecast(
-            made_at=0,
-            horizons=[1],
-            node_values=np.zeros((1, 2, 1)),
-            centroid_values=np.zeros((1, 1, 1)),
-            memberships=np.zeros(2, dtype=int),
-        )
-        with pytest.raises(DataError):
-            f.for_horizon(3)
-
-
-class TestTransmissionRecord:
-    def test_frequency(self):
-        r = TransmissionRecord(node=0, decisions=[1, 0, 0, 1])
-        assert r.count == 2
-        assert r.frequency == 0.5
-
-    def test_empty_frequency_zero(self):
-        assert TransmissionRecord(node=0).frequency == 0.0
 
 
 class TestValidateTrace:

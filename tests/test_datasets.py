@@ -5,7 +5,6 @@ import pytest
 
 from repro.analysis.correlation import fraction_above
 from repro.datasets import (
-    CLUSTER_DATASETS,
     ProfileTraceSpec,
     TraceDataset,
     generate_memberships,
@@ -15,8 +14,6 @@ from repro.datasets import (
     load_bitbrains_like,
     load_google_like,
     load_sensor_like,
-    load_trace_csv,
-    read_matrix_csv,
 )
 from repro.datasets.synthetic import draw_regime_events, generate_bursts
 from repro.exceptions import ConfigurationError, DataError
@@ -50,18 +47,6 @@ class TestTraceDataset:
         sub = ds.slice(steps=slice(0, 5), nodes=slice(0, 3))
         assert sub.num_steps == 5
         assert sub.num_nodes == 3
-
-    def test_subsample_nodes(self):
-        ds = TraceDataset("x", np.random.default_rng(3).random((10, 8, 2)))
-        sub = ds.subsample_nodes(4, seed=1)
-        assert sub.num_nodes == 4
-        repeat = ds.subsample_nodes(4, seed=1)
-        np.testing.assert_array_equal(sub.data, repeat.data)
-
-    def test_subsample_too_many(self):
-        ds = TraceDataset("x", np.zeros((2, 3, 2)))
-        with pytest.raises(DataError):
-            ds.subsample_nodes(5)
 
 
 class TestProfileTraceSpec:
@@ -181,9 +166,6 @@ class TestDatasetLoaders:
         assert ds.data.min() >= 0.0
         assert ds.data.max() <= 1.0
 
-    def test_registry_names(self):
-        assert set(CLUSTER_DATASETS) == {"alibaba", "bitbrains", "google"}
-
     def test_sensor_loader(self):
         ds = load_sensor_like(num_nodes=10, num_steps=100)
         assert ds.resource_names == ("temperature", "humidity")
@@ -202,106 +184,3 @@ class TestDatasetLoaders:
         np.testing.assert_array_equal(a.data, b.data)
         c = load_alibaba_like(num_nodes=10, num_steps=50, seed=4)
         assert not np.array_equal(a.data, c.data)
-
-
-class TestCsvLoader:
-    def test_round_trip(self, tmp_path):
-        data = np.random.default_rng(0).random((6, 4)).round(4)
-        path = tmp_path / "cpu.csv"
-        np.savetxt(path, data, delimiter=",")
-        loaded = read_matrix_csv(str(path))
-        np.testing.assert_allclose(loaded, data)
-
-    def test_header_skipped(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("a,b\n1.0,2.0\n3.0,4.0\n")
-        loaded = read_matrix_csv(str(path))
-        np.testing.assert_array_equal(loaded, [[1, 2], [3, 4]])
-
-    def test_bad_value_mid_file(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("1.0,2.0\nxx,4.0\n")
-        with pytest.raises(DataError):
-            read_matrix_csv(str(path))
-
-    def test_missing_file(self):
-        with pytest.raises(DataError):
-            read_matrix_csv("/nonexistent/file.csv")
-
-    def test_inconsistent_columns(self, tmp_path):
-        path = tmp_path / "t.csv"
-        path.write_text("1.0,2.0\n3.0\n")
-        with pytest.raises(DataError):
-            read_matrix_csv(str(path))
-
-    def test_load_trace_csv_stacks(self, tmp_path):
-        cpu = np.random.default_rng(1).random((5, 3)).round(3)
-        mem = np.random.default_rng(2).random((5, 3)).round(3)
-        p1, p2 = tmp_path / "cpu.csv", tmp_path / "mem.csv"
-        np.savetxt(p1, cpu, delimiter=",")
-        np.savetxt(p2, mem, delimiter=",")
-        ds = load_trace_csv(
-            [str(p1), str(p2)], ("cpu", "memory"), name="real"
-        )
-        assert ds.num_resources == 2
-        np.testing.assert_allclose(ds.resource("cpu"), cpu)
-
-    def test_load_trace_csv_shape_mismatch(self, tmp_path):
-        p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-        np.savetxt(p1, np.zeros((3, 2)), delimiter=",")
-        np.savetxt(p2, np.zeros((4, 2)), delimiter=",")
-        with pytest.raises(DataError):
-            load_trace_csv([str(p1), str(p2)], ("cpu", "memory"))
-
-    def test_load_trace_csv_clips(self, tmp_path):
-        path = tmp_path / "a.csv"
-        path.write_text("1.5,-0.5\n0.5,0.5\n")
-        ds = load_trace_csv([str(path)], ("cpu",))
-        assert ds.data.max() <= 1.0
-        assert ds.data.min() >= 0.0
-
-
-class TestDescribe:
-    def test_summary_fields_in_range(self):
-        from repro.datasets import describe, load_google_like
-
-        summaries = describe(load_google_like(num_nodes=25, num_steps=200))
-        for summary in summaries.values():
-            assert 0.0 <= summary.mean <= 1.0
-            assert summary.std >= 0.0
-            assert -1.0 <= summary.lag1_autocorrelation <= 1.0
-            assert 0.0 <= summary.median_abs_correlation <= 1.0
-            assert 0.0 <= summary.idle_fraction <= 1.0
-
-    def test_idle_fraction_detected(self):
-        from repro.datasets import describe_resource
-
-        rng = np.random.default_rng(0)
-        active = rng.random((100, 5))
-        idle = np.full((100, 5), 0.02) + rng.normal(0, 0.001, (100, 5))
-        summary = describe_resource(np.concatenate([active, idle], axis=1))
-        assert summary.idle_fraction == pytest.approx(0.5)
-
-    def test_smooth_vs_noisy_autocorrelation(self):
-        from repro.datasets import describe_resource
-
-        rng = np.random.default_rng(1)
-        smooth = np.cumsum(rng.normal(0, 0.01, (300, 4)), axis=0)
-        noisy = rng.normal(0, 0.1, (300, 4))
-        assert (
-            describe_resource(smooth).lag1_autocorrelation
-            > describe_resource(noisy).lag1_autocorrelation + 0.5
-        )
-
-    def test_format_description(self):
-        from repro.datasets import format_description, load_sensor_like
-
-        text = format_description(load_sensor_like(num_nodes=10, num_steps=100))
-        assert "sensor-like" in text
-        assert "temperature" in text
-
-    def test_too_short_rejected(self):
-        from repro.datasets import describe_resource
-
-        with pytest.raises(DataError):
-            describe_resource(np.zeros((2, 3)))

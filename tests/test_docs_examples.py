@@ -5,13 +5,27 @@ surface from drifting apart.
 """
 
 import ast
+import importlib
 import os
+import pkgutil
+import re
 import runpy
 
 import pytest
 
 REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 EXAMPLES = os.path.join(REPO_ROOT, "examples")
+
+
+def _packages():
+    """``repro`` and every package under it."""
+    import repro
+
+    return [repro] + [
+        importlib.import_module(info.name)
+        for info in pkgutil.walk_packages(repro.__path__, "repro.")
+        if info.ispkg
+    ]
 
 
 class TestReadmeSnippet:
@@ -106,7 +120,7 @@ class TestReadmeSnippet:
         assert report.final_nodes == 11
 
     def test_readme_migration_table_mentions_old_entry_points(self):
-        with open(os.path.join(REPO_ROOT, "README.md")) as handle:
+        with open(os.path.join(REPO_ROOT, "MIGRATING.md")) as handle:
             text = handle.read()
         for name in ("run_pipeline", "MonitoringSystem", "Engine",
                      "from_config", "registry", "session.ingest",
@@ -170,21 +184,49 @@ class TestPublicApi:
             assert hasattr(repro, name), name
 
     def test_subpackage_exports_importable(self):
-        import repro.analysis
-        import repro.clustering
-        import repro.datasets
-        import repro.forecasting
-        import repro.gaussian
-        import repro.simulation
-        import repro.transmission
-
-        for module in (
-            repro.analysis, repro.clustering, repro.datasets,
-            repro.forecasting, repro.gaussian, repro.simulation,
-            repro.transmission,
-        ):
+        for module in _packages():
             for name in module.__all__:
                 assert hasattr(module, name), (module.__name__, name)
+
+    def test_every_export_has_a_caller_outside_tests(self):
+        # Every ``__all__`` name but ``__version__`` is read somewhere
+        # outside tests/ (an AST Name, Attribute or ImportFrom alias; the
+        # package __init__ re-exports do not count) or named in
+        # backticks in the docs.
+        used = set()
+        for top in ("src", "examples", "benchmarks", "perfbench", "tools"):
+            for dirpath, _, files in os.walk(os.path.join(REPO_ROOT, top)):
+                for name in files:
+                    if not name.endswith(".py") or (
+                        top == "src" and name == "__init__.py"
+                    ):
+                        continue
+                    with open(os.path.join(dirpath, name)) as handle:
+                        tree = ast.parse(handle.read())
+                    for node in ast.walk(tree):
+                        if isinstance(node, ast.Name):
+                            used.add(node.id)
+                        elif isinstance(node, ast.Attribute):
+                            used.add(node.attr)
+                        elif isinstance(node, ast.ImportFrom):
+                            used.update(alias.name for alias in node.names)
+        for doc in ("README.md", "DESIGN.md", "EXPERIMENTS.md"):
+            with open(os.path.join(REPO_ROOT, doc)) as handle:
+                text = handle.read()
+            # Fenced blocks first, so their fences do not pair up with
+            # inline code spans.
+            fenced = re.compile(r"```.*?```", flags=re.S)
+            spans = fenced.findall(text)
+            spans += re.findall(r"`([^`]+)`", fenced.sub("", text))
+            for span in spans:
+                used.update(re.findall(r"\w+", span))
+        unused = [
+            f"{module.__name__}.{name}"
+            for module in _packages()
+            for name in module.__all__
+            if name not in used and name != "__version__"
+        ]
+        assert not unused, unused
 
     def test_version_string(self):
         import repro

@@ -45,17 +45,10 @@ from repro.core.config import (
     TransmissionConfig,
 )
 from repro.core.pipeline import OnlinePipeline
-from repro.clustering.similarity import (
-    persistent_labels,
-    similarity_matrix_from_labels,
-)
+from repro.clustering.similarity import similarity_matrix_from_labels
 from repro.exceptions import DataError
 from repro.forecasting.membership import forecast_membership
-from repro.forecasting.offsets import (
-    alpha_clip,
-    alpha_clip_batch,
-    estimate_offsets,
-)
+from repro.forecasting.offsets import alpha_clip_batch, estimate_offsets
 from repro.registry import COLLECTION_BACKENDS, SLOT_KERNELS
 from repro.simulation.collection import collect, run_slot_kernel
 from repro.simulation.fleet import FleetState
@@ -183,19 +176,6 @@ class TestDeterminism:
 
 class TestVectorizedOffsetsEquivalence:
     """Vectorized Eq. 12 kernels vs the reference per-node loops."""
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=60, deadline=None)
-    def test_alpha_clip_bit_identical(self, seed):
-        rng = np.random.default_rng(seed)
-        num_clusters = int(rng.integers(1, 9))
-        dim = int(rng.choice(DIMS))
-        centroids = rng.normal(size=(num_clusters, dim))
-        value = rng.normal(size=dim)
-        cluster = int(rng.integers(0, num_clusters))
-        assert alpha_clip(value, centroids, cluster) == (
-            alpha_clip_reference(value, centroids, cluster)
-        )
 
     @given(st.integers(0, 10_000))
     @settings(max_examples=40, deadline=None)
@@ -449,24 +429,6 @@ class TestVectorizedSimilarityEquivalence:
             kind, new_labels, history, num_clusters
         )
         np.testing.assert_array_equal(reference, vectorized)
-
-    @given(st.integers(0, 10_000))
-    @settings(max_examples=40, deadline=None)
-    def test_persistent_labels_match_set_intersection(self, seed):
-        rng = np.random.default_rng(seed)
-        num_nodes = int(rng.integers(1, 40))
-        num_clusters = int(rng.integers(1, 6))
-        depth = int(rng.integers(1, 5))
-        history = [
-            rng.integers(0, num_clusters, size=num_nodes)
-            for _ in range(depth)
-        ]
-        persistent = persistent_labels(history)
-        for j in range(num_clusters):
-            expected = set(np.flatnonzero(history[0] == j).tolist())
-            for labels in history[1:]:
-                expected &= set(np.flatnonzero(labels == j).tolist())
-            assert set(np.flatnonzero(persistent == j).tolist()) == expected
 
 
 class TestVectorizedMembershipEquivalence:

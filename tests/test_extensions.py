@@ -1,17 +1,11 @@
-"""Tests for extensions: deadband policy, error decomposition, ARIMA
-prediction intervals, and the deadband ablation."""
+"""Tests for extensions: deadband policy, ARIMA prediction intervals,
+and the deadband ablation."""
 
 import numpy as np
 import pytest
 
 from collection_oracle import DeadbandTransmissionPolicy
-from repro.analysis.decomposition import decompose_error
-from repro.core.config import (
-    ClusteringConfig,
-    ForecastingConfig,
-    PipelineConfig,
-    TransmissionConfig,
-)
+from repro.core.config import TransmissionConfig
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.forecasting.arima import ArimaModel, ArimaOrder
 from repro.simulation.collection import collect
@@ -84,48 +78,6 @@ class TestDeadbandAblation:
         assert result.deadband_frequency[cal] == pytest.approx(
             result.target, abs=0.02
         )
-
-
-class TestErrorDecomposition:
-    def _config(self, budget=0.3):
-        return PipelineConfig(
-            transmission=TransmissionConfig(budget=budget),
-            clustering=ClusteringConfig(num_clusters=2, seed=0),
-            forecasting=ForecastingConfig(
-                model="sample_hold", max_horizon=3,
-                initial_collection=25, retrain_interval=25,
-            ),
-        )
-
-    def _trace(self):
-        rng = np.random.default_rng(0)
-        base = np.where(np.arange(8) < 4, 0.25, 0.7)
-        return np.clip(
-            base[None, :] + rng.normal(0, 0.03, (90, 8)), 0, 1
-        )
-
-    def test_components_ordered(self):
-        decomposition = decompose_error(self._trace(), self._config(), 1)
-        # Idealizing the collection can only help (statistically).
-        assert decomposition.without_staleness <= decomposition.total + 0.02
-        assert 0.0 <= decomposition.staleness_share <= 1.0
-
-    def test_perfect_collection_kills_staleness_floor(self):
-        decomposition = decompose_error(
-            self._trace(), self._config(budget=1.0), 1
-        )
-        assert decomposition.staleness_only == pytest.approx(0.0, abs=1e-12)
-        assert decomposition.staleness_share == pytest.approx(0.0, abs=0.05)
-
-    def test_horizon_validation(self):
-        with pytest.raises(DataError):
-            decompose_error(self._trace(), self._config(), 9)
-
-    def test_format_contains_fields(self):
-        decomposition = decompose_error(self._trace(), self._config(), 1)
-        text = decomposition.format()
-        assert "total RMSE" in text
-        assert "staleness" in text
 
 
 class TestArimaIntervals:

@@ -8,11 +8,8 @@ from hypothesis.extra.numpy import arrays
 
 from forecaster_oracle import MeanForecaster
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
-from repro.forecasting.membership import (
-    forecast_membership,
-    membership_stability,
-)
-from repro.forecasting.offsets import alpha_clip, estimate_offsets
+from repro.forecasting.membership import forecast_membership
+from repro.forecasting.offsets import alpha_clip_batch, estimate_offsets
 from repro.forecasting.sample_hold import SampleHoldForecaster
 
 
@@ -128,51 +125,38 @@ class TestForecastMembership:
             assert out[i] in window[:, i]
 
 
-class TestMembershipStability:
-    def test_fully_stable(self):
-        history = [np.array([0, 1, 2])] * 4
-        assert membership_stability(history) == 1.0
-
-    def test_partial(self):
-        history = [np.array([0, 1]), np.array([0, 0])]
-        assert membership_stability(history) == 0.5
-
-    def test_single_step(self):
-        assert membership_stability([np.array([0])]) == 1.0
-
-
 class TestAlphaClip:
     def test_alpha_one_when_in_cluster(self):
         centroids = np.array([[0.0], [1.0]])
         # 0.2 is closest to centroid 0.
-        assert alpha_clip(np.array([0.2]), centroids, 0) == 1.0
+        assert alpha_clip_batch(np.array([[0.2]]), centroids, [0])[0] == 1.0
 
     def test_alpha_one_on_centroid(self):
         centroids = np.array([[0.0], [1.0]])
-        assert alpha_clip(np.array([0.0]), centroids, 0) == 1.0
+        assert alpha_clip_batch(np.array([[0.0]]), centroids, [0])[0] == 1.0
 
     def test_clips_to_boundary(self):
         centroids = np.array([[0.0], [1.0]])
         # z = 0.8 belongs to cluster 1; clipped toward cluster 0 the
         # scaled point must stay at or inside the midpoint 0.5:
         # alpha = 0.5 / 0.8 = 0.625.
-        alpha = alpha_clip(np.array([0.8]), centroids, 0)
+        alpha = alpha_clip_batch(np.array([[0.8]]), centroids, [0])[0]
         assert alpha == pytest.approx(0.5 / 0.8)
 
     def test_multidimensional(self):
         centroids = np.array([[0.0, 0.0], [1.0, 0.0]])
-        alpha = alpha_clip(np.array([0.8, 0.0]), centroids, 0)
+        alpha = alpha_clip_batch(np.array([[0.8, 0.0]]), centroids, [0])[0]
         assert alpha == pytest.approx(0.625)
 
     def test_orthogonal_direction_unclipped(self):
         centroids = np.array([[0.0, 0.0], [1.0, 0.0]])
         # Moving along y never approaches cluster 1.
-        alpha = alpha_clip(np.array([0.0, 5.0]), centroids, 0)
+        alpha = alpha_clip_batch(np.array([[0.0, 5.0]]), centroids, [0])[0]
         assert alpha == 1.0
 
     def test_invalid_cluster(self):
         with pytest.raises(ConfigurationError):
-            alpha_clip(np.array([0.5]), np.array([[0.0]]), 2)
+            alpha_clip_batch(np.array([[0.5]]), np.array([[0.0]]), [2])[0]
 
     @given(
         st.floats(-2, 2), st.integers(0, 1)
@@ -180,7 +164,7 @@ class TestAlphaClip:
     @settings(max_examples=50, deadline=None)
     def test_clipped_point_stays_in_cluster(self, z, cluster):
         centroids = np.array([[0.0], [1.0]])
-        alpha = alpha_clip(np.array([z]), centroids, cluster)
+        alpha = alpha_clip_batch(np.array([[z]]), centroids, [cluster])[0]
         assert 0 < alpha <= 1.0
         point = centroids[cluster, 0] + alpha * (z - centroids[cluster, 0])
         own = abs(point - centroids[cluster, 0])

@@ -5,7 +5,7 @@ import pytest
 
 from repro.exceptions import ConfigurationError, DataError, NotFittedError
 from repro.gaussian.covariance import estimate_gaussian
-from repro.gaussian.inference import infer_unobserved, posterior_variance
+from repro.gaussian.inference import infer_unobserved
 from repro.gaussian.monitor import (
     BatchSelectionScheme,
     MinimumDistanceScheme,
@@ -106,30 +106,6 @@ class TestInference:
         model = estimate_gaussian(correlated_samples())
         with pytest.raises(DataError):
             infer_unobserved(model, [9], np.zeros(1))
-
-
-class TestPosteriorVariance:
-    def test_monitors_have_zero_variance(self):
-        model = estimate_gaussian(correlated_samples())
-        var = posterior_variance(model, [0, 3])
-        assert var[0] == 0.0
-        assert var[3] == 0.0
-
-    def test_variance_reduced_not_increased(self):
-        model = estimate_gaussian(correlated_samples())
-        prior = np.diag(model.covariance)
-        post = posterior_variance(model, [0])
-        assert (post <= prior + 1e-9).all()
-
-    def test_correlated_node_reduced_most(self):
-        data = correlated_samples(steps=2000)
-        model = estimate_gaussian(data, shrinkage=0.01)
-        prior = np.diag(model.covariance)
-        post = posterior_variance(model, [0])
-        # Node 1 (same group as monitor 0) gains more than node 3.
-        gain_same = (prior[1] - post[1]) / prior[1]
-        gain_other = (prior[3] - post[3]) / prior[3]
-        assert gain_same > gain_other
 
 
 class TestSelection:

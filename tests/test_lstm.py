@@ -10,7 +10,6 @@ from repro.forecasting.lstm import (
     LSTMLayer,
     LstmForecaster,
     MinMaxScaler,
-    SGD,
     StackedLSTMNetwork,
     build_windows,
     clip_gradients,
@@ -206,17 +205,6 @@ class TestOptimizers:
             layer.backward(out - 3.0)
             optimizer.step()
         assert layer.forward(x)[0, 0] == pytest.approx(3.0, abs=0.05)
-
-    def test_sgd_moves_toward_minimum(self):
-        layer = DenseLayer(1, 1, activation="linear",
-                           rng=np.random.default_rng(1))
-        optimizer = SGD([layer], learning_rate=0.1, momentum=0.5)
-        x = np.array([[1.0]])
-        for _ in range(200):
-            out = layer.forward(x)
-            layer.backward(out - 2.0)
-            optimizer.step()
-        assert layer.forward(x)[0, 0] == pytest.approx(2.0, abs=0.05)
 
     def test_clip_gradients_bounds_norm(self):
         layer = DenseLayer(2, 2, activation="linear",

@@ -428,16 +428,6 @@ class TestChurnSchedule:
         assert schedule.at(4) == ()
         assert [e.slot for e in schedule.before(9)] == [3, 3]
 
-    def test_periodic_and_merge(self):
-        joins = ChurnSchedule.periodic(
-            "join", every=10, start=10, until=40, count=2
-        )
-        crashes = ChurnSchedule.periodic("crash", every=15, start=15, until=31)
-        merged = ChurnSchedule.merge(joins, crashes)
-        assert [e.slot for e in joins] == [10, 20, 30]
-        assert len(merged) == 5
-        assert [e.slot for e in merged] == sorted(e.slot for e in merged)
-
 
 class TestMembershipTrack:
     def test_joins_consume_fresh_columns_in_order(self):

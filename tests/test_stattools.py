@@ -1,4 +1,4 @@
-"""Tests for ACF/PACF/differencing/AICc statistics."""
+"""Tests for the differencing and AICc statistics."""
 
 import numpy as np
 import pytest
@@ -7,72 +7,11 @@ from hypothesis import strategies as st
 
 from repro.exceptions import DataError
 from repro.forecasting.stattools import (
-    acf,
     aicc,
     difference,
     differencing_polynomial,
-    ljung_box,
-    pacf,
     undifference_forecasts,
 )
-
-
-class TestAcf:
-    def test_lag_zero_is_one(self):
-        x = np.random.default_rng(0).random(100)
-        assert acf(x, 5)[0] == pytest.approx(1.0)
-
-    def test_white_noise_small_lags(self):
-        x = np.random.default_rng(1).standard_normal(5000)
-        rho = acf(x, 3)
-        assert abs(rho[1]) < 0.05
-        assert abs(rho[2]) < 0.05
-
-    def test_ar1_geometric_decay(self):
-        rng = np.random.default_rng(2)
-        phi = 0.8
-        x = np.zeros(20000)
-        for t in range(1, x.size):
-            x[t] = phi * x[t - 1] + rng.standard_normal()
-        rho = acf(x, 3)
-        assert rho[1] == pytest.approx(phi, abs=0.03)
-        assert rho[2] == pytest.approx(phi**2, abs=0.05)
-
-    def test_constant_series(self):
-        rho = acf(np.full(50, 0.5), 3)
-        np.testing.assert_array_equal(rho, [1.0, 0.0, 0.0, 0.0])
-
-    def test_lag_too_large(self):
-        with pytest.raises(DataError):
-            acf(np.zeros(5), 5)
-
-    def test_2d_rejected(self):
-        with pytest.raises(DataError):
-            acf(np.zeros((5, 2)), 2)
-
-
-class TestPacf:
-    def test_ar1_cuts_off_after_lag1(self):
-        rng = np.random.default_rng(3)
-        x = np.zeros(20000)
-        for t in range(1, x.size):
-            x[t] = 0.7 * x[t - 1] + rng.standard_normal()
-        phi = pacf(x, 4)
-        assert phi[1] == pytest.approx(0.7, abs=0.03)
-        assert abs(phi[2]) < 0.05
-        assert abs(phi[3]) < 0.05
-
-    def test_ar2_second_coefficient(self):
-        rng = np.random.default_rng(4)
-        x = np.zeros(30000)
-        for t in range(2, x.size):
-            x[t] = 0.5 * x[t - 1] + 0.3 * x[t - 2] + rng.standard_normal()
-        phi = pacf(x, 3)
-        assert phi[2] == pytest.approx(0.3, abs=0.04)
-
-    def test_lag_zero(self):
-        x = np.random.default_rng(5).random(50)
-        assert pacf(x, 0)[0] == 1.0
 
 
 class TestDifferencingPolynomial:
@@ -198,19 +137,3 @@ class TestAicc:
         aic = 2 * k - 2 * ll
         expected = aic + 2 * k * (k + 1) / (n - k - 1)
         assert aicc(sse, n, k) == pytest.approx(expected)
-
-
-class TestLjungBox:
-    def test_white_noise_small(self):
-        x = np.random.default_rng(10).standard_normal(1000)
-        q, dof = ljung_box(x, 10)
-        assert dof == 10
-        assert q < 30  # chi2(10) 99th percentile is ~23; generous margin
-
-    def test_correlated_large(self):
-        rng = np.random.default_rng(11)
-        x = np.zeros(1000)
-        for t in range(1, 1000):
-            x[t] = 0.9 * x[t - 1] + rng.standard_normal()
-        q, _ = ljung_box(x, 10)
-        assert q > 100

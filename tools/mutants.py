@@ -37,6 +37,11 @@ KERNEL_TESTS = "tests/test_transmission.py::TestSlotKernelEdgeCases"
 SESSION_PINS = "tests/test_session.py::TestVectorizedObjectEquivalence"
 LINT_CLEAN = "tests/test_lint.py::test_shipped_tree_lints_clean"
 SLOT_SCORER = "tests/test_api.py::TestSlotScorer::test_matches_batched_scoring"
+GUARANTEES = "tests/test_transmission_guarantees.py"
+QUEUE_BOUNDS = f"{GUARANTEES}::test_adaptive_queue_stays_within_its_bounds"
+MESSAGE_IDENTITY = (
+    f"{GUARANTEES}::test_adaptive_messages_are_budget_plus_queue"
+)
 
 
 @dataclass(frozen=True)
@@ -55,6 +60,36 @@ LEDGER: Tuple[Mutant, ...] = (
         old="transmit = (objective_send < objective_skip) | ~observed",
         new="transmit = (objective_send <= objective_skip) | ~observed",
         tests=(f"{KERNEL_TESTS}::test_adaptive_skips_on_tie_at_zero_queue",),
+    ),
+    # Misreadings of Sec. V-A that the queue bounds and the message
+    # identity catch on every small trace, whatever an oracle says.
+    Mutant(
+        name="adaptive-drift-sign-flipped",
+        path="src/repro/transmission/adaptive.py",
+        old="    queues += transmit - budgets\n",
+        new="    queues -= transmit - budgets\n",
+        tests=(QUEUE_BOUNDS,),
+    ),
+    Mutant(
+        name="adaptive-weight-exponent-one-plus-gamma",
+        path="src/repro/transmission/adaptive.py",
+        old="+ dtype.type(1.0)) ** gammas",
+        new="+ dtype.type(1.0)) ** (1 + gammas)",
+        tests=(QUEUE_BOUNDS,),
+    ),
+    Mutant(
+        name="adaptive-first-send-free",
+        path="src/repro/transmission/adaptive.py",
+        old="    queues += transmit - budgets\n",
+        new="    queues += (transmit & observed) - budgets\n",
+        tests=(MESSAGE_IDENTITY,),
+    ),
+    Mutant(
+        name="adaptive-queue-clamped-at-zero",
+        path="src/repro/transmission/adaptive.py",
+        old="    queues += transmit - budgets\n",
+        new="    np.maximum(queues + transmit - budgets, 0, out=queues)\n",
+        tests=(MESSAGE_IDENTITY,),
     ),
     Mutant(
         name="uniform-kernel-crossing-strict",
